@@ -1,9 +1,7 @@
 //! # fpart-bench
 //!
 //! The evaluation harness. The `figures` binary regenerates every table
-//! and figure of the paper (see DESIGN.md §4 for the index); the
-//! `benches/` directory holds criterion micro-benchmarks and the
-//! ablation studies DESIGN.md §5 calls out.
+//! and figure of the paper (see DESIGN.md §4 for the index).
 //!
 //! Each figure prints three kinds of columns where applicable:
 //!

@@ -8,8 +8,8 @@
 //!
 //! On x86-64 we use `_mm_stream_si64` (SSE2, baseline for the
 //! architecture); elsewhere the copy degrades to a normal `memcpy`, which
-//! keeps the algorithm portable (the throughput difference is what the
-//! `ablation_swwcb` bench measures).
+//! keeps the algorithm portable (the throughput difference is the one
+//! between the `swwcb` and `swwcb+nt` strategies).
 
 use fpart_types::Tuple;
 

@@ -47,8 +47,17 @@ impl SwwcbStats {
 ///
 /// The buffer depth is configurable: "the size of each buffer (N) should
 /// be set so that all the buffers fit into L1" (Section 3.1) — one line
-/// per partition is the classic choice at large fan-outs, and the
-/// `ablation_swwcb_depth` bench sweeps deeper buffers for smaller ones.
+/// per partition is the classic choice at large fan-outs; deeper buffers
+/// suit smaller ones.
+///
+/// **Destination-aligned windows.** A tuple bound for absolute output
+/// slot `a` sits in buffer slot `a mod N` (N = buffer slots, a power of
+/// two), and a buffer flushes when its last slot fills. Every full flush
+/// therefore writes exactly one N-slot window that starts on an N-slot —
+/// hence 64 B — boundary of the (64 B-aligned) output, so a streaming
+/// store never splits a destination cache line between two flushes. Only
+/// the first window of a thread's extent (which may start mid-window) and
+/// the last (drained at the end) flush partially.
 pub struct Swwcb<T: Tuple> {
     /// `partitions × buffer_slots` tuple slots, 64-byte aligned.
     buffers: AlignedBuf<T>,
@@ -57,10 +66,13 @@ pub struct Swwcb<T: Tuple> {
     /// Absolute output slot where this thread's extent of each partition
     /// begins (from [`crate::histogram::thread_bases`]).
     bases: Vec<usize>,
-    /// Tuples per partition buffer (`lines × LANES`).
+    /// Tuples per partition buffer (`lines × LANES`, a power of two).
     buffer_slots: usize,
     non_temporal: bool,
     stats: SwwcbStats,
+    /// Every flush's absolute slot range, in order (tests only).
+    #[cfg(test)]
+    log: Vec<std::ops::Range<usize>>,
 }
 
 impl<T: Tuple> Swwcb<T> {
@@ -75,9 +87,13 @@ impl<T: Tuple> Swwcb<T> {
     /// partition.
     ///
     /// # Panics
-    /// Panics if `lines == 0`.
+    /// Panics unless `lines` is a power of two (1, 2, 4, …), so that a
+    /// buffer window is a whole number of aligned destination lines.
     pub fn with_buffer_lines(bases: Vec<usize>, non_temporal: bool, lines: usize) -> Self {
-        assert!(lines > 0, "at least one line of buffering");
+        assert!(
+            lines.is_power_of_two(),
+            "at least one line of buffering, and a power of two"
+        );
         let parts = bases.len();
         let buffer_slots = lines * T::LANES;
         Self {
@@ -87,27 +103,31 @@ impl<T: Tuple> Swwcb<T> {
             buffer_slots,
             non_temporal,
             stats: SwwcbStats::default(),
+            #[cfg(test)]
+            log: Vec::new(),
         }
     }
 
-    /// Buffer one tuple; flushes the partition's cache line to `out` when
-    /// it fills.
+    /// Buffer one tuple; flushes the partition's window to `out` when the
+    /// window's last slot fills.
     ///
     /// # Safety
     /// The extents implied by `bases` and the per-thread histogram must be
-    /// disjoint from every other writer of `out` and in-bounds.
+    /// disjoint from every other writer of `out`. (Flushes past
+    /// `out.len()` panic.)
     #[inline]
     pub unsafe fn push(&mut self, p: usize, t: T, out: &SharedWriter<T>) {
         let c = self.counts[p];
-        let idx = c % self.buffer_slots;
-        self.buffers[p * self.buffer_slots + idx] = t;
-        if idx == self.buffer_slots - 1 {
-            let run_start = c + 1 - self.buffer_slots;
-            self.note_flush(self.buffer_slots, true);
-            // SAFETY: forwarded from the caller's contract.
-            unsafe { self.flush_line(p, run_start, self.buffer_slots, out) };
-        }
+        let abs = self.bases[p] + c;
+        let mask = self.buffer_slots - 1;
+        self.buffers[p * self.buffer_slots + (abs & mask)] = t;
         self.counts[p] = c + 1;
+        if abs & mask == mask {
+            let end = abs + 1;
+            let start = (end - self.buffer_slots).max(self.bases[p]);
+            // SAFETY: forwarded from the caller's contract.
+            unsafe { self.flush(p, start, end, out) };
+        }
     }
 
     /// Flush all partially filled buffers (end of the scatter pass) and
@@ -116,13 +136,13 @@ impl<T: Tuple> Swwcb<T> {
     /// # Safety
     /// Same contract as [`Swwcb::push`].
     pub unsafe fn drain(&mut self, out: &SharedWriter<T>) {
+        let mask = self.buffer_slots - 1;
         for p in 0..self.counts.len() {
-            let rem = self.counts[p] % self.buffer_slots;
-            if rem > 0 {
-                let run_start = self.counts[p] - rem;
-                self.note_flush(rem, false);
+            let end = self.bases[p] + self.counts[p];
+            if end & mask != 0 && self.counts[p] > 0 {
+                let start = (end & !mask).max(self.bases[p]);
                 // SAFETY: forwarded from the caller's contract.
-                unsafe { self.flush_line(p, run_start, rem, out) };
+                unsafe { self.flush(p, start, end, out) };
             }
         }
         nt_store::store_fence();
@@ -138,31 +158,38 @@ impl<T: Tuple> Swwcb<T> {
         self.stats
     }
 
+    /// Write the buffered tuples of partition `p` bound for absolute slots
+    /// `start..end`, which lie in one buffer window.
+    ///
+    /// # Panics
+    /// Panics if `end > out.len()` — checked in every build, once per
+    /// flush, because the copy below is unchecked.
     #[inline]
-    fn note_flush(&mut self, tuples: usize, full: bool) {
-        if full {
+    unsafe fn flush(&mut self, p: usize, start: usize, end: usize, out: &SharedWriter<T>) {
+        assert!(
+            end <= out.len(),
+            "SWWCB flush to slots {start}..{end} past the output's {} slots",
+            out.len()
+        );
+        #[cfg(test)]
+        self.log.push(start..end);
+        let n = end - start;
+        if n == self.buffer_slots {
             self.stats.full_flushes += 1;
         } else {
             self.stats.partial_flushes += 1;
         }
+        let from = p * self.buffer_slots + (start & (self.buffer_slots - 1));
+        let src = &self.buffers[from..from + n];
         if self.non_temporal {
-            self.stats.nt_lines += (tuples as u64).div_ceil(T::LANES as u64);
-        }
-    }
-
-    #[inline]
-    unsafe fn flush_line(&self, p: usize, rel_slot: usize, n: usize, out: &SharedWriter<T>) {
-        let src = &self.buffers[p * self.buffer_slots..p * self.buffer_slots + n];
-        let abs = self.bases[p] + rel_slot;
-        debug_assert!(abs + n <= out.len());
-        if self.non_temporal {
-            // SAFETY: abs+n bounds-checked above; destination is 8-byte
-            // aligned because the backing store is 64-byte aligned and
-            // tuple widths are multiples of 8.
-            unsafe { nt_store::nt_copy(out.as_ptr_at(abs), src) };
+            self.stats.nt_lines += (n as u64).div_ceil(T::LANES as u64);
+            // SAFETY: start..end is in bounds (asserted above); the
+            // destination is 8-byte aligned because the backing store is
+            // 64-byte aligned and tuple widths are multiples of 8.
+            unsafe { nt_store::nt_copy(out.as_ptr_at(start), src) };
         } else {
             // SAFETY: as above.
-            unsafe { out.write_run(abs, src) };
+            unsafe { out.write_run(start, src) };
         }
     }
 }
@@ -294,5 +321,171 @@ mod buffer_depth_tests {
     #[should_panic(expected = "at least one line")]
     fn zero_depth_rejected() {
         let _ = Swwcb::<Tuple8>::with_buffer_lines(vec![0], false, 0);
+    }
+}
+
+#[cfg(test)]
+mod flush_tests {
+    use super::*;
+    use fpart_types::{Key, PartitionedRelation, Tuple16, Tuple32, Tuple64, Tuple8};
+
+    /// One thread's engine after scattering its chunk.
+    struct Scattered<T: Tuple> {
+        wc: Swwcb<T>,
+        tuples_in: usize,
+    }
+
+    /// Scatter `tuples` as `threads` threads would (each over its own chunk
+    /// and extents, run one after another) through SWWCB and through the
+    /// scalar scatter; return both outputs and the engines.
+    fn scatter_both<T: Tuple>(
+        tuples: &[T],
+        f: PartitionFn,
+        threads: usize,
+        lines: usize,
+    ) -> (Vec<T>, Vec<T>, Vec<Scattered<T>>, usize) {
+        let chunk = tuples.len().div_ceil(threads).max(1);
+        let chunks: Vec<&[T]> = tuples.chunks(chunk).collect();
+        let hists: Vec<Vec<usize>> = chunks
+            .iter()
+            .map(|c| crate::histogram::build(c, f))
+            .collect();
+        let (global, bases) = crate::histogram::thread_bases(&hists);
+
+        let mut scalar = PartitionedRelation::<T>::with_histogram(&global, false);
+        {
+            let w = SharedWriter::new(&mut scalar);
+            for (c, b) in chunks.iter().zip(&bases) {
+                // SAFETY: disjoint per-thread extents from `thread_bases`.
+                unsafe { scatter_scalar(c, f, b, &w) };
+            }
+        }
+        let mut buffered = PartitionedRelation::<T>::with_histogram(&global, false);
+        let base_addr = buffered.raw_data().as_ptr() as usize;
+        let mut engines = Vec::new();
+        {
+            let w = SharedWriter::new(&mut buffered);
+            for (c, b) in chunks.iter().zip(bases) {
+                let mut wc = Swwcb::with_buffer_lines(b, lines % 2 == 1, lines);
+                for &t in *c {
+                    // SAFETY: as above.
+                    unsafe { wc.push(f.partition_of(t.key()), t, &w) };
+                }
+                // SAFETY: as above.
+                unsafe { wc.drain(&w) };
+                engines.push(Scattered {
+                    wc,
+                    tuples_in: c.len(),
+                });
+            }
+        }
+        (
+            scalar.raw_data().to_vec(),
+            buffered.raw_data().to_vec(),
+            engines,
+            base_addr,
+        )
+    }
+
+    fn tuples<T: Tuple>(n: u64) -> Vec<T> {
+        (0..n)
+            .map(|i| T::new(T::K::from_u64(i.wrapping_mul(0x9e37_79b9) >> 3), i))
+            .collect()
+    }
+
+    fn check_width<T: Tuple>() {
+        let input = tuples::<T>(3001);
+        for f in [
+            PartitionFn::Radix { bits: 3 },
+            PartitionFn::Radix { bits: 7 },
+            PartitionFn::Murmur { bits: 1 },
+            PartitionFn::Murmur { bits: 5 },
+        ] {
+            for threads in 1..=3 {
+                for lines in [1, 2, 4] {
+                    let what = format!("{}B {f:?} {threads}t {lines} lines", T::WIDTH);
+                    let (scalar, buffered, engines, base) = scatter_both(&input, f, threads, lines);
+                    assert_eq!(buffered, scalar, "{what}");
+
+                    let slots = lines * T::LANES;
+                    for e in &engines {
+                        let stats = e.wc.stats();
+                        let full: Vec<_> = e.wc.log.iter().filter(|r| r.len() == slots).collect();
+                        let partial_tuples: usize =
+                            e.wc.log
+                                .iter()
+                                .filter(|r| r.len() < slots)
+                                .map(|r| r.len())
+                                .sum();
+                        assert_eq!(stats.full_flushes as usize, full.len(), "{what}");
+                        assert_eq!(
+                            stats.full_flushes as usize * slots + partial_tuples,
+                            e.tuples_in,
+                            "{what}: flushed tuples"
+                        );
+                        for r in full {
+                            let addr = base + r.start * T::WIDTH;
+                            assert_eq!(addr % 64, 0, "{what}: full flush at slot {}", r.start);
+                        }
+                        // At most a head and a tail partial flush per
+                        // partition this thread wrote to.
+                        let touched = e.wc.counts().iter().filter(|&&c| c > 0).count();
+                        assert!(stats.partial_flushes as usize <= 2 * touched, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buffered_output_equals_scalar_for_every_width() {
+        check_width::<Tuple8>();
+        check_width::<Tuple16>();
+        check_width::<Tuple32>();
+        check_width::<Tuple64>();
+    }
+
+    /// A thread whose extent starts mid-line flushes a short head, then
+    /// only whole aligned lines, then a short tail.
+    #[test]
+    fn unaligned_extent_flushes_head_lines_tail() {
+        let mut rel = PartitionedRelation::<Tuple8>::with_histogram(&[3 + 20], false);
+        let w = SharedWriter::new(&mut rel);
+        let mut wc = Swwcb::<Tuple8>::new(vec![3], false);
+        for i in 0..20 {
+            // SAFETY: single writer; slots 3..23 are in bounds.
+            unsafe { wc.push(0, Tuple8::new(i, i as u64), &w) };
+        }
+        // SAFETY: as above.
+        unsafe { wc.drain(&w) };
+        assert_eq!(wc.log, vec![3..8, 8..16, 16..23]);
+        assert_eq!(
+            wc.stats(),
+            SwwcbStats {
+                full_flushes: 1,
+                partial_flushes: 2,
+                nt_lines: 0,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past the output")]
+    fn flush_past_the_output_panics() {
+        let mut rel = PartitionedRelation::<Tuple8>::with_histogram(&[4], false);
+        let w = SharedWriter::new(&mut rel);
+        // The extent claims slots 0..8, but the output holds 4.
+        let mut wc = Swwcb::<Tuple8>::new(vec![0], true);
+        for i in 0..8 {
+            // SAFETY: deliberately breaks the bounds half of the contract;
+            // the flush check must catch it before any store.
+            unsafe { wc.push(0, Tuple8::new(i, 0), &w) };
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_depth_rejected() {
+        let _ = Swwcb::<Tuple8>::with_buffer_lines(vec![0], false, 3);
     }
 }

@@ -5,7 +5,8 @@
 //!
 //! * [`binary`] — the `FPRT` native format: header (magic, version,
 //!   tuple width, count), raw tuple bytes, and a trailing checksum. Fast
-//!   (one `write`/`read` of the tuple array) and self-validating.
+//!   (the tuples are read straight into the relation, checksummed word by
+//!   word) and self-validating.
 //! * [`csv`] — human-readable `key,payload` text for interchange and
 //!   debugging;
 //! * [`partitioned`] — the `FPRP` format for *partitioned* relations, so
@@ -16,6 +17,7 @@
 
 pub mod binary;
 pub mod csv;
+mod frame;
 pub mod partitioned;
 
 pub use binary::{read_relation, write_relation};
@@ -41,9 +43,19 @@ pub enum IoError {
         /// Width of the requested tuple type.
         requested: u16,
     },
-    /// Payload bytes fail the checksum — the file is corrupt or
-    /// truncated.
+    /// The file fails its checksum — it is corrupt.
     ChecksumMismatch,
+    /// The file's length is not the one its header implies — it is
+    /// truncated, padded, or the header is corrupt or hostile. Checked
+    /// before any allocation sized by the header.
+    LengthMismatch {
+        /// Length in bytes the header implies (`u64::MAX` if it overflows).
+        header: u64,
+        /// Actual length of the file in bytes.
+        file: u64,
+    },
+    /// A partitioned file's offset table or fill counts are inconsistent.
+    BadLayout(&'static str),
     /// A CSV line could not be parsed.
     BadCsvLine {
         /// 1-based line number.
@@ -63,7 +75,12 @@ impl fmt::Display for IoError {
                 f,
                 "tuple width mismatch: file stores {file}B tuples, requested {requested}B"
             ),
-            Self::ChecksumMismatch => write!(f, "checksum mismatch: corrupt or truncated file"),
+            Self::ChecksumMismatch => write!(f, "checksum mismatch: corrupt file"),
+            Self::LengthMismatch { header, file } => write!(
+                f,
+                "length mismatch: header implies {header} bytes, file has {file}"
+            ),
+            Self::BadLayout(why) => write!(f, "inconsistent partition layout: {why}"),
             Self::BadCsvLine { line, content } => {
                 write!(f, "cannot parse CSV line {line}: {content:?}")
             }

@@ -23,6 +23,14 @@ impl<T: Tuple> Relation<T> {
         }
     }
 
+    /// A relation of `len` all-zero tuples, to be filled in place (the
+    /// file readers `read` straight into [`Relation::tuples_mut`]).
+    pub fn zeroed(len: usize) -> Self {
+        Self {
+            tuples: AlignedBuf::zeroed(len),
+        }
+    }
+
     /// Build a relation of `keys.len()` tuples whose payload is the row id.
     pub fn from_keys(keys: &[T::K]) -> Self {
         let mut buf = AlignedBuf::<T>::zeroed(keys.len());
