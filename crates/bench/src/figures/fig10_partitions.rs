@@ -91,8 +91,12 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         base_bits,
     ] {
         let f = PartitionFn::Murmur { bits };
-        let join = CpuRadixJoin::new(f, scale.host_threads);
-        let (_, report) = join.execute(r, s);
+        let chain = EscalationChain {
+            hist_retry: false,
+            ..EscalationChain::new(scale.host_threads)
+        };
+        let cpu = CpuPartitioner::new(f, scale.host_threads);
+        let (_, report) = radix_join(&cpu, &chain, r, s).expect("cpu join");
 
         // Batched fidelity: the hybrid join's FPGA phase contributes
         // simulated seconds, so only the functional output and the
@@ -102,8 +106,8 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
             ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
         }
         .with_fidelity(SimFidelity::Batched);
-        let hybrid = HybridJoin::new(config, scale.host_threads);
-        let (_, hreport) = hybrid.execute(r, s).expect("hybrid join");
+        let fpga = FpgaPartitioner::new(config);
+        let (_, hreport) = radix_join(&fpga, &chain, r, s).expect("hybrid join");
         crate::record::emit(
             "fig10",
             &format!("parts={} hyb b+p", 1usize << bits),
@@ -113,9 +117,9 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         );
         m.row(vec![
             (1usize << bits).to_string(),
-            fnum(report.partition_time().as_secs_f64()),
+            fnum(report.host_partition_time().as_secs_f64()),
             fnum(report.build_probe.wall.as_secs_f64()),
-            fnum(hreport.fpga_partition_seconds()),
+            fnum(hreport.simulated_partition_seconds()),
             fnum(hreport.build_probe.wall.as_secs_f64()),
         ]);
     }

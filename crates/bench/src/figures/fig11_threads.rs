@@ -101,16 +101,20 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         let (r, s) = &*pair;
         let bits = scale.partition_bits_for(13);
         let f = PartitionFn::Murmur { bits };
-        let (_, cpu_rep) = CpuRadixJoin::new(f, scale.host_threads).execute(r, s);
+        let chain = EscalationChain {
+            hist_retry: false,
+            ..EscalationChain::new(scale.host_threads)
+        };
+        let cpu = CpuPartitioner::new(f, scale.host_threads);
+        let (_, cpu_rep) = radix_join(&cpu, &chain, r, s).expect("cpu join");
 
         let rid_cfg = PartitionerConfig {
             partition_fn: f,
             ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
         }
         .with_fidelity(SimFidelity::Batched);
-        let (_, hyb) = HybridJoin::new(rid_cfg, scale.host_threads)
-            .execute(r, s)
-            .expect("hybrid join");
+        let (_, hyb) =
+            radix_join(&FpgaPartitioner::new(rid_cfg), &chain, r, s).expect("hybrid join");
 
         // VRID partitioning of the same data as columns.
         let cols = workload_columns(id, scale.fraction, scale.seed);
@@ -120,7 +124,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
             ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Vrid)
         }
         .with_fidelity(SimFidelity::Batched);
-        let vp = fpart::fpga::FpgaPartitioner::new(vrid_cfg);
+        let vp = FpgaPartitioner::new(vrid_cfg);
         let vrid_secs = vp.partition_columns(rc).expect("vrid r").1.seconds()
             + vp.partition_columns(sc).expect("vrid s").1.seconds();
 
@@ -133,10 +137,10 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         );
         m.row(vec![
             id.spec().name.into(),
-            fnum(cpu_rep.total_time().as_secs_f64()),
+            fnum(cpu_rep.host_time().as_secs_f64()),
             format!(
                 "{} + {}",
-                fnum(hyb.fpga_partition_seconds()),
+                fnum(hyb.simulated_partition_seconds()),
                 fnum(hyb.build_probe.wall.as_secs_f64())
             ),
             fnum(vrid_secs),

@@ -112,7 +112,7 @@ pub enum Command {
         /// Partition bits.
         bits: u32,
         /// cpu or fpga.
-        backend: Backend,
+        backend: EngineChoice,
         /// radix or murmur.
         hash: bool,
         /// FPGA mode pair.
@@ -124,8 +124,8 @@ pub enum Command {
         workload: WorkloadId,
         /// Fraction of paper size.
         scale: f64,
-        /// cpu or hybrid.
-        backend: Backend,
+        /// cpu or fpga (`hybrid`: the FPGA-partitioned join).
+        backend: EngineChoice,
         /// Threads.
         threads: usize,
         /// Partition bits.
@@ -214,30 +214,7 @@ pub enum Command {
         json: bool,
     },
     /// `fpart faults`.
-    Faults {
-        /// Tuples.
-        n: usize,
-        /// Distribution.
-        dist: KeyDistribution,
-        /// Data seed.
-        seed: u64,
-        /// Threads for the CPU reference / fallback.
-        threads: usize,
-        /// Partition bits.
-        bits: u32,
-        /// PAD padding per partition in tuples.
-        pad: usize,
-        /// Number of PAD-overflow injection points swept.
-        sweep: usize,
-        /// Seed for the background fault plan (QPI / page-table noise).
-        fault_seed: u64,
-        /// QPI transients injected per pass.
-        qpi: u32,
-        /// Worst-case CRC replay burst length.
-        burst: u32,
-        /// Escalation policy (`None` = the full PAD → HIST → CPU chain).
-        policy: Option<FallbackPolicy>,
-    },
+    Faults(FaultsArgs),
     /// `fpart trace`.
     Trace {
         /// Tuples.
@@ -261,13 +238,33 @@ pub enum Command {
     Help,
 }
 
-/// Which engine executes a command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Host CPU (measured).
-    Cpu,
-    /// Simulated circuit / hybrid join.
-    Fpga,
+/// The flags of `fpart faults` (bundled; the flag surface is wide).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultsArgs {
+    /// Tuples.
+    pub n: usize,
+    /// Distribution.
+    pub dist: KeyDistribution,
+    /// Data seed.
+    pub seed: u64,
+    /// Threads for the CPU reference / fallback.
+    pub threads: usize,
+    /// Partition bits.
+    pub bits: u32,
+    /// PAD padding per partition in tuples.
+    pub pad: usize,
+    /// Number of PAD-overflow injection points swept.
+    pub sweep: usize,
+    /// Seed for the background fault plan (QPI / page-table noise).
+    pub fault_seed: u64,
+    /// QPI transients injected per pass.
+    pub qpi: u32,
+    /// Worst-case CRC replay burst length.
+    pub burst: u32,
+    /// Escalation chain: retry an aborted PAD run in HIST mode.
+    pub hist_retry: bool,
+    /// Escalation chain: fall back to the CPU partitioner.
+    pub cpu_fallback: bool,
 }
 
 struct Flags<'a> {
@@ -302,6 +299,24 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// A count flag that must be at least 1.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.num(name, default)? {
+            0 => Err(format!("--{name} must be at least 1")),
+            v => Ok(v),
+        }
+    }
+
+    /// The `--scale` flag: a finite fraction of the paper's size above 0.
+    fn scale(&self, default: f64) -> Result<f64, String> {
+        let v: f64 = self.num("scale", default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("--scale must be a positive number, got {v}"))
+        }
+    }
+
     fn unknown_check(&self, allowed: &[&str]) -> Result<(), String> {
         for (f, _) in &self.pairs {
             if !allowed.contains(f) {
@@ -332,11 +347,13 @@ fn parse_mode(v: Option<&str>) -> Result<ModePair, String> {
     })
 }
 
-fn parse_backend(v: Option<&str>, default: Backend) -> Result<Backend, String> {
+/// `--backend`: `cpu` (the default) or `fpga`. `hybrid` names the
+/// paper's hybrid join — FPGA partitioning feeding CPU build+probe — so
+/// it also parses to [`EngineChoice::Fpga`].
+fn parse_backend(v: Option<&str>) -> Result<EngineChoice, String> {
     Ok(match v {
-        None => default,
-        Some("cpu") => Backend::Cpu,
-        Some("fpga") | Some("hybrid") => Backend::Fpga,
+        None | Some("cpu") => EngineChoice::Cpu,
+        Some("fpga") | Some("hybrid") => EngineChoice::Fpga,
         Some(other) => return Err(format!("--backend: unknown backend {other:?}")),
     })
 }
@@ -389,9 +406,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 n: flags.num("n", 1_000_000)?,
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
-                threads: flags.num("threads", default_threads())?,
+                threads: flags.count("threads", default_threads())?,
                 bits: flags.num("bits", 13)?,
-                backend: parse_backend(flags.get("backend"), Backend::Cpu)?,
+                backend: parse_backend(flags.get("backend"))?,
                 hash: match flags.get("fn").unwrap_or("murmur") {
                     "murmur" | "hash" => true,
                     "radix" => false,
@@ -414,9 +431,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             };
             Ok(Command::Join {
                 workload,
-                scale: flags.num("scale", 0.01)?,
-                backend: parse_backend(flags.get("backend"), Backend::Cpu)?,
-                threads: flags.num("threads", default_threads())?,
+                scale: flags.scale(0.01)?,
+                backend: parse_backend(flags.get("backend"))?,
+                threads: flags.count("threads", default_threads())?,
                 bits: flags.num("bits", 13)?,
                 zipf: flags
                     .get("zipf")
@@ -434,9 +451,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Dist {
                 nodes,
-                scale: flags.num("scale", 0.005)?,
+                scale: flags.scale(0.005)?,
                 bits: flags.num("bits", 8)?,
-                threads: flags.num("threads", default_threads())?,
+                threads: flags.count("threads", default_threads())?,
                 seed: flags.num("seed", 42)?,
                 infiniband: match flags.get("net").unwrap_or("ib") {
                     "ib" | "infiniband" => true,
@@ -461,7 +478,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             flags.unknown_check(&["n", "groups", "zipf", "cache-bits", "seed"])?;
             Ok(Command::GroupBy {
                 n: flags.num("n", 1_000_000)?,
-                groups: flags.num("groups", 1000)?,
+                groups: flags.count("groups", 1000)?,
                 zipf: flags.num("zipf", 0.5)?,
                 cache_bits: flags
                     .get("cache-bits")
@@ -477,7 +494,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 n: flags.num("n", 1_000_000)?,
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
-                threads: flags.num("threads", default_threads())?,
+                threads: flags.count("threads", default_threads())?,
                 lsd: match flags.get("algo").unwrap_or("lsd") {
                     "lsd" | "radix" => true,
                     "sample" => false,
@@ -504,7 +521,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
                 bits: flags.num("bits", 13)?,
-                threads: flags.num("threads", default_threads())?,
+                threads: flags.count("threads", default_threads())?,
                 hash: match flags.get("fn").unwrap_or("murmur") {
                     "murmur" | "hash" => true,
                     "radix" => false,
@@ -528,29 +545,27 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 "burst",
                 "policy",
             ])?;
-            let sweep: usize = flags.num("sweep", 8)?;
-            if sweep == 0 {
-                return Err("--sweep must be at least 1".into());
-            }
-            Ok(Command::Faults {
+            let (hist_retry, cpu_fallback) = match flags.get("policy").unwrap_or("full") {
+                "full" | "chain" => (true, true),
+                "hist" => (true, false),
+                "cpu" => (false, true),
+                "fail" => (false, false),
+                other => return Err(format!("--policy: unknown policy {other:?}")),
+            };
+            Ok(Command::Faults(FaultsArgs {
                 n: flags.num("n", 65_536)?,
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
-                threads: flags.num("threads", default_threads())?,
+                threads: flags.count("threads", default_threads())?,
                 bits: flags.num("bits", 6)?,
                 pad: flags.num("pad", 64)?,
-                sweep,
+                sweep: flags.count("sweep", 8)?,
                 fault_seed: flags.num("fault-seed", 7)?,
                 qpi: flags.num("qpi", 2)?,
                 burst: flags.num("burst", 3)?,
-                policy: match flags.get("policy").unwrap_or("full") {
-                    "full" | "chain" => None,
-                    "hist" => Some(FallbackPolicy::HistMode),
-                    "cpu" => Some(FallbackPolicy::CpuPartitioner),
-                    "fail" => Some(FallbackPolicy::Fail),
-                    other => return Err(format!("--policy: unknown policy {other:?}")),
-                },
-            })
+                hist_retry,
+                cpu_fallback,
+            }))
         }
         "trace" => {
             flags.unknown_check(&["n", "dist", "seed", "bits", "fn", "mode", "level"])?;
@@ -601,7 +616,7 @@ mod tests {
             } => {
                 assert_eq!(n, 1_000_000);
                 assert_eq!(bits, 13);
-                assert_eq!(backend, Backend::Cpu);
+                assert_eq!(backend, EngineChoice::Cpu);
                 assert!(hash);
                 assert_eq!(mode, ModePair::PadRid);
             }
@@ -624,7 +639,7 @@ mod tests {
                 bits,
                 ..
             } => {
-                assert_eq!(backend, Backend::Fpga);
+                assert_eq!(backend, EngineChoice::Fpga);
                 assert_eq!(mode, ModePair::HistVrid);
                 assert!(!hash);
                 assert_eq!((n, bits), (4096, 6));
@@ -645,7 +660,7 @@ mod tests {
             } => {
                 assert_eq!(workload, WorkloadId::E);
                 assert_eq!(zipf, Some(1.25));
-                assert_eq!(backend, Backend::Fpga);
+                assert_eq!(backend, EngineChoice::Fpga);
             }
             other => panic!("{other:?}"),
         }
@@ -660,6 +675,25 @@ mod tests {
         assert!(parse(&argv("partition --n abc")).is_err());
         assert!(parse(&argv("join --workload Z")).is_err());
         assert!(parse(&argv("partition --mode pad/xyz")).is_err());
+        // Boundary values that reached a datagen assert or ran with zero
+        // workers.
+        for bad in [
+            "join --scale 0",
+            "join --scale -0.5",
+            "join --scale nan",
+            "join --scale inf",
+            "dist --scale 0",
+            "dist --scale -1",
+            "groupby --groups 0",
+            "partition --threads 0",
+            "join --threads 0",
+            "dist --threads 0",
+            "sort --threads 0",
+            "plan --threads 0",
+            "faults --threads 0",
+        ] {
+            assert!(parse(&argv(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -680,22 +714,23 @@ mod tests {
     fn faults_defaults_and_flags() {
         let cmd = parse(&argv("faults")).unwrap();
         match cmd {
-            Command::Faults {
+            Command::Faults(FaultsArgs {
                 n,
                 sweep,
                 pad,
                 fault_seed,
                 qpi,
                 burst,
-                policy,
+                hist_retry,
+                cpu_fallback,
                 ..
-            } => {
+            }) => {
                 assert_eq!(n, 65_536);
                 assert_eq!(sweep, 8);
                 assert_eq!(pad, 64);
                 assert_eq!(fault_seed, 7);
                 assert_eq!((qpi, burst), (2, 3));
-                assert_eq!(policy, None);
+                assert!(hist_retry && cpu_fallback);
             }
             other => panic!("{other:?}"),
         }
@@ -704,16 +739,17 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Faults {
+            Command::Faults(FaultsArgs {
                 sweep,
                 pad,
-                policy,
+                hist_retry,
+                cpu_fallback,
                 fault_seed,
                 burst,
                 ..
-            } => {
+            }) => {
                 assert_eq!((sweep, pad), (4, 0));
-                assert_eq!(policy, Some(FallbackPolicy::CpuPartitioner));
+                assert!(!hist_retry && cpu_fallback);
                 assert_eq!((fault_seed, burst), (99, 10));
             }
             other => panic!("{other:?}"),

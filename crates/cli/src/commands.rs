@@ -6,7 +6,7 @@ use fpart::cpu::sort::{is_sorted_by_key, lsd_radix_sort, sample_sort};
 use fpart::prelude::*;
 use fpart_costmodel::{FpgaCostModel, ModePair};
 
-use crate::args::{Backend, Command, USAGE};
+use crate::args::{Command, FaultsArgs, USAGE};
 
 /// Execute a parsed command.
 pub fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +26,18 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             backend,
             hash,
             mode,
-        } => partition(input, n, dist, seed, threads, bits, backend, hash, mode),
+        } => {
+            let (rel, what) = load_relation(input.as_deref(), n, dist, seed)?;
+            partition(
+                &rel,
+                &what,
+                partition_fn(hash, bits),
+                threads,
+                backend,
+                mode,
+            )
+            .map(drop)
+        }
         Command::Join {
             workload,
             scale,
@@ -70,31 +81,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             cache_bits,
             seed,
         } => groupby(n, groups, zipf, cache_bits, seed),
-        Command::Faults {
-            n,
-            dist,
-            seed,
-            threads,
-            bits,
-            pad,
-            sweep,
-            fault_seed,
-            qpi,
-            burst,
-            policy,
-        } => faults(FaultsArgs {
-            n,
-            dist,
-            seed,
-            threads,
-            bits,
-            pad,
-            sweep,
-            fault_seed,
-            qpi,
-            burst,
-            policy,
-        }),
+        Command::Faults(a) => faults(a),
         Command::Trace {
             n,
             dist,
@@ -240,24 +227,14 @@ fn plan(
     Ok(())
 }
 
-/// Arguments of the `faults` sweep (bundled; the flag surface is wide).
-struct FaultsArgs {
-    n: usize,
-    dist: KeyDistribution,
-    seed: u64,
-    threads: usize,
-    bits: u32,
-    pad: usize,
-    sweep: usize,
-    fault_seed: u64,
-    qpi: u32,
-    burst: u32,
-    policy: Option<FallbackPolicy>,
-}
-
 fn faults(a: FaultsArgs) -> Result<(), Box<dyn std::error::Error>> {
     use fpart::join::fallback::AttemptPath;
 
+    let chain = EscalationChain {
+        hist_retry: a.hist_retry,
+        cpu_fallback: a.cpu_fallback,
+        cpu_threads: a.threads,
+    };
     let keys = a.dist.generate_keys::<u32>(a.n, a.seed);
     let rel = Relation::<Tuple8>::from_keys(&keys);
     let f = PartitionFn::Murmur { bits: a.bits };
@@ -270,11 +247,6 @@ fn faults(a: FaultsArgs) -> Result<(), Box<dyn std::error::Error>> {
             InputMode::Rid,
         )
     };
-    let chain = match a.policy {
-        None => EscalationChain::new(a.threads),
-        Some(p) => EscalationChain::from_policy(p, a.threads),
-    };
-
     // Fault-free references: the CPU histogram every degraded run must
     // reproduce, and the clean PAD cycle count recovery cost is measured
     // against.
@@ -457,59 +429,60 @@ fn gen(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn partition(
-    input: Option<String>,
+/// The relation `partition` works on, and how to describe it: the file
+/// at `input` with its keys and payloads as stored (FPRT, or CSV by
+/// suffix), or `n` generated keys whose payloads are their row ids.
+fn load_relation(
+    input: Option<&str>,
     n: usize,
     dist: KeyDistribution,
     seed: u64,
-    threads: usize,
-    bits: u32,
-    backend: Backend,
-    hash: bool,
-    mode: ModePair,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let f = partition_fn(hash, bits);
-    let loaded: Relation<Tuple8>;
-    let keys: Vec<u32> = match &input {
-        Some(path) => {
-            loaded = if path.ends_with(".csv") {
-                fpart_io::import_csv(path)?
-            } else {
-                fpart_io::read_relation(path)?
-            };
-            println!(
-                "partitioning {} tuples from {path} into {} partitions with {}…",
-                loaded.len(),
-                f.fan_out(),
-                f.label()
-            );
-            loaded.tuples().iter().map(|t| t.key).collect()
+) -> Result<(Relation<Tuple8>, String), Box<dyn std::error::Error>> {
+    Ok(match input {
+        Some(path) if path.ends_with(".csv") => {
+            (fpart_io::import_csv(path)?, format!("tuples from {path}"))
         }
-        None => {
-            println!(
-                "partitioning {n} {} tuples into {} partitions with {}…",
-                dist.label(),
-                f.fan_out(),
-                f.label()
-            );
-            dist.generate_keys::<u32>(n, seed)
-        }
-    };
+        Some(path) => (
+            fpart_io::read_relation(path)?,
+            format!("tuples from {path}"),
+        ),
+        None => (
+            Relation::from_keys(&dist.generate_keys::<u32>(n, seed)),
+            format!("{} tuples", dist.label()),
+        ),
+    })
+}
 
-    match backend {
-        Backend::Cpu => {
-            let rel = Relation::<Tuple8>::from_keys(&keys);
-            let p = CpuPartitioner::new(f, threads);
-            let (parts, report) = p.partition(&rel);
+/// Partition `rel` (described by `what`) on `backend` and print the
+/// run's report and balance. VRID mode reads `rel` as a column store, so
+/// its output carries row positions in place of payloads.
+fn partition(
+    rel: &Relation<Tuple8>,
+    what: &str,
+    f: PartitionFn,
+    threads: usize,
+    backend: EngineChoice,
+    mode: ModePair,
+) -> Result<PartitionedRelation<Tuple8>, Box<dyn std::error::Error>> {
+    println!(
+        "partitioning {} {what} into {} partitions with {}…",
+        rel.len(),
+        f.fan_out(),
+        f.label()
+    );
+    let parts = match backend {
+        EngineChoice::Cpu => {
+            let (parts, report) = CpuPartitioner::new(f, threads).partition(rel);
             println!(
                 "cpu ({threads} threads, measured): {:.1} Mtuples/s in {:.4} s",
                 report.mtuples_per_sec(),
                 report.total_time().as_secs_f64()
             );
-            print_balance(parts.histogram());
+            parts
         }
-        Backend::Fpga => {
+        // `--backend hybrid` parses to `Fpga`; the split engine has no
+        // front-end of its own here.
+        EngineChoice::Fpga | EngineChoice::Hybrid => {
             let (output, input) = mode_pair(mode);
             let config = PartitionerConfig {
                 partition_fn: f,
@@ -518,11 +491,11 @@ fn partition(
             let partitioner = FpgaPartitioner::new(config);
             let t0 = Instant::now();
             let (parts, report) = if input == InputMode::Vrid {
-                let col = ColumnRelation::<Tuple8>::from_keys(&keys);
-                partitioner.partition_columns(&col)?
+                let keys: Vec<u32> = rel.tuples().iter().map(|t| t.key).collect();
+                let payloads: Vec<u64> = rel.tuples().iter().map(|t| t.payload_word()).collect();
+                partitioner.partition_columns(&ColumnRelation::from_columns(&keys, &payloads))?
             } else {
-                let rel = Relation::<Tuple8>::from_keys(&keys);
-                partitioner.partition(&rel)?
+                partitioner.partition(rel)?
             };
             println!(
                 "fpga {} (simulated @200MHz): {:.1} Mtuples/s in {:.4} s simulated \
@@ -542,10 +515,11 @@ fn partition(
                 report.padding_slots,
                 report.lines_per_cycle()
             );
-            print_balance(parts.histogram());
+            parts
         }
-    }
-    Ok(())
+    };
+    print_balance(parts.histogram());
+    Ok(parts)
 }
 
 fn print_balance(hist: &[usize]) {
@@ -561,7 +535,7 @@ fn print_balance(hist: &[usize]) {
 fn join(
     workload: WorkloadId,
     scale: f64,
-    backend: Backend,
+    backend: EngineChoice,
     threads: usize,
     bits: u32,
     zipf: Option<f64>,
@@ -580,39 +554,37 @@ fn join(
         zipf.map(|z| format!(", zipf {z}")).unwrap_or_default()
     );
     let f = PartitionFn::Murmur { bits };
-    match backend {
-        Backend::Cpu => {
-            let (result, report) = CpuRadixJoin::new(f, threads).execute(&r, &s);
-            println!(
-                "cpu join: {} matches; partition {:.4} s + build+probe {:.4} s = {:.4} s \
-                 ({:.1} Mtuples/s)",
-                result.matches,
-                report.partition_time().as_secs_f64(),
-                report.build_probe.wall.as_secs_f64(),
-                report.total_time().as_secs_f64(),
-                report.mtuples_per_sec()
-            );
+    let fpga = || {
+        FpgaPartitioner::new(PartitionerConfig {
+            partition_fn: f,
+            ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
+        })
+    };
+    let engine: Box<dyn PartitionEngine<Tuple8>> = match backend {
+        EngineChoice::Cpu => Box::new(CpuPartitioner::new(f, threads)),
+        EngineChoice::Fpga => Box::new(fpga()),
+        EngineChoice::Hybrid => Box::new(HybridSplitEngine::new(fpga(), threads)),
+    };
+    // A PAD abort falls back to the CPU partitioner (Section 4.5).
+    let chain = EscalationChain {
+        hist_retry: false,
+        ..EscalationChain::new(threads)
+    };
+    let (result, report) = radix_join(engine.as_ref(), &chain, &r, &s)?;
+    println!(
+        "{} join: {} matches; partition {:.4} s host + {:.4} s simulated; \
+         build+probe {:.4} s host{}",
+        backend.label(),
+        result.matches,
+        report.host_partition_time().as_secs_f64(),
+        report.simulated_partition_seconds(),
+        report.build_probe.wall.as_secs_f64(),
+        if report.degraded() {
+            " [PAD overflow → fallback engaged]"
+        } else {
+            ""
         }
-        Backend::Fpga => {
-            let config = PartitionerConfig {
-                partition_fn: f,
-                ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
-            };
-            let (result, report) = HybridJoin::new(config, threads).execute(&r, &s)?;
-            println!(
-                "hybrid join: {} matches; FPGA partitioning {:.4} s (simulated) + \
-                 build+probe {:.4} s (measured){}",
-                result.matches,
-                report.fpga_partition_seconds(),
-                report.build_probe.wall.as_secs_f64(),
-                if report.any_fallback() {
-                    " [PAD overflow → fallback engaged]"
-                } else {
-                    ""
-                }
-            );
-        }
-    }
+    );
     Ok(())
 }
 
@@ -665,4 +637,43 @@ fn model(n: usize, mode: ModePair, gbps: Option<f64>) -> Result<(), Box<dyn std:
         m.partition_seconds(n as u64, 8, mode)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fpart::types::relation::content_checksum;
+
+    /// `partition --in` partitions the file's tuples as stored: payloads
+    /// that are not row ids survive into the output.
+    #[test]
+    fn partition_keeps_file_payloads() {
+        let keys = KeyDistribution::Random.generate_keys::<u32>(5000, 3);
+        let tuples: Vec<Tuple8> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Tuple8::new(k, 7 * i as u64 + 3))
+            .collect();
+        let path =
+            std::env::temp_dir().join(format!("fpart-cli-payloads-{}.fprt", std::process::id()));
+        fpart_io::write_relation(&Relation::from_tuples(&tuples), &path).unwrap();
+        let loaded = load_relation(path.to_str(), 0, KeyDistribution::Random, 0);
+        std::fs::remove_file(&path).unwrap();
+        let (rel, _) = loaded.unwrap();
+
+        let expect = content_checksum(tuples.iter().copied());
+        let f = PartitionFn::Murmur { bits: 6 };
+        for (backend, mode) in [
+            (EngineChoice::Cpu, ModePair::PadRid),
+            (EngineChoice::Fpga, ModePair::PadRid),
+            (EngineChoice::Fpga, ModePair::HistRid),
+        ] {
+            let parts = partition(&rel, "from a file", f, 2, backend, mode).unwrap();
+            assert_eq!(
+                content_checksum(parts.all_tuples()),
+                expect,
+                "{backend:?} {mode:?}"
+            );
+        }
+    }
 }

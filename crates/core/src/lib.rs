@@ -51,7 +51,7 @@
 //! | [`obs`] | pipeline observability: counters, histograms, traces, conservation laws |
 //! | [`fpga`] | the partitioner circuit (Section 4) |
 //! | [`cpu`] | SWWCB / scalar / two-pass CPU partitioning (Section 3) |
-//! | [`join`] | radix hash join, hybrid join, aggregation (Section 5) — and the [`PartitionEngine`] back-end trait, [`EnginePlanner`] and [`HybridSplitEngine`] |
+//! | [`join`] | one radix hash join driver over any back-end (CPU, or FPGA for the hybrid join), aggregation (Section 5) — and the [`PartitionEngine`] back-end trait, [`EnginePlanner`] and [`HybridSplitEngine`] |
 //! | [`costmodel`] | Section 4.6 model + calibrated CPU/join models |
 //! | [`net`] | rack-scale distributed join (the paper's future use case 2) |
 //!
@@ -64,7 +64,9 @@
 //! samples the output mode, and returns a [`join::planner::Plan`] whose
 //! [`EscalationChain`] degrades PAD → HIST → CPU on aborts. The former
 //! closed `Partitioner` enum front-end is gone; construct engines
-//! directly or go through the planner.
+//! directly or go through the planner. Joins take an engine too:
+//! [`join::radix_join`] over a CPU partitioner is the CPU radix join,
+//! and over the FPGA partitioner it is the paper's hybrid join.
 
 #![warn(missing_docs)]
 
@@ -82,8 +84,8 @@ pub use fpart_obs as obs;
 pub use fpart_types as types;
 
 pub use fpart_join::{
-    EngineCaps, EngineChoice, EnginePlanner, EscalationChain, HybridSplitEngine, HybridSplitStats,
-    ModePlan, ModePlanner, PartitionEngine, PartitionStats, PlanExplanation,
+    EngineChoice, EnginePlanner, EscalationChain, HybridSplitEngine, HybridSplitStats, ModePlan,
+    ModePlanner, PartitionEngine, PartitionStats, PlanExplanation,
 };
 
 /// One-stop imports for applications.
@@ -97,9 +99,9 @@ pub mod prelude {
     pub use fpart_hash::PartitionFn;
     pub use fpart_hwsim::{Fault, FaultPlan, FaultSpec};
     pub use fpart_join::{
-        CpuRadixJoin, DegradationReport, EngineChoice, EnginePlanner, EscalationChain,
-        FallbackPolicy, HybridJoin, HybridSplitEngine, PartitionEngine, PartitionStats, Plan,
-        PlanExplanation, PlannedRadixJoin,
+        planned_join, radix_join, vrid_join, DegradationReport, EngineChoice, EnginePlanner,
+        EscalationChain, HybridSplitEngine, JoinReport, JoinResult, PartitionEngine,
+        PartitionStats, Plan, PlanExplanation,
     };
     pub use fpart_obs::{ObsSnapshot, Recorder};
     pub use fpart_types::{

@@ -137,8 +137,12 @@ impl FpgaCostModel {
             .min(self.p_mem(tuple_width, mode))
     }
 
-    /// Predicted partitioning time in seconds for `n` tuples.
+    /// Predicted partitioning time in seconds for `n` tuples (0 for an
+    /// empty input, where the throughput terms would divide 0 by 0).
     pub fn partition_seconds(&self, n: u64, tuple_width: usize, mode: ModePair) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
         n as f64 / self.p_total(n, tuple_width, mode)
     }
 
@@ -154,6 +158,14 @@ mod tests {
     use super::*;
 
     const N: u64 = 128_000_000;
+
+    #[test]
+    fn empty_input_costs_nothing() {
+        let m = FpgaCostModel::paper();
+        for mode in ModePair::ALL {
+            assert_eq!(m.partition_seconds(0, 8, mode), 0.0, "{mode:?}");
+        }
+    }
 
     /// Section 4.8's three derivations, to the megatuple.
     #[test]

@@ -8,8 +8,7 @@
 //! class: engines expose their modeled cost through
 //! [`PartitionEngine::estimate`] (so [`crate::planner::EnginePlanner`]
 //! can rank them), their degradation affordances through
-//! [`PartitionEngine::capabilities`] and
-//! [`PartitionEngine::hist_fallback`] (so
+//! [`PartitionEngine::path`] and [`PartitionEngine::hist_fallback`] (so
 //! [`crate::fallback::EscalationChain`] can drive any engine, not just
 //! the FPGA), and their observability through a per-run
 //! [`PartitionStats`].
@@ -29,7 +28,7 @@ use fpart_cpu::{CpuPartitioner, CpuRunReport};
 use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, RunReport};
 use fpart_hash::PartitionFn;
 use fpart_memmodel::BandwidthCurve;
-use fpart_obs::{CounterSet, Ctr, ObsSnapshot};
+use fpart_obs::{Ctr, ObsSnapshot};
 use fpart_types::relation::vrid_tuple;
 use fpart_types::{ColumnRelation, PartitionedRelation, Relation, Result, Tuple};
 
@@ -59,22 +58,6 @@ impl PartitionStats {
         }
     }
 
-    /// Throughput in million tuples per second.
-    pub fn mtuples_per_sec(&self) -> f64 {
-        match self {
-            Self::Cpu(r) => r.mtuples_per_sec(),
-            Self::Fpga(r) => r.mtuples_per_sec(),
-            Self::Hybrid(h) => {
-                let s = h.seconds();
-                if s > 0.0 {
-                    h.tuples() as f64 / s / 1e6
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
     /// Tuples partitioned.
     pub fn tuples(&self) -> u64 {
         match self {
@@ -100,17 +83,6 @@ impl PartitionStats {
             Self::Cpu(_) => None,
             Self::Fpga(r) => Some(r.seconds()),
             Self::Hybrid(h) => h.fpga.as_ref().map(|r| r.seconds()),
-        }
-    }
-
-    /// The run's observability counters: the FPGA snapshot's counters
-    /// where an FPGA (share) ran, the CPU partitioner's synthesized
-    /// counters otherwise.
-    pub fn obs_counters(&self) -> CounterSet {
-        match self {
-            Self::Cpu(r) => r.obs_counters(),
-            Self::Fpga(r) => r.obs.counters.clone(),
-            Self::Hybrid(h) => h.obs.counters.clone(),
         }
     }
 }
@@ -153,31 +125,6 @@ impl HybridSplitStats {
     pub fn tuples(&self) -> u64 {
         self.fpga_share as u64 + self.cpu_share as u64
     }
-
-    /// Fraction of the input the FPGA share received.
-    pub fn fpga_fraction(&self) -> f64 {
-        let n = self.tuples();
-        if n == 0 {
-            0.0
-        } else {
-            self.fpga_share as f64 / n as f64
-        }
-    }
-}
-
-/// What a back-end can and cannot do — the degradation chain and the
-/// planner read these instead of matching on concrete types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// The attempt path this engine records in a
-    /// [`crate::fallback::DegradationReport`].
-    pub path: AttemptPath,
-    /// Whether the engine's reported time is simulated (FPGA clock) as
-    /// opposed to measured host wall-clock.
-    pub simulated_time: bool,
-    /// Whether a run can abort with
-    /// [`fpart_types::FpartError::PartitionOverflow`] (PAD output mode).
-    pub can_overflow: bool,
 }
 
 /// Which engine a plan selected; the machine-readable half of a
@@ -211,14 +158,13 @@ impl EngineChoice {
 /// [`FpgaPartitioner`] (simulated time, PAD mode can overflow) and
 /// [`HybridSplitEngine`].
 pub trait PartitionEngine<T: Tuple>: std::fmt::Debug {
-    /// Short stable engine name ("cpu", "fpga", "hybrid").
-    fn name(&self) -> &'static str;
-
     /// The partition function this engine applies.
     fn partition_fn(&self) -> PartitionFn;
 
-    /// Static capabilities: attempt path, time domain, overflow risk.
-    fn capabilities(&self) -> EngineCaps;
+    /// The attempt path this engine records in a
+    /// [`crate::fallback::DegradationReport`]; the degradation chain
+    /// reads it instead of matching on concrete types.
+    fn path(&self) -> AttemptPath;
 
     /// Partition a row-store relation.
     ///
@@ -227,7 +173,7 @@ pub trait PartitionEngine<T: Tuple>: std::fmt::Debug {
     /// [`fpart_types::FpartError::PartitionOverflow`] under skew; the
     /// simulated platform can also abort on link or BRAM faults. Callers
     /// wanting graceful degradation go through
-    /// [`crate::fallback::EscalationChain::run_engine`].
+    /// [`crate::fallback::EscalationChain::run`].
     fn partition(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)>;
 
     /// Modeled seconds to partition `n` tuples (Section 4.6), in the
@@ -240,13 +186,6 @@ pub trait PartitionEngine<T: Tuple>: std::fmt::Debug {
     /// hard-coding FPGA knowledge.
     fn hist_fallback(&self) -> Option<Box<dyn PartitionEngine<T>>> {
         None
-    }
-
-    /// Observability hook: the counters a finished run should publish.
-    /// The default forwards to [`PartitionStats::obs_counters`]; engines
-    /// with extra bookkeeping can override.
-    fn obs_counters(&self, stats: &PartitionStats) -> CounterSet {
-        stats.obs_counters()
     }
 }
 
@@ -262,20 +201,12 @@ pub fn cost_mode_pair(output: OutputMode, input: InputMode) -> ModePair {
 }
 
 impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
     fn partition_fn(&self) -> PartitionFn {
         self.partition_fn
     }
 
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            path: AttemptPath::Cpu,
-            simulated_time: false,
-            can_overflow: false,
-        }
+    fn path(&self) -> AttemptPath {
+        AttemptPath::Cpu
     }
 
     fn partition(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
@@ -295,23 +226,14 @@ impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
 }
 
 impl<T: Tuple> PartitionEngine<T> for FpgaPartitioner {
-    fn name(&self) -> &'static str {
-        "fpga"
-    }
-
     fn partition_fn(&self) -> PartitionFn {
         self.config().partition_fn
     }
 
-    fn capabilities(&self) -> EngineCaps {
-        let (path, can_overflow) = match self.config().output {
-            OutputMode::Pad { .. } => (AttemptPath::Pad, true),
-            OutputMode::Hist => (AttemptPath::Hist, false),
-        };
-        EngineCaps {
-            path,
-            simulated_time: true,
-            can_overflow,
+    fn path(&self) -> AttemptPath {
+        match self.config().output {
+            OutputMode::Pad { .. } => AttemptPath::Pad,
+            OutputMode::Hist => AttemptPath::Hist,
         }
     }
 
@@ -561,20 +483,12 @@ fn merged_obs(fpga: Option<&RunReport>, cpu: Option<&CpuRunReport>) -> ObsSnapsh
 }
 
 impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
     fn partition_fn(&self) -> PartitionFn {
         self.fpga.config().partition_fn
     }
 
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            path: AttemptPath::Hybrid,
-            simulated_time: true,
-            can_overflow: matches!(self.fpga.config().output, OutputMode::Pad { .. }),
-        }
+    fn path(&self) -> AttemptPath {
+        AttemptPath::Hybrid
     }
 
     fn partition(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {

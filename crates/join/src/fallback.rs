@@ -24,22 +24,10 @@
 //! reproduces the identical report.
 
 use fpart_cpu::{CpuPartitioner, CpuRunReport};
-use fpart_fpga::{FpgaPartitioner, RunReport};
+use fpart_fpga::RunReport;
 use fpart_types::{FpartError, PartitionedRelation, Relation, Result, Tuple};
 
 use crate::engine::{PartitionEngine, PartitionStats};
-
-/// What to do when a PAD-mode FPGA run aborts. The join-level policy
-/// knob; [`EscalationChain::from_policy`] maps it onto the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Re-partition the offending relation on the CPU (Section 4.5).
-    CpuPartitioner,
-    /// Restart the FPGA run in HIST mode (Section 5.4).
-    HistMode,
-    /// Propagate the error to the caller.
-    Fail,
-}
 
 /// Which back-end an attempt ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,13 +69,6 @@ pub struct AttemptRecord {
     pub wasted_cycles: u64,
 }
 
-impl AttemptRecord {
-    /// Whether this attempt completed.
-    pub fn succeeded(&self) -> bool {
-        self.error.is_none()
-    }
-}
-
 /// The full story of one partitioning request through the chain.
 #[derive(Debug, Clone)]
 pub struct DegradationReport {
@@ -99,6 +80,19 @@ pub struct DegradationReport {
 }
 
 impl DegradationReport {
+    /// The report of a request that one clean attempt on `path`
+    /// completed.
+    pub(crate) fn clean(path: AttemptPath, stats: PartitionStats) -> Self {
+        Self {
+            attempts: vec![AttemptRecord {
+                path,
+                error: None,
+                wasted_cycles: 0,
+            }],
+            stats,
+        }
+    }
+
     /// Report of the successful FPGA run (or the FPGA share of a hybrid
     /// run), if one completed the request.
     pub fn fpga(&self) -> Option<&RunReport> {
@@ -206,7 +200,9 @@ fn wasted_estimate<T: Tuple>(err: &FpartError) -> u64 {
 }
 
 /// The ordered PAD → HIST → CPU escalation chain. Each step past the
-/// first is optional; disabling both reproduces [`FallbackPolicy::Fail`].
+/// first is optional; with both disabled the first error propagates
+/// unchanged. The CPU-only chain of Section 4.5 is
+/// `EscalationChain { hist_retry: false, ..EscalationChain::new(threads) }`.
 #[derive(Debug, Clone)]
 pub struct EscalationChain {
     /// Retry an aborted run in HIST output mode before giving up on the
@@ -228,38 +224,9 @@ impl EscalationChain {
         }
     }
 
-    /// The chain a join-level [`FallbackPolicy`] describes.
-    pub fn from_policy(policy: FallbackPolicy, cpu_threads: usize) -> Self {
-        let (hist_retry, cpu_fallback) = match policy {
-            FallbackPolicy::CpuPartitioner => (false, true),
-            FallbackPolicy::HistMode => (true, false),
-            FallbackPolicy::Fail => (false, false),
-        };
-        Self {
-            hist_retry,
-            cpu_fallback,
-            cpu_threads,
-        }
-    }
-
-    /// Drive `rel` through the chain starting from `fpga` (whose config,
-    /// QPI model and armed fault plan all carry over into the HIST
-    /// retry). Equivalent to [`Self::run_engine`] with the FPGA engine.
-    ///
-    /// # Errors
-    /// [`FpartError::InvalidConfig`] propagates immediately (no retry
-    /// fixes a bad config). Any other error escalates down the chain;
-    /// the last error propagates when the chain is exhausted.
-    pub fn run<T: Tuple>(
-        &self,
-        fpga: &FpgaPartitioner,
-        rel: &Relation<T>,
-    ) -> Result<(PartitionedRelation<T>, DegradationReport)> {
-        self.run_engine(fpga, rel)
-    }
-
     /// Drive `rel` through the chain starting from any
-    /// [`PartitionEngine`]:
+    /// [`PartitionEngine`] (for the FPGA, its config, QPI model and armed
+    /// fault plan all carry over into the HIST retry):
     ///
     /// 1. the engine itself,
     /// 2. its [`PartitionEngine::hist_fallback`] twin, when the engine
@@ -270,13 +237,14 @@ impl EscalationChain {
     ///    CPU.
     ///
     /// Every attempt record in the returned [`DegradationReport`] is
-    /// constructed in exactly one place (the private `try_engine`
-    /// helper), whatever the back-end.
+    /// constructed in one place (the private `try_engine` helper),
+    /// whatever the back-end.
     ///
     /// # Errors
-    /// [`FpartError::InvalidConfig`] propagates immediately; otherwise
-    /// the last error propagates when every enabled step has failed.
-    pub fn run_engine<T: Tuple>(
+    /// [`FpartError::InvalidConfig`] propagates immediately (no retry
+    /// fixes a bad config); otherwise the last error propagates when
+    /// every enabled step has failed.
+    pub fn run<T: Tuple>(
         &self,
         engine: &dyn PartitionEngine<T>,
         rel: &Relation<T>,
@@ -299,7 +267,7 @@ impl EscalationChain {
             }
         }
 
-        if self.cpu_fallback && engine.capabilities().path != AttemptPath::Cpu {
+        if self.cpu_fallback && engine.path() != AttemptPath::Cpu {
             let cpu = CpuPartitioner::new(engine.partition_fn(), self.cpu_threads);
             match Self::try_engine(&mut attempts, &cpu, rel)? {
                 Ok((parts, stats)) => return Ok((parts, DegradationReport { attempts, stats })),
@@ -310,17 +278,17 @@ impl EscalationChain {
         Err(last_err)
     }
 
-    /// Run one attempt and record its outcome — the single construction
-    /// site for [`AttemptRecord`]s. The outer `Result` aborts the whole
-    /// chain ([`FpartError::InvalidConfig`]); the inner one is this
-    /// attempt's outcome.
+    /// Run one attempt and record its outcome — the chain's single
+    /// construction site for [`AttemptRecord`]s. The outer `Result`
+    /// aborts the whole chain ([`FpartError::InvalidConfig`]); the inner
+    /// one is this attempt's outcome.
     #[allow(clippy::type_complexity)]
     fn try_engine<T: Tuple>(
         attempts: &mut Vec<AttemptRecord>,
         engine: &dyn PartitionEngine<T>,
         rel: &Relation<T>,
     ) -> Result<std::result::Result<(PartitionedRelation<T>, PartitionStats), FpartError>> {
-        let path = engine.capabilities().path;
+        let path = engine.path();
         match engine.partition(rel) {
             Ok((parts, stats)) => {
                 attempts.push(AttemptRecord {
@@ -347,7 +315,9 @@ impl EscalationChain {
 mod tests {
     use super::*;
     use fpart_datagen::KeyDistribution;
-    use fpart_fpga::{InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity};
+    use fpart_fpga::{
+        FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
+    };
     use fpart_hash::PartitionFn;
     use fpart_hwsim::{Fault, FaultPlan, QpiConfig};
     use fpart_types::{Relation, Tuple8};
@@ -455,19 +425,13 @@ mod tests {
     fn disabled_steps_propagate_the_error() {
         let rel = skewed();
         let fpga = FpgaPartitioner::new(pad_cfg(6, 0));
-        let chain = EscalationChain::from_policy(FallbackPolicy::Fail, 2);
+        let chain = EscalationChain {
+            hist_retry: false,
+            cpu_fallback: false,
+            cpu_threads: 2,
+        };
         let err = chain.run(&fpga, &rel).unwrap_err();
         assert!(matches!(err, FpartError::PartitionOverflow { .. }));
-    }
-
-    #[test]
-    fn policy_mapping() {
-        let c = EscalationChain::from_policy(FallbackPolicy::CpuPartitioner, 4);
-        assert!(!c.hist_retry && c.cpu_fallback && c.cpu_threads == 4);
-        let h = EscalationChain::from_policy(FallbackPolicy::HistMode, 1);
-        assert!(h.hist_retry && !h.cpu_fallback);
-        let f = EscalationChain::from_policy(FallbackPolicy::Fail, 1);
-        assert!(!f.hist_retry && !f.cpu_fallback);
     }
 
     #[test]

@@ -1,335 +1,81 @@
-//! The hybrid CPU+FPGA join: "the partitioning happens on the FPGA and
-//! the build and probe phases of a join happen on the CPU" (Abstract).
-//!
-//! The FPGA partitioner here is the cycle-level simulation of
-//! `fpart-fpga`; its [`fpart_fpga::RunReport`] carries the simulated time
-//! at 200 MHz under the calibrated QPI model, while the build+probe phase
-//! runs for real on host threads. The two time domains are reported
-//! separately — the figure harness combines them with the platform cost
-//! models (including the Section 2.2 coherence penalty, which cannot
-//! manifest on a single-socket host).
-//!
-//! PAD-mode overflow handling follows the paper: "If one partition gets
-//! filled, the operation aborts and falls back to a CPU based
-//! partitioner" (Section 4.5) — or, per Section 5.4, the run can be
-//! restarted in HIST mode; [`FallbackPolicy`] selects which.
+//! Tests of the paper's hybrid join: [`crate::radix::radix_join`] over
+//! an [`FpgaPartitioner`] — FPGA partitioning (simulated) feeding the
+//! CPU build+probe (measured) — and [`crate::radix::vrid_join`], its
+//! column-store form.
 
-use fpart_cpu::CpuRunReport;
-use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig, RunReport};
-use fpart_hwsim::QpiConfig;
-use fpart_types::{ColumnRelation, FpartError, PartitionedRelation, Relation, Result, Tuple};
+use fpart_cpu::CpuPartitioner;
+use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig};
+use fpart_hash::PartitionFn;
+use fpart_types::{Relation, Tuple8};
 
-use crate::buildprobe::{build_probe_all, BuildProbeReport};
-use crate::engine::PartitionStats;
-use crate::fallback::{AttemptPath, EscalationChain};
-use crate::materialize::{materialize_join_vrid, rows_checksum};
-use crate::planner::{EnginePlanner, PlanExplanation};
-use crate::radix::JoinResult;
+use crate::fallback::EscalationChain;
+use crate::radix::{radix_join, JoinResult};
 
-pub use crate::fallback::FallbackPolicy;
-
-/// How one relation ended up partitioned.
-#[derive(Debug, Clone)]
-pub enum PartitionOutcome {
-    /// FPGA run succeeded.
-    Fpga(RunReport),
-    /// PAD overflowed after `aborted_after` consumed tuples; the CPU
-    /// partitioner finished the job.
-    CpuFallback {
-        /// The overflow error that triggered the fallback.
-        error: FpartError,
-        /// The CPU partitioning report.
-        cpu: CpuRunReport,
-    },
-    /// PAD overflowed; the run was restarted in HIST mode.
-    HistRetry {
-        /// The overflow error that triggered the retry.
-        error: FpartError,
-        /// The successful HIST-mode report.
-        report: RunReport,
-    },
-    /// A per-input [`EnginePlanner`] plan ran (planned joins only).
-    Planned {
-        /// Why the planner picked this engine and mode.
-        explanation: PlanExplanation,
-        /// Statistics of the back-end that completed the input.
-        stats: Box<PartitionStats>,
-        /// Whether the planned engine had to degrade through the chain.
-        degraded: bool,
-    },
-}
-
-impl PartitionOutcome {
-    /// The simulated FPGA seconds spent on this relation (0 for a pure
-    /// CPU fallback).
-    pub fn fpga_seconds(&self) -> f64 {
-        match self {
-            Self::Fpga(r) | Self::HistRetry { report: r, .. } => r.seconds(),
-            Self::CpuFallback { .. } => 0.0,
-            Self::Planned { stats, .. } => stats.simulated_seconds().unwrap_or(0.0),
-        }
-    }
-
-    /// Whether the first-choice run had to abort (planned runs: whether
-    /// the chain degraded).
-    pub fn aborted(&self) -> bool {
-        match self {
-            Self::Fpga(_) => false,
-            Self::Planned { degraded, .. } => *degraded,
-            _ => true,
-        }
+/// An FPGA configuration with the paper's defaults and `bits` murmur
+/// partition bits.
+fn config(bits: u32, output: OutputMode, input: InputMode) -> PartitionerConfig {
+    PartitionerConfig {
+        partition_fn: PartitionFn::Murmur { bits },
+        ..PartitionerConfig::paper_default(output, input)
     }
 }
 
-/// Report of a hybrid join.
-#[derive(Debug, Clone)]
-pub struct HybridJoinReport {
-    /// How R was partitioned.
-    pub r_outcome: PartitionOutcome,
-    /// How S was partitioned.
-    pub s_outcome: PartitionOutcome,
-    /// The measured CPU build+probe phase.
-    pub build_probe: BuildProbeReport,
+/// The CPU radix join every hybrid result is checked against.
+fn cpu_join(bits: u32, r: &Relation<Tuple8>, s: &Relation<Tuple8>) -> JoinResult {
+    let cpu = CpuPartitioner::new(PartitionFn::Murmur { bits }, 2);
+    radix_join(&cpu, &EscalationChain::new(2), r, s).unwrap().0
 }
 
-impl HybridJoinReport {
-    /// Simulated FPGA partitioning seconds (both relations).
-    pub fn fpga_partition_seconds(&self) -> f64 {
-        self.r_outcome.fpga_seconds() + self.s_outcome.fpga_seconds()
-    }
-
-    /// Whether any relation needed the overflow fallback.
-    pub fn any_fallback(&self) -> bool {
-        self.r_outcome.aborted() || self.s_outcome.aborted()
+/// The chain of the paper's hybrid join: a PAD abort falls back to the
+/// CPU partitioner (Section 4.5).
+fn cpu_fallback(threads: usize) -> EscalationChain {
+    EscalationChain {
+        hist_retry: false,
+        ..EscalationChain::new(threads)
     }
 }
 
-/// A configured hybrid join.
-#[derive(Debug, Clone)]
-pub struct HybridJoin {
-    /// FPGA partitioner configuration (mode pair + partition function).
-    pub fpga: PartitionerConfig,
-    /// Threads for the CPU build+probe phase ("when we say 10-threaded
-    /// join in the context of hybrid joins, we mean that after the FPGA
-    /// partitioning the CPU build+probe phase is 10-threaded").
-    pub cpu_threads: usize,
-    /// Overflow handling.
-    pub fallback: FallbackPolicy,
-    /// Optional custom QPI model (defaults to the HARP link).
-    pub qpi: Option<QpiConfig>,
-    /// When set, each input is planned individually (engine + output
-    /// mode + chain) instead of running the constructor-chosen FPGA
-    /// config.
-    pub planner: Option<EnginePlanner>,
-}
-
-impl HybridJoin {
-    /// A hybrid join with the paper's defaults.
-    pub fn new(fpga: PartitionerConfig, cpu_threads: usize) -> Self {
-        Self {
-            fpga,
-            cpu_threads,
-            fallback: FallbackPolicy::CpuPartitioner,
-            qpi: None,
-            planner: None,
-        }
-    }
-
-    /// A hybrid join that plans each input with `planner` — back-end,
-    /// output mode and degradation chain are decided per relation from
-    /// its own sampled skew and the §4.6 cost models, the way a DBMS
-    /// integration would dispatch the paper's operator.
-    pub fn planned(partition_fn: fpart_hash::PartitionFn, planner: EnginePlanner) -> Self {
-        let cpu_threads = planner.cpu_threads;
-        Self {
-            fpga: PartitionerConfig {
-                partition_fn,
-                ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
-            },
-            cpu_threads,
-            fallback: FallbackPolicy::CpuPartitioner,
-            qpi: None,
-            planner: Some(planner),
-        }
-    }
-
-    fn partitioner(&self, config: PartitionerConfig) -> FpgaPartitioner {
-        match &self.qpi {
-            Some(q) => FpgaPartitioner::with_qpi(config, q.clone()),
-            None => FpgaPartitioner::new(config),
-        }
-    }
-
-    fn partition_one<T: Tuple>(
-        &self,
-        rel: &Relation<T>,
-    ) -> Result<(PartitionedRelation<T>, PartitionOutcome)> {
-        if let Some(planner) = &self.planner {
-            let plan = planner.plan(rel, self.fpga.partition_fn);
-            let (p, report) = plan.run(rel)?;
-            let outcome = PartitionOutcome::Planned {
-                explanation: plan.explanation.clone(),
-                degraded: report.degraded(),
-                stats: Box::new(report.stats),
-            };
-            return Ok((p, outcome));
-        }
-        let chain = EscalationChain::from_policy(self.fallback, self.cpu_threads);
-        let (p, report) = chain.run(&self.partitioner(self.fpga.clone()), rel)?;
-        let error = report.first_error().cloned();
-        let outcome = match (report.final_path(), error) {
-            (_, None) => PartitionOutcome::Fpga(
-                report
-                    .fpga()
-                    .cloned()
-                    .expect("a clean chain run ends on the FPGA"),
-            ),
-            (AttemptPath::Hist, Some(error)) => PartitionOutcome::HistRetry {
-                error,
-                report: report
-                    .fpga()
-                    .cloned()
-                    .expect("HIST path carries an FPGA report"),
-            },
-            (AttemptPath::Cpu, Some(error)) => PartitionOutcome::CpuFallback {
-                error,
-                cpu: report
-                    .cpu()
-                    .copied()
-                    .expect("CPU path carries a CPU report"),
-            },
-            (AttemptPath::Pad | AttemptPath::Hybrid, Some(_)) => {
-                unreachable!("a degraded chain never ends on its first path")
-            }
-        };
-        Ok((p, outcome))
-    }
-
-    /// Execute R ⋈ S: FPGA partitioning (simulated) + CPU build+probe
-    /// (measured).
-    pub fn execute<T: Tuple>(
-        &self,
-        r: &Relation<T>,
-        s: &Relation<T>,
-    ) -> Result<(JoinResult, HybridJoinReport)> {
-        let (rp, r_outcome) = self.partition_one(r)?;
-        let (sp, s_outcome) = self.partition_one(s)?;
-        let bp = build_probe_all(&rp, &sp, self.fpga.partition_fn.bits(), self.cpu_threads);
-        Ok((
-            JoinResult {
-                matches: bp.matches,
-                checksum: bp.checksum,
-            },
-            HybridJoinReport {
-                r_outcome,
-                s_outcome,
-                build_probe: bp,
-            },
-        ))
-    }
-
-    /// Execute R ⋈ S on column-store relations through VRID mode
-    /// (Section 5.2): the FPGA reads only the key columns (half the
-    /// link traffic for 8 B tuples), the CPU joins `(key, position)`
-    /// pairs, and the matched rows are *late-materialised* against the
-    /// payload columns — "an additional cost that does not occur in RID
-    /// mode", included in the returned build+probe wall time.
-    ///
-    /// The join's checksum is computed over the dereferenced payloads, so
-    /// it equals the RID-mode checksum for the same logical relations.
-    ///
-    /// # Errors
-    /// PAD overflow propagates (VRID has no CPU fallback path here; use
-    /// HIST output mode for skewed column-store inputs).
-    pub fn execute_columns<T: Tuple>(
-        &self,
-        r: &ColumnRelation<T>,
-        s: &ColumnRelation<T>,
-    ) -> Result<(JoinResult, HybridJoinReport)> {
-        let mut config = self.fpga.clone();
-        config.input = InputMode::Vrid;
-        let partitioner = self.partitioner(config);
-        let (rp, r_report) = partitioner.partition_columns(r)?;
-        let (sp, s_report) = partitioner.partition_columns(s)?;
-
-        let t0 = std::time::Instant::now();
-        let rows = materialize_join_vrid(
-            &rp,
-            &sp,
-            r,
-            s,
-            self.fpga.partition_fn.bits(),
-            self.cpu_threads,
-        );
-        let bp = BuildProbeReport {
-            matches: rows.len() as u64,
-            checksum: rows_checksum(&rows),
-            wall: t0.elapsed(),
-            threads: self.cpu_threads,
-        };
-        Ok((
-            JoinResult {
-                matches: bp.matches,
-                checksum: bp.checksum,
-            },
-            HybridJoinReport {
-                r_outcome: PartitionOutcome::Fpga(r_report),
-                s_outcome: PartitionOutcome::Fpga(s_report),
-                build_probe: bp,
-            },
-        ))
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::buildprobe::reference_join;
-    use crate::radix::CpuRadixJoin;
+    use crate::fallback::AttemptPath;
+    use crate::radix::planned_join;
     use fpart_datagen::WorkloadId;
-    use fpart_fpga::{InputMode, OutputMode, PaddingSpec, SimFidelity};
-    use fpart_hash::PartitionFn;
-    use fpart_types::Tuple8;
+    use fpart_fpga::PaddingSpec;
+    use fpart_types::FpartError;
 
-    fn cfg(bits: u32, output: OutputMode) -> PartitionerConfig {
-        PartitionerConfig {
-            partition_fn: PartitionFn::Murmur { bits },
-            output,
-            input: InputMode::Rid,
-            fifo_capacity: 64,
-            out_fifo_capacity: 8,
-            fidelity: SimFidelity::CycleAccurate,
-            obs: fpart_obs::ObsLevel::Off,
-        }
+    fn fpga(bits: u32, output: OutputMode) -> FpgaPartitioner {
+        FpgaPartitioner::new(config(bits, output, InputMode::Rid))
+    }
+
+    fn zero_pad(bits: u32) -> FpgaPartitioner {
+        let padding = PaddingSpec::Tuples(0);
+        fpga(bits, OutputMode::Pad { padding })
     }
 
     #[test]
     fn hybrid_join_matches_cpu_join() {
         let (r, s) = WorkloadId::A.spec().row_relations::<Tuple8>(0.00005, 21);
-        let hybrid = HybridJoin::new(cfg(5, OutputMode::pad_default()), 2);
-        let (hresult, hreport) = hybrid.execute(&r, &s).unwrap();
+        let pad = fpga(5, OutputMode::pad_default());
+        let (hresult, hreport) = radix_join(&pad, &cpu_fallback(2), &r, &s).unwrap();
 
-        let cpu = CpuRadixJoin::new(PartitionFn::Murmur { bits: 5 }, 2);
-        let (cresult, _) = cpu.execute(&r, &s);
-        assert_eq!(hresult, cresult);
-        assert!(!hreport.any_fallback());
-        assert!(hreport.fpga_partition_seconds() > 0.0);
+        assert_eq!(hresult, cpu_join(5, &r, &s));
+        assert!(!hreport.degraded());
+        assert!(hreport.simulated_partition_seconds() > 0.0);
         assert_eq!(hresult.matches, s.len() as u64);
     }
 
     #[test]
     fn hist_mode_hybrid_join() {
         let (r, s) = WorkloadId::C.spec().row_relations::<Tuple8>(0.00003, 9);
-        let hybrid = HybridJoin::new(cfg(5, OutputMode::Hist), 2);
-        let (result, report) = hybrid.execute(&r, &s).unwrap();
+        let hist = fpga(5, OutputMode::Hist);
+        let (result, report) = radix_join(&hist, &cpu_fallback(2), &r, &s).unwrap();
         let (m, c) = reference_join(r.tuples(), s.tuples());
         assert_eq!((result.matches, result.checksum), (m, c));
         // HIST runs two passes on each relation → more lines read than a
         // PAD run would need.
-        match &report.r_outcome {
-            PartitionOutcome::Fpga(rep) => assert!(rep.hist_cycles > 0),
-            other => panic!("unexpected outcome {other:?}"),
-        }
+        assert!(!report.r.degraded());
+        assert!(report.r.fpga().expect("clean FPGA run").hist_cycles > 0);
     }
 
     #[test]
@@ -338,18 +84,8 @@ mod tests {
         let (r, s) = WorkloadId::A
             .spec()
             .skewed_row_relations::<Tuple8>(0.0001, 1.5, 33);
-        let mut join = HybridJoin::new(
-            cfg(
-                6,
-                OutputMode::Pad {
-                    padding: PaddingSpec::Tuples(0),
-                },
-            ),
-            2,
-        );
-        join.fallback = FallbackPolicy::CpuPartitioner;
-        let (result, report) = join.execute(&r, &s).unwrap();
-        assert!(report.any_fallback(), "zipf 1.5 must overflow zero padding");
+        let (result, report) = radix_join(&zero_pad(6), &cpu_fallback(2), &r, &s).unwrap();
+        assert!(report.degraded(), "zipf 1.5 must overflow zero padding");
         let (m, c) = reference_join(r.tuples(), s.tuples());
         assert_eq!((result.matches, result.checksum), (m, c));
     }
@@ -359,21 +95,15 @@ mod tests {
         let (r, s) = WorkloadId::A
             .spec()
             .skewed_row_relations::<Tuple8>(0.0001, 1.5, 33);
-        let mut join = HybridJoin::new(
-            cfg(
-                6,
-                OutputMode::Pad {
-                    padding: PaddingSpec::Tuples(0),
-                },
-            ),
-            2,
-        );
-        join.fallback = FallbackPolicy::HistMode;
-        let (result, report) = join.execute(&r, &s).unwrap();
-        assert!(report.any_fallback());
+        let chain = EscalationChain {
+            cpu_fallback: false,
+            ..EscalationChain::new(2)
+        };
+        let (result, report) = radix_join(&zero_pad(6), &chain, &r, &s).unwrap();
+        assert!(report.degraded());
         assert!(matches!(
-            report.s_outcome,
-            PartitionOutcome::HistRetry { .. } | PartitionOutcome::Fpga(_)
+            report.s.final_path(),
+            AttemptPath::Hist | AttemptPath::Pad
         ));
         let (m, _) = reference_join(r.tuples(), s.tuples());
         assert_eq!(result.matches, m);
@@ -381,28 +111,16 @@ mod tests {
 
     #[test]
     fn planned_join_matches_cpu_join() {
-        // Per-input planning: same result as the constructor-chosen
-        // path, with the reasoning attached to each outcome.
+        // Per-input planning: same result as the fixed engine, with the
+        // reasoning attached to the report.
         let (r, s) = WorkloadId::A.spec().row_relations::<Tuple8>(0.00005, 4);
-        let join = HybridJoin::planned(
-            PartitionFn::Murmur { bits: 5 },
-            crate::planner::EnginePlanner::new(2),
-        );
-        let (jresult, jreport) = join.execute(&r, &s).unwrap();
-        let cpu = CpuRadixJoin::new(PartitionFn::Murmur { bits: 5 }, 2);
-        let (cresult, _) = cpu.execute(&r, &s);
-        assert_eq!(jresult, cresult);
-        match &jreport.r_outcome {
-            PartitionOutcome::Planned {
-                explanation,
-                degraded,
-                ..
-            } => {
-                assert!(!degraded);
-                assert_eq!(explanation.tuples, r.len() as u64);
-            }
-            other => panic!("expected planned outcome, got {other:?}"),
-        }
+        let planner = crate::planner::EnginePlanner::new(2);
+        let (jresult, jreport) =
+            planned_join(&planner, PartitionFn::Murmur { bits: 5 }, &r, &s).unwrap();
+        assert_eq!(jresult, cpu_join(5, &r, &s));
+        let (explanation, _) = jreport.plans.expect("planned joins explain");
+        assert!(!jreport.r.degraded());
+        assert_eq!(explanation.tuples, r.len() as u64);
     }
 
     #[test]
@@ -410,71 +128,52 @@ mod tests {
         let (r, s) = WorkloadId::A
             .spec()
             .skewed_row_relations::<Tuple8>(0.0001, 1.5, 33);
-        let mut join = HybridJoin::new(
-            cfg(
-                6,
-                OutputMode::Pad {
-                    padding: PaddingSpec::Tuples(0),
-                },
-            ),
-            2,
-        );
-        join.fallback = FallbackPolicy::Fail;
+        let fail = EscalationChain {
+            hist_retry: false,
+            cpu_fallback: false,
+            cpu_threads: 2,
+        };
         assert!(matches!(
-            join.execute(&r, &s),
+            radix_join(&zero_pad(6), &fail, &r, &s),
             Err(FpartError::PartitionOverflow { .. })
         ));
     }
 }
 
-#[cfg(test)]
 mod vrid_tests {
     use super::*;
-    use crate::radix::CpuRadixJoin;
+    use crate::radix::vrid_join;
     use fpart_datagen::WorkloadId;
-    use fpart_fpga::OutputMode;
-    use fpart_hash::PartitionFn;
-    use fpart_types::Tuple8;
+
+    fn pad(input: InputMode) -> FpgaPartitioner {
+        FpgaPartitioner::new(config(5, OutputMode::pad_default(), input))
+    }
 
     #[test]
     fn vrid_join_matches_rid_join() {
         let spec = WorkloadId::A.spec();
         let (rc, sc) = spec.column_relations::<Tuple8>(0.00004, 5);
-        let config = PartitionerConfig {
-            partition_fn: PartitionFn::Murmur { bits: 5 },
-            ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Vrid)
-        };
-        let hybrid = HybridJoin::new(config, 2);
-        let (vrid_result, vrid_report) = hybrid.execute_columns(&rc, &sc).unwrap();
+        let (vrid_result, vrid_report) = vrid_join(&pad(InputMode::Vrid), 2, &rc, &sc).unwrap();
 
         // RID-mode reference on the materialised rows.
-        let r = rc.to_row_store();
-        let s = sc.to_row_store();
-        let (rid_result, _) = CpuRadixJoin::new(PartitionFn::Murmur { bits: 5 }, 2).execute(&r, &s);
+        let rid_result = cpu_join(5, &rc.to_row_store(), &sc.to_row_store());
         assert_eq!(vrid_result, rid_result, "VRID join must equal RID join");
-        assert!(vrid_report.fpga_partition_seconds() > 0.0);
+        assert!(vrid_report.simulated_partition_seconds() > 0.0);
     }
 
     #[test]
     fn vrid_reads_half_of_rid() {
         let spec = WorkloadId::A.spec();
         let (rc, sc) = spec.column_relations::<Tuple8>(0.00004, 6);
-        let base = PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid);
-        let config = PartitionerConfig {
-            partition_fn: PartitionFn::Murmur { bits: 5 },
-            ..base
-        };
-        let hybrid = HybridJoin::new(config.clone(), 2);
-        let (_, vrid_report) = hybrid.execute_columns(&rc, &sc).unwrap();
+        let (_, vrid_report) = vrid_join(&pad(InputMode::Vrid), 2, &rc, &sc).unwrap();
 
         let (r, s) = (rc.to_row_store(), sc.to_row_store());
-        let (_, rid_report) = hybrid.execute(&r, &s).unwrap();
-        let lines = |o: &PartitionOutcome| match o {
-            PartitionOutcome::Fpga(rep) => rep.qpi.lines_read,
-            other => panic!("{other:?}"),
+        let (_, rid_report) = radix_join(&pad(InputMode::Rid), &cpu_fallback(2), &r, &s).unwrap();
+        let lines = |d: &crate::fallback::DegradationReport| {
+            d.fpga().expect("clean FPGA run").qpi.lines_read
         };
-        let vrid_reads = lines(&vrid_report.r_outcome) + lines(&vrid_report.s_outcome);
-        let rid_reads = lines(&rid_report.r_outcome) + lines(&rid_report.s_outcome);
+        let vrid_reads = lines(&vrid_report.r) + lines(&vrid_report.s);
+        let rid_reads = lines(&rid_report.r) + lines(&rid_report.s);
         assert_eq!(rid_reads, vrid_reads * 2, "VRID halves the key reads");
     }
 }

@@ -7,14 +7,15 @@
 //! * [`hashtable::BucketChainTable`] — the cache-resident bucket-chaining
 //!   hash table of Manegold et al., built per partition;
 //! * [`buildprobe`] — the parallel build+probe phase over partition pairs;
-//! * [`radix::CpuRadixJoin`] — the pure-CPU join (partition both inputs
-//!   with `fpart-cpu`, then build+probe);
-//! * [`hybrid::HybridJoin`] — the paper's contribution in operator form:
-//!   FPGA partitioning (simulated, with exact cycle accounting) feeding
-//!   the CPU build+probe, including the PAD-overflow fallback to the CPU
-//!   partitioner (Section 4.5);
+//! * [`radix::radix_join`] — the one join driver: partition both inputs
+//!   with any [`engine::PartitionEngine`], then build+probe. With a CPU
+//!   partitioner it is the software baseline; with the FPGA partitioner
+//!   (simulated, with exact cycle accounting) feeding the CPU
+//!   build+probe it is the paper's hybrid join. [`radix::planned_join`]
+//!   plans each input, and [`radix::vrid_join`] joins column stores
+//!   through VRID mode (Section 5.2);
 //! * [`fallback::EscalationChain`] — the shared PAD → HIST → CPU
-//!   graceful-degradation chain behind that fallback, with a
+//!   graceful-degradation chain every input goes through, with a
 //!   [`fallback::DegradationReport`] recording every abort, its cause and
 //!   the simulated work it discarded;
 //! * [`nopart::no_partition_join`] — the no-partitioning baseline;
@@ -38,7 +39,8 @@ pub mod buildprobe;
 pub mod engine;
 pub mod fallback;
 pub mod hashtable;
-pub mod hybrid;
+#[cfg(test)]
+mod hybrid;
 pub mod materialize;
 pub mod nopart;
 pub mod planner;
@@ -46,11 +48,8 @@ pub mod radix;
 
 pub use buildprobe::{build_probe_all, BuildProbeReport};
 pub use engine::{
-    EngineCaps, EngineChoice, HybridSplitEngine, HybridSplitStats, PartitionEngine, PartitionStats,
+    EngineChoice, HybridSplitEngine, HybridSplitStats, PartitionEngine, PartitionStats,
 };
-pub use fallback::{
-    AttemptPath, AttemptRecord, DegradationReport, EscalationChain, FallbackPolicy,
-};
-pub use hybrid::{HybridJoin, HybridJoinReport};
+pub use fallback::{AttemptPath, AttemptRecord, DegradationReport, EscalationChain};
 pub use planner::{EnginePlanner, ModePlan, ModePlanner, Plan, PlanExplanation};
-pub use radix::{CpuRadixJoin, JoinReport, JoinResult, PlannedJoinReport, PlannedRadixJoin};
+pub use radix::{planned_join, radix_join, vrid_join, JoinReport, JoinResult};

@@ -71,7 +71,9 @@ pub fn no_partition_join<T: Tuple>(
 mod tests {
     use super::*;
     use crate::buildprobe::reference_join;
-    use crate::radix::CpuRadixJoin;
+    use crate::fallback::EscalationChain;
+    use crate::radix::radix_join;
+    use fpart_cpu::CpuPartitioner;
     use fpart_datagen::WorkloadId;
     use fpart_hash::PartitionFn;
     use fpart_types::Tuple8;
@@ -83,8 +85,8 @@ mod tests {
         let (m, c) = reference_join(r.tuples(), s.tuples());
         assert_eq!((result.matches, result.checksum), (m, c));
 
-        let (radix_result, _) =
-            CpuRadixJoin::new(PartitionFn::Murmur { bits: 5 }, 2).execute(&r, &s);
+        let cpu = CpuPartitioner::new(PartitionFn::Murmur { bits: 5 }, 2);
+        let (radix_result, _) = radix_join(&cpu, &EscalationChain::new(2), &r, &s).unwrap();
         assert_eq!(result, radix_result);
     }
 

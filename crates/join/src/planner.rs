@@ -28,7 +28,6 @@ use fpart_fpga::{
 use fpart_hash::PartitionFn;
 use fpart_types::{PartitionedRelation, Relation, Result, Tuple};
 
-use crate::engine::PartitionStats;
 use crate::engine::{cost_mode_pair, EngineChoice, HybridSplitEngine, PartitionEngine};
 use crate::fallback::{DegradationReport, EscalationChain};
 
@@ -255,8 +254,6 @@ impl EnginePlanner {
         };
         Plan {
             engine,
-            output,
-            fidelity: self.fidelity,
             chain: EscalationChain {
                 hist_retry: self.hist_retry,
                 cpu_fallback: self.cpu_fallback,
@@ -267,17 +264,13 @@ impl EnginePlanner {
     }
 }
 
-/// Everything the planner decided for one input: the engine to run, the
-/// output mode and fidelity baked into it, the degradation chain that
-/// wraps it, and the reasoning.
+/// Everything the planner decided for one input: the engine to run
+/// (with the sampled output mode and the fidelity baked in), the
+/// degradation chain that wraps it, and the reasoning.
 #[derive(Debug)]
 pub struct Plan<T: Tuple> {
     /// The selected back-end, ready to run.
     pub engine: Box<dyn PartitionEngine<T>>,
-    /// The sampled output mode baked into `engine`.
-    pub output: OutputMode,
-    /// The FPGA simulation fidelity baked into `engine`.
-    pub fidelity: SimFidelity,
     /// The degradation policy [`Plan::run`] applies.
     pub chain: EscalationChain,
     /// The machine-readable reasoning.
@@ -292,16 +285,7 @@ impl<T: Tuple> Plan<T> {
     /// Propagates the last back-end error when every enabled chain step
     /// failed (with the default policy the CPU step cannot fail).
     pub fn run(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, DegradationReport)> {
-        self.chain.run_engine(self.engine.as_ref(), rel)
-    }
-
-    /// Execute the plan without degradation: one attempt on the planned
-    /// engine.
-    ///
-    /// # Errors
-    /// Propagates the engine's error directly.
-    pub fn run_once(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
-        self.engine.partition(rel)
+        self.chain.run(self.engine.as_ref(), rel)
     }
 }
 
@@ -545,7 +529,7 @@ mod tests {
         // abort at all.
         let rel = Relation::<Tuple8>::from_keys(&vec![3u32; 4096]);
         let plan = EnginePlanner::new(2).plan(&rel, PartitionFn::Murmur { bits: 5 });
-        assert_eq!(plan.output, OutputMode::Hist);
+        assert_eq!(plan.explanation.output, OutputMode::Hist);
         let (parts, report) = plan.run(&rel).unwrap();
         assert_eq!(parts.total_valid(), 4096);
         assert!(!report.degraded());

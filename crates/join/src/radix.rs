@@ -1,14 +1,34 @@
-//! The pure-CPU partitioned hash join (the paper's software comparison
-//! point in Figures 10–13).
+//! The partitioned (radix) hash join — one driver for every back-end.
+//!
+//! The paper's hybrid join is the CPU radix join with one change: "the
+//! partitioning happens on the FPGA and the build and probe phases of a
+//! join happen on the CPU" (Abstract). So there is one driver,
+//! [`radix_join`], over any [`PartitionEngine`]: with a
+//! `CpuPartitioner` it is the software baseline of Figures 10–13, with
+//! an `FpgaPartitioner` it is the hybrid join. Each input goes through
+//! an [`EscalationChain`], which encodes the paper's reactions to a
+//! PAD-mode abort: the CPU fallback of Section 4.5 and the HIST restart
+//! of Section 5.4. [`planned_join`] lets an [`EnginePlanner`] pick the
+//! engine per input, and [`vrid_join`] is the column-store path of
+//! Section 5.2.
+//!
+//! The FPGA partitioner is the cycle-level simulation of `fpart-fpga`,
+//! so its time is simulated at the circuit clock, while CPU work runs
+//! for real on host threads. [`JoinReport`] keeps the two time domains
+//! apart; the figure harness combines them with the platform cost
+//! models (including the Section 2.2 coherence penalty, which cannot
+//! manifest on a single-socket host).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use fpart_cpu::{CpuPartitioner, CpuRunReport};
+use fpart_fpga::FpgaPartitioner;
 use fpart_hash::PartitionFn;
-use fpart_types::{Relation, Tuple};
+use fpart_types::{ColumnRelation, Relation, Result, Tuple};
 
 use crate::buildprobe::{build_probe_all, BuildProbeReport};
-use crate::engine::PartitionStats;
+use crate::engine::{PartitionEngine, PartitionStats};
+use crate::fallback::{DegradationReport, EscalationChain};
+use crate::materialize::{materialize_join_vrid, rows_checksum};
 use crate::planner::{EnginePlanner, PlanExplanation};
 
 /// The join output summary (the evaluation counts matches; materialising
@@ -23,180 +43,198 @@ pub struct JoinResult {
     pub checksum: u64,
 }
 
-/// Timing breakdown of a CPU radix join — the stacked bars of Figure 10.
+/// How a join ran: each input's path through the degradation chain, the
+/// planner's reasoning when it chose the engines, and the build+probe
+/// phase — the stacked bars of Figure 10.
 #[derive(Debug, Clone)]
 pub struct JoinReport {
-    /// Partitioning report for R.
-    pub r_partition: CpuRunReport,
-    /// Partitioning report for S.
-    pub s_partition: CpuRunReport,
-    /// Build+probe phase report.
+    /// How R was partitioned.
+    pub r: DegradationReport,
+    /// How S was partitioned.
+    pub s: DegradationReport,
+    /// Why each input's engine was chosen (R, S), for [`planned_join`].
+    pub plans: Option<(PlanExplanation, PlanExplanation)>,
+    /// The measured build+probe phase.
     pub build_probe: BuildProbeReport,
 }
 
 impl JoinReport {
-    /// Total partitioning wall time (both relations).
-    pub fn partition_time(&self) -> Duration {
-        self.r_partition.total_time() + self.s_partition.total_time()
+    /// Host wall time spent partitioning both inputs: CPU engines, the
+    /// CPU share of a split, and CPU fallbacks. Simulated FPGA time is
+    /// not included (see [`Self::simulated_partition_seconds`]).
+    pub fn host_partition_time(&self) -> Duration {
+        self.r.stats.wall_time().unwrap_or_default() + self.s.stats.wall_time().unwrap_or_default()
     }
 
-    /// Total join wall time.
-    pub fn total_time(&self) -> Duration {
-        self.partition_time() + self.build_probe.wall
+    /// Simulated FPGA seconds spent partitioning both inputs at the
+    /// circuit clock (0 when no FPGA run completed an input).
+    pub fn simulated_partition_seconds(&self) -> f64 {
+        self.r.stats.simulated_seconds().unwrap_or(0.0)
+            + self.s.stats.simulated_seconds().unwrap_or(0.0)
+    }
+
+    /// Host wall time of the join: host partitioning plus build+probe.
+    pub fn host_time(&self) -> Duration {
+        self.host_partition_time() + self.build_probe.wall
     }
 
     /// Join throughput in million tuples/s over |R| + |S| (the metric of
-    /// Section 5.2).
+    /// Section 5.2), in host time.
     pub fn mtuples_per_sec(&self) -> f64 {
-        (self.r_partition.tuples + self.s_partition.tuples) as f64
-            / self.total_time().as_secs_f64()
+        (self.r.stats.tuples() + self.s.stats.tuples()) as f64
+            / self.host_time().as_secs_f64()
             / 1e6
     }
-}
 
-/// A configured CPU radix join.
-#[derive(Debug, Clone)]
-pub struct CpuRadixJoin {
-    /// Partitioning attribute (radix vs murmur — the Figure 12 contrast).
-    pub partition_fn: PartitionFn,
-    /// Threads for all three phases.
-    pub threads: usize,
-}
-
-impl CpuRadixJoin {
-    /// A join with the paper's defaults (SWWCB partitioning baseline).
-    pub fn new(partition_fn: PartitionFn, threads: usize) -> Self {
-        Self {
-            partition_fn,
-            threads,
-        }
-    }
-
-    /// Execute R ⋈ S on the key attribute.
-    pub fn execute<T: Tuple>(&self, r: &Relation<T>, s: &Relation<T>) -> (JoinResult, JoinReport) {
-        let partitioner = CpuPartitioner::new(self.partition_fn, self.threads);
-        let (rp, r_report) = partitioner.partition(r);
-        let (sp, s_report) = partitioner.partition(s);
-        let bp = build_probe_all(&rp, &sp, self.partition_fn.bits(), self.threads);
-        (
-            JoinResult {
-                matches: bp.matches,
-                checksum: bp.checksum,
-            },
-            JoinReport {
-                r_partition: r_report,
-                s_partition: s_report,
-                build_probe: bp,
-            },
-        )
+    /// Whether either input had to escalate past its first attempt.
+    pub fn degraded(&self) -> bool {
+        self.r.degraded() || self.s.degraded()
     }
 }
 
-/// Timing breakdown of a planned join: one plan (and one explanation)
-/// per input relation.
-#[derive(Debug)]
-pub struct PlannedJoinReport {
-    /// Why R's engine was chosen.
-    pub r_plan: PlanExplanation,
-    /// Why S's engine was chosen.
-    pub s_plan: PlanExplanation,
-    /// R's partitioning statistics (whichever back-end ran).
-    pub r_partition: PartitionStats,
-    /// S's partitioning statistics.
-    pub s_partition: PartitionStats,
-    /// Build+probe phase report.
-    pub build_probe: BuildProbeReport,
+/// Execute R ⋈ S on the key attribute: partition both inputs with
+/// `engine` through `chain`, then build+probe on `chain.cpu_threads`
+/// threads ("when we say 10-threaded join in the context of hybrid
+/// joins, we mean that after the FPGA partitioning the CPU build+probe
+/// phase is 10-threaded").
+///
+/// # Errors
+/// Propagates a back-end error only when every enabled chain step
+/// failed; a chain with `cpu_fallback` cannot fail.
+pub fn radix_join<T: Tuple>(
+    engine: &dyn PartitionEngine<T>,
+    chain: &EscalationChain,
+    r: &Relation<T>,
+    s: &Relation<T>,
+) -> Result<(JoinResult, JoinReport)> {
+    let (rp, r_report) = chain.run(engine, r)?;
+    let (sp, s_report) = chain.run(engine, s)?;
+    let bp = build_probe_all(&rp, &sp, engine.partition_fn().bits(), chain.cpu_threads);
+    Ok(finish(r_report, s_report, None, bp))
 }
 
-/// A partitioned hash join that plans each input's back-end, output
-/// mode and degradation chain with an [`EnginePlanner`] instead of
-/// committing to one partitioner at construction time.
-#[derive(Debug, Clone)]
-pub struct PlannedRadixJoin {
-    /// Partitioning attribute.
-    pub partition_fn: PartitionFn,
-    /// The per-input planner.
-    pub planner: EnginePlanner,
+/// Execute R ⋈ S, planning each input independently with `planner`
+/// (a small R can take the CPU while a large S takes the FPGA).
+///
+/// # Errors
+/// Propagates a back-end error only when the planned chain has every
+/// fallback disabled; the default chain cannot fail.
+pub fn planned_join<T: Tuple>(
+    planner: &EnginePlanner,
+    f: PartitionFn,
+    r: &Relation<T>,
+    s: &Relation<T>,
+) -> Result<(JoinResult, JoinReport)> {
+    let r_plan = planner.plan(r, f);
+    let s_plan = planner.plan(s, f);
+    let (rp, r_report) = r_plan.run(r)?;
+    let (sp, s_report) = s_plan.run(s)?;
+    let bp = build_probe_all(&rp, &sp, f.bits(), planner.cpu_threads);
+    let plans = Some((r_plan.explanation, s_plan.explanation));
+    Ok(finish(r_report, s_report, plans, bp))
 }
 
-impl PlannedRadixJoin {
-    /// A planned join over `partition_fn` with the planner's defaults.
-    pub fn new(partition_fn: PartitionFn, planner: EnginePlanner) -> Self {
-        Self {
-            partition_fn,
-            planner,
-        }
-    }
+/// Execute R ⋈ S on column-store relations through VRID mode
+/// (Section 5.2): `fpga` (configured for VRID input) reads only the key
+/// columns, the CPU joins `(key, position)` pairs on `threads` threads,
+/// and the matched rows are *late-materialised* against the payload
+/// columns — "an additional cost that does not occur in RID mode",
+/// included in the build+probe wall time.
+///
+/// The checksum is computed over the dereferenced payloads, so it equals
+/// the RID-mode checksum for the same logical relations.
+///
+/// # Errors
+/// PAD overflow propagates: the VRID path has no degradation chain, so
+/// use HIST output mode for skewed column-store inputs.
+/// [`fpart_types::FpartError::InvalidConfig`] if `fpga` is not in VRID
+/// input mode.
+pub fn vrid_join<T: Tuple>(
+    fpga: &FpgaPartitioner,
+    threads: usize,
+    r_cols: &ColumnRelation<T>,
+    s_cols: &ColumnRelation<T>,
+) -> Result<(JoinResult, JoinReport)> {
+    let path = PartitionEngine::<T>::path(fpga);
+    let (rp, r_run) = fpga.partition_columns(r_cols)?;
+    let (sp, s_run) = fpga.partition_columns(s_cols)?;
 
-    /// Execute R ⋈ S, planning each input independently (a small R can
-    /// take the CPU while a large S takes the FPGA).
-    ///
-    /// # Errors
-    /// Propagates a back-end error only when the planned chain has every
-    /// fallback disabled; the default chain cannot fail.
-    pub fn execute<T: Tuple>(
-        &self,
-        r: &Relation<T>,
-        s: &Relation<T>,
-    ) -> fpart_types::Result<(JoinResult, PlannedJoinReport)> {
-        let r_plan = self.planner.plan(r, self.partition_fn);
-        let s_plan = self.planner.plan(s, self.partition_fn);
-        let (rp, r_report) = r_plan.run(r)?;
-        let (sp, s_report) = s_plan.run(s)?;
-        let bp = build_probe_all(&rp, &sp, self.partition_fn.bits(), self.planner.cpu_threads);
-        Ok((
-            JoinResult {
-                matches: bp.matches,
-                checksum: bp.checksum,
-            },
-            PlannedJoinReport {
-                r_plan: r_plan.explanation.clone(),
-                s_plan: s_plan.explanation.clone(),
-                r_partition: r_report.stats,
-                s_partition: s_report.stats,
-                build_probe: bp,
-            },
-        ))
-    }
+    let t0 = Instant::now();
+    let bits = fpga.config().partition_fn.bits();
+    let rows = materialize_join_vrid(&rp, &sp, r_cols, s_cols, bits, threads);
+    let bp = BuildProbeReport {
+        matches: rows.len() as u64,
+        checksum: rows_checksum(&rows),
+        wall: t0.elapsed(),
+        threads,
+    };
+    let clean = |run| DegradationReport::clean(path, PartitionStats::Fpga(Box::new(run)));
+    Ok(finish(clean(r_run), clean(s_run), None, bp))
+}
+
+fn finish(
+    r: DegradationReport,
+    s: DegradationReport,
+    plans: Option<(PlanExplanation, PlanExplanation)>,
+    build_probe: BuildProbeReport,
+) -> (JoinResult, JoinReport) {
+    let result = JoinResult {
+        matches: build_probe.matches,
+        checksum: build_probe.checksum,
+    };
+    let report = JoinReport {
+        r,
+        s,
+        plans,
+        build_probe,
+    };
+    (result, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buildprobe::reference_join;
+    use fpart_cpu::CpuPartitioner;
     use fpart_datagen::WorkloadId;
     use fpart_types::Tuple8;
+
+    fn cpu_join(
+        f: PartitionFn,
+        r: &Relation<Tuple8>,
+        s: &Relation<Tuple8>,
+    ) -> (JoinResult, JoinReport) {
+        radix_join(&CpuPartitioner::new(f, 2), &EscalationChain::new(2), r, s).unwrap()
+    }
 
     #[test]
     fn planned_join_agrees_with_fixed_join() {
         let (r, s) = WorkloadId::A.spec().row_relations::<Tuple8>(0.0001, 19);
         let f = PartitionFn::Murmur { bits: 6 };
-        let planned = PlannedRadixJoin::new(f, EnginePlanner::new(2));
-        let (p_result, p_report) = planned.execute(&r, &s).unwrap();
-        let (c_result, _) = CpuRadixJoin::new(f, 2).execute(&r, &s);
+        let (p_result, p_report) = planned_join(&EnginePlanner::new(2), f, &r, &s).unwrap();
+        let (c_result, _) = cpu_join(f, &r, &s);
         assert_eq!(p_result, c_result);
-        assert_eq!(p_report.r_partition.tuples(), r.len() as u64);
-        assert_eq!(p_report.s_partition.tuples(), s.len() as u64);
+        assert_eq!(p_report.r.stats.tuples(), r.len() as u64);
+        assert_eq!(p_report.s.stats.tuples(), s.len() as u64);
     }
 
     #[test]
     fn joins_workload_a_correctly() {
         let (r, s) = WorkloadId::A.spec().row_relations::<Tuple8>(0.0001, 11);
-        let join = CpuRadixJoin::new(PartitionFn::Murmur { bits: 6 }, 2);
-        let (result, report) = join.execute(&r, &s);
+        let (result, report) = cpu_join(PartitionFn::Murmur { bits: 6 }, &r, &s);
         let (m, c) = reference_join(r.tuples(), s.tuples());
         assert_eq!(result.matches, m);
         assert_eq!(result.checksum, c);
         assert_eq!(result.matches, s.len() as u64, "FK join matches |S|");
-        assert!(report.total_time() > Duration::ZERO);
+        assert!(report.host_time() > Duration::ZERO);
         assert!(report.mtuples_per_sec() > 0.0);
     }
 
     #[test]
     fn radix_and_hash_partitioning_agree() {
         let (r, s) = WorkloadId::D.spec().row_relations::<Tuple8>(0.00005, 3);
-        let radix = CpuRadixJoin::new(PartitionFn::Radix { bits: 5 }, 2).execute(&r, &s);
-        let hash = CpuRadixJoin::new(PartitionFn::Murmur { bits: 5 }, 2).execute(&r, &s);
+        let radix = cpu_join(PartitionFn::Radix { bits: 5 }, &r, &s);
+        let hash = cpu_join(PartitionFn::Murmur { bits: 5 }, &r, &s);
         assert_eq!(radix.0, hash.0, "join result is partitioning-invariant");
     }
 
@@ -205,8 +243,7 @@ mod tests {
         let (r, s) = WorkloadId::A
             .spec()
             .skewed_row_relations::<Tuple8>(0.0001, 1.0, 17);
-        let join = CpuRadixJoin::new(PartitionFn::Murmur { bits: 6 }, 2);
-        let (result, _) = join.execute(&r, &s);
+        let (result, _) = cpu_join(PartitionFn::Murmur { bits: 6 }, &r, &s);
         let (m, c) = reference_join(r.tuples(), s.tuples());
         assert_eq!((result.matches, result.checksum), (m, c));
     }

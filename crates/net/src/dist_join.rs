@@ -11,24 +11,13 @@ use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig, SimF
 use fpart_hash::PartitionFn;
 use fpart_join::buildprobe::build_probe_all;
 use fpart_join::radix::JoinResult;
+use fpart_join::{
+    radix_join, EngineChoice, EnginePlanner, EscalationChain, HybridSplitEngine, PartitionEngine,
+};
 use fpart_types::{PartitionedRelation, Relation, Result, Tuple};
 
 use crate::exchange::{exchange, scatter_evenly};
 use crate::network::NetworkModel;
-
-/// Which engine partitions at each node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodePartitioner {
-    /// The host CPU (measured wall time, summed over nodes — they run in
-    /// parallel in a real cluster, so the report divides by node count).
-    Cpu,
-    /// A network-attached FPGA per node (simulated time; nodes are
-    /// parallel, so the phase time is the slowest node's).
-    Fpga,
-    /// Let the [`fpart_join::EnginePlanner`] price both back-ends per
-    /// node share and run the winner through the degradation chain.
-    Planned,
-}
 
 /// Timing report of a distributed join.
 #[derive(Debug, Clone)]
@@ -94,8 +83,12 @@ pub struct DistributedJoin {
     pub nodes: usize,
     /// Local fan-out bits per node (level-2 partitions = `2^local_bits`).
     pub local_bits: u32,
-    /// Per-node partitioning engine.
-    pub partitioner: NodePartitioner,
+    /// Per-node partitioning engine: the host CPU (measured time), a
+    /// network-attached FPGA (simulated time, HIST mode), or the CPU⊕FPGA
+    /// split over that FPGA. `None` lets an [`EnginePlanner`] price the
+    /// back-ends per node share. Every choice runs through the
+    /// degradation chain.
+    pub engine: Option<EngineChoice>,
     /// The fabric between nodes.
     pub network: NetworkModel,
     /// Threads for local joins (per node, on this host).
@@ -114,7 +107,7 @@ impl DistributedJoin {
         Self {
             nodes,
             local_bits,
-            partitioner: NodePartitioner::Fpga,
+            engine: Some(EngineChoice::Fpga),
             network: NetworkModel::fdr_infiniband(),
             threads: 1,
             fidelity: SimFidelity::default(),
@@ -154,34 +147,34 @@ impl DistributedJoin {
     }
 
     /// Level-1 partition one node's share; returns the fragments and the
-    /// phase seconds (simulated for FPGA, measured for CPU).
+    /// phase seconds (simulated for FPGA, measured for CPU, the slower
+    /// share for the split).
     fn partition_share<T: Tuple>(
         &self,
         share: &Relation<T>,
     ) -> Result<(PartitionedRelation<T>, f64)> {
-        match self.partitioner {
-            NodePartitioner::Cpu => {
-                let (parts, report) =
-                    CpuPartitioner::new(self.node_fn(), self.threads).partition(share);
-                Ok((parts, report.total_time().as_secs_f64()))
-            }
-            NodePartitioner::Fpga => {
+        let f = self.node_fn();
+        let (parts, report) = match self.engine {
+            None => EnginePlanner::new(self.threads)
+                .with_fidelity(self.fidelity)
+                .plan(share, f)
+                .run(share)?,
+            Some(choice) => {
                 let config = PartitionerConfig {
-                    partition_fn: self.node_fn(),
+                    partition_fn: f,
                     ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
                 }
                 .with_fidelity(self.fidelity);
-                let (parts, report) = FpgaPartitioner::new(config).partition(share)?;
-                Ok((parts, report.seconds()))
+                let fpga = FpgaPartitioner::new(config);
+                let engine: Box<dyn PartitionEngine<T>> = match choice {
+                    EngineChoice::Cpu => Box::new(CpuPartitioner::new(f, self.threads)),
+                    EngineChoice::Fpga => Box::new(fpga),
+                    EngineChoice::Hybrid => Box::new(HybridSplitEngine::new(fpga, self.threads)),
+                };
+                EscalationChain::new(self.threads).run(engine.as_ref(), share)?
             }
-            NodePartitioner::Planned => {
-                let plan = fpart_join::EnginePlanner::new(self.threads)
-                    .with_fidelity(self.fidelity)
-                    .plan(share, self.node_fn());
-                let (parts, report) = plan.run(share)?;
-                Ok((parts, report.stats.seconds()))
-            }
-        }
+        };
+        Ok((parts, report.stats.seconds()))
     }
 
     /// Execute R ⋈ S across the cluster.
@@ -193,26 +186,20 @@ impl DistributedJoin {
         // A single-node "cluster" is just the local join: no routing
         // level, no exchange.
         if self.nodes == 1 {
-            let p = CpuPartitioner::new(
+            let cpu = CpuPartitioner::new(
                 PartitionFn::Murmur {
                     bits: self.local_bits,
                 },
                 self.threads,
             );
-            let t0 = std::time::Instant::now();
-            let (rp, _) = p.partition(r);
-            let (sp, _) = p.partition(s);
-            let bp = build_probe_all(&rp, &sp, self.local_bits, self.threads);
+            let (result, report) = radix_join(&cpu, &EscalationChain::new(self.threads), r, s)?;
             return Ok((
-                JoinResult {
-                    matches: bp.matches,
-                    checksum: bp.checksum,
-                },
+                result,
                 DistJoinReport {
                     nodes: 1,
                     partition_seconds: 0.0,
                     exchange_seconds: 0.0,
-                    local_join_seconds: t0.elapsed().as_secs_f64(),
+                    local_join_seconds: report.host_time().as_secs_f64(),
                     network_bytes: 0,
                     node_loads: vec![(r.len(), s.len())],
                 },
@@ -322,9 +309,20 @@ mod tests {
         let (r, s) = workload(0.00005, 2);
         let mut join = DistributedJoin::new(4, 4);
         let (fpga_result, _) = join.execute(&r, &s).unwrap();
-        join.partitioner = NodePartitioner::Cpu;
+        join.engine = Some(EngineChoice::Cpu);
         let (cpu_result, _) = join.execute(&r, &s).unwrap();
         assert_eq!(fpga_result, cpu_result);
+    }
+
+    #[test]
+    fn hybrid_split_node_partitioner_agrees() {
+        let (r, s) = workload(0.00005, 2);
+        let mut join = DistributedJoin::new(4, 4);
+        let (fpga_result, _) = join.execute(&r, &s).unwrap();
+        join.engine = Some(EngineChoice::Hybrid);
+        let (split_result, report) = join.execute(&r, &s).unwrap();
+        assert_eq!(split_result, fpga_result);
+        assert!(report.partition_seconds > 0.0);
     }
 
     #[test]
@@ -332,7 +330,7 @@ mod tests {
         let (r, s) = workload(0.00005, 7);
         let mut join = DistributedJoin::new(4, 4);
         let (fpga_result, _) = join.execute(&r, &s).unwrap();
-        join.partitioner = NodePartitioner::Planned;
+        join.engine = None;
         let (planned_result, report) = join.execute(&r, &s).unwrap();
         assert_eq!(planned_result, fpga_result);
         assert!(report.partition_seconds > 0.0);

@@ -28,6 +28,6 @@ pub mod dist_join;
 pub mod exchange;
 pub mod network;
 
-pub use dist_join::{DistJoinReport, DistributedJoin, NodePartitioner};
+pub use dist_join::{DistJoinReport, DistributedJoin};
 pub use exchange::{exchange, ExchangePlan};
 pub use network::NetworkModel;

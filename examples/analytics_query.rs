@@ -62,35 +62,28 @@ fn main() {
         partition_fn: f,
         ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
     };
-    let fpga = fpart::fpga::FpgaPartitioner::new(config.clone());
-    let (dim_parts, dim_rep) = fpga.partition(&dim).expect("partition dim");
+    let fpga = FpgaPartitioner::new(config);
     // The fact table is Zipf-skewed: single-pass PAD mode may overflow a
     // partition, upon which the run aborts and restarts in HIST mode —
     // the recovery flow of Section 5.4.
-    let (fact_parts, fact_rep) = match fpga.partition(&fact) {
-        Ok(ok) => ok,
-        Err(FpartError::PartitionOverflow {
-            partition,
-            consumed,
-            ..
-        }) => {
-            println!(
-                "PAD overflow in partition {partition} after {consumed} fact rows → HIST retry"
-            );
-            let hist_cfg = PartitionerConfig {
-                output: OutputMode::Hist,
-                ..config
-            };
-            fpart::fpga::FpgaPartitioner::new(hist_cfg)
-                .partition(&fact)
-                .expect("HIST mode handles any skew")
-        }
-        Err(other) => panic!("partition fact: {other}"),
+    let chain = EscalationChain {
+        cpu_fallback: false,
+        ..EscalationChain::new(threads)
     };
+    let (dim_parts, dim_rep) = chain.run(&fpga, &dim).expect("partition dim");
+    let (fact_parts, fact_rep) = chain.run(&fpga, &fact).expect("HIST mode handles any skew");
+    if let Some(FpartError::PartitionOverflow {
+        partition,
+        consumed,
+        ..
+    }) = fact_rep.first_error()
+    {
+        println!("PAD overflow in partition {partition} after {consumed} fact rows → HIST retry");
+    }
     println!(
         "FPGA partitioning (simulated): dim {:.4} s + fact {:.4} s",
-        dim_rep.seconds(),
-        fact_rep.seconds()
+        dim_rep.stats.seconds(),
+        fact_rep.stats.seconds()
     );
 
     let t0 = std::time::Instant::now();

@@ -7,7 +7,7 @@
 //! ```
 
 use fpart::join::buildprobe::reference_join;
-use fpart::net::{DistributedJoin, NetworkModel, NodePartitioner};
+use fpart::net::{DistributedJoin, NetworkModel};
 use fpart::prelude::*;
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
 
     println!("\nCPU node partitioners instead of FPGAs (4 nodes):");
     let mut join = DistributedJoin::new(4, 6);
-    join.partitioner = NodePartitioner::Cpu;
+    join.engine = Some(EngineChoice::Cpu);
     let (result, report) = join.execute(&r, &s).expect("join");
     assert_eq!(result.matches, expect_matches);
     println!(

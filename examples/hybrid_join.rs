@@ -29,15 +29,22 @@ fn main() {
         s.len()
     );
 
+    // One join driver; only the partitioning engine differs. A PAD
+    // overflow falls back to the CPU partitioner (Section 4.5).
+    let chain = EscalationChain {
+        hist_retry: false,
+        ..EscalationChain::new(threads)
+    };
+
     // --- Pure CPU radix join.
-    let cpu_join = CpuRadixJoin::new(PartitionFn::Murmur { bits }, threads);
-    let (cpu_result, cpu_report) = cpu_join.execute(&r, &s);
+    let cpu = CpuPartitioner::new(PartitionFn::Murmur { bits }, threads);
+    let (cpu_result, cpu_report) = radix_join(&cpu, &chain, &r, &s).expect("cpu join");
     println!("\nCPU join ({threads} threads, measured):");
     println!(
         "  partition R+S: {:.4} s   build+probe: {:.4} s   total: {:.4} s",
-        cpu_report.partition_time().as_secs_f64(),
+        cpu_report.host_partition_time().as_secs_f64(),
         cpu_report.build_probe.wall.as_secs_f64(),
-        cpu_report.total_time().as_secs_f64()
+        cpu_report.host_time().as_secs_f64()
     );
 
     // --- Hybrid join: simulated FPGA partitioning + measured build+probe.
@@ -46,12 +53,12 @@ fn main() {
         partition_fn: PartitionFn::Murmur { bits },
         ..config
     };
-    let hybrid = HybridJoin::new(config, threads);
-    let (hybrid_result, hybrid_report) = hybrid.execute(&r, &s).expect("hybrid join");
+    let fpga = FpgaPartitioner::new(config);
+    let (hybrid_result, hybrid_report) = radix_join(&fpga, &chain, &r, &s).expect("hybrid join");
     println!("\nHybrid join (FPGA PAD/RID partitioning simulated @200MHz):");
     println!(
         "  partition R+S: {:.4} s (simulated)   build+probe: {:.4} s (measured)",
-        hybrid_report.fpga_partition_seconds(),
+        hybrid_report.simulated_partition_seconds(),
         hybrid_report.build_probe.wall.as_secs_f64()
     );
 

@@ -9,7 +9,6 @@
 //! cargo run --release --example skew_robustness [n_tuples]
 //! ```
 
-use fpart::join::hybrid::FallbackPolicy;
 use fpart::prelude::*;
 
 fn balance_stats(hist: &[usize]) -> (usize, usize, f64) {
@@ -102,12 +101,16 @@ fn main() {
         },
         ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
     };
-    let mut join = HybridJoin::new(config, 2);
-    join.fallback = FallbackPolicy::HistMode;
-    let (result, report) = join.execute(&r, &s).expect("join with fallback");
+    // Restart an aborted PAD run in HIST mode (Section 5.4).
+    let chain = EscalationChain {
+        cpu_fallback: false,
+        ..EscalationChain::new(2)
+    };
+    let (result, report) =
+        radix_join(&FpgaPartitioner::new(config), &chain, &r, &s).expect("join with fallback");
     println!(
         "  zipf 1.25, zero padding: fallback engaged = {}, matches = {}",
-        report.any_fallback(),
+        report.degraded(),
         result.matches
     );
 }

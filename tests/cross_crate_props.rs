@@ -5,8 +5,8 @@
 //! Exercised with a seeded deterministic generator.
 
 use fpart::prelude::{
-    CpuPartitioner, CpuRadixJoin, FpgaPartitioner, HybridJoin, InputMode, OutputMode, PartitionFn,
-    PartitionerConfig, Relation, Tuple8,
+    radix_join, CpuPartitioner, EscalationChain, FpgaPartitioner, InputMode, OutputMode,
+    PartitionFn, PartitionerConfig, Relation, Tuple8,
 };
 use fpart::types::relation::content_checksum;
 use fpart::types::SplitMix64;
@@ -83,14 +83,19 @@ fn join_backend_invariance() {
         let s = Relation::<Tuple8>::from_keys(&s_keys);
         let (expect_m, expect_c) = fpart::join::buildprobe::reference_join(r.tuples(), s.tuples());
 
-        let (cpu, _) = CpuRadixJoin::new(f, 2).execute(&r, &s);
+        let cpu_engine = CpuPartitioner::new(f, 2);
+        let (cpu, _) = radix_join(&cpu_engine, &EscalationChain::new(2), &r, &s).unwrap();
         assert_eq!((cpu.matches, cpu.checksum), (expect_m, expect_c));
 
         let config = PartitionerConfig {
             partition_fn: f,
             ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
         };
-        let (hybrid, _) = HybridJoin::new(config, 1).execute(&r, &s).unwrap();
+        let chain = EscalationChain {
+            hist_retry: false,
+            ..EscalationChain::new(1)
+        };
+        let (hybrid, _) = radix_join(&FpgaPartitioner::new(config), &chain, &r, &s).unwrap();
         assert_eq!((hybrid.matches, hybrid.checksum), (expect_m, expect_c));
     }
 }

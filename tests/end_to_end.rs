@@ -7,6 +7,31 @@ use fpart::prelude::*;
 
 const SCALE: f64 = 0.00004; // ≈5k ⋈ 5k at workload-A size; B stays 16:256 ratio
 
+/// R ⋈ S with `f` on the CPU partitioner.
+fn cpu_join<T: Tuple>(f: PartitionFn, r: &Relation<T>, s: &Relation<T>) -> JoinResult {
+    let cpu = CpuPartitioner::new(f, 2);
+    radix_join(&cpu, &EscalationChain::new(2), r, s).unwrap().0
+}
+
+/// R ⋈ S with `f` on the FPGA partitioner in `output` mode — the hybrid
+/// join, with the Section 4.5 CPU fallback.
+fn hybrid_join<T: Tuple>(
+    f: PartitionFn,
+    output: OutputMode,
+    r: &Relation<T>,
+    s: &Relation<T>,
+) -> (JoinResult, JoinReport) {
+    let config = PartitionerConfig {
+        partition_fn: f,
+        ..PartitionerConfig::paper_default(output, InputMode::Rid)
+    };
+    let chain = EscalationChain {
+        hist_retry: false,
+        ..EscalationChain::new(2)
+    };
+    radix_join(&FpgaPartitioner::new(config), &chain, r, s).unwrap()
+}
+
 fn check_workload(id: WorkloadId) {
     let (r, s) = id.spec().row_relations::<Tuple8>(SCALE, 77);
     let (expect_m, expect_c) = reference_join(r.tuples(), s.tuples());
@@ -15,7 +40,7 @@ fn check_workload(id: WorkloadId) {
     let f = PartitionFn::Murmur { bits: 6 };
 
     // CPU radix join.
-    let (cpu, _) = CpuRadixJoin::new(f, 2).execute(&r, &s);
+    let cpu = cpu_join(f, &r, &s);
     assert_eq!(
         (cpu.matches, cpu.checksum),
         (expect_m, expect_c),
@@ -24,17 +49,13 @@ fn check_workload(id: WorkloadId) {
 
     // Hybrid join, PAD and HIST.
     for output in [OutputMode::pad_default(), OutputMode::Hist] {
-        let config = PartitionerConfig {
-            partition_fn: f,
-            ..PartitionerConfig::paper_default(output, InputMode::Rid)
-        };
-        let (hybrid, report) = HybridJoin::new(config, 2).execute(&r, &s).unwrap();
+        let (hybrid, report) = hybrid_join(f, output, &r, &s);
         assert_eq!(
             (hybrid.matches, hybrid.checksum),
             (expect_m, expect_c),
             "{id:?} hybrid {output:?}"
         );
-        assert!(report.fpga_partition_seconds() > 0.0);
+        assert!(report.simulated_partition_seconds() > 0.0);
     }
 
     // Non-partitioned baseline.
@@ -76,7 +97,7 @@ fn workload_e() {
 fn radix_partitioned_join() {
     let (r, s) = WorkloadId::E.spec().row_relations::<Tuple8>(SCALE, 3);
     let (expect_m, expect_c) = reference_join(r.tuples(), s.tuples());
-    let (result, _) = CpuRadixJoin::new(PartitionFn::Radix { bits: 6 }, 2).execute(&r, &s);
+    let result = cpu_join(PartitionFn::Radix { bits: 6 }, &r, &s);
     assert_eq!((result.matches, result.checksum), (expect_m, expect_c));
 }
 
@@ -89,11 +110,8 @@ fn zipf_sweep_hist_mode() {
             .spec()
             .skewed_row_relations::<Tuple8>(SCALE, zipf, 13);
         let (expect_m, expect_c) = reference_join(r.tuples(), s.tuples());
-        let config = PartitionerConfig {
-            partition_fn: PartitionFn::Murmur { bits: 6 },
-            ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
-        };
-        let (result, _) = HybridJoin::new(config, 2).execute(&r, &s).unwrap();
+        let f = PartitionFn::Murmur { bits: 6 };
+        let (result, _) = hybrid_join(f, OutputMode::Hist, &r, &s);
         assert_eq!(
             (result.matches, result.checksum),
             (expect_m, expect_c),
@@ -112,13 +130,9 @@ fn wide_tuple_join() {
     let (expect_m, expect_c) = reference_join(r.tuples(), s.tuples());
 
     let f = PartitionFn::Murmur { bits: 5 };
-    let (cpu, _) = CpuRadixJoin::new(f, 2).execute(&r, &s);
+    let cpu = cpu_join(f, &r, &s);
     assert_eq!((cpu.matches, cpu.checksum), (expect_m, expect_c));
 
-    let config = PartitionerConfig {
-        partition_fn: f,
-        ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
-    };
-    let (hybrid, _) = HybridJoin::new(config, 2).execute(&r, &s).unwrap();
+    let (hybrid, _) = hybrid_join(f, OutputMode::Hist, &r, &s);
     assert_eq!((hybrid.matches, hybrid.checksum), (expect_m, expect_c));
 }

@@ -63,12 +63,17 @@ fn planned_hybrid_join_across_skew() {
             output: plan.output,
             ..PartitionerConfig::paper_default(plan.output, InputMode::Rid)
         };
-        let mut join = HybridJoin::new(config, 2);
-        join.fallback = fpart::join::hybrid::FallbackPolicy::Fail; // planner must be right
-        let (result, report) = join.execute(&r, &s).expect("planned join must not abort");
+        // No fallback: the planner must be right.
+        let fail = EscalationChain {
+            hist_retry: false,
+            cpu_fallback: false,
+            cpu_threads: 2,
+        };
+        let (result, report) = radix_join(&FpgaPartitioner::new(config), &fail, &r, &s)
+            .expect("planned join must not abort");
         let (m, c) = reference_join(r.tuples(), s.tuples());
         assert_eq!((result.matches, result.checksum), (m, c), "zipf {zipf}");
-        assert!(!report.any_fallback());
+        assert!(!report.degraded());
     }
 }
 
@@ -88,7 +93,8 @@ fn distributed_equals_local_under_skew() {
     let s_total: usize = dreport.node_loads.iter().map(|&(_, b)| b).sum();
     assert_eq!((r_total, s_total), (r.len(), s.len()));
 
-    let (lresult, _) = CpuRadixJoin::new(PartitionFn::Murmur { bits: 8 }, 2).execute(&r, &s);
+    let cpu = CpuPartitioner::new(PartitionFn::Murmur { bits: 8 }, 2);
+    let (lresult, _) = radix_join(&cpu, &EscalationChain::new(2), &r, &s).unwrap();
     assert_eq!(dresult, lresult);
 }
 

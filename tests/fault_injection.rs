@@ -10,7 +10,6 @@ use fpart::fpga::{
 };
 use fpart::hwsim::{Fault, FaultPlan, FaultSpec};
 use fpart::join::fallback::{AttemptPath, AttemptRecord, DegradationReport, EscalationChain};
-use fpart::join::hybrid::FallbackPolicy;
 use fpart::prelude::*;
 use fpart::types::SplitMix64;
 use fpart_datagen::dist::{foreign_keys, zipf_foreign_keys, KeyDistribution};
@@ -77,7 +76,7 @@ fn zipf_chain_histogram_equals_cpu() {
     }
 }
 
-/// `FallbackPolicy::Fail` propagates the overflow unchanged — same
+/// A chain with both fallbacks off propagates the overflow unchanged — same
 /// variant, same fields — with no hidden retry.
 #[test]
 fn fail_policy_propagates_overflow_unchanged() {
@@ -89,13 +88,17 @@ fn fail_policy_propagates_overflow_unchanged() {
     let direct_err = fpga.partition(&rel).unwrap_err();
     assert!(matches!(direct_err, FpartError::PartitionOverflow { .. }));
 
-    let chain = EscalationChain::from_policy(FallbackPolicy::Fail, 2);
+    let chain = EscalationChain {
+        hist_retry: false,
+        cpu_fallback: false,
+        cpu_threads: 2,
+    };
     let chained_err = chain.run(&fpga, &rel).unwrap_err();
     assert_eq!(chained_err, direct_err, "Fail must not transform the error");
 }
 
 /// The acceptance scenario: force a PAD overflow at 50% of consumed
-/// tuples, run the engine through `EscalationChain::run_engine`, and
+/// tuples, run the engine through `EscalationChain::run`, and
 /// check path, histogram and report reproducibility.
 #[test]
 fn injected_midpoint_overflow_degrades_and_reproduces() {
@@ -112,7 +115,7 @@ fn injected_midpoint_overflow_degrades_and_reproduces() {
     });
     let run = || {
         let p = FpgaPartitioner::new(pad_cfg(5, 64)).with_faults(plan.clone());
-        EscalationChain::new(2).run_engine(&p, &rel).unwrap()
+        EscalationChain::new(2).run(&p, &rel).unwrap()
     };
 
     let (parts, report) = run();
