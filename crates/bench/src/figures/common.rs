@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use fpart::join::circuit_modes;
 use fpart::prelude::*;
 use fpart_costmodel::ModePair;
 use fpart_fpga::{FpgaPartitioner, RunReport, SimFidelity};
@@ -81,7 +82,7 @@ pub fn relation(n: usize, dist: KeyDistribution, seed: u64) -> Relation<Tuple8> 
 /// `fpart-fpga`) and the cycle count is analytic, which is what makes
 /// the full suite fast enough to run on every change.
 pub fn simulate_mode(mode: ModePair, n: usize, bits: u32, raw: bool, seed: u64) -> RunReport {
-    let (output, input) = split_mode(mode);
+    let (output, input) = circuit_modes(mode);
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         ..PartitionerConfig::paper_default(output, input)
@@ -138,16 +139,6 @@ pub fn sim_points(
             report
         })
         .collect()
-}
-
-/// Mode pair → circuit configuration.
-pub fn split_mode(mode: ModePair) -> (OutputMode, InputMode) {
-    match mode {
-        ModePair::HistRid => (OutputMode::Hist, InputMode::Rid),
-        ModePair::HistVrid => (OutputMode::Hist, InputMode::Vrid),
-        ModePair::PadRid => (OutputMode::pad_default(), InputMode::Rid),
-        ModePair::PadVrid => (OutputMode::pad_default(), InputMode::Vrid),
-    }
 }
 
 /// Standard preamble line describing the run scale.

@@ -4,10 +4,12 @@
 //! the `figures` binary drains the collector at the end of the run and
 //! writes them as a JSON array (`--json BENCH_figures.json`). The
 //! collector is a process-global mutex so figure code stays oblivious to
-//! the harness's threading, and the JSON is hand-rolled because the
-//! workspace deliberately carries no serde dependency.
+//! the harness's threading. Each record is written and read through
+//! `fpart::obs::json`, the workspace's one JSON codec.
 
 use std::sync::Mutex;
+
+use fpart::obs::json;
 
 /// One benchmark data point: a named point within a figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,158 +83,47 @@ pub fn drain() -> Vec<PointRecord> {
     std::mem::take(&mut *RECORDS.lock().unwrap())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Enough digits to round-trip the comparisons we make; trailing
-        // zeros are harmless.
-        format!("{v:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 /// Render records as a JSON array, one object per line.
 pub fn to_json(records: &[PointRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"figure\": \"{}\", \"point\": \"{}\", \"mtuples_per_s\": {}, \"cycles\": {}, \"wall_s\": {}, \"read_stall_cycles\": {}, \"write_stall_cycles\": {}}}{}\n",
-            json_escape(&r.figure),
-            json_escape(&r.point),
-            json_f64(r.mtuples_per_s),
-            r.cycles,
-            json_f64(r.wall_s),
-            r.read_stall_cycles,
-            r.write_stall_cycles,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
+        let obj = json::object()
+            .field("figure", r.figure.as_str())
+            .field("point", r.point.as_str())
+            .field("mtuples_per_s", &r.mtuples_per_s)
+            .field("cycles", &r.cycles)
+            .field("wall_s", &r.wall_s)
+            .field("read_stall_cycles", &r.read_stall_cycles)
+            .field("write_stall_cycles", &r.write_stall_cycles);
+        let sep = if i + 1 == records.len() { "" } else { "," };
+        out.push_str(&format!("  {}{sep}\n", obj.finish()));
     }
     out.push_str("]\n");
     out
 }
 
 /// Parse a JSON array previously produced by [`to_json`] (or an
-/// equivalently-shaped file). This is a tolerant, purpose-built reader —
-/// it extracts the known keys per object and ignores anything else, so
-/// baseline files written before the stall-cycle keys existed still
-/// parse (the missing numbers default to 0).
+/// equivalently-shaped file). Unknown keys are ignored and missing
+/// numbers default to 0, so baselines written before the stall-cycle
+/// keys existed still parse; objects without `figure` and `point` are
+/// skipped.
 pub fn from_json(text: &str) -> Vec<PointRecord> {
-    let mut records = Vec::new();
-    for obj in split_objects(text) {
-        let figure = string_field(&obj, "figure");
-        let point = string_field(&obj, "point");
-        let (Some(figure), Some(point)) = (figure, point) else {
-            continue;
-        };
-        records.push(PointRecord {
-            figure,
-            point,
-            mtuples_per_s: number_field(&obj, "mtuples_per_s").unwrap_or(0.0),
-            cycles: number_field(&obj, "cycles").unwrap_or(0.0) as u64,
-            wall_s: number_field(&obj, "wall_s").unwrap_or(0.0),
-            read_stall_cycles: number_field(&obj, "read_stall_cycles").unwrap_or(0.0) as u64,
-            write_stall_cycles: number_field(&obj, "write_stall_cycles").unwrap_or(0.0) as u64,
-        });
-    }
-    records
-}
-
-/// Split the top-level array into per-object substrings, respecting
-/// strings and nesting.
-fn split_objects(text: &str) -> Vec<String> {
-    let mut objs = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, c) in text.char_indices() {
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        objs.push(text[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    objs
-}
-
-fn field_value(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\"");
-    let at = obj.find(&pat)?;
-    let rest = &obj[at + pat.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    Some(rest.to_string())
-}
-
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let rest = field_value(obj, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut escape = false;
-    for c in rest.chars() {
-        if escape {
-            match c {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                c => out.push(c),
-            }
-            escape = false;
-        } else if c == '\\' {
-            escape = true;
-        } else if c == '"' {
-            return Some(out);
-        } else {
-            out.push(c);
-        }
-    }
-    None
-}
-
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    let rest = field_value(obj, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    json::elements(text)
+        .unwrap_or_default()
+        .into_iter()
+        .filter_map(json::Reader::parse)
+        .filter_map(|obj| {
+            Some(PointRecord {
+                figure: obj.string("figure")?,
+                point: obj.string("point")?,
+                mtuples_per_s: obj.number("mtuples_per_s").unwrap_or(0.0),
+                cycles: obj.number("cycles").unwrap_or(0),
+                wall_s: obj.number("wall_s").unwrap_or(0.0),
+                read_stall_cycles: obj.number("read_stall_cycles").unwrap_or(0),
+                write_stall_cycles: obj.number("write_stall_cycles").unwrap_or(0),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -284,6 +175,22 @@ mod tests {
         assert_eq!(parsed[0].figure, "fig8");
         assert!((parsed[0].mtuples_per_s - 150.0).abs() < 1e-9);
         assert_eq!(parsed[0].cycles, 42);
+    }
+
+    #[test]
+    fn non_finite_wall_time_is_written_as_null() {
+        let record = PointRecord {
+            figure: "fig9".into(),
+            point: "broken".into(),
+            mtuples_per_s: 1.0,
+            cycles: 0,
+            wall_s: f64::INFINITY,
+            read_stall_cycles: 0,
+            write_stall_cycles: 0,
+        };
+        let json = to_json(&[record]);
+        assert!(json.contains("\"wall_s\": null,"), "{json}");
+        assert!(from_json(&json)[0].wall_s.is_nan());
     }
 
     #[test]

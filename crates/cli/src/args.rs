@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing (no CLI dependency; the surface is
 //! small and the parser is fully unit-tested).
 
+use fpart::fpga::MAX_BRAM_BITS;
 use fpart::prelude::*;
 use fpart_costmodel::ModePair;
 
@@ -27,7 +28,7 @@ common flags:
   --dist <d>            linear|random|grid|revgrid (default random)
   --seed <s>            data seed (default 42)
   --threads <t>         worker threads (default: all cores)
-  --bits <b>            partition bits (default 13 = 8192 partitions)
+  --bits <b>            partition bits, 1..=20 (default 13 = 8192 partitions)
 
 gen flags:
   --out <file>          destination (.csv suffix → CSV, else FPRT binary)
@@ -42,7 +43,7 @@ join flags:
   --workload <w>        A|B|C|D|E (default A)
   --scale <f>           fraction of paper size (default 0.01)
   --backend <b>         cpu|hybrid (default cpu)
-  --zipf <z>            skew the probe side
+  --zipf <z>            skew the probe side (exponent >= 0)
 
 dist flags:
   --nodes <n>           cluster size, power of two (default 4)
@@ -54,15 +55,15 @@ select flags:
 
 groupby flags:
   --groups <g>          distinct keys to generate (default 1000)
-  --zipf <z>            key skew (default 0.5)
-  --cache-bits <b>      aggregating-cache size (default: sized to groups)
+  --zipf <z>            key skew, >= 0 (default 0.5)
+  --cache-bits <b>      aggregating-cache size in bits, 1..=20 (default: sized to groups)
 
 sort flags:
   --algo <a>            lsd|sample (default lsd)
 
 model flags:
   --mode <m>            as above (default pad/rid)
-  --gbps <g>            override link bandwidth (flat curve)
+  --gbps <g>            override link bandwidth, > 0 (flat curve)
 
 plan flags:
   --fn <f>              radix|murmur (default murmur)
@@ -307,13 +308,30 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// The `--scale` flag: a finite fraction of the paper's size above 0.
-    fn scale(&self, default: f64) -> Result<f64, String> {
-        let v: f64 = self.num("scale", default)?;
-        if v.is_finite() && v > 0.0 {
-            Ok(v)
+    /// An optional finite real flag: above 0 when `positive`, else at
+    /// least 0.
+    fn real(&self, name: &str, positive: bool) -> Result<Option<f64>, String> {
+        if self.get(name).is_none() {
+            return Ok(None);
+        }
+        let v: f64 = self.num(name, 0.0)?;
+        if v.is_finite() && (v > 0.0 || (v == 0.0 && !positive)) {
+            Ok(Some(v))
         } else {
-            Err(format!("--scale must be a positive number, got {v}"))
+            let want = if positive { "positive" } else { "non-negative" };
+            Err(format!("--{name} must be a {want} number, got {v}"))
+        }
+    }
+
+    /// An optional log2 table size: 1 up to the FPGA's BRAM bound
+    /// ([`MAX_BRAM_BITS`]).
+    fn bits(&self, name: &str) -> Result<Option<u32>, String> {
+        if self.get(name).is_none() {
+            return Ok(None);
+        }
+        match self.num(name, 0)? {
+            b if (1..=MAX_BRAM_BITS).contains(&b) => Ok(Some(b)),
+            b => Err(format!("--{name} must be in 1..={MAX_BRAM_BITS}, got {b}")),
         }
     }
 
@@ -407,7 +425,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
                 threads: flags.count("threads", default_threads())?,
-                bits: flags.num("bits", 13)?,
+                bits: flags.bits("bits")?.unwrap_or(13),
                 backend: parse_backend(flags.get("backend"))?,
                 hash: match flags.get("fn").unwrap_or("murmur") {
                     "murmur" | "hash" => true,
@@ -431,15 +449,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             };
             Ok(Command::Join {
                 workload,
-                scale: flags.scale(0.01)?,
+                scale: flags.real("scale", true)?.unwrap_or(0.01),
                 backend: parse_backend(flags.get("backend"))?,
                 threads: flags.count("threads", default_threads())?,
-                bits: flags.num("bits", 13)?,
-                zipf: flags
-                    .get("zipf")
-                    .map(|v| v.parse())
-                    .transpose()
-                    .map_err(|_| "--zipf: bad value".to_string())?,
+                bits: flags.bits("bits")?.unwrap_or(13),
+                zipf: flags.real("zipf", false)?,
                 seed: flags.num("seed", 42)?,
             })
         }
@@ -451,8 +465,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Dist {
                 nodes,
-                scale: flags.scale(0.005)?,
-                bits: flags.num("bits", 8)?,
+                scale: flags.real("scale", true)?.unwrap_or(0.005),
+                bits: flags.bits("bits")?.unwrap_or(8),
                 threads: flags.count("threads", default_threads())?,
                 seed: flags.num("seed", 42)?,
                 infiniband: match flags.get("net").unwrap_or("ib") {
@@ -477,14 +491,10 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "groupby" => {
             flags.unknown_check(&["n", "groups", "zipf", "cache-bits", "seed"])?;
             Ok(Command::GroupBy {
-                n: flags.num("n", 1_000_000)?,
+                n: flags.count("n", 1_000_000)?,
                 groups: flags.count("groups", 1000)?,
-                zipf: flags.num("zipf", 0.5)?,
-                cache_bits: flags
-                    .get("cache-bits")
-                    .map(|v| v.parse())
-                    .transpose()
-                    .map_err(|_| "--cache-bits: bad value".to_string())?,
+                zipf: flags.real("zipf", false)?.unwrap_or(0.5),
+                cache_bits: flags.bits("cache-bits")?,
                 seed: flags.num("seed", 42)?,
             })
         }
@@ -507,11 +517,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Model {
                 n: flags.num("n", 128_000_000)?,
                 mode: parse_mode(flags.get("mode"))?,
-                gbps: flags
-                    .get("gbps")
-                    .map(|v| v.parse())
-                    .transpose()
-                    .map_err(|_| "--gbps: bad value".to_string())?,
+                gbps: flags.real("gbps", true)?,
             })
         }
         "plan" => {
@@ -520,7 +526,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 n: flags.num("n", 1_000_000)?,
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
-                bits: flags.num("bits", 13)?,
+                bits: flags.bits("bits")?.unwrap_or(13),
                 threads: flags.count("threads", default_threads())?,
                 hash: match flags.get("fn").unwrap_or("murmur") {
                     "murmur" | "hash" => true,
@@ -557,7 +563,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
                 threads: flags.count("threads", default_threads())?,
-                bits: flags.num("bits", 6)?,
+                bits: flags.bits("bits")?.unwrap_or(6),
                 pad: flags.num("pad", 64)?,
                 sweep: flags.count("sweep", 8)?,
                 fault_seed: flags.num("fault-seed", 7)?,
@@ -573,7 +579,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 n: flags.num("n", 65_536)?,
                 dist: parse_dist(flags.get("dist"))?,
                 seed: flags.num("seed", 42)?,
-                bits: flags.num("bits", 6)?,
+                bits: flags.bits("bits")?.unwrap_or(6),
                 hash: match flags.get("fn").unwrap_or("murmur") {
                     "murmur" | "hash" => true,
                     "radix" => false,
@@ -691,6 +697,26 @@ mod tests {
             "sort --threads 0",
             "plan --threads 0",
             "faults --threads 0",
+            // Inputs that panicked, tripped a library assert or aborted
+            // on a huge allocation.
+            "groupby --n 0",
+            "groupby --cache-bits 40",
+            "groupby --cache-bits 0",
+            "join --zipf -1",
+            "join --zipf nan",
+            "join --zipf inf",
+            "groupby --zipf -1",
+            "groupby --zipf nan",
+            "partition --bits 31",
+            "partition --bits 0",
+            "join --bits 31",
+            "dist --bits 30",
+            "plan --bits 21",
+            "trace --bits 21",
+            "faults --bits 21",
+            "model --gbps 0",
+            "model --gbps -1",
+            "model --gbps nan",
         ] {
             assert!(parse(&argv(bad)).is_err(), "{bad}");
         }

@@ -3,6 +3,7 @@
 use std::time::Instant;
 
 use fpart::cpu::sort::{is_sorted_by_key, lsd_radix_sort, sample_sort};
+use fpart::join::circuit_modes;
 use fpart::prelude::*;
 use fpart_costmodel::{FpgaCostModel, ModePair};
 
@@ -112,7 +113,7 @@ fn trace(
     use fpart::obs::Ctr;
 
     let f = partition_fn(hash, bits);
-    let (output, input) = mode_pair(mode);
+    let (output, input) = circuit_modes(mode);
     let config = PartitionerConfig {
         partition_fn: f,
         ..PartitionerConfig::paper_default(output, input)
@@ -186,16 +187,6 @@ fn trace(
         }
     }
     Ok(())
-}
-
-/// Map a cost-model mode pair onto the partitioner's two binary knobs.
-fn mode_pair(mode: ModePair) -> (OutputMode, InputMode) {
-    match mode {
-        ModePair::HistRid => (OutputMode::Hist, InputMode::Rid),
-        ModePair::HistVrid => (OutputMode::Hist, InputMode::Vrid),
-        ModePair::PadRid => (OutputMode::pad_default(), InputMode::Rid),
-        ModePair::PadVrid => (OutputMode::pad_default(), InputMode::Vrid),
-    }
 }
 
 /// Explain what the [`EnginePlanner`] would decide for a generated
@@ -483,7 +474,7 @@ fn partition(
         // `--backend hybrid` parses to `Fpga`; the split engine has no
         // front-end of its own here.
         EngineChoice::Fpga | EngineChoice::Hybrid => {
-            let (output, input) = mode_pair(mode);
+            let (output, input) = circuit_modes(mode);
             let config = PartitionerConfig {
                 partition_fn: f,
                 ..PartitionerConfig::paper_default(output, input)

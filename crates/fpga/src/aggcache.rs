@@ -17,6 +17,8 @@ use fpart_types::{Key, Relation, Result, Tuple};
 
 use fpart_hash::{murmur3_finalizer_64, PartitionFn};
 
+use crate::config::MAX_BRAM_BITS;
+
 /// One partial aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggEntry<K: Key> {
@@ -52,8 +54,8 @@ impl<K: Key> AggregatingCache<K> {
     /// A cache of `2^bits` entries.
     pub fn new(bits: u32) -> Self {
         assert!(
-            (1..=20).contains(&bits),
-            "cache bits in 1..=20 (BRAM budget)"
+            (1..=MAX_BRAM_BITS).contains(&bits),
+            "cache bits in 1..={MAX_BRAM_BITS} (BRAM budget)"
         );
         Self {
             slots: vec![None; 1 << bits],

@@ -4,6 +4,11 @@
 use fpart_hash::PartitionFn;
 use fpart_types::{FpartError, Result};
 
+/// Largest log2 size of an on-chip table the BRAM budget holds: 2^20
+/// partitions for the partitioner's fill counters, or 2^20 slots for the
+/// aggregating cache.
+pub const MAX_BRAM_BITS: u32 = 20;
+
 pub use fpart_obs::ObsLevel;
 
 /// How the output is formatted (first binary parameter of Section 4.5).
@@ -215,9 +220,9 @@ impl PartitionerConfig {
     /// Validate synthesis constraints.
     pub fn validate(&self) -> Result<()> {
         let bits = self.partition_fn.bits();
-        if bits == 0 || bits > 20 {
+        if !(1..=MAX_BRAM_BITS).contains(&bits) {
             return Err(FpartError::InvalidConfig(format!(
-                "partition bits must be in 1..=20 (BRAM budget), got {bits}"
+                "partition bits must be in 1..={MAX_BRAM_BITS} (BRAM budget), got {bits}"
             )));
         }
         if self.fifo_capacity < 4 {

@@ -45,7 +45,9 @@ pub mod writecomb;
 
 pub use aggcache::{fpga_group_by, fpga_group_by_harp, AggEntry, AggregatingCache};
 pub use codec::RleColumn;
-pub use config::{InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity};
+pub use config::{
+    InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity, MAX_BRAM_BITS,
+};
 pub use partitioner::{FpgaPartitioner, RunReport};
 pub use resources::ResourceUsage;
 pub use selector::{FpgaSelector, Predicate, SelectReport};

@@ -200,6 +200,17 @@ pub fn cost_mode_pair(output: OutputMode, input: InputMode) -> ModePair {
     }
 }
 
+/// The partitioner's (output, input) modes for a [`ModePair`], with PAD
+/// at its default padding: the inverse of [`cost_mode_pair`].
+pub fn circuit_modes(pair: ModePair) -> (OutputMode, InputMode) {
+    match pair {
+        ModePair::HistRid => (OutputMode::Hist, InputMode::Rid),
+        ModePair::HistVrid => (OutputMode::Hist, InputMode::Vrid),
+        ModePair::PadRid => (OutputMode::pad_default(), InputMode::Rid),
+        ModePair::PadVrid => (OutputMode::pad_default(), InputMode::Vrid),
+    }
+}
+
 impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
     fn partition_fn(&self) -> PartitionFn {
         self.partition_fn

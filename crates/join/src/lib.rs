@@ -48,7 +48,8 @@ pub mod radix;
 
 pub use buildprobe::{build_probe_all, BuildProbeReport};
 pub use engine::{
-    EngineChoice, HybridSplitEngine, HybridSplitStats, PartitionEngine, PartitionStats,
+    circuit_modes, EngineChoice, HybridSplitEngine, HybridSplitStats, PartitionEngine,
+    PartitionStats,
 };
 pub use fallback::{AttemptPath, AttemptRecord, DegradationReport, EscalationChain};
 pub use planner::{EnginePlanner, ModePlan, ModePlanner, Plan, PlanExplanation};

@@ -26,6 +26,7 @@ use fpart_fpga::{
     FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
 };
 use fpart_hash::PartitionFn;
+use fpart_obs::json;
 use fpart_types::{PartitionedRelation, Relation, Result, Tuple};
 
 use crate::engine::{cost_mode_pair, EngineChoice, HybridSplitEngine, PartitionEngine};
@@ -323,48 +324,26 @@ pub struct PlanExplanation {
     pub cpu_fallback: bool,
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn json_opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(v) => json_f64(v),
-        None => "null".to_string(),
-    }
-}
-
 impl PlanExplanation {
     /// Serialize as a single JSON object with a byte-stable key order
     /// (golden-tested by the CLI).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"tuples\": {}, \"tuple_width\": {}, \"partitions\": {}, ",
-                "\"engine\": \"{}\", \"output\": \"{}\", \"fidelity\": \"{}\", ",
-                "\"cpu_seconds\": {}, \"fpga_seconds\": {}, \"hybrid_seconds\": {}, ",
-                "\"fpga_fraction\": {}, \"estimated_max_fill\": {}, \"pad_capacity\": {}, ",
-                "\"hist_retry\": {}, \"cpu_fallback\": {}}}"
-            ),
-            self.tuples,
-            self.tuple_width,
-            self.partitions,
-            self.engine.label(),
-            self.output.label(),
-            self.fidelity.label(),
-            json_f64(self.cpu_seconds),
-            json_f64(self.fpga_seconds),
-            json_opt_f64(self.hybrid_seconds),
-            json_opt_f64(self.fpga_fraction),
-            self.estimated_max_fill,
-            self.pad_capacity,
-            self.hist_retry,
-            self.cpu_fallback,
-        )
+        json::object()
+            .field("tuples", &self.tuples)
+            .field("tuple_width", &self.tuple_width)
+            .field("partitions", &self.partitions)
+            .field("engine", self.engine.label())
+            .field("output", self.output.label())
+            .field("fidelity", self.fidelity.label())
+            .field("cpu_seconds", &self.cpu_seconds)
+            .field("fpga_seconds", &self.fpga_seconds)
+            .field("hybrid_seconds", &self.hybrid_seconds)
+            .field("fpga_fraction", &self.fpga_fraction)
+            .field("estimated_max_fill", &self.estimated_max_fill)
+            .field("pad_capacity", &self.pad_capacity)
+            .field("hist_retry", &self.hist_retry)
+            .field("cpu_fallback", &self.cpu_fallback)
+            .finish()
     }
 
     /// Multi-line human-readable rendering (the CLI's default output).
@@ -565,6 +544,16 @@ mod tests {
         }
         let frac = a.fpga_fraction.unwrap();
         assert!((0.0..=1.0).contains(&frac), "{a:?}");
+    }
+
+    #[test]
+    fn non_finite_estimate_is_written_as_null() {
+        let keys: Vec<u32> = KeyDistribution::Random.generate_keys(1000, 3);
+        let rel = Relation::<Tuple8>::from_keys(&keys);
+        let mut e = EnginePlanner::new(1).plan(&rel, f()).explanation;
+        e.cpu_seconds = f64::NAN;
+        let json = e.to_json();
+        assert!(json.contains("\"cpu_seconds\": null,"), "{json}");
     }
 
     #[test]

@@ -14,8 +14,12 @@
 //!   stage events, only active at [`ObsLevel::Trace`].
 //! * [`Recorder`] — the handle the simulators carry; every increment is
 //!   gated on [`ObsLevel`] so `ObsLevel::Off` costs one predictable branch.
-//! * [`ObsSnapshot`] — the immutable end-of-run result, with a hand-rolled
-//!   JSON encoding (no serde in this workspace) and a tolerant parser.
+//! * [`ObsSnapshot`] — the immutable end-of-run result, with a
+//!   byte-stable JSON form.
+//! * [`json`] — the workspace's one JSON codec (no serde here): one
+//!   object writer with one number rule (floats `{:.9}`, NaN and ∞ as
+//!   `null`) and one tolerant flat reader. The snapshot, the planner's
+//!   explanation and the figure records all go through it.
 //! * [`asserts`] — counter-conservation laws (`lines_in == lines_out`,
 //!   stall cycles sum to `total − busy`, per-partition counts sum to N)
 //!   as reusable test predicates.
@@ -25,6 +29,7 @@
 pub mod asserts;
 mod counters;
 mod hist;
+pub mod json;
 mod snapshot;
 mod trace;
 

@@ -1,14 +1,14 @@
-//! The immutable end-of-run observability snapshot, with a hand-rolled
-//! JSON encoding (this workspace carries no serde) and a tolerant parser
-//! in the same idiom as `fpart-bench`'s record codec: unknown keys are
-//! ignored, missing numbers default to zero.
+//! The immutable end-of-run observability snapshot and its JSON form,
+//! written and read through [`crate::json`]: unknown keys are ignored,
+//! missing numbers default to zero.
 
 use crate::counters::{CounterSet, Ctr};
+use crate::json;
 use crate::trace::TraceEvent;
 use crate::ObsLevel;
 
 /// Everything one pipeline run recorded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObsSnapshot {
     /// Level the run was recorded at.
     pub level: ObsLevel,
@@ -20,18 +20,6 @@ pub struct ObsSnapshot {
     pub events: Vec<TraceEvent>,
     /// Trace events evicted from the ring to make room.
     pub dropped_events: u64,
-}
-
-impl Default for ObsSnapshot {
-    fn default() -> Self {
-        ObsSnapshot {
-            level: ObsLevel::Off,
-            counters: CounterSet::default(),
-            occupancy: Vec::new(),
-            events: Vec::new(),
-            dropped_events: 0,
-        }
-    }
 }
 
 impl ObsSnapshot {
@@ -58,213 +46,63 @@ impl ObsSnapshot {
     /// present, in [`Ctr::ALL`] order, so the schema (and golden files)
     /// stay byte-stable.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\"level\":\"");
-        s.push_str(self.level.label());
-        s.push_str("\",\"counters\":{");
-        for (i, (ctr, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(ctr.name());
-            s.push_str("\":");
-            s.push_str(&v.to_string());
-        }
-        s.push_str("},\"occupancy\":[");
-        for (i, v) in self.occupancy.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&v.to_string());
-        }
-        s.push_str("],\"dropped_events\":");
-        s.push_str(&self.dropped_events.to_string());
-        s.push_str(",\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"cycle\":");
-            s.push_str(&e.cycle.to_string());
-            s.push_str(",\"stage\":\"");
-            s.push_str(&escape(&e.stage));
-            s.push_str("\",\"event\":\"");
-            s.push_str(&escape(&e.event));
-            s.push_str("\",\"value\":");
-            s.push_str(&e.value.to_string());
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        let counters = self
+            .counters
+            .iter()
+            .fold(json::object(), |obj, (ctr, v)| obj.field(ctr.name(), &v));
+        let event = |e: &TraceEvent| {
+            json::object()
+                .field("cycle", &e.cycle)
+                .field("stage", e.stage.as_str())
+                .field("event", e.event.as_str())
+                .field("value", &e.value)
+        };
+        let events: Vec<_> = self.events.iter().map(event).collect();
+        json::object()
+            .field("level", self.level.label())
+            .field("counters", &counters)
+            .field("occupancy", &self.occupancy)
+            .field("dropped_events", &self.dropped_events)
+            .field("events", &events)
+            .finish()
     }
 
     /// Tolerant parse of [`ObsSnapshot::to_json`] output. Unknown counter
     /// names are ignored; missing sections default to empty. Returns
     /// `None` only when the input is not one JSON object.
     pub fn from_json(text: &str) -> Option<ObsSnapshot> {
-        let body = text.trim();
-        if !body.starts_with('{') || !body.ends_with('}') {
-            return None;
+        let obj = json::Reader::parse(text)?;
+        let mut counters = CounterSet::default();
+        if let Some(c) = obj.raw("counters").and_then(json::Reader::parse) {
+            for &ctr in Ctr::ALL {
+                counters.set(ctr, c.number(ctr.name()).unwrap_or(0));
+            }
         }
-        let mut snap = ObsSnapshot {
-            level: string_field(body, "level")
+        let array = |key| obj.raw(key).and_then(json::elements).unwrap_or_default();
+        let event = |e: json::Reader| TraceEvent {
+            cycle: e.number("cycle").unwrap_or(0),
+            stage: e.string("stage").unwrap_or_default(),
+            event: e.string("event").unwrap_or_default(),
+            value: e.number("value").unwrap_or(0),
+        };
+        Some(ObsSnapshot {
+            level: obj
+                .string("level")
                 .and_then(|s| ObsLevel::parse(&s))
                 .unwrap_or(ObsLevel::Off),
-            dropped_events: number_field(body, "dropped_events").unwrap_or(0),
-            ..ObsSnapshot::default()
-        };
-        if let Some(counters) = delimited_section(body, "\"counters\":", '{', '}') {
-            for pair in split_top_level(&counters) {
-                let Some((key, val)) = pair.split_once(':') else {
-                    continue;
-                };
-                let key = key.trim().trim_matches('"');
-                if let (Some(ctr), Ok(v)) = (Ctr::from_name(key), val.trim().parse::<u64>()) {
-                    snap.counters.set(ctr, v);
-                }
-            }
-        }
-        if let Some(occ) = delimited_section(body, "\"occupancy\":", '[', ']') {
-            snap.occupancy = occ
-                .split(',')
-                .filter_map(|v| v.trim().parse::<u64>().ok())
-                .collect();
-        }
-        if let Some(events) = delimited_section(body, "\"events\":", '[', ']') {
-            for obj in split_top_level(&events) {
-                let obj = obj.trim();
-                if !obj.starts_with('{') {
-                    continue;
-                }
-                snap.events.push(TraceEvent {
-                    cycle: number_field(obj, "cycle").unwrap_or(0),
-                    stage: string_field(obj, "stage").unwrap_or_default(),
-                    event: string_field(obj, "event").unwrap_or_default(),
-                    value: number_field(obj, "value").unwrap_or(0),
-                });
-            }
-        }
-        Some(snap)
+            counters,
+            occupancy: array("occupancy")
+                .iter()
+                .filter_map(|v| v.parse().ok())
+                .collect(),
+            events: array("events")
+                .into_iter()
+                .filter_map(json::Reader::parse)
+                .map(event)
+                .collect(),
+            dropped_events: obj.number("dropped_events").unwrap_or(0),
+        })
     }
-}
-
-/// Escape a string for embedding in a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Slice out the contents between the `open`/`close` pair that follows
-/// `key` (e.g. the body of `"counters":{...}`), handling nesting.
-fn delimited_section(body: &str, key: &str, open: char, close: char) -> Option<String> {
-    let start = body.find(key)? + key.len();
-    let rest = &body[start..];
-    let first = rest.find(open)?;
-    let mut depth = 0usize;
-    for (i, c) in rest[first..].char_indices() {
-        if c == open {
-            depth += 1;
-        } else if c == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(rest[first + 1..first + i].to_string());
-            }
-        }
-    }
-    None
-}
-
-/// Split a JSON object/array body on commas at nesting depth zero,
-/// ignoring commas inside strings or nested structures.
-fn split_top_level(body: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut prev_escape = false;
-    let mut cur = String::new();
-    for c in body.chars() {
-        if in_str {
-            cur.push(c);
-            if prev_escape {
-                prev_escape = false;
-            } else if c == '\\' {
-                prev_escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_str = true;
-                cur.push(c);
-            }
-            '{' | '[' => {
-                depth += 1;
-                cur.push(c);
-            }
-            '}' | ']' => {
-                depth -= 1;
-                cur.push(c);
-            }
-            ',' if depth == 0 => {
-                if !cur.trim().is_empty() {
-                    out.push(std::mem::take(&mut cur));
-                }
-            }
-            c => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-/// First `"key":"value"` string field inside `body`.
-fn string_field(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = body.find(&pat)? + pat.len();
-    let rest = &body[start..];
-    let mut out = String::new();
-    let mut escaped = false;
-    for c in rest.chars() {
-        if escaped {
-            match c {
-                'n' => out.push('\n'),
-                other => out.push(other),
-            }
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Some(out);
-        } else {
-            out.push(c);
-        }
-    }
-    None
-}
-
-/// First `"key":<number>` field inside `body`.
-fn number_field(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = body.find(&pat)? + pat.len();
-    let digits: String = body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
