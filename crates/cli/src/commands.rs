@@ -446,7 +446,9 @@ fn load_relation(
 
 /// Partition `rel` (described by `what`) on `backend` and print the
 /// run's report and balance. VRID mode reads `rel` as a column store, so
-/// its output carries row positions in place of payloads.
+/// its output carries row positions in place of payloads. The FPGA runs
+/// at batched fidelity, as the planner and the figures do; `fpart trace`
+/// and `fpart faults` are the cycle-accurate entry points.
 fn partition(
     rel: &Relation<Tuple8>,
     what: &str,
@@ -479,7 +481,7 @@ fn partition(
                 partition_fn: f,
                 ..PartitionerConfig::paper_default(output, input)
             };
-            let partitioner = FpgaPartitioner::new(config);
+            let partitioner = FpgaPartitioner::new(config.with_fidelity(SimFidelity::Batched));
             let t0 = Instant::now();
             let (parts, report) = if input == InputMode::Vrid {
                 let keys: Vec<u32> = rel.tuples().iter().map(|t| t.key).collect();

@@ -122,8 +122,9 @@ impl InputMode {
 ///
 /// The circuit itself is deterministic and fully pipelined, so its
 /// *functional* output and its *cycle count* can be computed separately:
-/// the batched fidelity executes the datapath in whole-cache-line batches
-/// and derives cycles analytically from the QPI token-bucket model,
+/// the batched fidelity models the write combiners' counts, moves the
+/// tuples with a software write-combining scatter and derives cycles
+/// analytically from the QPI token-bucket model,
 /// instead of ticking every module once per simulated clock. Differential
 /// tests (`crates/fpga/tests/fastpath_equivalence.rs`) pin the two
 /// fidelities to identical partition contents and closely bounded cycle
@@ -136,10 +137,10 @@ pub enum SimFidelity {
     /// roughly one simulated cache line per microsecond of host time.
     #[default]
     CycleAccurate,
-    /// Execute the datapath functionally in cache-line batches and
-    /// fast-forward the QPI clock analytically
+    /// Execute the datapath functionally from per-(lane, partition)
+    /// counts and fast-forward the QPI clock analytically
     /// ([`fpart_hwsim::QpiConfig::link_cycles`]). Orders of magnitude
-    /// faster; identical partition output; cycle counts within the
+    /// faster; identical partition multisets; cycle counts within the
     /// warm-up/drain slack of cycle-accurate. Runs with an armed fault
     /// plan silently fall back to [`SimFidelity::CycleAccurate`] — the
     /// whole point of a fault plan is its cycle-level interleaving.

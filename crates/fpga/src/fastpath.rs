@@ -12,11 +12,16 @@
 //! 2. the **link bound**: total bytes moved divided by the mix-dependent
 //!    token-bucket rate, [`QpiConfig::link_cycles`].
 //!
-//! [`SimFidelity::Batched`](crate::config::SimFidelity) therefore executes
-//! the datapath functionally — whole cache lines at a time, straight into
-//! per-`(lane, partition)` combiner buffers — and computes the cycle count
-//! as `max(circuit bound, link bound)`, instead of ticking every module
-//! once per simulated clock. Differential tests
+//! [`SimFidelity::Batched`](crate::config::SimFidelity) therefore models
+//! the write combiners' *counts*, not their data BRAM, and computes the
+//! cycle count as `max(circuit bound, link bound)` instead of ticking
+//! every module once per simulated clock. Lines, padding and the PAD
+//! overflow point depend only on per-`(lane, partition)` tuple counts:
+//! HIST takes them from its histogram pass (⌊h/LANES⌋ full lines plus a
+//! flush line of `h mod LANES` tuples per cell); PAD replays them with a
+//! `u8` fill counter per cell and a line count per partition. The tuples
+//! move through the CPU partitioner's [`Swwcb`] into the same
+//! line-rounded extents. Differential tests
 //! (`crates/fpga/tests/fastpath_equivalence.rs`) pin this path to the
 //! cycle-accurate engine: identical per-partition contents, counts,
 //! capacities and padding, and cycle counts within the documented
@@ -25,23 +30,24 @@
 //! ## What is *not* identical
 //!
 //! The cycle-accurate write-back drains the combiner FIFOs round-robin
-//! under backpressure, so the *order of cache lines within a partition*
-//! is an arbitration artifact (lane interleaving shifts with stall
-//! timing). The batched path uses the canonical delivery order instead
-//! (full lines as they fill, flush lines partition-major/lane-minor).
-//! Both orders describe the same circuit output: every consumer in this
-//! repository — and the paper's own evaluation — treats a partition as an
-//! unordered set of tuples, which is exactly what the equivalence tests
-//! assert. Per-cycle observables (stall counters, FIFO high-water marks,
-//! the utilisation timeline) are synthesized from the analytic model and
-//! are approximations; fault injection always forces the cycle-accurate
+//! under backpressure, so the *order of slots within a partition* is an
+//! arbitration artifact (lane interleaving shifts with stall timing). The
+//! batched path writes each partition's valid tuples contiguously, in
+//! arrival order, followed by its flush dummies. Both layouts hold the
+//! same circuit output: every consumer in this repository — and the
+//! paper's own evaluation — treats a partition as an unordered set of
+//! tuples, which is exactly what the equivalence tests assert. Per-cycle
+//! observables (stall counters, FIFO high-water marks, the utilisation
+//! timeline) are synthesized from the analytic model and are
+//! approximations; fault injection always forces the cycle-accurate
 //! engine (see [`FpgaPartitioner::set_fault_plan`]).
 //!
 //! [`FpgaPartitioner::set_fault_plan`]: crate::FpgaPartitioner::set_fault_plan
 
+use fpart_cpu::swwcb::Swwcb;
 use fpart_hwsim::{QpiConfig, QpiEndpoint, QpiStats};
 use fpart_obs::{Ctr, Recorder};
-use fpart_types::{FpartError, Line, PartitionedRelation, Result, Tuple, CACHE_LINE_BYTES};
+use fpart_types::{FpartError, PartitionedRelation, Result, SharedWriter, Tuple, CACHE_LINE_BYTES};
 
 use crate::config::{OutputMode, PartitionerConfig};
 use crate::partitioner::{build_pagetable, InputData, RunReport, TIMELINE_INTERVAL};
@@ -59,43 +65,83 @@ pub(crate) struct BatchedHistogram {
     /// Per-(lane, partition) tuple counts, flattened as
     /// `lane_hists[lane * partitions + p]`.
     pub(crate) lane_hists: Vec<u64>,
+    /// The combiners' forwarding-register hits (1-cycle, 2-cycle).
+    forward_hits: (u64, u64),
     /// Analytic cycle count of the pass.
     pub(crate) cycles: u64,
     /// Link counters (reads; synthesized stalls).
     pub(crate) qpi_stats: QpiStats,
 }
 
-/// Functional histogram pass: stream every input line once, count tuples
-/// per (lane, partition), and derive the pass duration analytically.
+/// Count a write-combiner forwarding-register hit: `regs` holds the
+/// partitions of the lane's last two tuples (1-cycle, 2-cycle) and the
+/// lane now combines a tuple of partition `p`. This reproduces the
+/// combiner's hit counters for an unstalled tuple stream (link stalls
+/// insert bubbles the batched path does not model, so under backpressure
+/// these counters are an upper bound).
+#[inline]
+fn forward(regs: &mut (usize, usize), hits: &mut (u64, u64), p: usize) {
+    if p == regs.0 {
+        hits.0 += 1;
+    } else if p == regs.1 {
+        hits.1 += 1;
+    }
+    *regs = (p, regs.0);
+}
+
+/// Call `f(lane, tuple)` for every real tuple of `input`, in the order
+/// the circuit's hash lanes see them, and return the number of tuple
+/// lines the circuit generates. Rows are read straight from the slice;
+/// column inputs are expanded line by line as on chip.
+fn for_each_tuple<T: Tuple>(
+    input: &InputData<'_, T>,
+    mut f: impl FnMut(usize, T) -> Result<()>,
+) -> Result<u64> {
+    let mut visit = |line: &[T]| -> Result<()> {
+        for (lane, &t) in line.iter().enumerate() {
+            if !t.is_dummy() {
+                f(lane, t)?;
+            }
+        }
+        Ok(())
+    };
+    if let InputData::Rows(rows) = input {
+        rows.chunks(T::LANES).try_for_each(visit)?;
+        return Ok(input.input_lines() as u64);
+    }
+    let (mut lines, mut lane_buf, mut tuple_lines) = (Vec::new(), Vec::new(), 0);
+    for idx in 0..input.input_lines() {
+        lines.clear();
+        input.fetch(idx, &mut lines, &mut lane_buf);
+        tuple_lines += lines.len() as u64;
+        lines.iter().try_for_each(|line| visit(line.tuples()))?;
+    }
+    Ok(tuple_lines)
+}
+
+/// Functional histogram pass: stream every input tuple once, count tuples
+/// per (lane, partition) and forwarding hits, and derive the pass
+/// duration analytically.
 pub(crate) fn histogram_pass<T: Tuple>(
     cfg: &PartitionerConfig,
     qpi_cfg: &QpiConfig,
     input: &InputData<'_, T>,
 ) -> BatchedHistogram {
     let parts = cfg.partitions();
-    let total_lines = input.input_lines();
+    let total_lines = input.input_lines() as u64;
     let mut lane_hists = vec![0u64; T::LANES * parts];
-    let mut fetch_buf: Vec<Line<T>> = Vec::with_capacity(input.expansion());
-    let mut lane_buf: Vec<T> = Vec::with_capacity(T::LANES);
-    let mut tuple_lines = 0u64;
-
-    for idx in 0..total_lines {
-        fetch_buf.clear();
-        input.fetch(idx, &mut fetch_buf, &mut lane_buf);
-        tuple_lines += fetch_buf.len() as u64;
-        for line in &fetch_buf {
-            for lane in 0..T::LANES {
-                let t = line.lane(lane);
-                if t.is_dummy() {
-                    continue;
-                }
-                lane_hists[lane * parts + cfg.partition_fn.partition_of(t.key())] += 1;
-            }
-        }
-    }
+    let mut regs = vec![(usize::MAX, usize::MAX); T::LANES];
+    let mut forward_hits = (0, 0);
+    let tuple_lines = for_each_tuple(input, |lane, t| {
+        let p = cfg.partition_fn.partition_of(t.key());
+        forward(&mut regs[lane], &mut forward_hits, p);
+        lane_hists[lane * parts + p] += 1;
+        Ok(())
+    })
+    .expect("the histogram pass cannot fail");
 
     let mut ep = QpiEndpoint::new(qpi_cfg.clone());
-    let link = ep.fast_forward(total_lines as u64, 0);
+    let link = ep.fast_forward(total_lines, 0);
     let circuit = circuit_bound(qpi_cfg, tuple_lines, 0);
     let cycles = link.max(circuit);
     let mut qpi_stats = ep.stats();
@@ -105,6 +151,7 @@ pub(crate) fn histogram_pass<T: Tuple>(
 
     BatchedHistogram {
         lane_hists,
+        forward_hits,
         cycles,
         qpi_stats,
     }
@@ -115,6 +162,15 @@ pub(crate) fn histogram_pass<T: Tuple>(
 /// (0 for the histogram pass, `partitions × LANES` for the scatter).
 fn circuit_bound(qpi_cfg: &QpiConfig, tuple_lines: u64, flush_scan: u64) -> u64 {
     qpi_cfg.read_latency as u64 + tuple_lines + flush_scan + PIPELINE_SLACK
+}
+
+/// The PAD abort of a partition of `capacity` slots.
+fn overflow(partition: usize, capacity: usize, consumed: u64) -> FpartError {
+    FpartError::PartitionOverflow {
+        partition,
+        capacity,
+        consumed: consumed as usize,
+    }
 }
 
 /// Run a full partitioning job on the batched fast path. Functionally
@@ -131,177 +187,126 @@ pub(crate) fn run_batched<T: Tuple>(
     let parts = cfg.partitions();
     let lanes = T::LANES;
     let n = input.tuple_count();
-    let total_lines = input.input_lines();
-    let pad_mode = matches!(cfg.output, OutputMode::Pad { .. });
+    let total_lines = input.input_lines() as u64;
+    let hash = |t: T| cfg.partition_fn.partition_of(t.key());
 
     let mut pagetable = build_pagetable::<T>(input, parts, n, &cfg.output)?;
 
-    // Phase 1 (HIST only): functional histogram + extents, exactly as the
-    // cycle-accurate flow computes them.
-    let (extents, hist_cycles, hist_stats, valid_hint) = match cfg.output {
+    // After the scatter `counts[p]` holds partition `p`'s full lines and
+    // `fills[lane * parts + p]` each combiner cell's partial-line fill.
+    let mut counts: Vec<u64> = vec![0; parts];
+    let mut fills: Vec<u8> = vec![0; lanes * parts];
+    let mut tuples_consumed = 0u64;
+    // Extents: HIST sizes them from the histogram pass, PAD fixes them.
+    let (extents, mut out, hist) = match cfg.output {
         OutputMode::Hist => {
             let pass = histogram_pass(cfg, qpi_cfg, input);
-            let lane_vecs: Vec<Vec<u64>> = pass
-                .lane_hists
-                .chunks_exact(parts)
-                .map(<[u64]>::to_vec)
-                .collect();
-            let valid: Vec<usize> = (0..parts)
-                .map(|p| lane_vecs.iter().map(|h| h[p] as usize).sum())
-                .collect();
-            (
-                PartitionExtents::from_lane_histograms(&lane_vecs, lanes),
-                pass.cycles,
-                pass.qpi_stats,
-                Some(valid),
-            )
+            // Every line count follows from the histogram.
+            let mut valid = vec![0; parts];
+            for (cell, &h) in pass.lane_hists.iter().enumerate() {
+                valid[cell % parts] += h as usize;
+                counts[cell % parts] += h / lanes as u64;
+                fills[cell] = (h % lanes as u64) as u8;
+                tuples_consumed += h;
+            }
+            let lane_hists: Vec<&[u64]> = pass.lane_hists.chunks_exact(parts).collect();
+            let extents = PartitionExtents::from_lane_histograms(&lane_hists, lanes);
+            let lines: Vec<usize> = extents.capacity_lines.iter().map(|&l| l as usize).collect();
+            let out = PartitionedRelation::<T>::with_line_extents(&valid, &lines);
+            (extents, out, Some(pass))
         }
         OutputMode::Pad { padding } => {
-            let cap_tuples = padding.capacity(n, parts, lanes);
-            let cap_lines = cap_tuples.div_ceil(lanes) as u64;
-            (
-                PartitionExtents::fixed(parts, cap_lines),
-                0,
-                QpiStats::default(),
-                None,
-            )
+            let cap_lines = padding.capacity(n, parts, lanes).div_ceil(lanes) as u64;
+            let out = PartitionedRelation::<T>::padded(parts, cap_lines as usize * lanes, true);
+            (PartitionExtents::fixed(parts, cap_lines), out, None)
         }
     };
 
-    let mut out = match (&valid_hint, &cfg.output) {
-        (Some(valid), _) => {
-            let lines: Vec<usize> = extents.capacity_lines.iter().map(|&l| l as usize).collect();
-            PartitionedRelation::<T>::with_line_extents(valid, &lines)
-        }
-        (None, OutputMode::Pad { .. }) => PartitionedRelation::<T>::padded(
-            parts,
-            extents.capacity_lines[0] as usize * lanes,
-            true,
-        ),
-        (None, OutputMode::Hist) => unreachable!("HIST always produces a histogram"),
-    };
-
-    // Phase 2: functional scatter. `bufs` is the flattened combiner data
-    // BRAM (`[lane][partition][slot]`), `fills` the fill-rate BRAM.
-    let mut bufs: Vec<T> = vec![T::dummy(); lanes * parts * lanes];
-    let mut fills: Vec<u8> = vec![0; lanes * parts];
-    let mut counts: Vec<u64> = vec![0; parts];
-    let mut valid_written: Vec<u64> = vec![0; parts];
-    let mut fetch_buf: Vec<Line<T>> = Vec::with_capacity(input.expansion());
-    let mut lane_buf: Vec<T> = Vec::with_capacity(lanes);
-    let mut tuple_lines = 0u64;
-    let mut tuples_consumed = 0u64;
-    // Forwarding-register partition trackers per lane: (1-cycle, 2-cycle).
-    // This reproduces the combiner's hit counters for an unstalled tuple
-    // stream (link stalls insert bubbles the batched path does not model,
-    // so under backpressure these counters are an upper bound).
-    let mut fwd: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX); lanes];
-    let mut forward_hits = (0u64, 0u64);
-
-    let overflow = |p: usize, consumed: u64, extents: &PartitionExtents| -> FpartError {
-        FpartError::PartitionOverflow {
-            partition: p,
-            capacity: extents.capacity_lines[p] as usize * lanes,
-            consumed: consumed as usize,
-        }
-    };
-
-    for idx in 0..total_lines {
-        fetch_buf.clear();
-        input.fetch(idx, &mut fetch_buf, &mut lane_buf);
-        tuple_lines += fetch_buf.len() as u64;
-        for line in &fetch_buf {
-            for (lane, fwd_lane) in fwd.iter_mut().enumerate() {
-                let t = line.lane(lane);
-                if t.is_dummy() {
-                    continue;
+    // Scatter through the SWWCB.
+    let w = SharedWriter::new(&mut out);
+    let bases = extents.base_lines.iter().map(|&b| b as usize * lanes);
+    let mut wc = Swwcb::new(bases.collect(), true);
+    let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
+    let tuple_lines = if hist.is_some() {
+        for_each_tuple(input, |_, t| {
+            // SAFETY: single writer; each partition receives exactly its
+            // histogram count, which its extent holds.
+            unsafe { wc.push(hash(t), t, &w) };
+            Ok(())
+        })?
+    } else {
+        let cap_lines = extents.capacity_lines[0];
+        let cap = cap_lines as usize * lanes;
+        let mut regs = vec![(usize::MAX, usize::MAX); lanes];
+        for_each_tuple(input, |lane, t| {
+            tuples_consumed += 1;
+            let p = hash(t);
+            forward(&mut regs[lane], &mut forward_hits, p);
+            let cell = lane * parts + p;
+            fills[cell] += 1;
+            if fills[cell] as usize == lanes {
+                // Full line: the write-back's count BRAM check.
+                fills[cell] = 0;
+                if counts[p] == cap_lines {
+                    return Err(overflow(p, cap, tuples_consumed));
                 }
-                tuples_consumed += 1;
-                let p = cfg.partition_fn.partition_of(t.key());
-                let (f1, f2) = *fwd_lane;
-                if p == f1 {
-                    forward_hits.0 += 1;
-                } else if p == f2 {
-                    forward_hits.1 += 1;
-                }
-                *fwd_lane = (p, f1);
-
-                let cell = lane * parts + p;
-                let w = fills[cell] as usize;
-                bufs[cell * lanes + w] = t;
-                if w + 1 == lanes {
-                    // Full line: write back at base + count, as the
-                    // write-back module's count BRAM would.
-                    fills[cell] = 0;
-                    let dest = counts[p];
-                    if dest >= extents.capacity_lines[p] {
-                        debug_assert!(pad_mode, "HIST extents are exact by construction");
-                        return Err(overflow(p, tuples_consumed, &extents));
-                    }
-                    counts[p] = dest + 1;
-                    let base_slot = (extents.base_lines[p] + dest) as usize * lanes;
-                    out.raw_data_mut()[base_slot..base_slot + lanes]
-                        .copy_from_slice(&bufs[cell * lanes..(cell + 1) * lanes]);
-                    valid_written[p] += lanes as u64;
-                } else {
-                    fills[cell] = (w + 1) as u8;
-                }
+                counts[p] += 1;
             }
-        }
-    }
+            // A partition that will overflow stops receiving data at its
+            // capacity; the run aborts before it completes.
+            if wc.counts()[p] < cap {
+                // SAFETY: single writer; partition `p` writes only
+                // `p * cap .. (p + 1) * cap`.
+                unsafe { wc.push(p, t, &w) };
+            }
+            Ok(())
+        })?
+    };
+    // SAFETY: as above.
+    unsafe { wc.drain(&w) };
+    let (hist_cycles, hist_stats) =
+        hist.map_or((0, QpiStats::default()), |h| (h.cycles, h.qpi_stats));
 
-    // Flush: partial lines, partition-major / lane-minor (the canonical
-    // order; the ticked engine's round-robin drain may interleave lanes
-    // differently, but per-partition contents are identical).
+    // Flush: every non-empty combiner cell emits one line, padded with the
+    // dummies the extents were allocated with, partition-major /
+    // lane-minor (the ticked flush scan's PAD overflow order).
     let mut padding_slots = 0u64;
     let mut flush_lines = 0u64;
     for p in 0..parts {
+        let mut valid = counts[p] * lanes as u64;
         for lane in 0..lanes {
-            let cell = lane * parts + p;
-            let fill = fills[cell] as usize;
+            let fill = fills[lane * parts + p] as u64;
             if fill == 0 {
                 continue;
             }
-            let dest = counts[p];
-            if dest >= extents.capacity_lines[p] {
-                debug_assert!(pad_mode, "HIST extents are exact by construction");
-                return Err(overflow(p, tuples_consumed, &extents));
+            if counts[p] == extents.capacity_lines[p] {
+                let cap = extents.capacity_lines[p] as usize * lanes;
+                return Err(overflow(p, cap, tuples_consumed));
             }
-            counts[p] = dest + 1;
-            let base_slot = (extents.base_lines[p] + dest) as usize * lanes;
-            let dst = &mut out.raw_data_mut()[base_slot..base_slot + lanes];
-            dst[..fill].copy_from_slice(&bufs[cell * lanes..cell * lanes + fill]);
-            for slot in &mut dst[fill..] {
-                *slot = T::dummy();
-            }
-            valid_written[p] += fill as u64;
-            padding_slots += (lanes - fill) as u64;
+            counts[p] += 1;
+            valid += fill;
+            padding_slots += lanes as u64 - fill;
             flush_lines += 1;
         }
-    }
-
-    for p in 0..parts {
-        out.set_partition_fill(p, counts[p] as usize * lanes, valid_written[p] as usize);
+        out.set_partition_fill(p, counts[p] as usize * lanes, valid as usize);
     }
     let lines_written: u64 = counts.iter().sum();
 
     // Address translations: one per input line read and one per output
     // line written (the ticked engine re-translates reads denied by the
     // token bucket, so its count is timing-dependent and strictly ≥ this).
-    let out_base_line = total_lines as u64;
-    for idx in 0..total_lines as u64 {
-        pagetable.translate(idx * CACHE_LINE_BYTES as u64)?;
+    for line in 0..total_lines {
+        pagetable.translate(line * CACHE_LINE_BYTES as u64)?;
     }
-    for (p, &count) in counts.iter().enumerate() {
-        for i in 0..count {
-            let line = out_base_line + extents.base_lines[p] + i;
+    for (&count, &base) in counts.iter().zip(&extents.base_lines) {
+        for line in total_lines + base..total_lines + base + count {
             pagetable.translate(line * CACHE_LINE_BYTES as u64)?;
         }
     }
 
     // Analytic scatter duration: the slower of the circuit and the link.
     let mut ep = QpiEndpoint::new(qpi_cfg.clone());
-    let link = ep.fast_forward(total_lines as u64, lines_written);
+    let link = ep.fast_forward(total_lines, lines_written);
     let flush_scan = (parts * lanes) as u64;
     let circuit = circuit_bound(qpi_cfg, tuple_lines, flush_scan);
     let scatter_cycles = link.max(circuit);
@@ -309,25 +314,23 @@ pub(crate) fn run_batched<T: Tuple>(
     // Synthesized stalls: every link-bound cycle beyond the circuit bound
     // is a denied grant, split by traffic share.
     let stall = scatter_cycles.saturating_sub(circuit);
-    let total_ops = total_lines as u64 + lines_written;
-    if let Some(read_stall) = (stall * total_lines as u64).checked_div(total_ops) {
-        scatter_stats.read_stall_cycles = read_stall;
-        scatter_stats.write_stall_cycles = stall - read_stall;
-    }
+    let rd_stall = (stall * total_lines)
+        .checked_div(total_lines + lines_written)
+        .unwrap_or(0);
+    let wr_stall = stall - rd_stall;
+    scatter_stats.read_stall_cycles = rd_stall;
+    scatter_stats.write_stall_cycles = wr_stall;
 
     // Synthesized utilisation timeline: linear ramp (steady state has no
     // warm-up/flush articulation at this fidelity).
-    let mut timeline = Vec::new();
-    let mut c = TIMELINE_INTERVAL;
-    while c <= scatter_cycles {
-        let frac = c as f64 / scatter_cycles as f64;
-        timeline.push((
-            c,
-            (total_lines as f64 * frac) as u64,
-            (lines_written as f64 * frac) as u64,
-        ));
-        c += TIMELINE_INTERVAL;
-    }
+    let timeline = (TIMELINE_INTERVAL..=scatter_cycles)
+        .step_by(TIMELINE_INTERVAL as usize)
+        .map(|c| {
+            let frac = c as f64 / scatter_cycles as f64;
+            let at = |total: u64| (total as f64 * frac) as u64;
+            (c, at(total_lines), at(lines_written))
+        })
+        .collect();
 
     let mut qpi = scatter_stats;
     qpi.accumulate(&hist_stats);
@@ -340,9 +343,9 @@ pub(crate) fn run_batched<T: Tuple>(
     rec.set(Ctr::Lanes, lanes as u64);
     rec.set(Ctr::Partitions, parts as u64);
     rec.set(Ctr::TuplesIn, n as u64);
-    rec.set(Ctr::TuplesOut, valid_written.iter().sum());
+    rec.set(Ctr::TuplesOut, out.total_valid() as u64);
     rec.set(Ctr::PaddingSlots, padding_slots);
-    rec.set(Ctr::InputLines, total_lines as u64);
+    rec.set(Ctr::InputLines, total_lines);
     rec.set(Ctr::TupleLines, tuple_lines);
     rec.set(Ctr::LinesWritten, lines_written);
     rec.set(Ctr::HistLinesRead, hist_stats.lines_read);
@@ -350,18 +353,12 @@ pub(crate) fn run_batched<T: Tuple>(
     rec.set(Ctr::ScatterCycles, scatter_cycles);
     // Port classification: grants and synthesized stalls, remainder idle
     // (the batched model has no FIFO-credit throttling).
-    rec.set(Ctr::RdBusy, total_lines as u64);
-    rec.set(Ctr::RdStall, scatter_stats.read_stall_cycles);
-    rec.set(
-        Ctr::RdIdle,
-        scatter_cycles - total_lines as u64 - scatter_stats.read_stall_cycles,
-    );
+    rec.set(Ctr::RdBusy, total_lines);
+    rec.set(Ctr::RdStall, rd_stall);
+    rec.set(Ctr::RdIdle, scatter_cycles - total_lines - rd_stall);
     rec.set(Ctr::WrBusy, lines_written);
-    rec.set(Ctr::WrStall, scatter_stats.write_stall_cycles);
-    rec.set(
-        Ctr::WrIdle,
-        scatter_cycles - lines_written - scatter_stats.write_stall_cycles,
-    );
+    rec.set(Ctr::WrStall, wr_stall);
+    rec.set(Ctr::WrIdle, scatter_cycles - lines_written - wr_stall);
     rec.set(Ctr::HistRdBusy, hist_stats.lines_read);
     rec.set(Ctr::HistRdStall, hist_stats.read_stall_cycles);
     rec.set(
@@ -384,7 +381,7 @@ pub(crate) fn run_batched<T: Tuple>(
     rec.set(Ctr::CountBramReads, lines_written);
     rec.set(Ctr::CountBramWrites, lines_written);
     rec.set(Ctr::EpCacheHits, 0);
-    rec.set(Ctr::EpCacheMisses, total_lines as u64);
+    rec.set(Ctr::EpCacheMisses, total_lines);
     qpi.record_into(&mut rec.counters);
     pagetable.record_into(&mut rec.counters);
 
@@ -403,7 +400,7 @@ pub(crate) fn run_batched<T: Tuple>(
         timeline,
         // Streaming reads of distinct addresses: every access is a
         // compulsory miss in the 128 KB endpoint cache (Section 2.2).
-        endpoint_cache: (0, total_lines as u64),
+        endpoint_cache: (0, total_lines),
         obs: rec.finish(),
     };
     Ok((out, report))

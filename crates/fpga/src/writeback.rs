@@ -36,13 +36,16 @@ pub struct PartitionExtents {
 impl PartitionExtents {
     /// HIST-mode extents from per-lane histograms: partition `p` owns
     /// `Σ_lane ⌈hist[lane][p] / LANES⌉` lines.
-    pub fn from_lane_histograms(lane_hists: &[Vec<u64>], lanes: usize) -> Self {
-        let parts = lane_hists.first().map_or(0, Vec::len);
+    pub fn from_lane_histograms<H: AsRef<[u64]>>(lane_hists: &[H], lanes: usize) -> Self {
+        let parts = lane_hists.first().map_or(0, |h| h.as_ref().len());
         let mut base_lines = Vec::with_capacity(parts);
         let mut capacity_lines = Vec::with_capacity(parts);
         let mut acc = 0u64;
         for p in 0..parts {
-            let lines: u64 = lane_hists.iter().map(|h| h[p].div_ceil(lanes as u64)).sum();
+            let lines: u64 = lane_hists
+                .iter()
+                .map(|h| h.as_ref()[p].div_ceil(lanes as u64))
+                .sum();
             base_lines.push(acc);
             capacity_lines.push(lines);
             acc += lines;

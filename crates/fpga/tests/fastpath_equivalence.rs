@@ -3,17 +3,17 @@
 //!
 //! The equivalence contract (documented on [`SimFidelity`]): identical
 //! per-partition tuple contents, valid counts, written counts, capacities
-//! and padding overhead. Within a partition the batched path emits lines
-//! in canonical delivery order while the ticked engine's round-robin
-//! write-back may interleave lanes differently under backpressure, so the
-//! comparison is per-partition multisets — the same definition every other
-//! cross-backend test in this repository uses. Cycle counts must agree to
+//! and padding overhead. Within a partition the batched path writes the
+//! valid tuples first and the flush dummies after them, while the ticked
+//! engine's round-robin write-back interleaves lanes and dummies by
+//! arbitration, so the comparison is per-partition multisets — the same
+//! definition every other cross-backend test in this repository uses. Cycle counts must agree to
 //! within the analytic model's documented slack (token-bucket warm-up +
 //! pipeline fill).
 
 use fpart_datagen::KeyDistribution;
 use fpart_fpga::{
-    FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
+    FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, RunReport, SimFidelity,
 };
 use fpart_hash::PartitionFn;
 use fpart_hwsim::QpiConfig;
@@ -407,6 +407,128 @@ fn batched_respects_bandwidth_regimes() {
             // Link-bound: both report substantial stalls.
             assert!(b.qpi.read_stall_cycles + b.qpi.write_stall_cycles > 0);
             assert!(c.qpi.read_stall_cycles + c.qpi.write_stall_cycles > 0);
+        }
+    }
+}
+
+/// Keys that all land in partition `part` under `f`.
+fn keys_in_partition(f: PartitionFn, part: usize, n: usize) -> Vec<u32> {
+    let key = (0u32..)
+        .find(|&k| f.partition_of(k) == part)
+        .expect("some key hashes to every partition");
+    vec![key; n]
+}
+
+#[test]
+fn pad_overflow_in_last_partition_is_an_error() {
+    // Every tuple lands in the last partition, so its extent ends at the
+    // end of the output. 4096 tuples overflow on a full line during the
+    // scatter; 184 tuples (23 per lane) fit as full lines but overflow
+    // when the flush emits the partial lines. Either way the run must
+    // abort with the ticked engine's partition and capacity — never write
+    // past the output.
+    let cfg = config(
+        6,
+        OutputMode::Pad {
+            padding: PaddingSpec::Tuples(0),
+        },
+        InputMode::Rid,
+    );
+    for n in [4096, 184] {
+        let keys = keys_in_partition(cfg.partition_fn, 63, n);
+        let rel = Relation::<Tuple8>::from_keys(&keys);
+        let c_err = FpgaPartitioner::new(cfg.clone())
+            .partition(&rel)
+            .unwrap_err();
+        let b_err = FpgaPartitioner::new(cfg.clone().with_fidelity(SimFidelity::Batched))
+            .partition(&rel)
+            .unwrap_err();
+        match (&b_err, &c_err) {
+            (
+                FpartError::PartitionOverflow {
+                    partition: bp,
+                    capacity: bc,
+                    ..
+                },
+                FpartError::PartitionOverflow {
+                    partition: cp,
+                    capacity: cc,
+                    ..
+                },
+            ) => {
+                assert_eq!((*bp, *cp), (63, 63), "n={n}: the last partition");
+                assert_eq!(bc, cc, "n={n}: same reported capacity");
+            }
+            other => panic!("n={n}: expected two overflows, got {other:?}"),
+        }
+    }
+}
+
+/// Batched runs of one configuration over a row, a column (VRID) and an
+/// RLE-compressed input, each with skew so the forwarding registers hit.
+fn batched_runs(output: OutputMode) -> Vec<(String, PartitionedRelation<Tuple8>, RunReport)> {
+    use fpart_fpga::codec::RleColumn;
+    let mut keys: Vec<u32> = KeyDistribution::Random.generate_keys(6000, 13);
+    keys.extend((0..3000u32).map(|i| i % 11 + 1));
+    let mut sorted: Vec<u32> = (0..20_000u32).map(|i| i % 300).collect();
+    sorted.sort_unstable();
+    let run = |input: InputMode| {
+        FpgaPartitioner::new(config(5, output, input).with_fidelity(SimFidelity::Batched))
+    };
+    let rows = run(InputMode::Rid)
+        .partition(&Relation::<Tuple8>::from_keys(&keys))
+        .unwrap();
+    let cols = run(InputMode::Vrid)
+        .partition_columns(&ColumnRelation::<Tuple8>::from_keys(&keys))
+        .unwrap();
+    let rle = run(InputMode::Vrid)
+        .partition_rle::<Tuple8>(&RleColumn::encode(&sorted))
+        .unwrap();
+    [("rows", rows), ("keys", cols), ("rle", rle)]
+        .into_iter()
+        .map(|(what, (out, rep))| (format!("{what} {}", rep.mode), out, rep))
+        .collect()
+}
+
+const ROOMY_PAD: OutputMode = OutputMode::Pad {
+    padding: PaddingSpec::Fraction(30.0),
+};
+
+#[test]
+fn hist_line_accounting_matches_pad_counters() {
+    // HIST derives its line accounting from the histogram pass, PAD from
+    // per-tuple fill counters; on the same input they must agree.
+    let hist = batched_runs(OutputMode::Hist);
+    let pad = batched_runs(ROOMY_PAD);
+    for ((h_label, _, h), (p_label, _, p)) in hist.iter().zip(&pad) {
+        let label = format!("{h_label} vs {p_label}");
+        assert!(
+            h.forward_hits.0 + h.forward_hits.1 > 0,
+            "{label}: skew hits"
+        );
+        assert_eq!(h.forward_hits, p.forward_hits, "{label}: forwarding hits");
+        assert_eq!(h.padding_slots, p.padding_slots, "{label}: padding slots");
+        for ctr in [fpart_obs::Ctr::CombLinesOut, fpart_obs::Ctr::CombFlushLines] {
+            assert_eq!(h.obs.get(ctr), p.obs.get(ctr), "{label}: {}", ctr.name());
+        }
+    }
+}
+
+#[test]
+fn batched_partitions_hold_valid_tuples_then_dummies() {
+    for output in [OutputMode::Hist, ROOMY_PAD] {
+        for (label, out, _) in batched_runs(output) {
+            for p in 0..out.num_partitions() {
+                let (valid, dummies) = out.partition_slots(p).split_at(out.partition_valid(p));
+                assert!(
+                    valid.iter().all(|t| !t.is_dummy()),
+                    "{label}: dummy among partition {p}'s valid slots"
+                );
+                assert!(
+                    dummies.iter().all(|t| t.is_dummy()),
+                    "{label}: tuple among partition {p}'s flush dummies"
+                );
+            }
         }
     }
 }

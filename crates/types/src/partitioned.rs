@@ -292,11 +292,18 @@ impl<T: Tuple> SharedWriter<T> {
     /// Write one tuple to an absolute slot index.
     ///
     /// # Safety
-    /// `slot < self.len()`, and no two threads may write the same slot.
+    /// No two threads may write the same slot.
+    ///
+    /// # Panics
+    /// Panics if `slot >= self.len()`, in every build.
     #[inline]
     pub unsafe fn write(&self, slot: usize, t: T) {
-        debug_assert!(slot < self.len);
-        // SAFETY: bounds guaranteed by caller; slots are disjoint across
+        assert!(
+            slot < self.len,
+            "write to slot {slot} past the output's {} slots",
+            self.len
+        );
+        // SAFETY: in bounds (checked above); slots are disjoint across
         // threads per the type-level contract.
         unsafe { self.ptr.add(slot).write(t) };
     }
@@ -306,11 +313,16 @@ impl<T: Tuple> SharedWriter<T> {
     /// disjointness contract as [`SharedWriter::write`].
     ///
     /// # Panics
-    /// Debug-asserts `slot <= len`.
+    /// Panics if `slot > self.len()`, in every build.
     #[inline]
     pub fn as_ptr_at(&self, slot: usize) -> *mut T {
-        debug_assert!(slot <= self.len);
-        // SAFETY: slot is within the allocation (checked above in debug).
+        assert!(
+            slot <= self.len,
+            "pointer to slot {slot} past the output's {} slots",
+            self.len
+        );
+        // SAFETY: slot is within the allocation or one past its end
+        // (checked above).
         unsafe { self.ptr.add(slot) }
     }
 
@@ -401,5 +413,24 @@ mod tests {
         rel.set_partition_fill(1, 2, 2);
         assert_eq!(rel.partition_slots(1)[0], Tuple8::new(2, 2));
         assert_eq!(rel.all_tuples().count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the output")]
+    fn shared_writer_rejects_out_of_range_write() {
+        let mut rel = PartitionedRelation::<Tuple8>::padded(2, 8, false);
+        let w = SharedWriter::new(&mut rel);
+        // SAFETY: single-threaded; the bounds check must fire before the
+        // store.
+        unsafe { w.write(16, Tuple8::new(1, 1)) };
+    }
+
+    #[test]
+    #[should_panic(expected = "past the output")]
+    fn shared_writer_rejects_out_of_range_pointer() {
+        let mut rel = PartitionedRelation::<Tuple8>::padded(2, 8, false);
+        let w = SharedWriter::new(&mut rel);
+        assert_eq!(w.as_ptr_at(16), w.as_ptr_at(0).wrapping_add(16));
+        let _ = w.as_ptr_at(17);
     }
 }
