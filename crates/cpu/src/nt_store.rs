@@ -6,12 +6,13 @@
 //! corresponding cache-lines do not need to be fetched and the pollution
 //! of caches is avoided."
 //!
-//! On x86-64 we use `_mm_stream_si64` (SSE2, baseline for the
+//! On x86-64 we use `_mm_stream_si64` for arbitrary runs and
+//! `_mm_stream_si128` for whole aligned lines (both SSE2, baseline for the
 //! architecture); elsewhere the copy degrades to a normal `memcpy`, which
 //! keeps the algorithm portable (the throughput difference is the one
 //! between the `swwcb` and `swwcb+nt` strategies).
 
-use fpart_types::Tuple;
+use fpart_types::{Tuple, CACHE_LINE_BYTES};
 
 /// Whether real streaming stores are available on this build target.
 pub const NT_STORES_AVAILABLE: bool = cfg!(target_arch = "x86_64");
@@ -46,8 +47,47 @@ pub unsafe fn nt_copy<T: Tuple>(dst: *mut T, src: &[T]) {
     }
 }
 
+/// Copy whole 64 B lines from `src` to `dst` with 16 B non-temporal
+/// stores when available: the SWWCB's full-window flush.
+///
+/// # Safety
+/// `dst` must be valid for `src.len()` writes and must not overlap `src`;
+/// `dst` and `src` must both be 64-byte aligned, and `src` must span a
+/// whole number of 64 B lines.
+#[inline]
+pub unsafe fn nt_copy_lines<T: Tuple>(dst: *mut T, src: &[T]) {
+    let bytes = std::mem::size_of_val(src);
+    debug_assert_eq!(bytes % CACHE_LINE_BYTES, 0, "whole lines only");
+    debug_assert_eq!(dst as usize % CACHE_LINE_BYTES, 0, "unaligned destination");
+    debug_assert_eq!(
+        src.as_ptr() as usize % CACHE_LINE_BYTES,
+        0,
+        "unaligned source"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{__m128i, _mm_load_si128, _mm_stream_si128};
+        let src_v = src.as_ptr().cast::<__m128i>();
+        let dst_v = dst.cast::<__m128i>();
+        // SAFETY: caller guarantees validity, non-overlap and 64 B (hence
+        // 16 B) alignment of both sides; the POD tuples are read and
+        // written as 16 B vectors.
+        unsafe {
+            for i in 0..bytes / 16 {
+                _mm_stream_si128(dst_v.add(i), _mm_load_si128(src_v.add(i)));
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        // SAFETY: caller guarantees validity and non-overlap.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len()) };
+    }
+}
+
 /// Order all outstanding streaming stores before subsequent loads. Call
-/// once after a partitioning pass that used [`nt_copy`].
+/// once after a partitioning pass that used [`nt_copy`] or
+/// [`nt_copy_lines`].
 #[inline]
 pub fn store_fence() {
     #[cfg(target_arch = "x86_64")]
@@ -60,7 +100,7 @@ pub fn store_fence() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpart_types::{AlignedBuf, Tuple16, Tuple8};
+    use fpart_types::{AlignedBuf, Key, Tuple16, Tuple32, Tuple64, Tuple8};
 
     #[test]
     fn nt_copy_matches_plain_copy() {
@@ -82,5 +122,34 @@ mod tests {
         assert_eq!(dst[4], Tuple16::new(0, 0));
         assert_eq!(dst[6], Tuple16::new(2, 2));
         assert_eq!(dst[7], Tuple16::new(0, 0), "untouched");
+    }
+
+    /// One and two whole lines land exactly where a plain copy puts them,
+    /// between lines the copy must not touch.
+    fn check_lines<T: Tuple>() {
+        for lines in [1, 2] {
+            let n = lines * T::LANES;
+            let src: Vec<T> = (0..n as u64)
+                .map(|i| T::new(T::K::from_u64(i + 1), i))
+                .collect();
+            let src = AlignedBuf::from_slice(&src);
+            let mut dst = AlignedBuf::filled(n + 2 * T::LANES, T::dummy());
+            let mut expect = dst.as_slice().to_vec();
+            expect[T::LANES..T::LANES + n].copy_from_slice(&src);
+            // SAFETY: slot LANES is the second 64 B line of a 64 B-aligned
+            // buffer with room for `n` more slots; `src` is aligned and
+            // spans whole lines.
+            unsafe { nt_copy_lines(dst.as_mut_slice().as_mut_ptr().add(T::LANES), &src) };
+            store_fence();
+            assert_eq!(dst.as_slice(), &expect[..], "{}B x {lines} lines", T::WIDTH);
+        }
+    }
+
+    #[test]
+    fn nt_copy_lines_matches_plain_copy_for_every_width() {
+        check_lines::<Tuple8>();
+        check_lines::<Tuple16>();
+        check_lines::<Tuple32>();
+        check_lines::<Tuple64>();
     }
 }

@@ -124,9 +124,33 @@ impl<T: Tuple> Swwcb<T> {
         self.counts[p] = c + 1;
         if abs & mask == mask {
             let end = abs + 1;
-            let start = (end - self.buffer_slots).max(self.bases[p]);
-            // SAFETY: forwarded from the caller's contract.
-            unsafe { self.flush(p, start, end, out) };
+            let start = end - self.buffer_slots;
+            if self.non_temporal && start >= self.bases[p] {
+                // The steady state: a whole, 64 B-aligned window leaves in
+                // full streaming lines.
+                assert!(
+                    end <= out.len(),
+                    "SWWCB flush to slots {start}..{end} past the output's {} slots",
+                    out.len()
+                );
+                #[cfg(test)]
+                self.log.push(start..end);
+                self.stats.full_flushes += 1;
+                self.stats.nt_lines += (self.buffer_slots / T::LANES) as u64;
+                let from = p * self.buffer_slots;
+                // SAFETY: start..end is in bounds (asserted above); both
+                // windows start on a multiple of `buffer_slots` slots, a
+                // whole number of lines, from 64 B-aligned bases.
+                unsafe {
+                    nt_store::nt_copy_lines(
+                        out.as_ptr_at(start),
+                        &self.buffers[from..from + self.buffer_slots],
+                    )
+                };
+            } else {
+                // SAFETY: forwarded from the caller's contract.
+                unsafe { self.flush(p, start.max(self.bases[p]), end, out) };
+            }
         }
     }
 

@@ -44,10 +44,12 @@
 //!
 //! [`FpgaPartitioner::set_fault_plan`]: crate::FpgaPartitioner::set_fault_plan
 
+use std::convert::Infallible;
+
 use fpart_cpu::swwcb::Swwcb;
 use fpart_hwsim::{QpiConfig, QpiEndpoint, QpiStats};
 use fpart_obs::{Ctr, Recorder};
-use fpart_types::{FpartError, PartitionedRelation, Result, SharedWriter, Tuple, CACHE_LINE_BYTES};
+use fpart_types::{FpartError, PartitionedRelation, Result, SharedWriter, Tuple};
 
 use crate::config::{OutputMode, PartitionerConfig};
 use crate::partitioner::{build_pagetable, InputData, RunReport, TIMELINE_INTERVAL};
@@ -92,21 +94,20 @@ fn forward(regs: &mut (usize, usize), hits: &mut (u64, u64), p: usize) {
 /// Call `f(lane, tuple)` for every real tuple of `input`, in the order
 /// the circuit's hash lanes see them, and return the number of tuple
 /// lines the circuit generates. Rows are read straight from the slice;
-/// column inputs are expanded line by line as on chip.
-fn for_each_tuple<T: Tuple>(
+/// column inputs are expanded line by line as on chip. A pass that cannot
+/// fail uses `E = Infallible`, so its loop carries no error branch.
+fn for_each_tuple<T: Tuple, E>(
     input: &InputData<'_, T>,
-    mut f: impl FnMut(usize, T) -> Result<()>,
-) -> Result<u64> {
-    let mut visit = |line: &[T]| -> Result<()> {
-        for (lane, &t) in line.iter().enumerate() {
-            if !t.is_dummy() {
-                f(lane, t)?;
+    mut f: impl FnMut(usize, T) -> std::result::Result<(), E>,
+) -> std::result::Result<u64, E> {
+    if let InputData::Rows(rows) = input {
+        for line in rows.chunks(T::LANES) {
+            for (lane, &t) in line.iter().enumerate() {
+                if !t.is_dummy() {
+                    f(lane, t)?;
+                }
             }
         }
-        Ok(())
-    };
-    if let InputData::Rows(rows) = input {
-        rows.chunks(T::LANES).try_for_each(visit)?;
         return Ok(input.input_lines() as u64);
     }
     let (mut lines, mut lane_buf, mut tuple_lines) = (Vec::new(), Vec::new(), 0);
@@ -114,7 +115,13 @@ fn for_each_tuple<T: Tuple>(
         lines.clear();
         input.fetch(idx, &mut lines, &mut lane_buf);
         tuple_lines += lines.len() as u64;
-        lines.iter().try_for_each(|line| visit(line.tuples()))?;
+        for line in &lines {
+            for (lane, &t) in line.tuples().iter().enumerate() {
+                if !t.is_dummy() {
+                    f(lane, t)?;
+                }
+            }
+        }
     }
     Ok(tuple_lines)
 }
@@ -132,13 +139,13 @@ pub(crate) fn histogram_pass<T: Tuple>(
     let mut lane_hists = vec![0u64; T::LANES * parts];
     let mut regs = vec![(usize::MAX, usize::MAX); T::LANES];
     let mut forward_hits = (0, 0);
-    let tuple_lines = for_each_tuple(input, |lane, t| {
-        let p = cfg.partition_fn.partition_of(t.key());
+    let f = cfg.partition_fn;
+    let Ok(tuple_lines) = for_each_tuple(input, |lane, t| {
+        let p = f.partition_of(t.key());
         forward(&mut regs[lane], &mut forward_hits, p);
         lane_hists[lane * parts + p] += 1;
-        Ok(())
-    })
-    .expect("the histogram pass cannot fail");
+        Ok::<_, Infallible>(())
+    });
 
     let mut ep = QpiEndpoint::new(qpi_cfg.clone());
     let link = ep.fast_forward(total_lines, 0);
@@ -188,7 +195,7 @@ pub(crate) fn run_batched<T: Tuple>(
     let lanes = T::LANES;
     let n = input.tuple_count();
     let total_lines = input.input_lines() as u64;
-    let hash = |t: T| cfg.partition_fn.partition_of(t.key());
+    let f = cfg.partition_fn;
 
     let mut pagetable = build_pagetable::<T>(input, parts, n, &cfg.output)?;
 
@@ -228,19 +235,20 @@ pub(crate) fn run_batched<T: Tuple>(
     let mut wc = Swwcb::new(bases.collect(), true);
     let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
     let tuple_lines = if hist.is_some() {
-        for_each_tuple(input, |_, t| {
+        let Ok(lines) = for_each_tuple(input, |_, t| {
             // SAFETY: single writer; each partition receives exactly its
             // histogram count, which its extent holds.
-            unsafe { wc.push(hash(t), t, &w) };
-            Ok(())
-        })?
+            unsafe { wc.push(f.partition_of(t.key()), t, &w) };
+            Ok::<_, Infallible>(())
+        });
+        lines
     } else {
         let cap_lines = extents.capacity_lines[0];
         let cap = cap_lines as usize * lanes;
         let mut regs = vec![(usize::MAX, usize::MAX); lanes];
         for_each_tuple(input, |lane, t| {
             tuples_consumed += 1;
-            let p = hash(t);
+            let p = f.partition_of(t.key());
             forward(&mut regs[lane], &mut forward_hits, p);
             let cell = lane * parts + p;
             fills[cell] += 1;
@@ -294,14 +302,11 @@ pub(crate) fn run_batched<T: Tuple>(
 
     // Address translations: one per input line read and one per output
     // line written (the ticked engine re-translates reads denied by the
-    // token bucket, so its count is timing-dependent and strictly ≥ this).
-    for line in 0..total_lines {
-        pagetable.translate(line * CACHE_LINE_BYTES as u64)?;
-    }
+    // token bucket, so its count is timing-dependent and strictly ≥ this),
+    // looked up once per 4 MB page.
+    pagetable.translate_lines(0, total_lines)?;
     for (&count, &base) in counts.iter().zip(&extents.base_lines) {
-        for line in total_lines + base..total_lines + base + count {
-            pagetable.translate(line * CACHE_LINE_BYTES as u64)?;
-        }
+        pagetable.translate_lines(total_lines + base, count)?;
     }
 
     // Analytic scatter duration: the slower of the circuit and the link.

@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use fpart_types::{FpartError, Result};
+use fpart_types::{FpartError, Result, CACHE_LINE_BYTES};
 
 /// Size of one shared-memory page: 4 MB.
 pub const PAGE_BYTES: u64 = 4 << 20;
@@ -168,6 +168,57 @@ impl PageTable {
         }
         self.translations += 1;
         Ok(frame as u64 * PAGE_BYTES + offset)
+    }
+
+    /// Translate the `count` consecutive 64 B lines starting at line
+    /// `first_line`, looking each 4 MB page up once.
+    ///
+    /// Equivalent to calling [`PageTable::translate`] on every line's
+    /// address in order: the same `translations`, `retry_events` and
+    /// `retries_total` (scheduled transients included), and, for a range
+    /// that reaches an unmapped page, the same [`FpartError::PageFault`]
+    /// after the same counts for the lines before it.
+    pub fn translate_lines(&mut self, first_line: u64, count: u64) -> Result<()> {
+        let line_bytes = CACHE_LINE_BYTES as u64;
+        let lines_per_page = PAGE_BYTES / line_bytes;
+        let end = first_line + count;
+        let mut line = first_line;
+        while line < end {
+            let vpn = line / lines_per_page;
+            let mapped = usize::try_from(vpn)
+                .ok()
+                .and_then(|vpn| self.entries.get(vpn).copied().flatten())
+                .is_some();
+            if !mapped {
+                return Err(FpartError::PageFault {
+                    vaddr: line * line_bytes,
+                });
+            }
+            let page_end = ((vpn + 1) * lines_per_page).min(end);
+            self.advance(page_end - line);
+            line = page_end;
+        }
+        Ok(())
+    }
+
+    /// Count `n` successful translations, firing the scheduled transients
+    /// exactly as `n` calls of [`PageTable::translate`] would: each when
+    /// its index is the current translation's, in order. A schedule entry
+    /// already behind the count (a stale or duplicate index) is never
+    /// reached there, so it blocks every later one here too.
+    fn advance(&mut self, n: u64) {
+        let end = self.translations + n;
+        let mut next = self.translations;
+        while let Some(&(idx, retries)) = self.faults.front() {
+            if idx < next || idx >= end {
+                break;
+            }
+            self.faults.pop_front();
+            self.retry_events += 1;
+            self.retries_total += retries as u64;
+            next = idx + 1;
+        }
+        self.translations = end;
     }
 
     /// Mapped virtual pages.

@@ -57,12 +57,13 @@ pub fn build_probe_all<T: Tuple>(
     let worker = || {
         let mut matches = 0u64;
         let mut checksum = 0u64;
+        let mut table = BucketChainTable::with_shift(partition_bits);
         loop {
             let p = cursor.fetch_add(1, Ordering::Relaxed);
             if p >= parts {
                 break;
             }
-            let table = BucketChainTable::build(r.partition_tuples(p), partition_bits);
+            table.rebuild(r.partition_tuples(p));
             if table.is_empty() {
                 continue;
             }

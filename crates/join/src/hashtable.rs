@@ -44,21 +44,41 @@ impl<T: Tuple> BucketChainTable<T> {
     /// produced this partition (its hash bits carry no information within
     /// the partition and are shifted away).
     pub fn build(tuples: impl Iterator<Item = T>, partition_bits: u32) -> Self {
-        let tuples: Vec<T> = tuples.filter(|t| !t.is_dummy()).collect();
-        let cap = tuples.len().next_power_of_two().max(1);
-        let mut table = Self {
-            heads: vec![EMPTY; cap],
-            next: vec![EMPTY; tuples.len()],
-            mask: cap as u64 - 1,
-            shift: partition_bits,
-            tuples,
-        };
-        for i in 0..table.tuples.len() {
-            let b = table.bucket_of(table.tuples[i].key());
-            table.next[i] = table.heads[b];
-            table.heads[b] = i as u32;
-        }
+        let mut table = Self::with_shift(partition_bits);
+        table.rebuild(tuples);
         table
+    }
+
+    /// An empty table for partitions of a `partition_bits` fan-out, to be
+    /// filled by [`BucketChainTable::rebuild`].
+    pub fn with_shift(partition_bits: u32) -> Self {
+        Self {
+            heads: vec![EMPTY],
+            next: Vec::new(),
+            tuples: Vec::new(),
+            mask: 0,
+            shift: partition_bits,
+        }
+    }
+
+    /// Replace the table's contents with the non-dummy tuples of another
+    /// partition of the same fan-out, keeping the allocated capacity: a
+    /// worker that joins many partitions allocates for the largest, once.
+    pub fn rebuild(&mut self, tuples: impl Iterator<Item = T>) {
+        self.tuples.clear();
+        self.tuples.extend(tuples.filter(|t| !t.is_dummy()));
+        let n = self.tuples.len();
+        let cap = n.next_power_of_two().max(1);
+        self.heads.clear();
+        self.heads.resize(cap, EMPTY);
+        self.next.clear();
+        self.next.resize(n, EMPTY);
+        self.mask = cap as u64 - 1;
+        for i in 0..n {
+            let b = self.bucket_of(self.tuples[i].key());
+            self.next[i] = self.heads[b];
+            self.heads[b] = i as u32;
+        }
     }
 
     /// Number of build tuples.
@@ -179,5 +199,47 @@ mod tests {
             "max chain {} suggests clustered hashing",
             table.max_chain()
         );
+    }
+
+    /// Every key's matches, in chain order, for keys `0..=max_key`.
+    fn all_probes(table: &BucketChainTable<Tuple8>, max_key: u32) -> Vec<Vec<u32>> {
+        (0..=max_key)
+            .map(|k| {
+                let mut hits = Vec::new();
+                let n = table.probe(k, |t| hits.push(t.payload));
+                assert_eq!(n, hits.len());
+                hits
+            })
+            .collect()
+    }
+
+    /// A reused table probes exactly like a fresh one, whichever size the
+    /// previous partition had: stale `heads`/`next` entries would surface
+    /// as phantom matches or out-of-range chain links.
+    #[test]
+    fn rebuild_matches_a_fresh_build() {
+        let bits = 4;
+        let partition = |n: u32, seed: u32| -> Vec<Tuple8> {
+            let mut ts: Vec<Tuple8> = (0..n)
+                .map(|i| Tuple8::new(i.wrapping_mul(seed) % 3000, i as u64))
+                .collect();
+            ts.push(Tuple8::dummy());
+            ts
+        };
+        let mut table = BucketChainTable::with_shift(bits);
+        assert!(table.is_empty());
+        assert_eq!(table.probe(5, |_| {}), 0, "a never-built table is empty");
+        for tuples in [
+            partition(5000, 7),
+            partition(9, 13),
+            Vec::new(),
+            partition(4000, 11),
+            partition(1, 17),
+        ] {
+            table.rebuild(tuples.iter().copied());
+            let fresh = BucketChainTable::build(tuples.iter().copied(), bits);
+            assert_eq!(table.len(), fresh.len());
+            assert_eq!(all_probes(&table, 3100), all_probes(&fresh, 3100));
+        }
     }
 }

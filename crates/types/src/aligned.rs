@@ -8,6 +8,7 @@
 
 use std::alloc::{self, Layout};
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
@@ -16,8 +17,9 @@ use crate::line::CACHE_LINE_BYTES;
 /// A fixed-length, 64-byte-aligned, heap-allocated buffer of `T`.
 ///
 /// Semantically a `Box<[T]>` whose base address is cache-line aligned.
-/// The buffer is zero-initialised on creation (`T` must tolerate the
-/// all-zeroes bit pattern — all fpart tuple types do, being plain-old-data).
+/// Every element is initialised on creation: [`AlignedBuf::zeroed`] needs
+/// `T` to tolerate the all-zeroes bit pattern (all fpart tuple types do,
+/// being plain-old-data); [`AlignedBuf::filled`] writes a given value.
 pub struct AlignedBuf<T: Copy> {
     ptr: NonNull<T>,
     len: usize,
@@ -35,23 +37,25 @@ impl<T: Copy> AlignedBuf<T> {
     /// Panics on zero-size types, on allocation failure, or if the byte
     /// length overflows `isize`.
     pub fn zeroed(len: usize) -> Self {
-        assert!(std::mem::size_of::<T>() > 0, "zero-size types unsupported");
-        if len == 0 {
-            return Self {
-                ptr: NonNull::dangling(),
-                len: 0,
-                _marker: PhantomData,
-            };
+        Self {
+            ptr: Self::allocate(len, true),
+            len,
+            _marker: PhantomData,
         }
-        let align = CACHE_LINE_BYTES.max(std::mem::align_of::<T>());
-        let layout = Layout::array::<T>(len)
-            .and_then(|l| l.align_to(align))
-            .expect("allocation size overflow");
-        // SAFETY: layout has non-zero size (len > 0, size_of::<T> > 0).
-        let raw = unsafe { alloc::alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
-            alloc::handle_alloc_error(layout)
-        };
+    }
+
+    /// Allocate a buffer of `len` elements, every element set to `fill`.
+    /// Each slot is written once: the memory is not zeroed first.
+    ///
+    /// # Panics
+    /// As [`AlignedBuf::zeroed`].
+    pub fn filled(len: usize, fill: T) -> Self {
+        let ptr = Self::allocate(len, false);
+        // SAFETY: `ptr` is valid for `len` elements (or dangling with
+        // len 0); `MaybeUninit` makes viewing the uninitialised memory
+        // sound, and every slot is initialised before `Self` exists.
+        let slots = unsafe { std::slice::from_raw_parts_mut(ptr.as_ptr().cast(), len) };
+        slots.fill(MaybeUninit::new(fill));
         Self {
             ptr,
             len,
@@ -59,18 +63,41 @@ impl<T: Copy> AlignedBuf<T> {
         }
     }
 
-    /// Allocate a buffer of `len` elements, every element set to `fill`.
-    pub fn filled(len: usize, fill: T) -> Self {
-        let mut buf = Self::zeroed(len);
-        buf.as_mut_slice().fill(fill);
-        buf
-    }
-
     /// Copy a slice into a fresh aligned buffer.
     pub fn from_slice(src: &[T]) -> Self {
         let mut buf = Self::zeroed(src.len());
         buf.as_mut_slice().copy_from_slice(src);
         buf
+    }
+
+    /// The allocation layout of `len` elements.
+    fn layout(len: usize) -> Layout {
+        let align = CACHE_LINE_BYTES.max(std::mem::align_of::<T>());
+        Layout::array::<T>(len)
+            .and_then(|l| l.align_to(align))
+            .expect("allocation size overflow")
+    }
+
+    /// Allocate room for `len` elements, zeroed or uninitialised; dangling
+    /// when `len` is 0.
+    fn allocate(len: usize, zeroed: bool) -> NonNull<T> {
+        assert!(std::mem::size_of::<T>() > 0, "zero-size types unsupported");
+        if len == 0 {
+            return NonNull::dangling();
+        }
+        let layout = Self::layout(len);
+        // SAFETY: layout has non-zero size (len > 0, size_of::<T> > 0).
+        let raw = unsafe {
+            if zeroed {
+                alloc::alloc_zeroed(layout)
+            } else {
+                alloc::alloc(layout)
+            }
+        };
+        match NonNull::new(raw.cast::<T>()) {
+            Some(ptr) => ptr,
+            None => alloc::handle_alloc_error(layout),
+        }
     }
 
     /// Number of elements.
@@ -111,12 +138,8 @@ impl<T: Copy> Drop for AlignedBuf<T> {
         if self.len == 0 {
             return;
         }
-        let align = CACHE_LINE_BYTES.max(std::mem::align_of::<T>());
-        let layout = Layout::array::<T>(self.len)
-            .and_then(|l| l.align_to(align))
-            .expect("layout reconstruction cannot fail after successful alloc");
-        // SAFETY: allocated in `zeroed` with the identical layout.
-        unsafe { alloc::dealloc(self.ptr.as_ptr().cast(), layout) };
+        // SAFETY: allocated in `allocate` with the identical layout.
+        unsafe { alloc::dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) };
     }
 }
 

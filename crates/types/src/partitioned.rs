@@ -329,12 +329,21 @@ impl<T: Tuple> SharedWriter<T> {
     /// Copy a run of tuples to consecutive absolute slots.
     ///
     /// # Safety
-    /// `slot + src.len() <= self.len()`, and the destination range must not
-    /// be written concurrently by another thread.
+    /// The destination range must not be written concurrently by another
+    /// thread.
+    ///
+    /// # Panics
+    /// Panics if `slot + src.len() > self.len()`, in every build.
     #[inline]
     pub unsafe fn write_run(&self, slot: usize, src: &[T]) {
-        debug_assert!(slot + src.len() <= self.len);
-        // SAFETY: see above.
+        let end = slot.checked_add(src.len());
+        assert!(
+            end.is_some_and(|end| end <= self.len),
+            "run to slots {slot}..+{} past the output's {} slots",
+            src.len(),
+            self.len
+        );
+        // SAFETY: in bounds (checked above); see above for disjointness.
         unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(slot), src.len()) };
     }
 }
@@ -423,6 +432,20 @@ mod tests {
         // SAFETY: single-threaded; the bounds check must fire before the
         // store.
         unsafe { w.write(16, Tuple8::new(1, 1)) };
+    }
+
+    #[test]
+    #[should_panic(expected = "past the output")]
+    fn shared_writer_rejects_out_of_range_run() {
+        let mut rel = PartitionedRelation::<Tuple8>::padded(2, 8, false);
+        let w = SharedWriter::new(&mut rel);
+        let run = [Tuple8::new(1, 1), Tuple8::new(2, 2)];
+        // SAFETY: single-threaded; a run ending at the last slot is in
+        // bounds, and the check must fire before the one-past-the-end copy.
+        unsafe {
+            w.write_run(14, &run);
+            w.write_run(15, &run);
+        }
     }
 
     #[test]
