@@ -124,33 +124,9 @@ impl<T: Tuple> Swwcb<T> {
         self.counts[p] = c + 1;
         if abs & mask == mask {
             let end = abs + 1;
-            let start = end - self.buffer_slots;
-            if self.non_temporal && start >= self.bases[p] {
-                // The steady state: a whole, 64 B-aligned window leaves in
-                // full streaming lines.
-                assert!(
-                    end <= out.len(),
-                    "SWWCB flush to slots {start}..{end} past the output's {} slots",
-                    out.len()
-                );
-                #[cfg(test)]
-                self.log.push(start..end);
-                self.stats.full_flushes += 1;
-                self.stats.nt_lines += (self.buffer_slots / T::LANES) as u64;
-                let from = p * self.buffer_slots;
-                // SAFETY: start..end is in bounds (asserted above); both
-                // windows start on a multiple of `buffer_slots` slots, a
-                // whole number of lines, from 64 B-aligned bases.
-                unsafe {
-                    nt_store::nt_copy_lines(
-                        out.as_ptr_at(start),
-                        &self.buffers[from..from + self.buffer_slots],
-                    )
-                };
-            } else {
-                // SAFETY: forwarded from the caller's contract.
-                unsafe { self.flush(p, start.max(self.bases[p]), end, out) };
-            }
+            let start = (end - self.buffer_slots).max(self.bases[p]);
+            // SAFETY: forwarded from the caller's contract.
+            unsafe { self.flush(p, start, end, out) };
         }
     }
 
@@ -207,10 +183,18 @@ impl<T: Tuple> Swwcb<T> {
         let src = &self.buffers[from..from + n];
         if self.non_temporal {
             self.stats.nt_lines += (n as u64).div_ceil(T::LANES as u64);
-            // SAFETY: start..end is in bounds (asserted above); the
-            // destination is 8-byte aligned because the backing store is
-            // 64-byte aligned and tuple widths are multiples of 8.
-            unsafe { nt_store::nt_copy(out.as_ptr_at(start), src) };
+            let dst = out.as_ptr_at(start);
+            if n == self.buffer_slots {
+                // SAFETY: start..end is in bounds (asserted above); a full
+                // window starts on a multiple of `buffer_slots`, a whole
+                // number of lines, in both 64-byte-aligned buffers.
+                unsafe { nt_store::nt_copy_lines(dst, src) };
+            } else {
+                // SAFETY: start..end is in bounds (asserted above); the
+                // destination is 8-byte aligned because the backing store
+                // is 64-byte aligned and tuple widths are multiples of 8.
+                unsafe { nt_store::nt_copy(dst, src) };
+            }
         } else {
             // SAFETY: as above.
             unsafe { out.write_run(start, src) };

@@ -102,11 +102,7 @@ fn for_each_tuple<T: Tuple, E>(
 ) -> std::result::Result<u64, E> {
     if let InputData::Rows(rows) = input {
         for line in rows.chunks(T::LANES) {
-            for (lane, &t) in line.iter().enumerate() {
-                if !t.is_dummy() {
-                    f(lane, t)?;
-                }
-            }
+            visit_line(line, &mut f)?;
         }
         return Ok(input.input_lines() as u64);
     }
@@ -116,14 +112,24 @@ fn for_each_tuple<T: Tuple, E>(
         input.fetch(idx, &mut lines, &mut lane_buf);
         tuple_lines += lines.len() as u64;
         for line in &lines {
-            for (lane, &t) in line.tuples().iter().enumerate() {
-                if !t.is_dummy() {
-                    f(lane, t)?;
-                }
-            }
+            visit_line(line.tuples(), &mut f)?;
         }
     }
     Ok(tuple_lines)
+}
+
+/// Call `f(lane, tuple)` for every real tuple of one line.
+#[inline]
+fn visit_line<T: Tuple, E>(
+    line: &[T],
+    f: &mut impl FnMut(usize, T) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    for (lane, &t) in line.iter().enumerate() {
+        if !t.is_dummy() {
+            f(lane, t)?;
+        }
+    }
+    Ok(())
 }
 
 /// Functional histogram pass: stream every input tuple once, count tuples
