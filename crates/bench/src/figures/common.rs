@@ -99,7 +99,7 @@ pub fn simulate_mode(mode: ModePair, n: usize, bits: u32, raw: bool, seed: u64) 
     let keys = cached_keys(KeyDistribution::Random, n, seed);
     if input == InputMode::Vrid {
         let col = ColumnRelation::<Tuple8>::from_keys(&keys);
-        partitioner.partition_columns(&col).expect("VRID sim").1
+        partitioner.partition(&col).expect("VRID sim").1
     } else {
         let rel = Relation::<Tuple8>::from_keys(&keys);
         partitioner.partition(&rel).expect("RID sim").1

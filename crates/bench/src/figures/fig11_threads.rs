@@ -125,8 +125,8 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         }
         .with_fidelity(SimFidelity::Batched);
         let vp = FpgaPartitioner::new(vrid_cfg);
-        let vrid_secs = vp.partition_columns(rc).expect("vrid r").1.seconds()
-            + vp.partition_columns(sc).expect("vrid s").1.seconds();
+        let vrid_secs = vp.partition(rc).expect("vrid r").1.seconds()
+            + vp.partition(sc).expect("vrid s").1.seconds();
 
         crate::record::emit(
             "fig11",

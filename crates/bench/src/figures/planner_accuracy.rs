@@ -42,6 +42,8 @@ pub struct AccuracyPoint {
     /// Ground-truth FPGA seconds: the batched simulation of the planned
     /// output mode over the actual keys.
     pub fpga_sim_seconds: f64,
+    /// Host seconds this point took to plan and simulate.
+    pub wall_s: f64,
 }
 
 impl AccuracyPoint {
@@ -93,7 +95,14 @@ pub fn sweep(scale: &Scale) -> Vec<AccuracyPoint> {
             axis.push((n.max(1024), dist));
         }
     }
+    // A PAD overflow restarts in HIST mode (Section 5.4) and never
+    // reaches the CPU, so the ground truth includes that cost.
+    let chain = EscalationChain {
+        cpu_fallback: false,
+        ..EscalationChain::new(PLANNER_THREADS)
+    };
     crate::par::par_map(axis, crate::par::default_workers(), move |(n, dist)| {
+        let t0 = std::time::Instant::now();
         let rel = relation(n, dist, scale.seed);
         let plan = EnginePlanner::new(PLANNER_THREADS)
             .with_distribution(distribution_kind(dist))
@@ -101,24 +110,16 @@ pub fn sweep(scale: &Scale) -> Vec<AccuracyPoint> {
         let explanation = plan.explanation.clone();
         // Ground truth for the FPGA side: simulate the planned output
         // mode over the actual keys (batched fidelity — identical bytes,
-        // analytic cycle count). A PAD overflow degrades to HIST exactly
-        // like the chain would, so the measurement includes that cost.
+        // analytic cycle count).
         let sim = FpgaPartitioner::with_modes(f, explanation.output, InputMode::Rid)
             .with_sim_fidelity(SimFidelity::Batched);
-        let fpga_sim_seconds = match sim.partition(&rel) {
-            Ok((_, report)) => report.seconds(),
-            Err(_) => {
-                let retry = FpgaPartitioner::with_modes(f, OutputMode::Hist, InputMode::Rid)
-                    .with_sim_fidelity(SimFidelity::Batched);
-                let (_, report) = retry.partition(&rel).expect("HIST handles any skew");
-                report.seconds()
-            }
-        };
+        let (_, report) = chain.run(&sim, &rel).expect("HIST handles any skew");
         AccuracyPoint {
             n,
             dist,
             explanation,
-            fpga_sim_seconds,
+            fpga_sim_seconds: report.stats.seconds(),
+            wall_s: t0.elapsed().as_secs_f64(),
         }
     })
 }
@@ -134,9 +135,7 @@ pub fn agreement(points: &[AccuracyPoint]) -> f64 {
 
 /// Generate the planner-accuracy report.
 pub fn run(scale: &Scale) -> Vec<TextTable> {
-    let t0 = std::time::Instant::now();
     let points = sweep(scale);
-    let wall = t0.elapsed().as_secs_f64() / points.len().max(1) as f64;
 
     let mut t = TextTable::new(
         format!(
@@ -165,7 +164,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
             &label,
             p.n as f64 / e.cpu_seconds.min(p.fpga_sim_seconds) / 1e6,
             0,
-            wall,
+            p.wall_s,
         );
         t.row(vec![
             p.n.to_string(),

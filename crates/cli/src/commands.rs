@@ -123,7 +123,7 @@ fn trace(
     let keys = dist.generate_keys::<u32>(n, seed);
     let partitioner = FpgaPartitioner::new(config);
     let (_, report) = if input == InputMode::Vrid {
-        partitioner.partition_columns(&ColumnRelation::<Tuple8>::from_keys(&keys))?
+        partitioner.partition(&ColumnRelation::<Tuple8>::from_keys(&keys))?
     } else {
         partitioner.partition(&Relation::<Tuple8>::from_keys(&keys))?
     };
@@ -486,7 +486,7 @@ fn partition(
             let (parts, report) = if input == InputMode::Vrid {
                 let keys: Vec<u32> = rel.tuples().iter().map(|t| t.key).collect();
                 let payloads: Vec<u64> = rel.tuples().iter().map(|t| t.payload_word()).collect();
-                partitioner.partition_columns(&ColumnRelation::from_columns(&keys, &payloads))?
+                partitioner.partition(&ColumnRelation::from_columns(&keys, &payloads))?
             } else {
                 partitioner.partition(rel)?
             };

@@ -43,14 +43,14 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`types`] | tuples, cache lines, relations, partitioned outputs |
+//! | [`types`] | tuples, cache lines, row and column relations and the [`Input`](fpart_types::Input) over both, partitioned outputs |
 //! | [`hash`] | murmur3 finalizers, radix extraction, [`PartitionFn`](fpart_hash::PartitionFn) |
 //! | [`datagen`] | the paper's key distributions and Table 4 workloads |
 //! | [`memmodel`] | Figure 2 bandwidth curves, Table 1 coherence model |
 //! | [`hwsim`] | FIFOs, BRAMs, QPI endpoint, page table |
 //! | [`obs`] | pipeline observability: counters, histograms, traces, conservation laws |
 //! | [`fpga`] | the partitioner circuit (Section 4) |
-//! | [`cpu`] | SWWCB / scalar / two-pass CPU partitioning (Section 3) |
+//! | [`cpu`] | the CPU baseline: single-pass SWWCB partitioning with non-temporal stores (Section 3) |
 //! | [`join`] | one radix hash join driver over any back-end (CPU, or FPGA for the hybrid join), aggregation (Section 5) — and the [`PartitionEngine`] back-end trait, [`EnginePlanner`] and [`HybridSplitEngine`] |
 //! | [`costmodel`] | Section 4.6 model + calibrated CPU/join models |
 //! | [`net`] | rack-scale distributed join (the paper's future use case 2) |
@@ -66,7 +66,9 @@
 //! closed `Partitioner` enum front-end is gone; construct engines
 //! directly or go through the planner. Joins take an engine too:
 //! [`join::radix_join`] over a CPU partitioner is the CPU radix join,
-//! and over the FPGA partitioner it is the paper's hybrid join.
+//! and over the FPGA partitioner it is the paper's hybrid join. Every
+//! entry point takes a row store or a column store
+//! ([`Input`](fpart_types::Input)); column stores run in VRID mode.
 
 #![warn(missing_docs)]
 
@@ -90,7 +92,7 @@ pub use fpart_join::{
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use fpart_cpu::{CpuPartitioner, Strategy};
+    pub use fpart_cpu::CpuPartitioner;
     pub use fpart_datagen::{KeyDistribution, Workload, WorkloadId};
     pub use fpart_fpga::{
         FpgaPartitioner, InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig,
@@ -99,13 +101,13 @@ pub mod prelude {
     pub use fpart_hash::PartitionFn;
     pub use fpart_hwsim::{Fault, FaultPlan, FaultSpec};
     pub use fpart_join::{
-        planned_join, radix_join, vrid_join, DegradationReport, EngineChoice, EnginePlanner,
-        EscalationChain, HybridSplitEngine, JoinReport, JoinResult, PartitionEngine,
-        PartitionStats, Plan, PlanExplanation,
+        planned_join, radix_join, DegradationReport, EngineChoice, EnginePlanner, EscalationChain,
+        HybridSplitEngine, JoinReport, JoinResult, PartitionEngine, PartitionStats, Plan,
+        PlanExplanation,
     };
     pub use fpart_obs::{ObsSnapshot, Recorder};
     pub use fpart_types::{
-        ColumnRelation, FpartError, PartitionedRelation, Relation, Tuple, Tuple16, Tuple32,
+        ColumnRelation, FpartError, Input, PartitionedRelation, Relation, Tuple, Tuple16, Tuple32,
         Tuple64, Tuple8,
     };
 }

@@ -1,9 +1,9 @@
 //! Histogram construction and prefix sums.
 //!
-//! Every CPU strategy (and the paper's own baseline) starts with a
-//! histogram pass: it sizes the output exactly and, in the parallel case,
-//! gives each thread a private, pre-computed output extent per partition
-//! so that the scatter needs no synchronisation.
+//! The CPU partitioner (the paper's baseline) starts with a histogram
+//! pass: it sizes the output exactly and, in the parallel case, gives
+//! each thread a private, pre-computed output extent per partition so
+//! that the scatter needs no synchronisation.
 
 use fpart_hash::PartitionFn;
 use fpart_types::Tuple;

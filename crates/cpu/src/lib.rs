@@ -5,25 +5,20 @@
 //!
 //! The paper uses "the open-sourced implementation from Balkesen et al. as
 //! the software baseline … a single-pass partitioning with software-managed
-//! buffers and non-temporal writes enabled". This crate provides that
-//! algorithm plus the baselines it superseded, so the ablation benches can
-//! retrace the lineage:
+//! buffers and non-temporal writes enabled". This crate provides that one
+//! algorithm — [`swwcb::Swwcb`], Code 2's cache-resident write-combining
+//! buffers of one cache line per partition, flushed with non-temporal
+//! stores (Wassenberg & Sanders) — plus Code 1's direct scatter
+//! ([`swwcb::scatter_scalar`]) as the reference the buffered output is
+//! tested against.
 //!
-//! * [`strategy::Strategy::Scalar`] — Code 1: direct scatter, one random
-//!   cache-line touch per tuple;
-//! * [`strategy::Strategy::TwoPass`] — Manegold et al.: multi-pass
-//!   partitioning with bounded per-pass fan-out to limit TLB misses;
-//! * [`strategy::Strategy::Swwcb`] — Code 2: single-pass with
-//!   cache-resident write-combining buffers, optionally flushed with
-//!   non-temporal SIMD stores (Wassenberg & Sanders);
-//!
-//! all driven multi-threaded by [`parallel`]: per-thread histograms and a
-//! global prefix sum give every thread private output extents, removing
-//! synchronisation from the scatter ("the partitioning algorithm for the
+//! [`parallel`] drives the scatter on many threads: per-thread histograms
+//! and a global prefix sum give every thread private output extents,
+//! removing synchronisation from the scatter ("the partitioning algorithm for the
 //! CPU builds the histogram out of necessity, in order to remove
 //! synchronization between multiple threads", Section 4.7).
 //!
-//! On top of the partitioners sit two applications from the surrounding
+//! On top of the partitioner sit two applications from the surrounding
 //! literature: [`range`] (the partitioning type Wu et al.'s ASIC
 //! accelerates) and [`sort`] (LSD radix sort and sample sort — the
 //! paper's baseline descends from radix-sort work).
@@ -35,9 +30,7 @@ pub mod nt_store;
 pub mod parallel;
 pub mod range;
 pub mod sort;
-pub mod strategy;
 pub mod swwcb;
 
 pub use parallel::{CpuPartitioner, CpuRunReport};
 pub use range::{range_partition, range_partition_parallel, RangeSplitters};
-pub use strategy::Strategy;

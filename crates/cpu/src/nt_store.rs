@@ -9,8 +9,7 @@
 //! On x86-64 we use `_mm_stream_si64` for arbitrary runs and
 //! `_mm_stream_si128` for whole aligned lines (both SSE2, baseline for the
 //! architecture); elsewhere the copy degrades to a normal `memcpy`, which
-//! keeps the algorithm portable (the throughput difference is the one
-//! between the `swwcb` and `swwcb+nt` strategies).
+//! keeps the algorithm portable.
 
 use fpart_types::{Tuple, CACHE_LINE_BYTES};
 

@@ -17,8 +17,7 @@ use fpart_hash::PartitionFn;
 use fpart_types::{PartitionedRelation, Relation, SharedWriter, Tuple};
 
 use crate::histogram;
-use crate::strategy::Strategy;
-use crate::swwcb::{scatter_scalar, Swwcb};
+use crate::swwcb::Swwcb;
 
 /// A configured CPU partitioner.
 ///
@@ -41,8 +40,6 @@ pub struct CpuPartitioner {
     pub partition_fn: PartitionFn,
     /// Worker threads for histogram and scatter passes.
     pub threads: usize,
-    /// Scatter strategy.
-    pub strategy: Strategy,
 }
 
 /// Timing and volume report of a CPU partitioning run.
@@ -54,12 +51,11 @@ pub struct CpuRunReport {
     pub threads: usize,
     /// Wall time of the histogram pass.
     pub hist_time: Duration,
-    /// Wall time of the scatter pass(es).
+    /// Wall time of the scatter pass.
     pub scatter_time: Duration,
-    /// Data passes over the input (histogram + scatters).
+    /// Data passes over the input (histogram + scatter).
     pub passes: usize,
-    /// Buffer-full SWWCB flushes summed over all scatter threads (0 for
-    /// scalar and two-pass strategies, which bypass the buffers).
+    /// Buffer-full SWWCB flushes summed over all scatter threads.
     pub swwcb_full_flushes: u64,
     /// Drain-time partial SWWCB flushes summed over all scatter threads.
     pub swwcb_partial_flushes: u64,
@@ -100,14 +96,7 @@ impl CpuPartitioner {
         Self {
             partition_fn,
             threads: threads.max(1),
-            strategy: Strategy::PAPER_BASELINE,
         }
-    }
-
-    /// Override the scatter strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Run only the histogram pass: tuples per partition, without
@@ -116,202 +105,110 @@ impl CpuPartitioner {
     /// the scatter pass and the full-size output allocation.
     pub fn histogram_only<T: Tuple>(&self, rel: &Relation<T>) -> Vec<usize> {
         let f = self.partition_fn;
-        let tuples = rel.tuples();
-        let threads = self.threads.min(tuples.len()).max(1);
-        let chunks: Vec<&[T]> = chunk_evenly(tuples, threads);
-        let thread_hists: Vec<Vec<usize>> = if threads == 1 {
-            vec![histogram::build(chunks[0], f)]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| s.spawn(move || histogram::build(chunk, f)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("histogram worker"))
-                    .collect()
-            })
-        };
-        let (global, _) = histogram::thread_bases(&thread_hists);
-        global
+        let chunks = chunk_evenly(rel.tuples(), self.threads.min(rel.len()).max(1));
+        let thread_hists = thread_histograms(&chunks, f.fan_out(), &|k| f.partition_of(k));
+        histogram::thread_bases(&thread_hists).0
     }
 
     /// Partition a relation. Output extents are tuple-exact (no padding).
     pub fn partition<T: Tuple>(&self, rel: &Relation<T>) -> (PartitionedRelation<T>, CpuRunReport) {
-        match self.strategy {
-            Strategy::TwoPass { first_bits } => self.partition_two_pass(rel, first_bits),
-            _ => self.partition_single_pass(rel),
-        }
-    }
-
-    fn partition_single_pass<T: Tuple>(
-        &self,
-        rel: &Relation<T>,
-    ) -> (PartitionedRelation<T>, CpuRunReport) {
         let f = self.partition_fn;
-        let tuples = rel.tuples();
-        let threads = self.threads.min(tuples.len()).max(1);
-        let chunks: Vec<&[T]> = chunk_evenly(tuples, threads);
+        scatter(rel, self.threads, f.fan_out(), |k| f.partition_of(k))
+    }
+}
 
-        // Pass 1: per-thread histograms.
-        let t0 = Instant::now();
-        let thread_hists: Vec<Vec<usize>> = if threads == 1 {
-            vec![histogram::build(chunks[0], f)]
+/// The one CPU partitioning path, for radix, hash and range partitioning
+/// alike: route every tuple of `rel` to one of `parts` partitions by
+/// `partition_of` on up to `threads` threads — a histogram pass, then a
+/// single-pass SWWCB scatter with non-temporal stores into tuple-exact,
+/// per-thread-disjoint extents.
+pub(crate) fn scatter<T: Tuple>(
+    rel: &Relation<T>,
+    threads: usize,
+    parts: usize,
+    partition_of: impl Fn(T::K) -> usize + Sync,
+) -> (PartitionedRelation<T>, CpuRunReport) {
+    let chunks = chunk_evenly(rel.tuples(), threads.min(rel.len()).max(1));
+    let t0 = Instant::now();
+    let thread_hists = thread_histograms(&chunks, parts, &partition_of);
+    let hist_time = t0.elapsed();
+
+    let (global, bases) = histogram::thread_bases(&thread_hists);
+    let mut out = PartitionedRelation::<T>::with_histogram(&global, false);
+
+    // Pass 2: scatter into disjoint extents. Flush accounting merges
+    // through an atomic registry — the scatter threads are otherwise
+    // fully unsynchronised and stay that way.
+    let t1 = Instant::now();
+    let flush_reg = fpart_obs::AtomicRegistry::new();
+    {
+        let writer = SharedWriter::new(&mut out);
+        let scatter = |chunk: &[T], bases: Vec<usize>| {
+            let mut wc = Swwcb::new(bases);
+            for &t in chunk {
+                // SAFETY: per-thread extents are disjoint by construction
+                // of `thread_bases`.
+                unsafe { wc.push(partition_of(t.key()), t, &writer) };
+            }
+            // SAFETY: as above.
+            unsafe { wc.drain(&writer) };
+            let mut c = fpart_obs::CounterSet::default();
+            wc.stats().record_into(&mut c);
+            flush_reg.merge_from(&c);
+        };
+        if chunks.len() == 1 {
+            scatter(chunks[0], bases[0].clone());
         } else {
             std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| s.spawn(move || histogram::build(chunk, f)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("histogram worker"))
-                    .collect()
-            })
-        };
-        let hist_time = t0.elapsed();
-
-        let (global, bases) = histogram::thread_bases(&thread_hists);
-        let mut out = PartitionedRelation::<T>::with_histogram(&global, false);
-
-        // Pass 2: scatter into disjoint extents. Flush accounting merges
-        // through an atomic registry — the scatter threads are otherwise
-        // fully unsynchronised and stay that way.
-        let t1 = Instant::now();
-        let flush_reg = fpart_obs::AtomicRegistry::new();
-        {
-            let writer = SharedWriter::new(&mut out);
-            let writer_ref = &writer;
-            let reg_ref = &flush_reg;
-            let scatter = |chunk: &[T], bases: Vec<usize>| match self.strategy {
-                Strategy::Scalar => {
-                    // SAFETY: per-thread extents are disjoint by
-                    // construction of `thread_bases`.
-                    unsafe { scatter_scalar(chunk, f, &bases, writer_ref) }
+                for (chunk, b) in chunks.iter().zip(bases) {
+                    let scatter = &scatter;
+                    s.spawn(move || scatter(chunk, b));
                 }
-                Strategy::Swwcb { non_temporal } => {
-                    let mut wc = Swwcb::new(bases, non_temporal);
-                    for &t in chunk {
-                        // SAFETY: as above.
-                        unsafe { wc.push(f.partition_of(t.key()), t, writer_ref) };
-                    }
-                    // SAFETY: as above.
-                    unsafe { wc.drain(writer_ref) };
-                    let mut c = fpart_obs::CounterSet::default();
-                    wc.stats().record_into(&mut c);
-                    reg_ref.merge_from(&c);
-                }
-                Strategy::TwoPass { .. } => unreachable!("dispatched separately"),
-            };
-            if threads == 1 {
-                scatter(chunks[0], bases[0].clone());
-            } else {
-                std::thread::scope(|s| {
-                    for (chunk, b) in chunks.iter().zip(bases) {
-                        let scatter = &scatter;
-                        s.spawn(move || scatter(chunk, b));
-                    }
-                });
-            }
+            });
         }
-        let scatter_time = t1.elapsed();
-
-        for (p, &count) in global.iter().enumerate() {
-            out.set_partition_fill(p, count, count);
-        }
-        let flushes = flush_reg.snapshot();
-        let report = CpuRunReport {
-            tuples: tuples.len() as u64,
-            threads,
-            hist_time,
-            scatter_time,
-            passes: 2,
-            swwcb_full_flushes: flushes.get(fpart_obs::Ctr::SwwcbFullFlushes),
-            swwcb_partial_flushes: flushes.get(fpart_obs::Ctr::SwwcbPartialFlushes),
-            nt_store_lines: flushes.get(fpart_obs::Ctr::SwwcbNtLines),
-        };
-        (out, report)
     }
+    let scatter_time = t1.elapsed();
 
-    /// Manegold-style two-pass partitioning (single-threaded): pass 1
-    /// splits by the high `first_bits` of the partition id, pass 2 refines
-    /// each bucket by the remaining bits. The final tuple order is exactly
-    /// the partition-id order, so the output is indistinguishable from a
-    /// (stable) single-pass run.
-    fn partition_two_pass<T: Tuple>(
-        &self,
-        rel: &Relation<T>,
-        first_bits: u32,
-    ) -> (PartitionedRelation<T>, CpuRunReport) {
-        let f = self.partition_fn;
-        let total_bits = f.bits();
-        assert!(
-            (1..total_bits).contains(&first_bits),
-            "first pass must resolve between 1 and bits-1 bits"
-        );
-        let second_bits = total_bits - first_bits;
-        let tuples = rel.tuples();
-
-        // Pass 1: histogram + scatter on the high bits.
-        let t0 = Instant::now();
-        let mut hist1 = vec![0usize; 1 << first_bits];
-        for t in tuples {
-            hist1[f.partition_of(t.key()) >> second_bits] += 1;
-        }
-        let hist_time = t0.elapsed();
-
-        let t1 = Instant::now();
-        let base1 = histogram::prefix_sum(&hist1);
-        let mut staging: Vec<T> = vec![T::dummy(); tuples.len()];
-        let mut cursors = base1[..hist1.len()].to_vec();
-        for &t in tuples {
-            let b = f.partition_of(t.key()) >> second_bits;
-            staging[cursors[b]] = t;
-            cursors[b] += 1;
-        }
-
-        // Pass 2: inside each bucket, histogram + scatter on the low bits.
-        let mut global = vec![0usize; f.fan_out()];
-        for (b, win) in base1.windows(2).enumerate() {
-            let bucket = &staging[win[0]..win[1]];
-            for t in bucket {
-                debug_assert_eq!(f.partition_of(t.key()) >> second_bits, b);
-                global[f.partition_of(t.key())] += 1;
-            }
-        }
-        let mut out = PartitionedRelation::<T>::with_histogram(&global, false);
-        {
-            let writer = SharedWriter::new(&mut out);
-            let part_base = histogram::prefix_sum(&global);
-            let mut cursors = part_base[..global.len()].to_vec();
-            for win in base1.windows(2) {
-                for &t in &staging[win[0]..win[1]] {
-                    let p = f.partition_of(t.key());
-                    // SAFETY: single-threaded; cursors stay within the
-                    // exact extents.
-                    unsafe { writer.write(cursors[p], t) };
-                    cursors[p] += 1;
-                }
-            }
-        }
-        let scatter_time = t1.elapsed();
-
-        for (p, &count) in global.iter().enumerate() {
-            out.set_partition_fill(p, count, count);
-        }
-        let report = CpuRunReport {
-            tuples: tuples.len() as u64,
-            threads: 1,
-            hist_time,
-            scatter_time,
-            passes: 1 + 2 * self.strategy.scatter_passes(),
-            swwcb_full_flushes: 0,
-            swwcb_partial_flushes: 0,
-            nt_store_lines: 0,
-        };
-        (out, report)
+    for (p, &count) in global.iter().enumerate() {
+        out.set_partition_fill(p, count, count);
     }
+    let flushes = flush_reg.snapshot();
+    let report = CpuRunReport {
+        tuples: rel.len() as u64,
+        threads: chunks.len(),
+        hist_time,
+        scatter_time,
+        passes: 2,
+        swwcb_full_flushes: flushes.get(fpart_obs::Ctr::SwwcbFullFlushes),
+        swwcb_partial_flushes: flushes.get(fpart_obs::Ctr::SwwcbPartialFlushes),
+        nt_store_lines: flushes.get(fpart_obs::Ctr::SwwcbNtLines),
+    };
+    (out, report)
+}
+
+/// Pass 1: each chunk's private histogram, one thread per chunk.
+fn thread_histograms<T: Tuple>(
+    chunks: &[&[T]],
+    parts: usize,
+    partition_of: &(impl Fn(T::K) -> usize + Sync),
+) -> Vec<Vec<usize>> {
+    let count = |chunk: &[T]| {
+        let mut hist = vec![0usize; parts];
+        for t in chunk {
+            hist[partition_of(t.key())] += 1;
+        }
+        hist
+    };
+    if chunks.len() == 1 {
+        return vec![count(chunks[0])];
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = chunks.iter().map(|&c| s.spawn(move || count(c))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("histogram worker"))
+            .collect()
+    })
 }
 
 /// Split a slice into `n` contiguous chunks whose lengths differ by at
@@ -413,45 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_strategy_matches_swwcb() {
-        let r = rel(5000, KeyDistribution::Linear);
-        let f = PartitionFn::Radix { bits: 5 };
-        let a = CpuPartitioner::new(f, 2)
-            .with_strategy(Strategy::Scalar)
-            .partition(&r)
-            .0;
-        let b = CpuPartitioner::new(f, 2).partition(&r).0;
-        assert_eq!(a.raw_data(), b.raw_data());
-    }
-
-    #[test]
-    fn swwcb_without_nt_matches() {
-        let r = rel(5000, KeyDistribution::ReverseGrid);
-        let f = PartitionFn::Murmur { bits: 4 };
-        let a = CpuPartitioner::new(f, 3)
-            .with_strategy(Strategy::Swwcb {
-                non_temporal: false,
-            })
-            .partition(&r)
-            .0;
-        let b = CpuPartitioner::new(f, 3).partition(&r).0;
-        assert_eq!(a.raw_data(), b.raw_data());
-    }
-
-    #[test]
-    fn two_pass_produces_identical_layout() {
-        let r = rel(8000, KeyDistribution::Random);
-        let f = PartitionFn::Murmur { bits: 8 };
-        let single = CpuPartitioner::new(f, 1).partition(&r).0;
-        let (two, report) = CpuPartitioner::new(f, 1)
-            .with_strategy(Strategy::TwoPass { first_bits: 4 })
-            .partition(&r);
-        check(&r, &two, f);
-        assert_eq!(single.raw_data(), two.raw_data(), "stable two-pass layout");
-        assert!(report.passes > 2);
-    }
-
-    #[test]
     fn empty_and_tiny_relations() {
         let f = PartitionFn::Murmur { bits: 4 };
         let empty = Relation::<Tuple8>::from_tuples(&[]);
@@ -486,14 +344,5 @@ mod tests {
         assert_eq!(chunks[2], &[7, 8, 9]);
         let empty: Vec<u32> = vec![];
         assert_eq!(chunk_evenly(&empty, 2).len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "between 1 and bits-1")]
-    fn two_pass_rejects_degenerate_split() {
-        let r = rel(100, KeyDistribution::Linear);
-        let _ = CpuPartitioner::new(PartitionFn::Radix { bits: 4 }, 1)
-            .with_strategy(Strategy::TwoPass { first_bits: 4 })
-            .partition(&r);
     }
 }

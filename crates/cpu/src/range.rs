@@ -12,12 +12,9 @@
 //! or [`RangeSplitters::from_sample`] (quantiles of a random sample — the
 //! standard balanced choice).
 
-use fpart_types::{Key, PartitionedRelation, Relation, SharedWriter, Tuple};
-use std::time::Instant;
+use fpart_types::{Key, PartitionedRelation, Relation, Tuple};
 
-use crate::histogram::prefix_sum;
-use crate::parallel::CpuRunReport;
-use crate::swwcb::Swwcb;
+use crate::parallel::{scatter, CpuRunReport};
 
 /// Sorted splitters defining `splitters.len() + 1` key ranges.
 ///
@@ -129,53 +126,13 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Range-partition a relation single-threaded, through the same SWWCB
-/// machinery as the radix/hash paths. See
-/// [`range_partition_parallel`] for the multi-threaded variant.
+/// scatter as the radix/hash paths. See [`range_partition_parallel`] for
+/// the multi-threaded variant.
 pub fn range_partition<T: Tuple>(
     rel: &Relation<T>,
     splitters: &RangeSplitters<T::K>,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
-    let parts = splitters.fan_out();
-    let t0 = Instant::now();
-    let mut hist = vec![0usize; parts];
-    for t in rel.tuples() {
-        hist[splitters.partition_of(t.key())] += 1;
-    }
-    let hist_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let bases = prefix_sum(&hist);
-    let mut out = PartitionedRelation::<T>::with_histogram(&hist, false);
-    let flush_stats;
-    {
-        let writer = SharedWriter::new(&mut out);
-        let mut wc = Swwcb::new(bases[..parts].to_vec(), true);
-        for &t in rel.tuples() {
-            // SAFETY: single writer over exact extents from the histogram.
-            unsafe { wc.push(splitters.partition_of(t.key()), t, &writer) };
-        }
-        // SAFETY: as above.
-        unsafe { wc.drain(&writer) };
-        flush_stats = wc.stats();
-    }
-    let scatter_time = t1.elapsed();
-
-    for (p, &h) in hist.iter().enumerate() {
-        out.set_partition_fill(p, h, h);
-    }
-    (
-        out,
-        CpuRunReport {
-            tuples: rel.len() as u64,
-            threads: 1,
-            hist_time,
-            scatter_time,
-            passes: 2,
-            swwcb_full_flushes: flush_stats.full_flushes,
-            swwcb_partial_flushes: flush_stats.partial_flushes,
-            nt_store_lines: flush_stats.nt_lines,
-        },
-    )
+    range_partition_parallel(rel, splitters, 1)
 }
 
 /// Multi-threaded range partitioning: the same per-thread-histogram +
@@ -186,88 +143,9 @@ pub fn range_partition_parallel<T: Tuple>(
     splitters: &RangeSplitters<T::K>,
     threads: usize,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
-    let threads = threads.clamp(1, rel.len().max(1));
-    if threads == 1 {
-        return range_partition(rel, splitters);
-    }
-    let parts = splitters.fan_out();
-    let tuples = rel.tuples();
-    let chunk = tuples.len().div_ceil(threads);
-    let chunks: Vec<&[T]> = tuples.chunks(chunk.max(1)).collect();
-
-    let t0 = Instant::now();
-    let thread_hists: Vec<Vec<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|c| {
-                s.spawn(move || {
-                    let mut h = vec![0usize; parts];
-                    for t in *c {
-                        h[splitters.partition_of(t.key())] += 1;
-                    }
-                    h
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("histogram worker"))
-            .collect()
-    });
-    let hist_time = t0.elapsed();
-
-    let (global, bases) = crate::histogram::thread_bases(&thread_hists);
-    let mut out = PartitionedRelation::<T>::with_histogram(&global, false);
-    let t1 = Instant::now();
-    let mut flush_stats = crate::swwcb::SwwcbStats::default();
-    {
-        let writer = SharedWriter::new(&mut out);
-        let writer_ref = &writer;
-        let thread_stats: Vec<crate::swwcb::SwwcbStats> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .zip(bases)
-                .map(|(c, b)| {
-                    s.spawn(move || {
-                        let mut wc = Swwcb::new(b, true);
-                        for &t in *c {
-                            // SAFETY: per-thread extents are disjoint by
-                            // construction of `thread_bases`.
-                            unsafe { wc.push(splitters.partition_of(t.key()), t, writer_ref) };
-                        }
-                        // SAFETY: as above.
-                        unsafe { wc.drain(writer_ref) };
-                        wc.stats()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter worker"))
-                .collect()
-        });
-        for s in &thread_stats {
-            flush_stats.merge(s);
-        }
-    }
-    let scatter_time = t1.elapsed();
-
-    for (p, &count) in global.iter().enumerate() {
-        out.set_partition_fill(p, count, count);
-    }
-    (
-        out,
-        CpuRunReport {
-            tuples: tuples.len() as u64,
-            threads,
-            hist_time,
-            scatter_time,
-            passes: 2,
-            swwcb_full_flushes: flush_stats.full_flushes,
-            swwcb_partial_flushes: flush_stats.partial_flushes,
-            nt_store_lines: flush_stats.nt_lines,
-        },
-    )
+    scatter(rel, threads, splitters.fan_out(), |k| {
+        splitters.partition_of(k)
+    })
 }
 
 #[cfg(test)]

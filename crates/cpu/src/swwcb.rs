@@ -26,13 +26,6 @@ pub struct SwwcbStats {
 }
 
 impl SwwcbStats {
-    /// Accumulate another engine's stats (per-thread merge).
-    pub fn merge(&mut self, other: &SwwcbStats) {
-        self.full_flushes += other.full_flushes;
-        self.partial_flushes += other.partial_flushes;
-        self.nt_lines += other.nt_lines;
-    }
-
     /// Add these stats into an observability counter set.
     pub fn record_into(&self, c: &mut fpart_obs::CounterSet) {
         use fpart_obs::Ctr;
@@ -42,33 +35,27 @@ impl SwwcbStats {
     }
 }
 
-/// A per-thread scatter engine with a cache-line-aligned buffer per
-/// partition.
-///
-/// The buffer depth is configurable: "the size of each buffer (N) should
-/// be set so that all the buffers fit into L1" (Section 3.1) — one line
-/// per partition is the classic choice at large fan-outs; deeper buffers
-/// suit smaller ones.
+/// A per-thread scatter engine with one cache-line buffer per partition,
+/// flushed with non-temporal stores — the paper's software baseline
+/// ("the size of each buffer (N) should be set so that all the buffers
+/// fit into L1", Section 3.1; one line per partition is the classic
+/// choice at the paper's fan-outs).
 ///
 /// **Destination-aligned windows.** A tuple bound for absolute output
-/// slot `a` sits in buffer slot `a mod N` (N = buffer slots, a power of
-/// two), and a buffer flushes when its last slot fills. Every full flush
-/// therefore writes exactly one N-slot window that starts on an N-slot —
-/// hence 64 B — boundary of the (64 B-aligned) output, so a streaming
-/// store never splits a destination cache line between two flushes. Only
-/// the first window of a thread's extent (which may start mid-window) and
-/// the last (drained at the end) flush partially.
+/// slot `a` sits in buffer slot `a mod LANES`, and a buffer flushes when
+/// its last slot fills. Every full flush therefore writes exactly one
+/// destination cache line of the (64 B-aligned) output, so a streaming
+/// store never splits a line between two flushes. Only the first line of
+/// a thread's extent (which may start mid-line) and the last (drained at
+/// the end) flush partially.
 pub struct Swwcb<T: Tuple> {
-    /// `partitions × buffer_slots` tuple slots, 64-byte aligned.
+    /// `partitions × LANES` tuple slots, 64-byte aligned.
     buffers: AlignedBuf<T>,
     /// Tuples this thread has pushed per partition.
     counts: Vec<usize>,
     /// Absolute output slot where this thread's extent of each partition
     /// begins (from [`crate::histogram::thread_bases`]).
     bases: Vec<usize>,
-    /// Tuples per partition buffer (`lines × LANES`, a power of two).
-    buffer_slots: usize,
-    non_temporal: bool,
     stats: SwwcbStats,
     /// Every flush's absolute slot range, in order (tests only).
     #[cfg(test)]
@@ -77,39 +64,21 @@ pub struct Swwcb<T: Tuple> {
 
 impl<T: Tuple> Swwcb<T> {
     /// Create a scatter engine writing partition `p`'s tuples at
-    /// `bases[p]`, `bases[p]+1`, …, with one cache line of buffering per
-    /// partition (the paper baseline's configuration).
-    pub fn new(bases: Vec<usize>, non_temporal: bool) -> Self {
-        Self::with_buffer_lines(bases, non_temporal, 1)
-    }
-
-    /// Create a scatter engine with `lines` cache lines of buffering per
-    /// partition.
-    ///
-    /// # Panics
-    /// Panics unless `lines` is a power of two (1, 2, 4, …), so that a
-    /// buffer window is a whole number of aligned destination lines.
-    pub fn with_buffer_lines(bases: Vec<usize>, non_temporal: bool, lines: usize) -> Self {
-        assert!(
-            lines.is_power_of_two(),
-            "at least one line of buffering, and a power of two"
-        );
+    /// `bases[p]`, `bases[p]+1`, ….
+    pub fn new(bases: Vec<usize>) -> Self {
         let parts = bases.len();
-        let buffer_slots = lines * T::LANES;
         Self {
-            buffers: AlignedBuf::filled(parts * buffer_slots, T::dummy()),
+            buffers: AlignedBuf::filled(parts * T::LANES, T::dummy()),
             counts: vec![0; parts],
             bases,
-            buffer_slots,
-            non_temporal,
             stats: SwwcbStats::default(),
             #[cfg(test)]
             log: Vec::new(),
         }
     }
 
-    /// Buffer one tuple; flushes the partition's window to `out` when the
-    /// window's last slot fills.
+    /// Buffer one tuple; flushes the partition's line to `out` when the
+    /// line's last slot fills.
     ///
     /// # Safety
     /// The extents implied by `bases` and the per-thread histogram must be
@@ -119,12 +88,12 @@ impl<T: Tuple> Swwcb<T> {
     pub unsafe fn push(&mut self, p: usize, t: T, out: &SharedWriter<T>) {
         let c = self.counts[p];
         let abs = self.bases[p] + c;
-        let mask = self.buffer_slots - 1;
-        self.buffers[p * self.buffer_slots + (abs & mask)] = t;
+        let mask = T::LANES - 1;
+        self.buffers[p * T::LANES + (abs & mask)] = t;
         self.counts[p] = c + 1;
         if abs & mask == mask {
             let end = abs + 1;
-            let start = (end - self.buffer_slots).max(self.bases[p]);
+            let start = (end - T::LANES).max(self.bases[p]);
             // SAFETY: forwarded from the caller's contract.
             unsafe { self.flush(p, start, end, out) };
         }
@@ -136,7 +105,7 @@ impl<T: Tuple> Swwcb<T> {
     /// # Safety
     /// Same contract as [`Swwcb::push`].
     pub unsafe fn drain(&mut self, out: &SharedWriter<T>) {
-        let mask = self.buffer_slots - 1;
+        let mask = T::LANES - 1;
         for p in 0..self.counts.len() {
             let end = self.bases[p] + self.counts[p];
             if end & mask != 0 && self.counts[p] > 0 {
@@ -158,8 +127,8 @@ impl<T: Tuple> Swwcb<T> {
         self.stats
     }
 
-    /// Write the buffered tuples of partition `p` bound for absolute slots
-    /// `start..end`, which lie in one buffer window.
+    /// Stream the buffered tuples of partition `p` bound for absolute
+    /// slots `start..end`, which lie in one destination line.
     ///
     /// # Panics
     /// Panics if `end > out.len()` — checked in every build, once per
@@ -174,37 +143,31 @@ impl<T: Tuple> Swwcb<T> {
         #[cfg(test)]
         self.log.push(start..end);
         let n = end - start;
-        if n == self.buffer_slots {
+        if n == T::LANES {
             self.stats.full_flushes += 1;
         } else {
             self.stats.partial_flushes += 1;
         }
-        let from = p * self.buffer_slots + (start & (self.buffer_slots - 1));
+        self.stats.nt_lines += 1;
+        let from = p * T::LANES + (start & (T::LANES - 1));
         let src = &self.buffers[from..from + n];
-        if self.non_temporal {
-            self.stats.nt_lines += (n as u64).div_ceil(T::LANES as u64);
-            let dst = out.as_ptr_at(start);
-            if n == self.buffer_slots {
-                // SAFETY: start..end is in bounds (asserted above); a full
-                // window starts on a multiple of `buffer_slots`, a whole
-                // number of lines, in both 64-byte-aligned buffers.
-                unsafe { nt_store::nt_copy_lines(dst, src) };
-            } else {
-                // SAFETY: start..end is in bounds (asserted above); the
-                // destination is 8-byte aligned because the backing store
-                // is 64-byte aligned and tuple widths are multiples of 8.
-                unsafe { nt_store::nt_copy(dst, src) };
-            }
+        let dst = out.as_ptr_at(start);
+        if n == T::LANES {
+            // SAFETY: start..end is in bounds (asserted above); a full
+            // window is one whole line, 64-byte aligned in both buffers.
+            unsafe { nt_store::nt_copy_lines(dst, src) };
         } else {
-            // SAFETY: as above.
-            unsafe { out.write_run(start, src) };
+            // SAFETY: start..end is in bounds (asserted above); the
+            // destination is 8-byte aligned because the backing store
+            // is 64-byte aligned and tuple widths are multiples of 8.
+            unsafe { nt_store::nt_copy(dst, src) };
         }
     }
 }
 
 /// The naive scatter of Code 1: every tuple goes straight to memory —
 /// one random cache-line read-modify-write per tuple. Kept as the
-/// ablation baseline for the write-combining claim of Section 4.2.
+/// reference the buffered scatter's output is tested against.
 ///
 /// # Safety
 /// Same extent-disjointness contract as [`Swwcb::push`].
@@ -238,7 +201,7 @@ mod tests {
         let mut rel = PartitionedRelation::<Tuple8>::with_histogram(&hist, false);
         {
             let writer = SharedWriter::new(&mut rel);
-            let mut wc = Swwcb::new(bases[..4].to_vec(), true);
+            let mut wc = Swwcb::new(bases[..4].to_vec());
             for &t in &tuples {
                 // SAFETY: single-threaded, extents from the histogram.
                 unsafe { wc.push(f.partition_of(t.key), t, &writer) };
@@ -279,7 +242,7 @@ mod tests {
         let mut b = PartitionedRelation::<Tuple8>::with_histogram(&hist, false);
         {
             let w = SharedWriter::new(&mut b);
-            let mut wc = Swwcb::new(bases.clone(), false);
+            let mut wc = Swwcb::new(bases.clone());
             for &t in &tuples {
                 // SAFETY: as above.
                 unsafe { wc.push(f.partition_of(t.key), t, &w) };
@@ -288,47 +251,6 @@ mod tests {
             unsafe { wc.drain(&w) };
         }
         assert_eq!(a.raw_data(), b.raw_data());
-    }
-}
-
-#[cfg(test)]
-mod buffer_depth_tests {
-    use super::*;
-    use fpart_types::{PartitionedRelation, Tuple8};
-
-    /// Any buffer depth produces the identical output layout.
-    #[test]
-    fn depths_are_layout_equivalent() {
-        let f = PartitionFn::Murmur { bits: 4 };
-        let tuples: Vec<Tuple8> = (0..997).map(|i| Tuple8::new(i * 31, i as u64)).collect();
-        let hist = crate::histogram::build(&tuples, f);
-        let bases = crate::histogram::prefix_sum(&hist)[..hist.len()].to_vec();
-
-        let run = |lines: usize| {
-            let mut rel = PartitionedRelation::<Tuple8>::with_histogram(&hist, false);
-            {
-                let w = SharedWriter::new(&mut rel);
-                let mut wc =
-                    Swwcb::with_buffer_lines(bases.clone(), lines.is_multiple_of(2), lines);
-                for &t in &tuples {
-                    // SAFETY: single-threaded, exact extents.
-                    unsafe { wc.push(f.partition_of(t.key), t, &w) };
-                }
-                // SAFETY: as above.
-                unsafe { wc.drain(&w) };
-            }
-            rel.raw_data().to_vec()
-        };
-        let reference = run(1);
-        for lines in [2usize, 4, 8] {
-            assert_eq!(run(lines), reference, "buffer depth {lines}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one line")]
-    fn zero_depth_rejected() {
-        let _ = Swwcb::<Tuple8>::with_buffer_lines(vec![0], false, 0);
     }
 }
 
@@ -350,7 +272,6 @@ mod flush_tests {
         tuples: &[T],
         f: PartitionFn,
         threads: usize,
-        lines: usize,
     ) -> (Vec<T>, Vec<T>, Vec<Scattered<T>>, usize) {
         let chunk = tuples.len().div_ceil(threads).max(1);
         let chunks: Vec<&[T]> = tuples.chunks(chunk).collect();
@@ -374,7 +295,7 @@ mod flush_tests {
         {
             let w = SharedWriter::new(&mut buffered);
             for (c, b) in chunks.iter().zip(bases) {
-                let mut wc = Swwcb::with_buffer_lines(b, lines % 2 == 1, lines);
+                let mut wc = Swwcb::new(b);
                 for &t in *c {
                     // SAFETY: as above.
                     unsafe { wc.push(f.partition_of(t.key()), t, &w) };
@@ -410,36 +331,34 @@ mod flush_tests {
             PartitionFn::Murmur { bits: 5 },
         ] {
             for threads in 1..=3 {
-                for lines in [1, 2, 4] {
-                    let what = format!("{}B {f:?} {threads}t {lines} lines", T::WIDTH);
-                    let (scalar, buffered, engines, base) = scatter_both(&input, f, threads, lines);
-                    assert_eq!(buffered, scalar, "{what}");
+                let what = format!("{}B {f:?} {threads}t", T::WIDTH);
+                let (scalar, buffered, engines, base) = scatter_both(&input, f, threads);
+                assert_eq!(buffered, scalar, "{what}");
 
-                    let slots = lines * T::LANES;
-                    for e in &engines {
-                        let stats = e.wc.stats();
-                        let full: Vec<_> = e.wc.log.iter().filter(|r| r.len() == slots).collect();
-                        let partial_tuples: usize =
-                            e.wc.log
-                                .iter()
-                                .filter(|r| r.len() < slots)
-                                .map(|r| r.len())
-                                .sum();
-                        assert_eq!(stats.full_flushes as usize, full.len(), "{what}");
-                        assert_eq!(
-                            stats.full_flushes as usize * slots + partial_tuples,
-                            e.tuples_in,
-                            "{what}: flushed tuples"
-                        );
-                        for r in full {
-                            let addr = base + r.start * T::WIDTH;
-                            assert_eq!(addr % 64, 0, "{what}: full flush at slot {}", r.start);
-                        }
-                        // At most a head and a tail partial flush per
-                        // partition this thread wrote to.
-                        let touched = e.wc.counts().iter().filter(|&&c| c > 0).count();
-                        assert!(stats.partial_flushes as usize <= 2 * touched, "{what}");
+                let slots = T::LANES;
+                for e in &engines {
+                    let stats = e.wc.stats();
+                    let full: Vec<_> = e.wc.log.iter().filter(|r| r.len() == slots).collect();
+                    let partial_tuples: usize =
+                        e.wc.log
+                            .iter()
+                            .filter(|r| r.len() < slots)
+                            .map(|r| r.len())
+                            .sum();
+                    assert_eq!(stats.full_flushes as usize, full.len(), "{what}");
+                    assert_eq!(
+                        stats.full_flushes as usize * slots + partial_tuples,
+                        e.tuples_in,
+                        "{what}: flushed tuples"
+                    );
+                    for r in full {
+                        let addr = base + r.start * T::WIDTH;
+                        assert_eq!(addr % 64, 0, "{what}: full flush at slot {}", r.start);
                     }
+                    // At most a head and a tail partial flush per
+                    // partition this thread wrote to.
+                    let touched = e.wc.counts().iter().filter(|&&c| c > 0).count();
+                    assert!(stats.partial_flushes as usize <= 2 * touched, "{what}");
                 }
             }
         }
@@ -459,7 +378,7 @@ mod flush_tests {
     fn unaligned_extent_flushes_head_lines_tail() {
         let mut rel = PartitionedRelation::<Tuple8>::with_histogram(&[3 + 20], false);
         let w = SharedWriter::new(&mut rel);
-        let mut wc = Swwcb::<Tuple8>::new(vec![3], false);
+        let mut wc = Swwcb::<Tuple8>::new(vec![3]);
         for i in 0..20 {
             // SAFETY: single writer; slots 3..23 are in bounds.
             unsafe { wc.push(0, Tuple8::new(i, i as u64), &w) };
@@ -472,7 +391,7 @@ mod flush_tests {
             SwwcbStats {
                 full_flushes: 1,
                 partial_flushes: 2,
-                nt_lines: 0,
+                nt_lines: 3,
             }
         );
     }
@@ -483,17 +402,11 @@ mod flush_tests {
         let mut rel = PartitionedRelation::<Tuple8>::with_histogram(&[4], false);
         let w = SharedWriter::new(&mut rel);
         // The extent claims slots 0..8, but the output holds 4.
-        let mut wc = Swwcb::<Tuple8>::new(vec![0], true);
+        let mut wc = Swwcb::<Tuple8>::new(vec![0]);
         for i in 0..8 {
             // SAFETY: deliberately breaks the bounds half of the contract;
             // the flush check must catch it before any store.
             unsafe { wc.push(0, Tuple8::new(i, 0), &w) };
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_depth_rejected() {
-        let _ = Swwcb::<Tuple8>::with_buffer_lines(vec![0], false, 3);
     }
 }

@@ -2,7 +2,7 @@
 //! parameters, plus synthesis-time knobs).
 
 use fpart_hash::PartitionFn;
-use fpart_types::{FpartError, Result};
+use fpart_types::{FpartError, Input, Result, Tuple};
 
 /// Largest log2 size of an on-chip table the BRAM budget holds: 2^20
 /// partitions for the partitioner's fill counters, or 2^20 slots for the
@@ -109,6 +109,15 @@ pub enum InputMode {
 }
 
 impl InputMode {
+    /// The mode that reads `input`: RID for a row store, VRID for a
+    /// column store.
+    pub fn of<T: Tuple>(input: &Input<'_, T>) -> Self {
+        match input {
+            Input::Rows(_) => Self::Rid,
+            Input::Columns(_) => Self::Vrid,
+        }
+    }
+
     /// Short label for reports ("RID" / "VRID").
     pub fn label(self) -> &'static str {
         match self {

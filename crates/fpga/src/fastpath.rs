@@ -238,7 +238,7 @@ pub(crate) fn run_batched<T: Tuple>(
     // Scatter through the SWWCB.
     let w = SharedWriter::new(&mut out);
     let bases = extents.base_lines.iter().map(|&b| b as usize * lanes);
-    let mut wc = Swwcb::new(bases.collect(), true);
+    let mut wc = Swwcb::new(bases.collect());
     let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
     let tuple_lines = if hist.is_some() {
         let Ok(lines) = for_each_tuple(input, |_, t| {

@@ -26,8 +26,7 @@ use fpart_hwsim::{
 };
 use fpart_obs::{Ctr, ObsSnapshot, Recorder};
 use fpart_types::{
-    ColumnRelation, FpartError, Line, PartitionedRelation, Relation, Result, Tuple,
-    CACHE_LINE_BYTES,
+    FpartError, Input, Line, PartitionedRelation, Relation, Result, Tuple, CACHE_LINE_BYTES,
 };
 
 use crate::config::{InputMode, OutputMode, PartitionerConfig, SimFidelity};
@@ -219,37 +218,32 @@ impl FpgaPartitioner {
         p
     }
 
-    /// Partition a row-store relation (RID mode).
+    /// Partition a row store (RID mode) or a column store (VRID mode: only
+    /// the key column is read, and tuples carry `(key, position)`).
     ///
     /// # Errors
-    /// [`FpartError::PartitionOverflow`] in PAD mode under skew — the
-    /// caller is expected to fall back to HIST mode or a CPU partitioner.
-    pub fn partition<T: Tuple>(
+    /// [`FpartError::InvalidConfig`] if the input's layout does not match
+    /// the configured [`InputMode`]. [`FpartError::PartitionOverflow`] in
+    /// PAD mode under skew — the caller is expected to fall back to HIST
+    /// mode or a CPU partitioner.
+    pub fn partition<'a, T: Tuple>(
         &self,
-        rel: &Relation<T>,
+        input: impl Into<Input<'a, T>>,
     ) -> Result<(PartitionedRelation<T>, RunReport)> {
+        let input = input.into();
         self.config.validate()?;
-        if self.config.input != InputMode::Rid {
-            return Err(FpartError::InvalidConfig(
-                "partition() requires RID input mode; use partition_columns() for VRID".into(),
-            ));
+        let mode = InputMode::of(&input);
+        if mode != self.config.input {
+            return Err(FpartError::InvalidConfig(format!(
+                "the input needs {} mode, the partitioner is configured for {}",
+                mode.label(),
+                self.config.input.label()
+            )));
         }
-        self.run(InputData::Rows(rel.tuples()))
-    }
-
-    /// Partition a column-store relation (VRID mode): only the key column
-    /// is read; tuples carry `(key, position)`.
-    pub fn partition_columns<T: Tuple>(
-        &self,
-        rel: &ColumnRelation<T>,
-    ) -> Result<(PartitionedRelation<T>, RunReport)> {
-        self.config.validate()?;
-        if self.config.input != InputMode::Vrid {
-            return Err(FpartError::InvalidConfig(
-                "partition_columns() requires VRID input mode".into(),
-            ));
-        }
-        self.run(InputData::Keys(rel.keys()))
+        self.run(match input {
+            Input::Rows(rel) => InputData::Rows(rel.tuples()),
+            Input::Columns(rel) => InputData::Keys(rel.keys()),
+        })
     }
 
     /// Partition a run-length-encoded key column (compressed VRID mode):
@@ -1117,7 +1111,7 @@ mod tests {
     use fpart_datagen::KeyDistribution;
     use fpart_hash::PartitionFn;
     use fpart_types::relation::content_checksum;
-    use fpart_types::{Tuple16, Tuple64, Tuple8};
+    use fpart_types::{ColumnRelation, Tuple16, Tuple64, Tuple8};
 
     fn config(bits: u32, output: OutputMode, input: InputMode) -> PartitionerConfig {
         PartitionerConfig {
@@ -1204,7 +1198,7 @@ mod tests {
         let col = ColumnRelation::<Tuple8>::from_keys(&keys);
         let cfg = config(5, OutputMode::pad_default(), InputMode::Vrid);
         let p = FpgaPartitioner::new(cfg.clone());
-        let (out, report) = p.partition_columns(&col).unwrap();
+        let (out, report) = p.partition(&col).unwrap();
 
         // Payloads are the positions; materialisation restores the pairs.
         assert_eq!(out.total_valid(), 4096);

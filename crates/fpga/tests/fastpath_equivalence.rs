@@ -173,8 +173,8 @@ fn batched_matches_cycle_accurate_sweep() {
         let batched = FpgaPartitioner::new(cfg.with_fidelity(SimFidelity::Batched));
         if vrid {
             let col = ColumnRelation::<Tuple8>::from_keys(&keys);
-            let b = batched.partition_columns(&col);
-            let c = cycle.partition_columns(&col);
+            let b = batched.partition(&col);
+            let c = cycle.partition(&col);
             assert_same_outcome(&label, b, c);
         } else {
             let rel = Relation::<Tuple8>::from_keys(&keys);
@@ -479,7 +479,7 @@ fn batched_runs(output: OutputMode) -> Vec<(String, PartitionedRelation<Tuple8>,
         .partition(&Relation::<Tuple8>::from_keys(&keys))
         .unwrap();
     let cols = run(InputMode::Vrid)
-        .partition_columns(&ColumnRelation::<Tuple8>::from_keys(&keys))
+        .partition(&ColumnRelation::<Tuple8>::from_keys(&keys))
         .unwrap();
     let rle = run(InputMode::Vrid)
         .partition_rle::<Tuple8>(&RleColumn::encode(&sorted))

@@ -127,7 +127,7 @@ fn rle_partitioning_matches_plain_vrid() {
 
     let (rle_parts, rle_report) = p.partition_rle::<Tuple8>(&column).unwrap();
     let col = ColumnRelation::<Tuple8>::from_keys(&keys);
-    let (vrid_parts, vrid_report) = p.partition_columns(&col).unwrap();
+    let (vrid_parts, vrid_report) = p.partition(&col).unwrap();
 
     // Same partitions, same (key, position) contents.
     assert_eq!(rle_parts.histogram(), vrid_parts.histogram());

@@ -29,8 +29,7 @@ use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, RunReport};
 use fpart_hash::PartitionFn;
 use fpart_memmodel::BandwidthCurve;
 use fpart_obs::{Ctr, ObsSnapshot};
-use fpart_types::relation::vrid_tuple;
-use fpart_types::{ColumnRelation, PartitionedRelation, Relation, Result, Tuple};
+use fpart_types::{ColumnRelation, Input, PartitionedRelation, Result, Tuple};
 
 use crate::fallback::AttemptPath;
 
@@ -166,15 +165,17 @@ pub trait PartitionEngine<T: Tuple>: std::fmt::Debug {
     /// reads it instead of matching on concrete types.
     fn path(&self) -> AttemptPath;
 
-    /// Partition a row-store relation.
+    /// Partition a row store or a column store (see [`Input`]).
     ///
     /// # Errors
     /// PAD-mode engines abort with
     /// [`fpart_types::FpartError::PartitionOverflow`] under skew; the
     /// simulated platform can also abort on link or BRAM faults. Callers
     /// wanting graceful degradation go through
-    /// [`crate::fallback::EscalationChain::run`].
-    fn partition(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)>;
+    /// [`crate::fallback::EscalationChain::run`]. An FPGA engine whose
+    /// input mode does not match the input's layout returns
+    /// [`fpart_types::FpartError::InvalidConfig`].
+    fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)>;
 
     /// Modeled seconds to partition `n` tuples (Section 4.6), in the
     /// paper platform's time domain — the planner ranks engines by this.
@@ -220,8 +221,13 @@ impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
         AttemptPath::Cpu
     }
 
-    fn partition(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
-        let (parts, report) = CpuPartitioner::partition(self, rel);
+    /// A column store is partitioned as its `(key, position)` rows, the
+    /// tuples the circuit emits in VRID mode.
+    fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
+        let (parts, report) = match input {
+            Input::Rows(rel) => CpuPartitioner::partition(self, rel),
+            Input::Columns(_) => CpuPartitioner::partition(self, &input.rows(0..input.len())),
+        };
         Ok((parts, PartitionStats::Cpu(report)))
     }
 
@@ -248,8 +254,8 @@ impl<T: Tuple> PartitionEngine<T> for FpgaPartitioner {
         }
     }
 
-    fn partition(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
-        let (parts, report) = FpgaPartitioner::partition(self, rel)?;
+    fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
+        let (parts, report) = FpgaPartitioner::partition(self, input)?;
         Ok((parts, PartitionStats::Fpga(Box::new(report))))
     }
 
@@ -388,44 +394,6 @@ impl HybridSplitEngine {
     fn share_split(&self, n: usize, tuple_width: usize) -> usize {
         (self.share_times(n as u64, tuple_width).0 as usize).min(n)
     }
-
-    /// Partition a column-store relation (VRID mode): the FPGA share
-    /// streams the front of the key column (its local virtual RIDs equal
-    /// the global positions); the CPU share partitions `(key, position)`
-    /// tuples rebuilt at their global positions, so the stitched output
-    /// is position-exact.
-    ///
-    /// # Errors
-    /// Propagates FPGA-share aborts (PAD overflow, injected faults)
-    /// untransformed.
-    pub fn partition_columns<T: Tuple>(
-        &self,
-        rel: &ColumnRelation<T>,
-    ) -> Result<(PartitionedRelation<T>, PartitionStats)> {
-        let keys = rel.keys();
-        let n = keys.len();
-        let k = self.share_split(n, T::WIDTH);
-
-        let fpga_side = if k > 0 {
-            Some(
-                self.fpga
-                    .partition_columns(&ColumnRelation::<T>::from_keys(&keys[..k]))?,
-            )
-        } else {
-            None
-        };
-        let cpu_side = if k < n || n == 0 {
-            let tail: Vec<T> = keys[k..]
-                .iter()
-                .enumerate()
-                .map(|(i, &key)| vrid_tuple::<T>(key, (k + i) as u64))
-                .collect();
-            Some(self.cpu.partition(&Relation::from_tuples(&tail)))
-        } else {
-            None
-        };
-        Ok(finish_split(fpga_side, cpu_side, k, n))
-    }
 }
 
 /// Stitch two partial partitioned relations into one dense output:
@@ -502,18 +470,30 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
         AttemptPath::Hybrid
     }
 
-    fn partition(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
-        let n = rel.len();
+    /// The FPGA partitions the front share and the CPU the tail's rows.
+    /// For a column store the tail's rows carry their global positions,
+    /// the FPGA share's own positions already equal them, and so the
+    /// stitched output is position-exact.
+    ///
+    /// # Errors
+    /// Propagates FPGA-share aborts (PAD overflow, injected faults)
+    /// untransformed.
+    fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
+        let n = input.len();
         let k = self.share_split(n, T::WIDTH);
-        let tuples = rel.tuples();
 
         let fpga_side = if k > 0 {
-            Some(self.fpga.partition(&Relation::from_tuples(&tuples[..k]))?)
+            Some(match input {
+                Input::Rows(_) => self.fpga.partition(&input.rows(0..k))?,
+                Input::Columns(c) => self
+                    .fpga
+                    .partition(&ColumnRelation::<T>::from_keys(&c.keys()[..k]))?,
+            })
         } else {
             None
         };
         let cpu_side = if k < n || n == 0 {
-            Some(self.cpu.partition(&Relation::from_tuples(&tuples[k..])))
+            Some(self.cpu.partition(&input.rows(k..n)))
         } else {
             None
         };

@@ -25,7 +25,7 @@
 
 use fpart_cpu::{CpuPartitioner, CpuRunReport};
 use fpart_fpga::RunReport;
-use fpart_types::{FpartError, PartitionedRelation, Relation, Result, Tuple};
+use fpart_types::{FpartError, Input, PartitionedRelation, Result, Tuple};
 
 use crate::engine::{PartitionEngine, PartitionStats};
 
@@ -80,19 +80,6 @@ pub struct DegradationReport {
 }
 
 impl DegradationReport {
-    /// The report of a request that one clean attempt on `path`
-    /// completed.
-    pub(crate) fn clean(path: AttemptPath, stats: PartitionStats) -> Self {
-        Self {
-            attempts: vec![AttemptRecord {
-                path,
-                error: None,
-                wasted_cycles: 0,
-            }],
-            stats,
-        }
-    }
-
     /// Report of the successful FPGA run (or the FPGA share of a hybrid
     /// run), if one completed the request.
     pub fn fpga(&self) -> Option<&RunReport> {
@@ -224,9 +211,9 @@ impl EscalationChain {
         }
     }
 
-    /// Drive `rel` through the chain starting from any
-    /// [`PartitionEngine`] (for the FPGA, its config, QPI model and armed
-    /// fault plan all carry over into the HIST retry):
+    /// Drive a row store or a column store through the chain starting
+    /// from any [`PartitionEngine`] (for the FPGA, its config, QPI model
+    /// and armed fault plan all carry over into the HIST retry):
     ///
     /// 1. the engine itself,
     /// 2. its [`PartitionEngine::hist_fallback`] twin, when the engine
@@ -234,7 +221,8 @@ impl EscalationChain {
     ///    engines have none, so nothing retries twice in HIST),
     /// 3. a CPU partitioner over the engine's partition function, when
     ///    `cpu_fallback` is enabled and the engine is not already the
-    ///    CPU.
+    ///    CPU. A column store falls back as its `(key, position)` rows, so
+    ///    VRID output survives every step.
     ///
     /// Every attempt record in the returned [`DegradationReport`] is
     /// constructed in one place (the private `try_engine` helper),
@@ -244,21 +232,22 @@ impl EscalationChain {
     /// [`FpartError::InvalidConfig`] propagates immediately (no retry
     /// fixes a bad config); otherwise the last error propagates when
     /// every enabled step has failed.
-    pub fn run<T: Tuple>(
+    pub fn run<'a, T: Tuple>(
         &self,
         engine: &dyn PartitionEngine<T>,
-        rel: &Relation<T>,
+        input: impl Into<Input<'a, T>>,
     ) -> Result<(PartitionedRelation<T>, DegradationReport)> {
+        let input = input.into();
         let mut attempts = Vec::new();
 
-        let mut last_err = match Self::try_engine(&mut attempts, engine, rel)? {
+        let mut last_err = match Self::try_engine(&mut attempts, engine, input)? {
             Ok((parts, stats)) => return Ok((parts, DegradationReport { attempts, stats })),
             Err(e) => e,
         };
 
         if self.hist_retry {
             if let Some(hist) = engine.hist_fallback() {
-                match Self::try_engine(&mut attempts, hist.as_ref(), rel)? {
+                match Self::try_engine(&mut attempts, hist.as_ref(), input)? {
                     Ok((parts, stats)) => {
                         return Ok((parts, DegradationReport { attempts, stats }))
                     }
@@ -269,7 +258,7 @@ impl EscalationChain {
 
         if self.cpu_fallback && engine.path() != AttemptPath::Cpu {
             let cpu = CpuPartitioner::new(engine.partition_fn(), self.cpu_threads);
-            match Self::try_engine(&mut attempts, &cpu, rel)? {
+            match Self::try_engine(&mut attempts, &cpu, input)? {
                 Ok((parts, stats)) => return Ok((parts, DegradationReport { attempts, stats })),
                 Err(e) => last_err = e,
             }
@@ -286,10 +275,10 @@ impl EscalationChain {
     fn try_engine<T: Tuple>(
         attempts: &mut Vec<AttemptRecord>,
         engine: &dyn PartitionEngine<T>,
-        rel: &Relation<T>,
+        input: Input<'_, T>,
     ) -> Result<std::result::Result<(PartitionedRelation<T>, PartitionStats), FpartError>> {
         let path = engine.path();
-        match engine.partition(rel) {
+        match engine.partition(input) {
             Ok((parts, stats)) => {
                 attempts.push(AttemptRecord {
                     path,

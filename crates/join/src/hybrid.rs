@@ -1,7 +1,7 @@
 //! Tests of the paper's hybrid join: [`crate::radix::radix_join`] over
 //! an [`FpgaPartitioner`] — FPGA partitioning (simulated) feeding the
-//! CPU build+probe (measured) — and [`crate::radix::vrid_join`], its
-//! column-store form.
+//! CPU build+probe (measured) — on row stores and, through VRID mode, on
+//! column stores.
 
 use fpart_cpu::CpuPartitioner;
 use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig};
@@ -142,7 +142,6 @@ mod tests {
 
 mod vrid_tests {
     use super::*;
-    use crate::radix::vrid_join;
     use fpart_datagen::WorkloadId;
 
     fn pad(input: InputMode) -> FpgaPartitioner {
@@ -153,7 +152,8 @@ mod vrid_tests {
     fn vrid_join_matches_rid_join() {
         let spec = WorkloadId::A.spec();
         let (rc, sc) = spec.column_relations::<Tuple8>(0.00004, 5);
-        let (vrid_result, vrid_report) = vrid_join(&pad(InputMode::Vrid), 2, &rc, &sc).unwrap();
+        let (vrid_result, vrid_report) =
+            radix_join(&pad(InputMode::Vrid), &cpu_fallback(2), &rc, &sc).unwrap();
 
         // RID-mode reference on the materialised rows.
         let rid_result = cpu_join(5, &rc.to_row_store(), &sc.to_row_store());
@@ -165,7 +165,8 @@ mod vrid_tests {
     fn vrid_reads_half_of_rid() {
         let spec = WorkloadId::A.spec();
         let (rc, sc) = spec.column_relations::<Tuple8>(0.00004, 6);
-        let (_, vrid_report) = vrid_join(&pad(InputMode::Vrid), 2, &rc, &sc).unwrap();
+        let (_, vrid_report) =
+            radix_join(&pad(InputMode::Vrid), &cpu_fallback(2), &rc, &sc).unwrap();
 
         let (r, s) = (rc.to_row_store(), sc.to_row_store());
         let (_, rid_report) = radix_join(&pad(InputMode::Rid), &cpu_fallback(2), &r, &s).unwrap();

@@ -12,8 +12,8 @@
 //!   partitioner it is the software baseline; with the FPGA partitioner
 //!   (simulated, with exact cycle accounting) feeding the CPU
 //!   build+probe it is the paper's hybrid join. [`radix::planned_join`]
-//!   plans each input, and [`radix::vrid_join`] joins column stores
-//!   through VRID mode (Section 5.2);
+//!   plans each input. Both take row stores or column stores, which go
+//!   through VRID mode and late materialisation (Section 5.2);
 //! * [`fallback::EscalationChain`] — the shared PAD → HIST → CPU
 //!   graceful-degradation chain every input goes through, with a
 //!   [`fallback::DegradationReport`] recording every abort, its cause and
@@ -53,4 +53,4 @@ pub use engine::{
 };
 pub use fallback::{AttemptPath, AttemptRecord, DegradationReport, EscalationChain};
 pub use planner::{EnginePlanner, ModePlan, ModePlanner, Plan, PlanExplanation};
-pub use radix::{planned_join, radix_join, vrid_join, JoinReport, JoinResult};
+pub use radix::{planned_join, radix_join, JoinReport, JoinResult};

@@ -27,7 +27,7 @@ use fpart_fpga::{
 };
 use fpart_hash::PartitionFn;
 use fpart_obs::json;
-use fpart_types::{PartitionedRelation, Relation, Result, Tuple};
+use fpart_types::{Input, PartitionedRelation, Result, Tuple};
 
 use crate::engine::{cost_mode_pair, EngineChoice, HybridSplitEngine, PartitionEngine};
 use crate::fallback::{DegradationReport, EscalationChain};
@@ -67,9 +67,11 @@ pub struct ModePlan {
 }
 
 impl ModePlanner {
-    /// Plan the output mode for partitioning `rel` with `f`.
-    pub fn plan<T: Tuple>(&self, rel: &Relation<T>, f: PartitionFn) -> ModePlan {
-        let n = rel.len();
+    /// Plan the output mode for partitioning a row store or a column
+    /// store with `f`.
+    pub fn plan<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>, f: PartitionFn) -> ModePlan {
+        let input = input.into();
+        let n = input.len();
         let parts = f.fan_out();
         let pad_capacity = self.padding.capacity(n, parts, T::LANES);
         if n == 0 {
@@ -92,7 +94,7 @@ impl ModePlanner {
         let mut hist = vec![0usize; parts];
         for k in 0..sample {
             let i = k * n / sample;
-            hist[f.partition_of(rel.tuples()[i].key())] += 1;
+            hist[f.partition_of(input.key(i))] += 1;
         }
         let taken = sample;
         let max_count = hist.iter().max().copied().unwrap_or(0);
@@ -192,14 +194,16 @@ impl EnginePlanner {
         self
     }
 
-    /// Plan everything for partitioning `rel` with `f`: output mode,
-    /// back-end, fidelity and degradation chain, with the full
-    /// reasoning in [`Plan::explanation`].
-    pub fn plan<T: Tuple>(&self, rel: &Relation<T>, f: PartitionFn) -> Plan<T> {
-        let n = rel.len() as u64;
-        let mode_plan = self.mode.plan(rel, f);
+    /// Plan everything for partitioning a row store or a column store
+    /// with `f`: output mode, back-end, fidelity and degradation chain,
+    /// with the full reasoning in [`Plan::explanation`]. A column store
+    /// is priced and run in VRID mode.
+    pub fn plan<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>, f: PartitionFn) -> Plan<T> {
+        let input = input.into();
+        let n = input.len() as u64;
+        let mode_plan = self.mode.plan(input, f);
         let output = mode_plan.output;
-        let pair = cost_mode_pair(output, InputMode::Rid);
+        let pair = cost_mode_pair(output, InputMode::of(&input));
 
         let t_fpga = FpgaCostModel::paper().partition_seconds(n, T::WIDTH, pair);
         let t_cpu =
@@ -207,7 +211,7 @@ impl EnginePlanner {
 
         let config = PartitionerConfig {
             partition_fn: f,
-            ..PartitionerConfig::paper_default(output, InputMode::Rid)
+            ..PartitionerConfig::paper_default(output, InputMode::of(&input))
         }
         .with_fidelity(self.fidelity);
         let fpga = FpgaPartitioner::new(config);
@@ -285,8 +289,13 @@ impl<T: Tuple> Plan<T> {
     /// # Errors
     /// Propagates the last back-end error when every enabled chain step
     /// failed (with the default policy the CPU step cannot fail).
-    pub fn run(&self, rel: &Relation<T>) -> Result<(PartitionedRelation<T>, DegradationReport)> {
-        self.chain.run(self.engine.as_ref(), rel)
+    /// [`fpart_types::FpartError::InvalidConfig`] if an FPGA plan made
+    /// for one layout runs on the other.
+    pub fn run<'a>(
+        &self,
+        input: impl Into<Input<'a, T>>,
+    ) -> Result<(PartitionedRelation<T>, DegradationReport)> {
+        self.chain.run(self.engine.as_ref(), input)
     }
 }
 
@@ -382,7 +391,7 @@ impl PlanExplanation {
 mod tests {
     use super::*;
     use fpart_datagen::{KeyDistribution, WorkloadId};
-    use fpart_types::Tuple8;
+    use fpart_types::{Relation, Tuple8};
 
     fn f() -> PartitionFn {
         PartitionFn::Murmur { bits: 7 }

@@ -9,8 +9,9 @@
 //! an [`EscalationChain`], which encodes the paper's reactions to a
 //! PAD-mode abort: the CPU fallback of Section 4.5 and the HIST restart
 //! of Section 5.4. [`planned_join`] lets an [`EnginePlanner`] pick the
-//! engine per input, and [`vrid_join`] is the column-store path of
-//! Section 5.2.
+//! engine per input. Both joins take row stores or column stores; a
+//! column store is partitioned in VRID mode and late-materialised, the
+//! column-store path of Section 5.2.
 //!
 //! The FPGA partitioner is the cycle-level simulation of `fpart-fpga`,
 //! so its time is simulated at the circuit clock, while CPU work runs
@@ -21,12 +22,12 @@
 
 use std::time::{Duration, Instant};
 
-use fpart_fpga::FpgaPartitioner;
+use fpart_fpga::InputMode;
 use fpart_hash::PartitionFn;
-use fpart_types::{ColumnRelation, Relation, Result, Tuple};
+use fpart_types::{FpartError, Input, PartitionedRelation, Result, Tuple};
 
 use crate::buildprobe::{build_probe_all, BuildProbeReport};
-use crate::engine::{PartitionEngine, PartitionStats};
+use crate::engine::PartitionEngine;
 use crate::fallback::{DegradationReport, EscalationChain};
 use crate::materialize::{materialize_join_vrid, rows_checksum};
 use crate::planner::{EnginePlanner, PlanExplanation};
@@ -98,78 +99,89 @@ impl JoinReport {
 /// joins, we mean that after the FPGA partitioning the CPU build+probe
 /// phase is 10-threaded").
 ///
+/// R and S are both row stores or both column stores. Column stores are
+/// partitioned as `(key, position)` tuples (VRID mode on the FPGA) and the
+/// matched rows are *late-materialised* against the payload columns —
+/// "an additional cost that does not occur in RID mode", included in the
+/// build+probe wall time. The checksum is over the dereferenced
+/// payloads, so it equals the RID-mode checksum of the same rows.
+///
 /// # Errors
-/// Propagates a back-end error only when every enabled chain step
-/// failed; a chain with `cpu_fallback` cannot fail.
-pub fn radix_join<T: Tuple>(
+/// [`FpartError::InvalidConfig`] if one input is a row store and the
+/// other a column store, or if an FPGA engine's input mode does not match
+/// the inputs. Otherwise a back-end error propagates only when every
+/// enabled chain step failed; a chain with `cpu_fallback` cannot fail.
+pub fn radix_join<'r, 's, T: Tuple>(
     engine: &dyn PartitionEngine<T>,
     chain: &EscalationChain,
-    r: &Relation<T>,
-    s: &Relation<T>,
+    r: impl Into<Input<'r, T>>,
+    s: impl Into<Input<'s, T>>,
 ) -> Result<(JoinResult, JoinReport)> {
+    let (r, s) = (r.into(), s.into());
+    same_layout(&r, &s)?;
     let (rp, r_report) = chain.run(engine, r)?;
     let (sp, s_report) = chain.run(engine, s)?;
-    let bp = build_probe_all(&rp, &sp, engine.partition_fn().bits(), chain.cpu_threads);
+    let bits = engine.partition_fn().bits();
+    let bp = build_probe(&rp, &sp, r, s, bits, chain.cpu_threads);
     Ok(finish(r_report, s_report, None, bp))
 }
 
 /// Execute R ⋈ S, planning each input independently with `planner`
-/// (a small R can take the CPU while a large S takes the FPGA).
+/// (a small R can take the CPU while a large S takes the FPGA). Inputs
+/// are as for [`radix_join`]; column stores are planned in VRID mode.
 ///
 /// # Errors
-/// Propagates a back-end error only when the planned chain has every
-/// fallback disabled; the default chain cannot fail.
-pub fn planned_join<T: Tuple>(
+/// [`FpartError::InvalidConfig`] for mixed row and column inputs.
+/// Otherwise a back-end error propagates only when the planned chain has
+/// every fallback disabled; the default chain cannot fail.
+pub fn planned_join<'r, 's, T: Tuple>(
     planner: &EnginePlanner,
     f: PartitionFn,
-    r: &Relation<T>,
-    s: &Relation<T>,
+    r: impl Into<Input<'r, T>>,
+    s: impl Into<Input<'s, T>>,
 ) -> Result<(JoinResult, JoinReport)> {
+    let (r, s) = (r.into(), s.into());
+    same_layout(&r, &s)?;
     let r_plan = planner.plan(r, f);
     let s_plan = planner.plan(s, f);
     let (rp, r_report) = r_plan.run(r)?;
     let (sp, s_report) = s_plan.run(s)?;
-    let bp = build_probe_all(&rp, &sp, f.bits(), planner.cpu_threads);
+    let bp = build_probe(&rp, &sp, r, s, f.bits(), planner.cpu_threads);
     let plans = Some((r_plan.explanation, s_plan.explanation));
     Ok(finish(r_report, s_report, plans, bp))
 }
 
-/// Execute R ⋈ S on column-store relations through VRID mode
-/// (Section 5.2): `fpga` (configured for VRID input) reads only the key
-/// columns, the CPU joins `(key, position)` pairs on `threads` threads,
-/// and the matched rows are *late-materialised* against the payload
-/// columns — "an additional cost that does not occur in RID mode",
-/// included in the build+probe wall time.
-///
-/// The checksum is computed over the dereferenced payloads, so it equals
-/// the RID-mode checksum for the same logical relations.
-///
-/// # Errors
-/// PAD overflow propagates: the VRID path has no degradation chain, so
-/// use HIST output mode for skewed column-store inputs.
-/// [`fpart_types::FpartError::InvalidConfig`] if `fpga` is not in VRID
-/// input mode.
-pub fn vrid_join<T: Tuple>(
-    fpga: &FpgaPartitioner,
-    threads: usize,
-    r_cols: &ColumnRelation<T>,
-    s_cols: &ColumnRelation<T>,
-) -> Result<(JoinResult, JoinReport)> {
-    let path = PartitionEngine::<T>::path(fpga);
-    let (rp, r_run) = fpga.partition_columns(r_cols)?;
-    let (sp, s_run) = fpga.partition_columns(s_cols)?;
+/// Reject a row store joined with a column store before any partitioning.
+fn same_layout<T: Tuple>(r: &Input<'_, T>, s: &Input<'_, T>) -> Result<()> {
+    if InputMode::of(r) != InputMode::of(s) {
+        return Err(FpartError::InvalidConfig(
+            "R and S must both be row stores or both column stores".into(),
+        ));
+    }
+    Ok(())
+}
 
+/// Build+probe the partitioned inputs; for column stores, materialise
+/// the matched rows through their positions.
+fn build_probe<T: Tuple>(
+    rp: &PartitionedRelation<T>,
+    sp: &PartitionedRelation<T>,
+    r: Input<'_, T>,
+    s: Input<'_, T>,
+    bits: u32,
+    threads: usize,
+) -> BuildProbeReport {
+    let (Input::Columns(r_cols), Input::Columns(s_cols)) = (r, s) else {
+        return build_probe_all(rp, sp, bits, threads);
+    };
     let t0 = Instant::now();
-    let bits = fpga.config().partition_fn.bits();
-    let rows = materialize_join_vrid(&rp, &sp, r_cols, s_cols, bits, threads);
-    let bp = BuildProbeReport {
+    let rows = materialize_join_vrid(rp, sp, r_cols, s_cols, bits, threads);
+    BuildProbeReport {
         matches: rows.len() as u64,
         checksum: rows_checksum(&rows),
         wall: t0.elapsed(),
         threads,
-    };
-    let clean = |run| DegradationReport::clean(path, PartitionStats::Fpga(Box::new(run)));
-    Ok(finish(clean(r_run), clean(s_run), None, bp))
+    }
 }
 
 fn finish(
@@ -197,7 +209,7 @@ mod tests {
     use crate::buildprobe::reference_join;
     use fpart_cpu::CpuPartitioner;
     use fpart_datagen::WorkloadId;
-    use fpart_types::Tuple8;
+    use fpart_types::{Relation, Tuple8};
 
     fn cpu_join(
         f: PartitionFn,

@@ -16,7 +16,8 @@
 //! * [`Line`] — a 64-byte cache line of tuples, the unit in which the
 //!   simulated circuit consumes and produces data;
 //! * [`Relation`] / [`ColumnRelation`] — row-store and column-store input
-//!   relations (the paper's RID and VRID operating modes);
+//!   relations (the paper's RID and VRID operating modes), and [`Input`],
+//!   either one as a partitioner takes it;
 //! * [`PartitionedRelation`] — the output layout of a partitioning run,
 //!   covering both the exact (HIST) and padded (PAD) memory layouts;
 //! * [`AlignedBuf`] — a 64-byte-aligned heap buffer used for all bulk tuple
@@ -36,6 +37,6 @@ pub use aligned::AlignedBuf;
 pub use error::{FpartError, Result};
 pub use line::{Line, CACHE_LINE_BYTES};
 pub use partitioned::{PartitionLayout, PartitionedRelation, SharedWriter};
-pub use relation::{ColumnRelation, Relation};
+pub use relation::{ColumnRelation, Input, Relation};
 pub use rng::SplitMix64;
 pub use tuple::{Key, Tuple, Tuple16, Tuple32, Tuple64, Tuple8};

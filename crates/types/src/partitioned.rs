@@ -325,27 +325,6 @@ impl<T: Tuple> SharedWriter<T> {
         // (checked above).
         unsafe { self.ptr.add(slot) }
     }
-
-    /// Copy a run of tuples to consecutive absolute slots.
-    ///
-    /// # Safety
-    /// The destination range must not be written concurrently by another
-    /// thread.
-    ///
-    /// # Panics
-    /// Panics if `slot + src.len() > self.len()`, in every build.
-    #[inline]
-    pub unsafe fn write_run(&self, slot: usize, src: &[T]) {
-        let end = slot.checked_add(src.len());
-        assert!(
-            end.is_some_and(|end| end <= self.len),
-            "run to slots {slot}..+{} past the output's {} slots",
-            src.len(),
-            self.len
-        );
-        // SAFETY: in bounds (checked above); see above for disjointness.
-        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(slot), src.len()) };
-    }
 }
 
 #[cfg(test)]
@@ -415,7 +394,8 @@ mod tests {
             // SAFETY: single-threaded test, in-bounds slots.
             unsafe {
                 w.write(0, Tuple8::new(1, 1));
-                w.write_run(8, &[Tuple8::new(2, 2), Tuple8::new(3, 3)]);
+                w.write(8, Tuple8::new(2, 2));
+                w.write(9, Tuple8::new(3, 3));
             }
         }
         rel.set_partition_fill(0, 1, 1);
@@ -432,20 +412,6 @@ mod tests {
         // SAFETY: single-threaded; the bounds check must fire before the
         // store.
         unsafe { w.write(16, Tuple8::new(1, 1)) };
-    }
-
-    #[test]
-    #[should_panic(expected = "past the output")]
-    fn shared_writer_rejects_out_of_range_run() {
-        let mut rel = PartitionedRelation::<Tuple8>::padded(2, 8, false);
-        let w = SharedWriter::new(&mut rel);
-        let run = [Tuple8::new(1, 1), Tuple8::new(2, 2)];
-        // SAFETY: single-threaded; a run ending at the last slot is in
-        // bounds, and the check must fire before the one-past-the-end copy.
-        unsafe {
-            w.write_run(14, &run);
-            w.write_run(15, &run);
-        }
     }
 
     #[test]

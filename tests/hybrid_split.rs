@@ -47,7 +47,7 @@ fn split_matches_single_backend_across_matrix() {
                     }
                     InputMode::Vrid => {
                         FpgaPartitioner::with_modes(f, output, input)
-                            .partition_columns(&ColumnRelation::<Tuple8>::from_keys(&keys))
+                            .partition(&ColumnRelation::<Tuple8>::from_keys(&keys))
                             .unwrap()
                             .0
                     }
@@ -58,12 +58,12 @@ fn split_matches_single_backend_across_matrix() {
                     let e = engine(output, input, fraction);
                     let (parts, stats) = match input {
                         InputMode::Rid => e
-                            .partition(&Relation::<Tuple8>::from_keys(&keys))
+                            .partition((&Relation::<Tuple8>::from_keys(&keys)).into())
                             .unwrap_or_else(|err| {
                                 panic!("{output:?}/{input:?} {dist:?} f={fraction}: {err}")
                             }),
                         InputMode::Vrid => e
-                            .partition_columns(&ColumnRelation::<Tuple8>::from_keys(&keys))
+                            .partition((&ColumnRelation::<Tuple8>::from_keys(&keys)).into())
                             .unwrap_or_else(|err| {
                                 panic!("{output:?}/{input:?} {dist:?} f={fraction}: {err}")
                             }),
@@ -98,7 +98,7 @@ fn modeled_split_matches_cpu_contents() {
         FpgaPartitioner::with_modes(f, OutputMode::pad_default(), InputMode::Rid),
         2,
     );
-    let (parts, _) = e.partition(&rel).unwrap();
+    let (parts, _) = e.partition((&rel).into()).unwrap();
     assert_eq!(partition_multisets(&parts), partition_multisets(&cpu_parts));
 }
 
@@ -122,7 +122,7 @@ fn one_sided_pad_overflow_propagates() {
 
     let overflowing = HybridSplitEngine::new(FpgaPartitioner::new(cfg.clone()), 2)
         .with_fraction(0.5)
-        .partition(&rel)
+        .partition((&rel).into())
         .unwrap_err();
     assert!(
         matches!(overflowing, FpartError::PartitionOverflow { .. }),
@@ -133,7 +133,7 @@ fn one_sided_pad_overflow_propagates() {
     // has no PAD capacity limit) completes.
     let (parts, _) = HybridSplitEngine::new(FpgaPartitioner::new(cfg), 2)
         .with_fraction(0.0)
-        .partition(&rel)
+        .partition((&rel).into())
         .unwrap();
     assert_eq!(parts.total_valid(), n);
 }
@@ -152,7 +152,7 @@ fn merged_snapshot_conserves() {
     }
     .with_obs(ObsLevel::Counters);
     let e = HybridSplitEngine::new(FpgaPartitioner::new(cfg), 2).with_fraction(0.5);
-    let (_, stats) = e.partition(&rel).unwrap();
+    let (_, stats) = e.partition((&rel).into()).unwrap();
     let PartitionStats::Hybrid(h) = stats else {
         panic!("hybrid runs must report hybrid stats");
     };

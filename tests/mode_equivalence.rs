@@ -1,5 +1,5 @@
 //! Equivalence of the partitioner's modes and back-ends: whatever the
-//! path (CPU scalar/SWWCB/two-pass, FPGA HIST/PAD × RID/VRID), the same
+//! path (CPU SWWCB, FPGA HIST/PAD × RID/VRID, the CPU⊕FPGA split), the same
 //! input must yield the same partition *contents* (as multisets — the
 //! FPGA interleaves lanes, so intra-partition order differs).
 
@@ -30,14 +30,6 @@ fn all_backends_same_partition_contents() {
     let engines: Vec<(&str, Box<dyn PartitionEngine<Tuple8>>)> = vec![
         ("cpu-swwcb", Box::new(CpuPartitioner::new(f, 2))),
         (
-            "cpu-scalar",
-            Box::new(CpuPartitioner::new(f, 2).with_strategy(Strategy::Scalar)),
-        ),
-        (
-            "cpu-two-pass",
-            Box::new(CpuPartitioner::new(f, 1).with_strategy(Strategy::TwoPass { first_bits: 2 })),
-        ),
-        (
             "fpga-hist",
             Box::new(FpgaPartitioner::with_modes(
                 f,
@@ -66,7 +58,7 @@ fn all_backends_same_partition_contents() {
     ];
     let mut results = Vec::new();
     for (label, p) in engines {
-        let (parts, _) = p.partition(&rel).unwrap();
+        let (parts, _) = p.partition((&rel).into()).unwrap();
         assert_eq!(parts.total_valid(), n, "{label}");
         results.push((label, partition_multisets(&parts)));
     }
@@ -93,9 +85,7 @@ fn vrid_matches_rid_contents() {
         ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Vrid)
     };
     let (rid, _) = FpgaPartitioner::new(rid_cfg).partition(&row).unwrap();
-    let (vrid, _) = FpgaPartitioner::new(vrid_cfg)
-        .partition_columns(&col)
-        .unwrap();
+    let (vrid, _) = FpgaPartitioner::new(vrid_cfg).partition(&col).unwrap();
 
     // `from_keys` sets payload = row id = the position VRID appends, so
     // the contents agree exactly.

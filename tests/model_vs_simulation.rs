@@ -36,7 +36,7 @@ fn run(mode: ModePair, raw: bool, bits: u32) -> f64 {
     let keys = KeyDistribution::Random.generate_keys::<u32>(N, 5);
     let report = if input == InputMode::Vrid {
         let col = ColumnRelation::<Tuple8>::from_keys(&keys);
-        partitioner.partition_columns(&col).unwrap().1
+        partitioner.partition(&col).unwrap().1
     } else {
         let rel = Relation::<Tuple8>::from_keys(&keys);
         partitioner.partition(&rel).unwrap().1

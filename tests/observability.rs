@@ -59,7 +59,7 @@ fn run_and_check(
             .partition(&Relation::<Tuple8>::from_keys(&keys))
             .unwrap(),
         InputMode::Vrid => fpga
-            .partition_columns(&ColumnRelation::<Tuple8>::from_keys(&keys))
+            .partition(&ColumnRelation::<Tuple8>::from_keys(&keys))
             .unwrap(),
     };
     let label = format!("{mode}/{}/{dist}/obs={}", fidelity.label(), obs.label());
