@@ -107,7 +107,7 @@ pub mod prelude {
     };
     pub use fpart_obs::{ObsSnapshot, Recorder};
     pub use fpart_types::{
-        ColumnRelation, FpartError, Input, PartitionedRelation, Relation, Tuple, Tuple16, Tuple32,
-        Tuple64, Tuple8,
+        ColumnRelation, FpartError, Input, PartitionedRelation, Relation, RleColumn, Tuple,
+        Tuple16, Tuple32, Tuple64, Tuple8,
     };
 }

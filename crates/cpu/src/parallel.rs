@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use fpart_hash::PartitionFn;
-use fpart_types::{PartitionedRelation, Relation, SharedWriter, Tuple};
+use fpart_types::{Input, PartitionedRelation, SharedWriter, Tuple};
 
 use crate::histogram;
 use crate::swwcb::Swwcb;
@@ -103,32 +103,39 @@ impl CpuPartitioner {
     /// materialising the scattered output. Analyses that need partition
     /// *balance* (not the partitioned bytes) should use this — it skips
     /// the scatter pass and the full-size output allocation.
-    pub fn histogram_only<T: Tuple>(&self, rel: &Relation<T>) -> Vec<usize> {
+    pub fn histogram_only<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>) -> Vec<usize> {
         let f = self.partition_fn;
-        let chunks = chunk_evenly(rel.tuples(), self.threads.min(rel.len()).max(1));
+        let chunks = chunk_evenly(input.into(), self.threads);
         let thread_hists = thread_histograms(&chunks, f.fan_out(), &|k| f.partition_of(k));
         histogram::thread_bases(&thread_hists).0
     }
 
-    /// Partition a relation. Output extents are tuple-exact (no padding).
-    pub fn partition<T: Tuple>(&self, rel: &Relation<T>) -> (PartitionedRelation<T>, CpuRunReport) {
+    /// Partition a row store, or a column store, plain or run-length
+    /// encoded, as its `(key, position)` rows — the tuples the circuit
+    /// emits in VRID mode. Output extents are tuple-exact (no padding).
+    pub fn partition<'a, T: Tuple>(
+        &self,
+        input: impl Into<Input<'a, T>>,
+    ) -> (PartitionedRelation<T>, CpuRunReport) {
         let f = self.partition_fn;
-        scatter(rel, self.threads, f.fan_out(), |k| f.partition_of(k))
+        scatter(input.into(), self.threads, f.fan_out(), |k| {
+            f.partition_of(k)
+        })
     }
 }
 
 /// The one CPU partitioning path, for radix, hash and range partitioning
-/// alike: route every tuple of `rel` to one of `parts` partitions by
+/// alike: route every tuple of `input` to one of `parts` partitions by
 /// `partition_of` on up to `threads` threads — a histogram pass, then a
 /// single-pass SWWCB scatter with non-temporal stores into tuple-exact,
 /// per-thread-disjoint extents.
 pub(crate) fn scatter<T: Tuple>(
-    rel: &Relation<T>,
+    input: Input<'_, T>,
     threads: usize,
     parts: usize,
     partition_of: impl Fn(T::K) -> usize + Sync,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
-    let chunks = chunk_evenly(rel.tuples(), threads.min(rel.len()).max(1));
+    let chunks = chunk_evenly(input, threads);
     let t0 = Instant::now();
     let thread_hists = thread_histograms(&chunks, parts, &partition_of);
     let hist_time = t0.elapsed();
@@ -143,13 +150,15 @@ pub(crate) fn scatter<T: Tuple>(
     let flush_reg = fpart_obs::AtomicRegistry::new();
     {
         let writer = SharedWriter::new(&mut out);
-        let scatter = |chunk: &[T], bases: Vec<usize>| {
+        let scatter = |chunk: Input<'_, T>, bases: Vec<usize>| {
             let mut wc = Swwcb::new(bases);
-            for &t in chunk {
-                // SAFETY: per-thread extents are disjoint by construction
-                // of `thread_bases`.
-                unsafe { wc.push(partition_of(t.key()), t, &writer) };
-            }
+            chunk.for_each_line(0..chunk.input_lines(), |line| {
+                for &t in line {
+                    // SAFETY: per-thread extents are disjoint by
+                    // construction of `thread_bases`.
+                    unsafe { wc.push(partition_of(t.key()), t, &writer) };
+                }
+            });
             // SAFETY: as above.
             unsafe { wc.drain(&writer) };
             let mut c = fpart_obs::CounterSet::default();
@@ -160,7 +169,7 @@ pub(crate) fn scatter<T: Tuple>(
             scatter(chunks[0], bases[0].clone());
         } else {
             std::thread::scope(|s| {
-                for (chunk, b) in chunks.iter().zip(bases) {
+                for (&chunk, b) in chunks.iter().zip(bases) {
                     let scatter = &scatter;
                     s.spawn(move || scatter(chunk, b));
                 }
@@ -174,7 +183,7 @@ pub(crate) fn scatter<T: Tuple>(
     }
     let flushes = flush_reg.snapshot();
     let report = CpuRunReport {
-        tuples: rel.len() as u64,
+        tuples: input.len() as u64,
         threads: chunks.len(),
         hist_time,
         scatter_time,
@@ -188,15 +197,17 @@ pub(crate) fn scatter<T: Tuple>(
 
 /// Pass 1: each chunk's private histogram, one thread per chunk.
 fn thread_histograms<T: Tuple>(
-    chunks: &[&[T]],
+    chunks: &[Input<'_, T>],
     parts: usize,
     partition_of: &(impl Fn(T::K) -> usize + Sync),
 ) -> Vec<Vec<usize>> {
-    let count = |chunk: &[T]| {
+    let count = |chunk: Input<'_, T>| {
         let mut hist = vec![0usize; parts];
-        for t in chunk {
-            hist[partition_of(t.key())] += 1;
-        }
+        chunk.for_each_line(0..chunk.input_lines(), |line| {
+            for t in line {
+                hist[partition_of(t.key())] += 1;
+            }
+        });
         hist
     };
     if chunks.len() == 1 {
@@ -211,20 +222,21 @@ fn thread_histograms<T: Tuple>(
     })
 }
 
-/// Split a slice into `n` contiguous chunks whose lengths differ by at
-/// most one.
-fn chunk_evenly<T>(slice: &[T], n: usize) -> Vec<&[T]> {
-    let len = slice.len();
-    let base = len / n;
-    let extra = len % n;
-    let mut chunks = Vec::with_capacity(n);
+/// Split an input into one contiguous chunk per thread, at most one per
+/// tuple and at least one, whose lengths differ by at most one. Chunks
+/// are in input order, so the thread-ordered extents keep the output
+/// layout independent of the thread count.
+fn chunk_evenly<T: Tuple>(input: Input<'_, T>, threads: usize) -> Vec<Input<'_, T>> {
+    let (len, n) = (input.len(), threads.min(input.len()).max(1));
+    let (base, extra) = (len / n, len % n);
     let mut start = 0;
-    for i in 0..n {
-        let size = base + usize::from(i < extra);
-        chunks.push(&slice[start..start + size]);
-        start += size;
-    }
-    chunks
+    (0..n)
+        .map(|i| {
+            let size = base + usize::from(i < extra);
+            start += size;
+            input.slice(start - size..start)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -232,7 +244,7 @@ mod tests {
     use super::*;
     use fpart_datagen::KeyDistribution;
     use fpart_types::relation::content_checksum;
-    use fpart_types::Tuple8;
+    use fpart_types::{Relation, Tuple8};
 
     fn rel(n: usize, dist: KeyDistribution) -> Relation<Tuple8> {
         Relation::from_keys(&dist.generate_keys::<u32>(n, 99))
@@ -336,13 +348,16 @@ mod tests {
 
     #[test]
     fn chunking_is_even_and_complete() {
-        let v: Vec<u32> = (0..10).collect();
-        let chunks = chunk_evenly(&v, 3);
+        let keys: Vec<u32> = (0..10).collect();
+        let col = fpart_types::ColumnRelation::<Tuple8>::from_keys(&keys);
+        let chunks = chunk_evenly(Input::from(&col), 3);
+        let keys_of = |c: &Input<'_, Tuple8>| (0..c.len()).map(|i| c.key(i)).collect::<Vec<_>>();
         assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0], &[0, 1, 2, 3]);
-        assert_eq!(chunks[1], &[4, 5, 6]);
-        assert_eq!(chunks[2], &[7, 8, 9]);
-        let empty: Vec<u32> = vec![];
-        assert_eq!(chunk_evenly(&empty, 2).len(), 2);
+        assert_eq!(keys_of(&chunks[0]), [0, 1, 2, 3]);
+        assert_eq!(keys_of(&chunks[1]), [4, 5, 6]);
+        assert_eq!(keys_of(&chunks[2]), [7, 8, 9]);
+        let empty = Relation::<Tuple8>::from_tuples(&[]);
+        assert_eq!(chunk_evenly(Input::from(&empty), 2).len(), 1);
+        assert_eq!(chunk_evenly(Input::from(&col), 40).len(), 10);
     }
 }

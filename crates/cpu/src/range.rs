@@ -143,7 +143,7 @@ pub fn range_partition_parallel<T: Tuple>(
     splitters: &RangeSplitters<T::K>,
     threads: usize,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
-    scatter(rel, threads, splitters.fan_out(), |k| {
+    scatter(rel.into(), threads, splitters.fan_out(), |k| {
         splitters.partition_of(k)
     })
 }

@@ -110,11 +110,11 @@ pub enum InputMode {
 
 impl InputMode {
     /// The mode that reads `input`: RID for a row store, VRID for a
-    /// column store.
+    /// column store, plain or run-length encoded.
     pub fn of<T: Tuple>(input: &Input<'_, T>) -> Self {
         match input {
             Input::Rows(_) => Self::Rid,
-            Input::Columns(_) => Self::Vrid,
+            Input::Columns { .. } | Input::Rle { .. } => Self::Vrid,
         }
     }
 

@@ -44,15 +44,15 @@
 //!
 //! [`FpgaPartitioner::set_fault_plan`]: crate::FpgaPartitioner::set_fault_plan
 
-use std::convert::Infallible;
+use std::ops::Range;
 
 use fpart_cpu::swwcb::Swwcb;
 use fpart_hwsim::{QpiConfig, QpiEndpoint, QpiStats};
 use fpart_obs::{Ctr, Recorder};
-use fpart_types::{FpartError, PartitionedRelation, Result, SharedWriter, Tuple};
+use fpart_types::{FpartError, Input, PartitionedRelation, Result, SharedWriter, Tuple};
 
 use crate::config::{OutputMode, PartitionerConfig};
-use crate::partitioner::{build_pagetable, InputData, RunReport, TIMELINE_INTERVAL};
+use crate::partitioner::{build_pagetable, RunReport, TIMELINE_INTERVAL};
 use crate::writeback::PartitionExtents;
 
 /// Fixed circuit warm-up folded into the analytic cycle count: QPI read
@@ -91,45 +91,28 @@ fn forward(regs: &mut (usize, usize), hits: &mut (u64, u64), p: usize) {
     *regs = (p, regs.0);
 }
 
-/// Call `f(lane, tuple)` for every real tuple of `input`, in the order
-/// the circuit's hash lanes see them, and return the number of tuple
-/// lines the circuit generates. Rows are read straight from the slice;
-/// column inputs are expanded line by line as on chip. A pass that cannot
-/// fail uses `E = Infallible`, so its loop carries no error branch.
-fn for_each_tuple<T: Tuple, E>(
-    input: &InputData<'_, T>,
-    mut f: impl FnMut(usize, T) -> std::result::Result<(), E>,
-) -> std::result::Result<u64, E> {
-    if let InputData::Rows(rows) = input {
-        for line in rows.chunks(T::LANES) {
-            visit_line(line, &mut f)?;
-        }
-        return Ok(input.input_lines() as u64);
-    }
-    let (mut lines, mut lane_buf, mut tuple_lines) = (Vec::new(), Vec::new(), 0);
-    for idx in 0..input.input_lines() {
-        lines.clear();
-        input.fetch(idx, &mut lines, &mut lane_buf);
-        tuple_lines += lines.len() as u64;
-        for line in &lines {
-            visit_line(line.tuples(), &mut f)?;
-        }
-    }
-    Ok(tuple_lines)
-}
+/// Input lines the batched PAD scatter walks between overflow checks.
+const ABORT_BLOCK_LINES: usize = 1024;
 
-/// Call `f(lane, tuple)` for every real tuple of one line.
+/// Call `f(lane, tuple)` for every real tuple of input lines `lines`, in
+/// the order the circuit's hash lanes see them, and return the number of
+/// tuple lines the circuit generates.
 #[inline]
-fn visit_line<T: Tuple, E>(
-    line: &[T],
-    f: &mut impl FnMut(usize, T) -> std::result::Result<(), E>,
-) -> std::result::Result<(), E> {
-    for (lane, &t) in line.iter().enumerate() {
-        if !t.is_dummy() {
-            f(lane, t)?;
+fn for_each_tuple<T: Tuple>(
+    input: &Input<'_, T>,
+    lines: Range<usize>,
+    mut f: impl FnMut(usize, T),
+) -> u64 {
+    let mut tuple_lines = 0;
+    input.for_each_line(lines, |line| {
+        tuple_lines += 1;
+        for (lane, &t) in line.iter().enumerate() {
+            if !t.is_dummy() {
+                f(lane, t);
+            }
         }
-    }
-    Ok(())
+    });
+    tuple_lines
 }
 
 /// Functional histogram pass: stream every input tuple once, count tuples
@@ -138,7 +121,7 @@ fn visit_line<T: Tuple, E>(
 pub(crate) fn histogram_pass<T: Tuple>(
     cfg: &PartitionerConfig,
     qpi_cfg: &QpiConfig,
-    input: &InputData<'_, T>,
+    input: &Input<'_, T>,
 ) -> BatchedHistogram {
     let parts = cfg.partitions();
     let total_lines = input.input_lines() as u64;
@@ -146,11 +129,10 @@ pub(crate) fn histogram_pass<T: Tuple>(
     let mut regs = vec![(usize::MAX, usize::MAX); T::LANES];
     let mut forward_hits = (0, 0);
     let f = cfg.partition_fn;
-    let Ok(tuple_lines) = for_each_tuple(input, |lane, t| {
+    let tuple_lines = for_each_tuple(input, 0..input.input_lines(), |lane, t| {
         let p = f.partition_of(t.key());
         forward(&mut regs[lane], &mut forward_hits, p);
         lane_hists[lane * parts + p] += 1;
-        Ok::<_, Infallible>(())
     });
 
     let mut ep = QpiEndpoint::new(qpi_cfg.clone());
@@ -195,11 +177,11 @@ fn overflow(partition: usize, capacity: usize, consumed: u64) -> FpartError {
 pub(crate) fn run_batched<T: Tuple>(
     cfg: &PartitionerConfig,
     qpi_cfg: &QpiConfig,
-    input: &InputData<'_, T>,
+    input: &Input<'_, T>,
 ) -> Result<(PartitionedRelation<T>, RunReport)> {
     let parts = cfg.partitions();
     let lanes = T::LANES;
-    let n = input.tuple_count();
+    let n = input.len();
     let total_lines = input.input_lines() as u64;
     let f = cfg.partition_fn;
 
@@ -241,40 +223,53 @@ pub(crate) fn run_batched<T: Tuple>(
     let mut wc = Swwcb::new(bases.collect());
     let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
     let tuple_lines = if hist.is_some() {
-        let Ok(lines) = for_each_tuple(input, |_, t| {
+        for_each_tuple(input, 0..input.input_lines(), |_, t| {
             // SAFETY: single writer; each partition receives exactly its
             // histogram count, which its extent holds.
             unsafe { wc.push(f.partition_of(t.key()), t, &w) };
-            Ok::<_, Infallible>(())
-        });
-        lines
+        })
     } else {
         let cap_lines = extents.capacity_lines[0];
         let cap = cap_lines as usize * lanes;
         let mut regs = vec![(usize::MAX, usize::MAX); lanes];
-        for_each_tuple(input, |lane, t| {
-            tuples_consumed += 1;
-            let p = f.partition_of(t.key());
-            forward(&mut regs[lane], &mut forward_hits, p);
-            let cell = lane * parts + p;
-            fills[cell] += 1;
-            if fills[cell] as usize == lanes {
-                // Full line: the write-back's count BRAM check.
-                fills[cell] = 0;
-                if counts[p] == cap_lines {
-                    return Err(overflow(p, cap, tuples_consumed));
+        // The first full line past a partition's capacity aborts the run.
+        // The input is walked in blocks so that an aborted run stops
+        // reading within one block of the overflow, as the circuit does.
+        let (mut aborted, mut tuple_lines) = (None, 0);
+        let input_lines = input.input_lines();
+        for first in (0..input_lines).step_by(ABORT_BLOCK_LINES) {
+            let block = first..(first + ABORT_BLOCK_LINES).min(input_lines);
+            tuple_lines += for_each_tuple(input, block, |lane, t| {
+                if aborted.is_some() {
+                    return;
                 }
-                counts[p] += 1;
+                tuples_consumed += 1;
+                let p = f.partition_of(t.key());
+                forward(&mut regs[lane], &mut forward_hits, p);
+                let cell = lane * parts + p;
+                fills[cell] += 1;
+                if fills[cell] as usize == lanes {
+                    // Full line: the write-back's count BRAM check.
+                    fills[cell] = 0;
+                    if counts[p] == cap_lines {
+                        aborted = Some(overflow(p, cap, tuples_consumed));
+                        return;
+                    }
+                    counts[p] += 1;
+                }
+                // A partition that will overflow stops receiving data at its
+                // capacity; the run aborts before it completes.
+                if wc.counts()[p] < cap {
+                    // SAFETY: single writer; partition `p` writes only
+                    // `p * cap .. (p + 1) * cap`.
+                    unsafe { wc.push(p, t, &w) };
+                }
+            });
+            if let Some(e) = aborted {
+                return Err(e);
             }
-            // A partition that will overflow stops receiving data at its
-            // capacity; the run aborts before it completes.
-            if wc.counts()[p] < cap {
-                // SAFETY: single writer; partition `p` writes only
-                // `p * cap .. (p + 1) * cap`.
-                unsafe { wc.push(p, t, &w) };
-            }
-            Ok(())
-        })?
+        }
+        tuple_lines
     };
     // SAFETY: as above.
     unsafe { wc.drain(&w) };

@@ -18,7 +18,9 @@
 //!   extents in PAD mode), PAD overflow detection;
 //! * [`partitioner::FpgaPartitioner`] — the top level (Figure 5): QPI
 //!   reads throttled by first-stage FIFO occupancy, the page table, the
-//!   two-pass HIST flow and the VRID key-expansion path;
+//!   two-pass HIST flow and the VRID key-expansion path, reading row
+//!   stores, column stores and run-length-encoded columns alike through
+//!   [`fpart_types::Input::for_each_line`];
 //! * [`resources`] — the Table 2 resource-usage model;
 //! * [`selector`] — a streaming selection accelerator on the same
 //!   datapath (the Discussion's scan-offload direction);
@@ -33,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod aggcache;
-pub mod codec;
 pub mod config;
 pub(crate) mod fastpath;
 pub mod hashmod;
@@ -44,7 +45,6 @@ pub mod writeback;
 pub mod writecomb;
 
 pub use aggcache::{fpga_group_by, fpga_group_by_harp, AggEntry, AggregatingCache};
-pub use codec::RleColumn;
 pub use config::{
     InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity, MAX_BRAM_BITS,
 };

@@ -19,15 +19,15 @@
 //! the test-suite asserts — the paper's headline "fully pipelined, no
 //! internal stalls" property.
 
+use std::collections::VecDeque;
+
 use fpart_hash::PartitionFn;
 use fpart_hwsim::{
     BramKind, FaultInjector, FaultPlan, Fifo, PageAllocator, PageTable, PassId, QpiConfig,
     QpiEndpoint, QpiStats,
 };
 use fpart_obs::{Ctr, ObsSnapshot, Recorder};
-use fpart_types::{
-    FpartError, Input, Line, PartitionedRelation, Relation, Result, Tuple, CACHE_LINE_BYTES,
-};
+use fpart_types::{FpartError, Input, Line, PartitionedRelation, Result, Tuple, CACHE_LINE_BYTES};
 
 use crate::config::{InputMode, OutputMode, PartitionerConfig, SimFidelity};
 use crate::hashmod::HashPipeline;
@@ -218,8 +218,12 @@ impl FpgaPartitioner {
         p
     }
 
-    /// Partition a row store (RID mode) or a column store (VRID mode: only
-    /// the key column is read, and tuples carry `(key, position)`).
+    /// Partition a row store (RID mode), or a column store, plain or
+    /// run-length encoded (VRID mode: only the key column is read, and
+    /// tuples carry `(key, position)`). An encoded column is read as its
+    /// packed runs — often a fraction of the raw key column — and
+    /// decompressed on chip, "for free … as the first step of a
+    /// processing pipeline" (Discussion).
     ///
     /// # Errors
     /// [`FpartError::InvalidConfig`] if the input's layout does not match
@@ -240,56 +244,20 @@ impl FpgaPartitioner {
                 self.config.input.label()
             )));
         }
-        self.run(match input {
-            Input::Rows(rel) => InputData::Rows(rel.tuples()),
-            Input::Columns(rel) => InputData::Keys(rel.keys()),
-        })
+        self.run(&input)
     }
 
-    /// Partition a run-length-encoded key column (compressed VRID mode):
-    /// the circuit reads the packed runs — often a fraction of the raw
-    /// key column — and decompresses on chip, "for free … as the first
-    /// step of a processing pipeline" (Discussion). Output tuples carry
-    /// `(key, decoded position)` exactly like plain VRID mode.
-    pub fn partition_rle<T: Tuple>(
-        &self,
-        column: &crate::codec::RleColumn<T::K>,
-    ) -> Result<(PartitionedRelation<T>, RunReport)> {
-        self.config.validate()?;
-        if self.config.input != InputMode::Vrid {
-            return Err(FpartError::InvalidConfig(
-                "partition_rle() requires VRID input mode (it emits key+position tuples)".into(),
-            ));
-        }
-        let runs = column.runs();
-        let rpl = runs_per_line::<T::K>();
-        let lines = runs.len().div_ceil(rpl).max(1);
-        let mut line_offsets = Vec::with_capacity(lines);
-        let mut acc = 0u64;
-        for (i, &(_, len)) in runs.iter().enumerate() {
-            if i % rpl == 0 {
-                line_offsets.push(acc);
-            }
-            acc += len as u64;
-        }
-        if line_offsets.is_empty() {
-            line_offsets.push(0);
-        }
-        self.run(InputData::RleKeys {
-            runs,
-            line_offsets,
-            decoded_len: column.decoded_len(),
-        })
-    }
-
-    /// Run only the histogram pass: stream the relation read-only and
+    /// Run only the histogram pass: stream the input read-only and
     /// return the per-partition tuple counts plus the cycles the pass
     /// took — "histograms as a side effect of data movement" (Istvan et
     /// al., cited in the paper's Discussion). Useful on its own for
     /// optimizer statistics and as the planning input for PAD sizing.
-    pub fn histogram_only<T: Tuple>(&self, rel: &Relation<T>) -> Result<(Vec<u64>, u64)> {
+    pub fn histogram_only<'a, T: Tuple>(
+        &self,
+        input: impl Into<Input<'a, T>>,
+    ) -> Result<(Vec<u64>, u64)> {
         self.config.validate()?;
-        let input = InputData::<T>::Rows(rel.tuples());
+        let input = input.into();
         let parts = self.config.partitions();
         if self.fast_path_active() {
             let pass = crate::fastpath::histogram_pass(&self.config, &self.qpi, &input);
@@ -298,14 +266,12 @@ impl FpgaPartitioner {
                 .collect();
             return Ok((hist, pass.cycles));
         }
-        let mut scratch = SimScratch::new(input.expansion());
         let mut rec = Recorder::new(self.config.obs);
         let pass = HistogramPass::run::<T>(
             &self.config,
             self.qpi.clone(),
             &input,
             self.faults.as_ref(),
-            &mut scratch,
             &mut rec,
         )?;
         let hist = (0..parts)
@@ -321,20 +287,16 @@ impl FpgaPartitioner {
         self.config.fidelity == SimFidelity::Batched && self.faults.is_none()
     }
 
-    fn run<T: Tuple>(
-        &self,
-        input: InputData<'_, T>,
-    ) -> Result<(PartitionedRelation<T>, RunReport)> {
+    fn run<T: Tuple>(&self, input: &Input<'_, T>) -> Result<(PartitionedRelation<T>, RunReport)> {
         if self.fast_path_active() {
-            return crate::fastpath::run_batched(&self.config, &self.qpi, &input);
+            return crate::fastpath::run_batched(&self.config, &self.qpi, input);
         }
         let parts = self.config.partitions();
-        let n = input.tuple_count();
-        let mut scratch = SimScratch::new(input.expansion());
+        let n = input.len();
         let mut rec = Recorder::new(self.config.obs);
 
         // Page table covering input + output virtual regions.
-        let mut pagetable = build_pagetable::<T>(&input, parts, n, &self.config.output)?;
+        let mut pagetable = build_pagetable::<T>(input, parts, n, &self.config.output)?;
         if let Some(inj) = &self.faults {
             pagetable.inject_transients(inj.pagetable_schedule());
         }
@@ -345,9 +307,8 @@ impl FpgaPartitioner {
                 let pass = HistogramPass::run::<T>(
                     &self.config,
                     self.qpi.clone(),
-                    &input,
+                    input,
                     self.faults.as_ref(),
-                    &mut scratch,
                     &mut rec,
                 )?;
                 let valid: Vec<usize> = (0..parts)
@@ -392,10 +353,10 @@ impl FpgaPartitioner {
             &self.config,
             QpiEndpoint::new(self.qpi.clone()),
             extents,
-            &input,
+            input,
             self.faults.as_ref(),
         );
-        let scatter = engine.run(&mut out, &mut pagetable, &mut scratch, &mut rec)?;
+        let scatter = engine.run(&mut out, &mut pagetable, &mut rec)?;
 
         let mut qpi = scatter.qpi_stats;
         qpi.accumulate(&hist_stats);
@@ -428,149 +389,10 @@ impl FpgaPartitioner {
     }
 }
 
-/// Reusable per-run scratch buffers, hoisted out of the per-cycle hot
-/// loop so a run performs no allocations after setup: `pending` and
-/// `fetch_buf` are shared by the histogram and scatter passes, `lane_buf`
-/// backs [`InputData::fetch`]'s VRID/RLE tuple assembly (previously a
-/// fresh `Vec` per fetched line — the dominant allocation churn of large
-/// cycle-accurate runs).
-pub(crate) struct SimScratch<T: Tuple> {
-    pub(crate) pending: std::collections::VecDeque<Line<T>>,
-    pub(crate) fetch_buf: Vec<Line<T>>,
-    pub(crate) lane_buf: Vec<T>,
-}
-
-impl<T: Tuple> SimScratch<T> {
-    pub(crate) fn new(expansion: usize) -> Self {
-        Self {
-            pending: std::collections::VecDeque::with_capacity(expansion * 8),
-            fetch_buf: Vec::with_capacity(expansion),
-            lane_buf: Vec::with_capacity(T::LANES),
-        }
-    }
-
-    /// Reset between passes (buffers keep their capacity).
-    fn reset(&mut self) {
-        self.pending.clear();
-        self.fetch_buf.clear();
-        self.lane_buf.clear();
-    }
-}
-
-/// RID (rows) vs VRID (bare keys) vs RLE-compressed-VRID input data.
-pub(crate) enum InputData<'a, T: Tuple> {
-    Rows(&'a [T]),
-    Keys(&'a [T::K]),
-    /// Run-length-encoded key column: the circuit reads packed runs and
-    /// per-lane expanders regenerate `(key, position)` tuples on chip.
-    /// `line_offsets[i]` is the decoded position where input line `i`'s
-    /// first tuple lands (VRIDs must be globally consistent while
-    /// `fetch` stays stateless).
-    RleKeys {
-        runs: &'a [(T::K, u8)],
-        line_offsets: Vec<u64>,
-        decoded_len: usize,
-    },
-}
-
-/// Runs per 64 B line in the packed RLE layout (each entry stores the
-/// key word plus a word-aligned length).
-fn runs_per_line<K: fpart_types::Key>() -> usize {
-    CACHE_LINE_BYTES / (2 * std::mem::size_of::<K>())
-}
-
-impl<T: Tuple> InputData<'_, T> {
-    pub(crate) fn tuple_count(&self) -> usize {
-        match self {
-            Self::Rows(r) => r.len(),
-            Self::Keys(k) => k.len(),
-            Self::RleKeys { decoded_len, .. } => *decoded_len,
-        }
-    }
-
-    /// Cache lines the FPGA must *read* for this input.
-    pub(crate) fn input_lines(&self) -> usize {
-        match self {
-            Self::Rows(r) => r.len().div_ceil(T::LANES),
-            Self::Keys(k) => {
-                let keys_per_line = CACHE_LINE_BYTES / std::mem::size_of::<T::K>();
-                k.len().div_ceil(keys_per_line)
-            }
-            Self::RleKeys { runs, .. } => runs.len().div_ceil(runs_per_line::<T::K>()),
-        }
-    }
-
-    /// Tuple lines generated inside the circuit per input line ("for each
-    /// cache-line the FPGA receives, two cache-lines are generated
-    /// internally", Section 4.7 — general for all widths).
-    pub(crate) fn expansion(&self) -> usize {
-        match self {
-            Self::Rows(_) => 1,
-            Self::Keys(_) => {
-                let keys_per_line = CACHE_LINE_BYTES / std::mem::size_of::<T::K>();
-                keys_per_line / T::LANES
-            }
-            // Worst case: every run in the line is MAX_RUN long.
-            Self::RleKeys { .. } => {
-                (runs_per_line::<T::K>() * crate::codec::MAX_RUN as usize).div_ceil(T::LANES)
-            }
-        }
-    }
-
-    /// Materialise the tuple lines for input line `idx` into `sink`.
-    /// `lane_buf` is caller-provided scratch (cleared here) so the hot
-    /// loop never allocates.
-    pub(crate) fn fetch(&self, idx: usize, sink: &mut Vec<Line<T>>, lane_buf: &mut Vec<T>) {
-        lane_buf.clear();
-        match self {
-            Self::Rows(rows) => {
-                let start = idx * T::LANES;
-                let end = (start + T::LANES).min(rows.len());
-                sink.push(Line::from_partial(&rows[start..end]));
-            }
-            Self::Keys(keys) => {
-                let keys_per_line = CACHE_LINE_BYTES / std::mem::size_of::<T::K>();
-                let start = idx * keys_per_line;
-                let end = (start + keys_per_line).min(keys.len());
-                // The circuit appends the key's position as the virtual
-                // record id (Section 4.5).
-                for chunk_start in (start..end).step_by(T::LANES) {
-                    lane_buf.clear();
-                    for pos in chunk_start..(chunk_start + T::LANES).min(end) {
-                        lane_buf.push(T::new(keys[pos], pos as u64));
-                    }
-                    sink.push(Line::from_partial(lane_buf));
-                }
-            }
-            Self::RleKeys {
-                runs, line_offsets, ..
-            } => {
-                let rpl = runs_per_line::<T::K>();
-                let start = idx * rpl;
-                let end = (start + rpl).min(runs.len());
-                let mut pos = line_offsets[idx];
-                for &(key, len) in &runs[start..end] {
-                    for _ in 0..len {
-                        lane_buf.push(T::new(key, pos));
-                        pos += 1;
-                        if lane_buf.len() == T::LANES {
-                            sink.push(Line::from_slice(lane_buf));
-                            lane_buf.clear();
-                        }
-                    }
-                }
-                if !lane_buf.is_empty() {
-                    sink.push(Line::from_partial(lane_buf));
-                }
-            }
-        }
-    }
-}
-
 /// Construct the page table mapping the input and (upper-bound) output
 /// virtual regions.
 pub(crate) fn build_pagetable<T: Tuple>(
-    input: &InputData<'_, T>,
+    input: &Input<'_, T>,
     parts: usize,
     n: usize,
     output: &OutputMode,
@@ -596,7 +418,6 @@ struct HistogramPass {
     lane_hists: Vec<Vec<u64>>,
     cycles: u64,
     qpi_stats: QpiStats,
-    _marker: std::marker::PhantomData<()>,
 }
 
 impl HistogramPass {
@@ -613,9 +434,8 @@ impl HistogramPass {
     fn run<T: Tuple>(
         cfg: &PartitionerConfig,
         qpi_cfg: QpiConfig,
-        input: &InputData<'_, T>,
+        input: &Input<'_, T>,
         injector: Option<&FaultInjector>,
-        scratch: &mut SimScratch<T>,
         rec: &mut Recorder,
     ) -> Result<Self> {
         let parts = cfg.partitions();
@@ -631,12 +451,9 @@ impl HistogramPass {
         let total_lines = input.input_lines();
         let expansion = input.expansion();
         let mut read_cursor = 0usize;
-        scratch.reset();
-        let SimScratch {
-            pending,
-            fetch_buf,
-            lane_buf,
-        } = scratch;
+        // The tuple lines the read responses deliver and the hash pipes
+        // consume, sized so the pass allocates nothing after setup.
+        let mut pending: VecDeque<Line<T>> = VecDeque::with_capacity(expansion * 8);
         let mut cycles = 0u64;
 
         loop {
@@ -665,9 +482,8 @@ impl HistogramPass {
 
             // Accept one read response.
             if let Some(tag) = qpi.pop_ready_read() {
-                fetch_buf.clear();
-                input.fetch(tag as usize, fetch_buf, lane_buf);
-                pending.extend(fetch_buf.drain(..));
+                let line = tag as usize..tag as usize + 1;
+                input.for_each_line(line, |l| pending.push_back(Line::from_partial(l)));
             }
 
             // Issue a new request while the in-flight window has room,
@@ -722,7 +538,6 @@ impl HistogramPass {
             lane_hists,
             cycles,
             qpi_stats,
-            _marker: std::marker::PhantomData,
         })
     }
 }
@@ -748,7 +563,7 @@ struct ScatterEngine<'a, T: Tuple> {
     out_fifos: Vec<Fifo<CombinedLine<T>>>,
     writeback: WriteBack<T>,
     wb_fifo: Fifo<AddressedLine<T>>,
-    input: &'a InputData<'a, T>,
+    input: &'a Input<'a, T>,
     /// Virtual line index where the output region starts (input region
     /// precedes it).
     out_base_line: u64,
@@ -762,7 +577,7 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
         cfg: &'a PartitionerConfig,
         mut qpi: QpiEndpoint,
         extents: PartitionExtents,
-        input: &'a InputData<'a, T>,
+        input: &'a Input<'a, T>,
         injector: Option<&FaultInjector>,
     ) -> Self {
         let pad_mode = matches!(cfg.output, OutputMode::Pad { .. });
@@ -806,18 +621,14 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
         &mut self,
         out: &mut PartitionedRelation<T>,
         pagetable: &mut PageTable,
-        scratch: &mut SimScratch<T>,
         rec: &mut Recorder,
     ) -> Result<ScatterResult> {
         let total_lines = self.input.input_lines();
         let expansion = self.input.expansion();
         let mut read_cursor = 0usize;
-        scratch.reset();
-        let SimScratch {
-            pending,
-            fetch_buf,
-            lane_buf,
-        } = scratch;
+        // The tuple lines the read responses deliver and the hash pipes
+        // consume, sized so the pass allocates nothing after setup.
+        let mut pending: VecDeque<Line<T>> = VecDeque::with_capacity(expansion * 8);
         let mut cycles = 0u64;
         let mut flushing = false;
         let mut lines_written: Vec<u64> = vec![0; out.num_partitions()];
@@ -922,9 +733,9 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
 
             // (5) Read responses.
             if let Some(tag) = self.qpi.pop_ready_read() {
-                fetch_buf.clear();
-                self.input.fetch(tag as usize, fetch_buf, lane_buf);
-                pending.extend(fetch_buf.drain(..));
+                let line = tag as usize..tag as usize + 1;
+                self.input
+                    .for_each_line(line, |l| pending.push_back(Line::from_partial(l)));
             }
 
             // (6) Read requests, throttled by first-stage FIFO occupancy
@@ -1111,7 +922,7 @@ mod tests {
     use fpart_datagen::KeyDistribution;
     use fpart_hash::PartitionFn;
     use fpart_types::relation::content_checksum;
-    use fpart_types::{ColumnRelation, Tuple16, Tuple64, Tuple8};
+    use fpart_types::{ColumnRelation, Relation, Tuple16, Tuple64, Tuple8};
 
     fn config(bits: u32, output: OutputMode, input: InputMode) -> PartitionerConfig {
         PartitionerConfig {

@@ -13,7 +13,7 @@
 //! write volume.
 
 use fpart_hwsim::{QpiConfig, QpiEndpoint};
-use fpart_types::{Key, Line, Relation, Result, Tuple};
+use fpart_types::{Input, Key, Line, Relation, Result, Tuple};
 
 use crate::hashmod::HashedTuple;
 use crate::writecomb::WriteCombiner;
@@ -112,7 +112,8 @@ impl FpgaSelector {
         let mut out: Vec<T> = Vec::new();
         let mut cycles = 0u64;
 
-        let total_lines = rel.len().div_ceil(T::LANES);
+        let input = Input::from(rel);
+        let total_lines = input.input_lines();
         let mut read_cursor = 0usize;
         let mut pending: std::collections::VecDeque<Line<T>> = Default::default();
         // Survivors waiting to enter the (single) combiner at 1/cycle; the
@@ -157,9 +158,8 @@ impl FpgaSelector {
 
             // Read delivery and issue.
             if let Some(tag) = qpi.pop_ready_read() {
-                let start = tag as usize * T::LANES;
-                let end = (start + T::LANES).min(rel.len());
-                pending.push_back(Line::from_partial(&rel.tuples()[start..end]));
+                let line = tag as usize..tag as usize + 1;
+                input.for_each_line(line, |l| pending.push_back(Line::from_partial(l)));
             }
             let committed = pending.len() + qpi.reads_in_flight() + gate.len() / T::LANES;
             if read_cursor < total_lines && committed < 64 && qpi.try_read(read_cursor as u64) {

@@ -250,16 +250,16 @@ fn wide_tuples_match() {
 
 #[test]
 fn rle_input_matches() {
-    use fpart_fpga::codec::RleColumn;
+    use fpart_types::RleColumn;
     let mut keys: Vec<u32> = (0..20_000u32).map(|i| i % 300).collect();
     keys.sort_unstable();
     let column = RleColumn::encode(&keys);
     let cfg = config(6, OutputMode::Hist, InputMode::Vrid);
     let c = FpgaPartitioner::new(cfg.clone())
-        .partition_rle::<Tuple8>(&column)
+        .partition::<Tuple8>(&column)
         .unwrap();
     let b = FpgaPartitioner::new(cfg.with_fidelity(SimFidelity::Batched))
-        .partition_rle::<Tuple8>(&column)
+        .partition::<Tuple8>(&column)
         .unwrap();
     assert_equivalent("RLE/HIST/VRID", &b, &c);
 }
@@ -467,7 +467,7 @@ fn pad_overflow_in_last_partition_is_an_error() {
 /// Batched runs of one configuration over a row, a column (VRID) and an
 /// RLE-compressed input, each with skew so the forwarding registers hit.
 fn batched_runs(output: OutputMode) -> Vec<(String, PartitionedRelation<Tuple8>, RunReport)> {
-    use fpart_fpga::codec::RleColumn;
+    use fpart_types::RleColumn;
     let mut keys: Vec<u32> = KeyDistribution::Random.generate_keys(6000, 13);
     keys.extend((0..3000u32).map(|i| i % 11 + 1));
     let mut sorted: Vec<u32> = (0..20_000u32).map(|i| i % 300).collect();
@@ -482,7 +482,7 @@ fn batched_runs(output: OutputMode) -> Vec<(String, PartitionedRelation<Tuple8>,
         .partition(&ColumnRelation::<Tuple8>::from_keys(&keys))
         .unwrap();
     let rle = run(InputMode::Vrid)
-        .partition_rle::<Tuple8>(&RleColumn::encode(&sorted))
+        .partition::<Tuple8>(&RleColumn::encode(&sorted))
         .unwrap();
     [("rows", rows), ("keys", cols), ("rle", rle)]
         .into_iter()

@@ -107,8 +107,8 @@ fn histogram_only_counts_without_writing() {
 
 #[test]
 fn rle_partitioning_matches_plain_vrid() {
-    use fpart_fpga::codec::RleColumn;
     use fpart_types::ColumnRelation;
+    use fpart_types::RleColumn;
 
     // A sorted low-cardinality column: compresses well.
     let mut keys: Vec<u32> = (0..20_000u32).map(|i| i % 300).collect();
@@ -125,7 +125,7 @@ fn rle_partitioning_matches_plain_vrid() {
     };
     let p = FpgaPartitioner::new(config);
 
-    let (rle_parts, rle_report) = p.partition_rle::<Tuple8>(&column).unwrap();
+    let (rle_parts, rle_report) = p.partition::<Tuple8>(&column).unwrap();
     let col = ColumnRelation::<Tuple8>::from_keys(&keys);
     let (vrid_parts, vrid_report) = p.partition(&col).unwrap();
 
@@ -158,7 +158,7 @@ fn rle_partitioning_matches_plain_vrid() {
 
 #[test]
 fn rle_incompressible_column_still_correct() {
-    use fpart_fpga::codec::RleColumn;
+    use fpart_types::RleColumn;
     let keys = fpart_datagen::KeyDistribution::Random.generate_keys::<u32>(5000, 4);
     let column = RleColumn::encode(&keys);
     let config = PartitionerConfig {
@@ -166,7 +166,7 @@ fn rle_incompressible_column_still_correct() {
         ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Vrid)
     };
     let (parts, _) = FpgaPartitioner::new(config)
-        .partition_rle::<Tuple8>(&column)
+        .partition::<Tuple8>(&column)
         .unwrap();
     assert_eq!(parts.total_valid(), 5000);
     for part in 0..parts.num_partitions() {

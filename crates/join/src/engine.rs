@@ -29,7 +29,7 @@ use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, RunReport};
 use fpart_hash::PartitionFn;
 use fpart_memmodel::BandwidthCurve;
 use fpart_obs::{Ctr, ObsSnapshot};
-use fpart_types::{ColumnRelation, Input, PartitionedRelation, Result, Tuple};
+use fpart_types::{Input, PartitionedRelation, Result, Tuple};
 
 use crate::fallback::AttemptPath;
 
@@ -221,13 +221,8 @@ impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
         AttemptPath::Cpu
     }
 
-    /// A column store is partitioned as its `(key, position)` rows, the
-    /// tuples the circuit emits in VRID mode.
     fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
-        let (parts, report) = match input {
-            Input::Rows(rel) => CpuPartitioner::partition(self, rel),
-            Input::Columns(_) => CpuPartitioner::partition(self, &input.rows(0..input.len())),
-        };
+        let (parts, report) = CpuPartitioner::partition(self, input);
         Ok((parts, PartitionStats::Cpu(report)))
     }
 
@@ -470,10 +465,9 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
         AttemptPath::Hybrid
     }
 
-    /// The FPGA partitions the front share and the CPU the tail's rows.
-    /// For a column store the tail's rows carry their global positions,
-    /// the FPGA share's own positions already equal them, and so the
-    /// stitched output is position-exact.
+    /// The FPGA partitions the front share and the CPU the tail. Both
+    /// shares are views of the input; a column view keeps the whole
+    /// column's positions, so the stitched output is position-exact.
     ///
     /// # Errors
     /// Propagates FPGA-share aborts (PAD overflow, injected faults)
@@ -482,21 +476,10 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
         let n = input.len();
         let k = self.share_split(n, T::WIDTH);
 
-        let fpga_side = if k > 0 {
-            Some(match input {
-                Input::Rows(_) => self.fpga.partition(&input.rows(0..k))?,
-                Input::Columns(c) => self
-                    .fpga
-                    .partition(&ColumnRelation::<T>::from_keys(&c.keys()[..k]))?,
-            })
-        } else {
-            None
-        };
-        let cpu_side = if k < n || n == 0 {
-            Some(self.cpu.partition(&input.rows(k..n)))
-        } else {
-            None
-        };
+        let fpga_side = (k > 0)
+            .then(|| self.fpga.partition(input.slice(0..k)))
+            .transpose()?;
+        let cpu_side = (k < n || n == 0).then(|| self.cpu.partition(input.slice(k..n)));
         Ok(finish_split(fpga_side, cpu_side, k, n))
     }
 

@@ -108,9 +108,10 @@ impl JoinReport {
 ///
 /// # Errors
 /// [`FpartError::InvalidConfig`] if one input is a row store and the
-/// other a column store, or if an FPGA engine's input mode does not match
-/// the inputs. Otherwise a back-end error propagates only when every
-/// enabled chain step failed; a chain with `cpu_fallback` cannot fail.
+/// other a column store, if either is run-length encoded, or if an FPGA
+/// engine's input mode does not match the inputs. Otherwise a back-end
+/// error propagates only when every enabled chain step failed; a chain
+/// with `cpu_fallback` cannot fail.
 pub fn radix_join<'r, 's, T: Tuple>(
     engine: &dyn PartitionEngine<T>,
     chain: &EscalationChain,
@@ -131,9 +132,10 @@ pub fn radix_join<'r, 's, T: Tuple>(
 /// are as for [`radix_join`]; column stores are planned in VRID mode.
 ///
 /// # Errors
-/// [`FpartError::InvalidConfig`] for mixed row and column inputs.
-/// Otherwise a back-end error propagates only when the planned chain has
-/// every fallback disabled; the default chain cannot fail.
+/// [`FpartError::InvalidConfig`] for mixed row and column inputs or a
+/// run-length-encoded input. Otherwise a back-end error propagates only
+/// when the planned chain has every fallback disabled; the default chain
+/// cannot fail.
 pub fn planned_join<'r, 's, T: Tuple>(
     planner: &EnginePlanner,
     f: PartitionFn,
@@ -151,14 +153,18 @@ pub fn planned_join<'r, 's, T: Tuple>(
     Ok(finish(r_report, s_report, plans, bp))
 }
 
-/// Reject a row store joined with a column store before any partitioning.
+/// Reject, before any partitioning, a row store joined with a column
+/// store, and a run-length-encoded column, which has no payload columns
+/// to materialise.
 fn same_layout<T: Tuple>(r: &Input<'_, T>, s: &Input<'_, T>) -> Result<()> {
-    if InputMode::of(r) != InputMode::of(s) {
-        return Err(FpartError::InvalidConfig(
-            "R and S must both be row stores or both column stores".into(),
-        ));
-    }
-    Ok(())
+    let msg = match (r, s) {
+        (Input::Rle { .. }, _) | (_, Input::Rle { .. }) => "a run-length-encoded column",
+        _ if InputMode::of(r) != InputMode::of(s) => "a row store with a column store",
+        _ => return Ok(()),
+    };
+    Err(FpartError::InvalidConfig(format!(
+        "cannot join {msg}: R and S must both be row stores or both plain column stores"
+    )))
 }
 
 /// Build+probe the partitioned inputs; for column stores, materialise
@@ -171,7 +177,8 @@ fn build_probe<T: Tuple>(
     bits: u32,
     threads: usize,
 ) -> BuildProbeReport {
-    let (Input::Columns(r_cols), Input::Columns(s_cols)) = (r, s) else {
+    let (Input::Columns { column: r_cols, .. }, Input::Columns { column: s_cols, .. }) = (r, s)
+    else {
         return build_probe_all(rp, sp, bits, threads);
     };
     let t0 = Instant::now();

@@ -11,9 +11,11 @@
 //! regenerate keys at the full one-line-per-cycle internal rate. Runs
 //! are capped at the lane count so a line of runs expands to a bounded
 //! number of tuple lines — the property that keeps the read-throttling
-//! flow control of Section 4.3 intact.
+//! flow control of Section 4.3 intact. [`crate::Input::Rle`] is how a
+//! partitioner takes such a column.
 
-use fpart_types::Key;
+use crate::line::CACHE_LINE_BYTES;
+use crate::tuple::Key;
 
 /// Maximum run length per encoded entry; longer runs are split. Equal to
 /// the 8 B-tuple lane count so one run never expands past one cache line
@@ -26,7 +28,7 @@ pub const MAX_RUN: u8 = 8;
 /// # Examples
 ///
 /// ```
-/// use fpart_fpga::codec::RleColumn;
+/// use fpart_types::RleColumn;
 ///
 /// let col = RleColumn::encode(&[5u32, 5, 5, 9]);
 /// assert_eq!(col.runs(), &[(5, 3), (9, 1)]);
@@ -36,9 +38,16 @@ pub const MAX_RUN: u8 = 8;
 pub struct RleColumn<K: Key> {
     runs: Vec<(K, u8)>,
     decoded_len: usize,
+    /// The decoded position of each encoded line's first key, so a
+    /// reader can start at any line without replaying the runs before it.
+    line_starts: Vec<usize>,
 }
 
 impl<K: Key> RleColumn<K> {
+    /// Runs per 64 B line in the packed layout (each entry stores the
+    /// key word plus a word-aligned length).
+    pub(crate) const RUNS_PER_LINE: usize = CACHE_LINE_BYTES / (2 * std::mem::size_of::<K>());
+
     /// Encode a key column. Adjacent equal keys collapse into runs
     /// (capped at [`MAX_RUN`]); sorted or low-cardinality columns
     /// compress well, random columns degenerate to run length 1.
@@ -50,9 +59,16 @@ impl<K: Key> RleColumn<K> {
                 _ => runs.push((k, 1)),
             }
         }
+        let mut line_starts = Vec::with_capacity(runs.len().div_ceil(Self::RUNS_PER_LINE));
+        let mut pos = 0;
+        for line in runs.chunks(Self::RUNS_PER_LINE) {
+            line_starts.push(pos);
+            pos += line.iter().map(|&(_, len)| len as usize).sum::<usize>();
+        }
         Self {
             runs,
             decoded_len: keys.len(),
+            line_starts,
         }
     }
 
@@ -64,6 +80,38 @@ impl<K: Key> RleColumn<K> {
     /// Keys after decompression.
     pub fn decoded_len(&self) -> usize {
         self.decoded_len
+    }
+
+    /// Encoded line `line`'s runs and the decoded position of its first
+    /// key.
+    pub(crate) fn line(&self, line: usize) -> (&[(K, u8)], usize) {
+        let start = line * Self::RUNS_PER_LINE;
+        let end = (start + Self::RUNS_PER_LINE).min(self.runs.len());
+        (&self.runs[start..end], self.line_starts[line])
+    }
+
+    /// The encoded line holding decoded position `pos`.
+    ///
+    /// # Panics
+    /// Panics if the column is empty.
+    pub(crate) fn line_of(&self, pos: usize) -> usize {
+        self.line_starts.partition_point(|&s| s <= pos) - 1
+    }
+
+    /// The key at decoded position `pos`.
+    ///
+    /// # Panics
+    /// Panics if `pos >= self.decoded_len()`.
+    pub(crate) fn key(&self, pos: usize) -> K {
+        assert!(pos < self.decoded_len, "position {pos} past the column");
+        let (runs, mut first) = self.line(self.line_of(pos));
+        for &(key, len) in runs {
+            first += len as usize;
+            if pos < first {
+                return key;
+            }
+        }
+        unreachable!("a line's runs cover every position up to the next line's start")
     }
 
     /// Encoded size in bytes as stored for the circuit: each run packs
@@ -145,5 +193,18 @@ mod tests {
             .iter()
             .all(|&(_, len)| (1..=MAX_RUN).contains(&len)));
         assert_eq!(col.runs().len(), 13); // ⌈100/8⌉
+    }
+
+    #[test]
+    fn line_starts_locate_every_position() {
+        let keys: Vec<u64> = (0..200u64).map(|i| i / 3).collect();
+        let col = RleColumn::encode(&keys);
+        // u64 keys: four runs of three keys per 64 B line.
+        assert_eq!(col.line_starts.len(), 17);
+        assert_eq!(col.line(1), (&col.runs()[4..8], 12));
+        for (pos, &k) in keys.iter().enumerate() {
+            assert_eq!(col.key(pos), k, "position {pos}");
+            assert_eq!(col.line_of(pos), pos / 12, "position {pos}");
+        }
     }
 }

@@ -15,9 +15,10 @@
 //!   partially-filled cache lines with;
 //! * [`Line`] — a 64-byte cache line of tuples, the unit in which the
 //!   simulated circuit consumes and produces data;
-//! * [`Relation`] / [`ColumnRelation`] — row-store and column-store input
-//!   relations (the paper's RID and VRID operating modes), and [`Input`],
-//!   either one as a partitioner takes it;
+//! * [`Relation`] / [`ColumnRelation`] / [`RleColumn`] — row-store,
+//!   column-store and run-length-encoded inputs (the paper's RID and
+//!   VRID operating modes), and [`Input`], any of them as a partitioner
+//!   takes it, with the one walker that yields its tuple lines;
 //! * [`PartitionedRelation`] — the output layout of a partitioning run,
 //!   covering both the exact (HIST) and padded (PAD) memory layouts;
 //! * [`AlignedBuf`] — a 64-byte-aligned heap buffer used for all bulk tuple
@@ -26,7 +27,9 @@
 #![warn(missing_docs)]
 
 pub mod aligned;
+pub mod codec;
 pub mod error;
+pub mod input;
 pub mod line;
 pub mod partitioned;
 pub mod relation;
@@ -34,9 +37,11 @@ pub mod rng;
 pub mod tuple;
 
 pub use aligned::AlignedBuf;
+pub use codec::RleColumn;
 pub use error::{FpartError, Result};
+pub use input::Input;
 pub use line::{Line, CACHE_LINE_BYTES};
 pub use partitioned::{PartitionLayout, PartitionedRelation, SharedWriter};
-pub use relation::{ColumnRelation, Input, Relation};
+pub use relation::{ColumnRelation, Relation};
 pub use rng::SplitMix64;
 pub use tuple::{Key, Tuple, Tuple16, Tuple32, Tuple64, Tuple8};

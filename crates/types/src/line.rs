@@ -119,23 +119,6 @@ impl<T: Tuple> Default for Line<T> {
     }
 }
 
-/// Split a tuple slice into full cache lines plus a partial remainder.
-///
-/// Relations are not required to be multiples of a line; the trailing
-/// partial line (if any) is returned separately so callers can model it as a
-/// padded final line exactly like the hardware does.
-#[inline]
-pub fn lines_of<T: Tuple>(tuples: &[T]) -> (impl Iterator<Item = Line<T>> + '_, Option<Line<T>>) {
-    let chunks = tuples.chunks_exact(T::LANES);
-    let rem = chunks.remainder();
-    let tail = if rem.is_empty() {
-        None
-    } else {
-        Some(Line::from_partial(rem))
-    };
-    (chunks.map(Line::from_slice), tail)
-}
-
 /// Number of cache lines needed to hold `n` tuples of type `T` (rounds up).
 #[inline]
 pub fn line_count<T: Tuple>(n: usize) -> usize {
@@ -185,13 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn lines_of_splits_and_pads() {
-        let ts: Vec<Tuple8> = (0..19).map(|i| Tuple8::new(i, 0)).collect();
-        let (full, tail) = lines_of(&ts);
-        let full: Vec<_> = full.collect();
-        assert_eq!(full.len(), 2);
-        let tail = tail.expect("19 % 8 != 0");
-        assert_eq!(tail.valid_count(), 3);
+    fn line_count_rounds_up() {
         assert_eq!(line_count::<Tuple8>(19), 3);
         assert_eq!(line_count::<Tuple8>(16), 2);
         assert_eq!(line_count::<Tuple8>(0), 0);

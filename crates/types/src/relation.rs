@@ -6,8 +6,6 @@
 //! arrays, associated only by position, and the FPGA reads *only* the key
 //! array, appending a 4 B virtual record id on chip (Section 4.5).
 
-use std::ops::Range;
-
 use crate::aligned::AlignedBuf;
 use crate::tuple::{Key, Tuple};
 
@@ -170,83 +168,6 @@ impl<T: Tuple> ColumnRelation<T> {
     }
 }
 
-/// A partitioner's input in either layout: a row store, which the
-/// circuit reads in RID mode, or a column store, which it reads in VRID
-/// mode ("key + virtual record id", Section 4.5).
-///
-/// The FPGA partitioner, the engine trait, the degradation chain, the
-/// planners and the joins take an `Input`, most as `impl Into<Input>`, so
-/// callers pass `&Relation` or `&ColumnRelation` directly.
-#[derive(Debug, Clone, Copy)]
-pub enum Input<'a, T: Tuple> {
-    /// A row store: `<key, payload>` tuples in one array.
-    Rows(&'a Relation<T>),
-    /// A column store: only the key column is partitioned.
-    Columns(&'a ColumnRelation<T>),
-}
-
-impl<'a, T: Tuple> From<&'a Relation<T>> for Input<'a, T> {
-    fn from(rel: &'a Relation<T>) -> Self {
-        Self::Rows(rel)
-    }
-}
-
-impl<'a, T: Tuple> From<&'a ColumnRelation<T>> for Input<'a, T> {
-    fn from(rel: &'a ColumnRelation<T>) -> Self {
-        Self::Columns(rel)
-    }
-}
-
-impl<T: Tuple> Input<'_, T> {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Rows(r) => r.len(),
-            Self::Columns(c) => c.len(),
-        }
-    }
-
-    /// Whether the input is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The key of row `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    pub fn key(&self, i: usize) -> T::K {
-        match self {
-            Self::Rows(r) => r.tuples()[i].key(),
-            Self::Columns(c) => c.keys()[i],
-        }
-    }
-
-    /// Rows `range` as a row store. A column store yields `(key,
-    /// position)` tuples, the tuples the circuit emits in VRID mode: "a
-    /// virtual record ID is appended to that key on the FPGA, creating a
-    /// tuple `<x B key, 4 B VRID>`" (Section 4.5). The position is the
-    /// row's index in the whole column, so a CPU run over a slice keeps
-    /// the VRIDs a whole-column run would produce.
-    ///
-    /// # Panics
-    /// Panics if `range` reaches past `self.len()`.
-    pub fn rows(&self, range: Range<usize>) -> Relation<T> {
-        match self {
-            Self::Rows(r) => Relation::from_tuples(&r.tuples()[range]),
-            Self::Columns(c) => {
-                let keys = &c.keys()[range.clone()];
-                let tuples: Vec<T> = keys
-                    .iter()
-                    .zip(range)
-                    .map(|(&key, i)| T::new(key, i as u64))
-                    .collect();
-                Relation::from_tuples(&tuples)
-            }
-        }
-    }
-}
-
 /// Checksum over keys and payload words, independent of tuple order.
 ///
 /// Used to assert that partitioning is a permutation: the multiset of
@@ -299,19 +220,6 @@ mod tests {
         let col = ColumnRelation::<Tuple8>::from_keys(&[1, 2, 3, 4]);
         let row = col.to_row_store();
         assert_eq!(row.tuples()[3], Tuple8::new(4, 3));
-    }
-
-    #[test]
-    fn column_input_rows_carry_global_positions() {
-        let col = ColumnRelation::<Tuple8>::from_columns(&[5, 6, 7, 8], &[50, 60, 70, 80]);
-        let input = Input::from(&col);
-        assert_eq!((input.len(), input.key(2)), (4, 7));
-        let tail = input.rows(2..4);
-        assert_eq!(tail.tuples(), &[Tuple8::new(7, 2), Tuple8::new(8, 3)]);
-        let row = col.to_row_store();
-        let rows = Input::from(&row);
-        assert_eq!(rows.rows(1..3).tuples(), &row.tuples()[1..3]);
-        assert_eq!(rows.key(3), 8);
     }
 
     #[test]

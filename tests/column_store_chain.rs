@@ -1,8 +1,8 @@
-//! Column stores on the one partition contract: a VRID input goes through
-//! the same degradation chain, planner and join drivers as a row store,
-//! so a skewed key column that overflows PAD escalates instead of
-//! failing, and a column-store join equals the row-store join of the
-//! same rows.
+//! Column stores on the one partition contract: a VRID input, plain or
+//! run-length encoded, goes through the same degradation chain, planner
+//! and join drivers as a row store, so a skewed key column that
+//! overflows PAD escalates instead of failing, and a column-store join
+//! equals the row-store join of the same rows.
 
 use fpart::costmodel::FpgaCostModel;
 use fpart::fpga::{FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig};
@@ -49,41 +49,56 @@ fn cpu_reference(keys: &[u32]) -> Vec<(u64, u64, u64)> {
     partition_multisets(&CpuPartitioner::new(f(), 2).partition(&rel).0)
 }
 
-#[test]
-fn zipf_column_overflow_escalates_to_hist() {
+/// Runs `check` on the Zipf-1.5 keys as a plain column store and as a
+/// run-length-encoded column, which decodes to the same keys.
+fn for_each_zipf_column(check: impl Fn(&str, Input<'_, Tuple8>)) {
     let keys = zipf_keys();
     let col = ColumnRelation::<Tuple8>::from_keys(&keys);
-    let fpga = zero_pad(InputMode::Vrid);
-    assert!(
-        matches!(
-            fpga.partition(&col),
-            Err(FpartError::PartitionOverflow { .. })
-        ),
-        "zipf 1.5 must overflow zero padding"
-    );
+    let rle = RleColumn::encode(&keys);
+    assert_eq!(rle.decode(), keys);
+    assert!(rle.runs().len() < keys.len(), "the heavy hitters form runs");
+    check("columns", Input::from(&col));
+    check("rle", Input::from(&rle));
+}
 
-    let (parts, report) = EscalationChain::new(2).run(&fpga, &col).unwrap();
-    assert_eq!(report.final_path(), AttemptPath::Hist);
-    assert!(matches!(
-        report.first_error(),
-        Some(FpartError::PartitionOverflow { .. })
-    ));
-    assert_eq!(report.fpga().expect("the HIST retry ran").mode, "HIST/VRID");
-    assert_eq!(partition_multisets(&parts), cpu_reference(&keys));
+#[test]
+fn zipf_column_overflow_escalates_to_hist() {
+    let reference = cpu_reference(&zipf_keys());
+    for_each_zipf_column(|layout, input| {
+        let fpga = zero_pad(InputMode::Vrid);
+        assert!(
+            matches!(
+                fpga.partition(input),
+                Err(FpartError::PartitionOverflow { .. })
+            ),
+            "{layout}: zipf 1.5 must overflow zero padding"
+        );
+
+        let (parts, report) = EscalationChain::new(2).run(&fpga, input).unwrap();
+        assert_eq!(report.final_path(), AttemptPath::Hist, "{layout}");
+        assert!(matches!(
+            report.first_error(),
+            Some(FpartError::PartitionOverflow { .. })
+        ));
+        let run = report.fpga().expect("the HIST retry ran");
+        assert_eq!(run.mode, "HIST/VRID", "{layout}");
+        assert_eq!(partition_multisets(&parts), reference, "{layout}");
+    });
 }
 
 #[test]
 fn zipf_column_overflow_falls_back_to_cpu() {
-    let keys = zipf_keys();
-    let col = ColumnRelation::<Tuple8>::from_keys(&keys);
-    let chain = EscalationChain {
-        hist_retry: false,
-        ..EscalationChain::new(2)
-    };
-    let (parts, report) = chain.run(&zero_pad(InputMode::Vrid), &col).unwrap();
-    assert_eq!(report.final_path(), AttemptPath::Cpu);
-    assert_eq!(report.attempts.len(), 2);
-    assert_eq!(partition_multisets(&parts), cpu_reference(&keys));
+    let reference = cpu_reference(&zipf_keys());
+    for_each_zipf_column(|layout, input| {
+        let chain = EscalationChain {
+            hist_retry: false,
+            ..EscalationChain::new(2)
+        };
+        let (parts, report) = chain.run(&zero_pad(InputMode::Vrid), input).unwrap();
+        assert_eq!(report.final_path(), AttemptPath::Cpu, "{layout}");
+        assert_eq!(report.attempts.len(), 2, "{layout}");
+        assert_eq!(partition_multisets(&parts), reference, "{layout}");
+    });
 }
 
 #[test]
@@ -150,6 +165,22 @@ fn mixed_layouts_are_rejected_before_partitioning() {
     ));
     assert!(matches!(
         planned_join(&EnginePlanner::new(2), f(), &rows, &cols),
+        Err(FpartError::InvalidConfig(_))
+    ));
+
+    // A run-length-encoded column has no payloads to materialise, so no
+    // join takes one, not even beside another column store.
+    let rle = RleColumn::encode(&keys);
+    assert!(matches!(
+        radix_join(&zero_pad(InputMode::Vrid), &fail, &cols, &rle),
+        Err(FpartError::InvalidConfig(_))
+    ));
+    assert!(matches!(
+        radix_join(&cpu, &EscalationChain::new(2), &rle, &cols),
+        Err(FpartError::InvalidConfig(_))
+    ));
+    assert!(matches!(
+        planned_join(&EnginePlanner::new(2), f(), &rle, &cols),
         Err(FpartError::InvalidConfig(_))
     ));
 }

@@ -25,8 +25,9 @@ fn engine(output: OutputMode, input: InputMode, fraction: f64) -> HybridSplitEng
     HybridSplitEngine::new(FpgaPartitioner::with_modes(f, output, input), 2).with_fraction(fraction)
 }
 
-/// The full matrix: {HIST, PAD} × {RID, VRID} × all key distributions ×
-/// split fractions {0, 0.37, 0.5, 1}. Every cell must reproduce the
+/// The full matrix: {HIST, PAD} × {rows (RID), columns (VRID),
+/// run-length-encoded columns (VRID)} × all key distributions × split
+/// fractions {0, 0.37, 0.5, 1}. Every cell must reproduce the
 /// single-back-end partition contents and report the share sizes it was
 /// pinned to.
 #[test]
@@ -34,20 +35,30 @@ fn split_matches_single_backend_across_matrix() {
     let n = 4096;
     let f = PartitionFn::Murmur { bits: 5 };
     for output in [OutputMode::Hist, OutputMode::pad_default()] {
-        for input in [InputMode::Rid, InputMode::Vrid] {
-            for dist in KeyDistribution::ALL {
-                let keys = dist.generate_keys::<u32>(n, 23);
-                // Single-back-end reference: a full CPU run (RID) or a
-                // full-relation FPGA run (VRID) of the same keys.
+        for dist in KeyDistribution::ALL {
+            let keys = dist.generate_keys::<u32>(n, 23);
+            // Runs of three equal keys, so the 0.37 and 0.5 splits (rows
+            // 1516 and 2048) fall inside a run.
+            let run_keys: Vec<u32> = (0..n).map(|i| keys[i / 3 * 3]).collect();
+            let rows = Relation::<Tuple8>::from_keys(&keys);
+            let cols = ColumnRelation::<Tuple8>::from_keys(&keys);
+            let rle = RleColumn::encode(&run_keys);
+            let decoded = ColumnRelation::<Tuple8>::from_keys(&run_keys);
+            // Each input with its single-back-end reference: a full CPU
+            // run (RID) or a full-relation FPGA run of the plain column
+            // (VRID).
+            let cells = [
+                ("rows", Input::from(&rows), Input::from(&rows)),
+                ("columns", Input::from(&cols), Input::from(&cols)),
+                ("rle", Input::from(&rle), Input::from(&decoded)),
+            ];
+            for (layout, whole, plain) in cells {
+                let input = InputMode::of(&whole);
                 let reference = match input {
-                    InputMode::Rid => {
-                        CpuPartitioner::new(f, 2)
-                            .partition(&Relation::<Tuple8>::from_keys(&keys))
-                            .0
-                    }
+                    InputMode::Rid => CpuPartitioner::new(f, 2).partition(plain).0,
                     InputMode::Vrid => {
                         FpgaPartitioner::with_modes(f, output, input)
-                            .partition(&ColumnRelation::<Tuple8>::from_keys(&keys))
+                            .partition(plain)
                             .unwrap()
                             .0
                     }
@@ -55,20 +66,10 @@ fn split_matches_single_backend_across_matrix() {
                 let expect = partition_multisets(&reference);
 
                 for fraction in [0.0, 0.37, 0.5, 1.0] {
-                    let e = engine(output, input, fraction);
-                    let (parts, stats) = match input {
-                        InputMode::Rid => e
-                            .partition((&Relation::<Tuple8>::from_keys(&keys)).into())
-                            .unwrap_or_else(|err| {
-                                panic!("{output:?}/{input:?} {dist:?} f={fraction}: {err}")
-                            }),
-                        InputMode::Vrid => e
-                            .partition((&ColumnRelation::<Tuple8>::from_keys(&keys)).into())
-                            .unwrap_or_else(|err| {
-                                panic!("{output:?}/{input:?} {dist:?} f={fraction}: {err}")
-                            }),
-                    };
-                    let label = format!("{output:?}/{input:?} {dist:?} f={fraction}");
+                    let label = format!("{output:?}/{layout} {dist:?} f={fraction}");
+                    let (parts, stats) = engine(output, input, fraction)
+                        .partition(whole)
+                        .unwrap_or_else(|err| panic!("{label}: {err}"));
                     assert_eq!(parts.total_valid(), n, "{label}");
                     assert_eq!(partition_multisets(&parts), expect, "{label}");
 
