@@ -14,6 +14,7 @@
 use std::time::{Duration, Instant};
 
 use fpart_hash::PartitionFn;
+use fpart_types::line::MAX_LANES;
 use fpart_types::{Input, PartitionedRelation, SharedWriter, Tuple};
 
 use crate::histogram;
@@ -49,9 +50,12 @@ pub struct CpuRunReport {
     pub tuples: u64,
     /// Threads used.
     pub threads: usize,
-    /// Wall time of the histogram pass.
+    /// Wall time of the histogram pass: every thread's private
+    /// histogram, from the first key read to the last thread's join.
     pub hist_time: Duration,
-    /// Wall time of the scatter pass.
+    /// Wall time of everything after the histogram pass: the prefix sum
+    /// into per-thread extents, the output allocation and its dummy
+    /// fill, the scatter itself and the drain of every SWWCB.
     pub scatter_time: Duration,
     /// Data passes over the input (histogram + scatter).
     pub passes: usize,
@@ -64,7 +68,8 @@ pub struct CpuRunReport {
 }
 
 impl CpuRunReport {
-    /// Total wall time.
+    /// Total wall time of the run, from the first key read to the
+    /// filled output.
     pub fn total_time(&self) -> Duration {
         self.hist_time + self.scatter_time
     }
@@ -106,7 +111,9 @@ impl CpuPartitioner {
     pub fn histogram_only<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>) -> Vec<usize> {
         let f = self.partition_fn;
         let chunks = chunk_evenly(input.into(), self.threads);
-        let thread_hists = thread_histograms(&chunks, f.fan_out(), &|k| f.partition_of(k));
+        let thread_hists = thread_histograms(&chunks, f.fan_out(), &|line, ids| {
+            f.partition_line(line, ids)
+        });
         histogram::thread_bases(&thread_hists).0
     }
 
@@ -118,45 +125,48 @@ impl CpuPartitioner {
         input: impl Into<Input<'a, T>>,
     ) -> (PartitionedRelation<T>, CpuRunReport) {
         let f = self.partition_fn;
-        scatter(input.into(), self.threads, f.fan_out(), |k| {
-            f.partition_of(k)
+        scatter(input.into(), self.threads, f.fan_out(), |line, ids| {
+            f.partition_line(line, ids)
         })
     }
 }
 
 /// The one CPU partitioning path, for radix, hash and range partitioning
-/// alike: route every tuple of `input` to one of `parts` partitions by
-/// `partition_of` on up to `threads` threads — a histogram pass, then a
-/// single-pass SWWCB scatter with non-temporal stores into tuple-exact,
-/// per-thread-disjoint extents.
+/// alike: route every tuple of `input` to one of `parts` partitions on up
+/// to `threads` threads — a histogram pass, then a single-pass SWWCB
+/// scatter with non-temporal stores into tuple-exact, per-thread-disjoint
+/// extents. `partition_line(line, ids)` sets `ids[i]` to the partition of
+/// `line[i]` for a whole tuple line at a time.
 pub(crate) fn scatter<T: Tuple>(
     input: Input<'_, T>,
     threads: usize,
     parts: usize,
-    partition_of: impl Fn(T::K) -> usize + Sync,
+    partition_line: impl Fn(&[T], &mut [usize; MAX_LANES]) + Sync,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
     let chunks = chunk_evenly(input, threads);
     let t0 = Instant::now();
-    let thread_hists = thread_histograms(&chunks, parts, &partition_of);
+    let thread_hists = thread_histograms(&chunks, parts, &partition_line);
     let hist_time = t0.elapsed();
 
+    // Pass 2: scatter into disjoint extents. Its timer covers the output
+    // allocation too. Flush accounting merges through an atomic registry
+    // — the scatter threads are otherwise fully unsynchronised and stay
+    // that way.
+    let t1 = Instant::now();
     let (global, bases) = histogram::thread_bases(&thread_hists);
     let mut out = PartitionedRelation::<T>::with_histogram(&global, false);
-
-    // Pass 2: scatter into disjoint extents. Flush accounting merges
-    // through an atomic registry — the scatter threads are otherwise
-    // fully unsynchronised and stay that way.
-    let t1 = Instant::now();
     let flush_reg = fpart_obs::AtomicRegistry::new();
     {
         let writer = SharedWriter::new(&mut out);
         let scatter = |chunk: Input<'_, T>, bases: Vec<usize>| {
             let mut wc = Swwcb::new(bases);
+            let mut ids = [0; MAX_LANES];
             chunk.for_each_line(0..chunk.input_lines(), |line| {
-                for &t in line {
+                partition_line(line, &mut ids);
+                for (&t, &p) in line.iter().zip(&ids) {
                     // SAFETY: per-thread extents are disjoint by
                     // construction of `thread_bases`.
-                    unsafe { wc.push(partition_of(t.key()), t, &writer) };
+                    unsafe { wc.push(p, t, &writer) };
                 }
             });
             // SAFETY: as above.
@@ -199,13 +209,15 @@ pub(crate) fn scatter<T: Tuple>(
 fn thread_histograms<T: Tuple>(
     chunks: &[Input<'_, T>],
     parts: usize,
-    partition_of: &(impl Fn(T::K) -> usize + Sync),
+    partition_line: &(impl Fn(&[T], &mut [usize; MAX_LANES]) + Sync),
 ) -> Vec<Vec<usize>> {
     let count = |chunk: Input<'_, T>| {
         let mut hist = vec![0usize; parts];
+        let mut ids = [0; MAX_LANES];
         chunk.for_each_line(0..chunk.input_lines(), |line| {
-            for t in line {
-                hist[partition_of(t.key())] += 1;
+            partition_line(line, &mut ids);
+            for &p in &ids[..line.len()] {
+                hist[p] += 1;
             }
         });
         hist

@@ -143,8 +143,10 @@ pub fn range_partition_parallel<T: Tuple>(
     splitters: &RangeSplitters<T::K>,
     threads: usize,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
-    scatter(rel.into(), threads, splitters.fan_out(), |k| {
-        splitters.partition_of(k)
+    scatter(rel.into(), threads, splitters.fan_out(), |line, ids| {
+        for (id, t) in ids.iter_mut().zip(line) {
+            *id = splitters.partition_of(t.key());
+        }
     })
 }
 

@@ -3,12 +3,13 @@
 //! "The cache-resident buffers, each usually having the size of a cache
 //! line, are used to accumulate a certain number of tuples … If a buffer
 //! for a certain partition gets full, it is written to the memory." The
-//! benefit: the random-access pattern touches only the L1-resident buffer
-//! array; main memory sees one streaming burst per cache line instead of a
+//! benefit: the random-access pattern touches only the buffer array, one
+//! line per tuple, since each line also holds its partition's cursor; main
+//! memory sees one streaming burst per cache line instead of a
 //! read-modify-write per tuple.
 
 use fpart_hash::PartitionFn;
-use fpart_types::{AlignedBuf, SharedWriter, Tuple};
+use fpart_types::{AlignedBuf, SharedWriter, Tuple, CACHE_LINE_BYTES};
 
 use crate::nt_store;
 
@@ -48,11 +49,18 @@ impl SwwcbStats {
 /// store never splits a line between two flushes. Only the first line of
 /// a thread's extent (which may start mid-line) and the last (drained at
 /// the end) flush partially.
+///
+/// **Cursor in the line.** Each partition's cursor, the absolute output
+/// slot its next tuple goes to, lives in the last 8 bytes of that
+/// partition's buffer line, as Balkesen et al.'s code keeps its slot
+/// counter in the line's last tuple. A push therefore touches one cache
+/// line and nothing else. The tuple that fills the last slot overwrites
+/// the cursor; the line flushes and the cursor is written back. The
+/// extent bases are read only when a line flushes.
 pub struct Swwcb<T: Tuple> {
-    /// `partitions × LANES` tuple slots, 64-byte aligned.
+    /// `partitions × LANES` tuple slots, 64-byte aligned; each line ends
+    /// in its partition's cursor.
     buffers: AlignedBuf<T>,
-    /// Tuples this thread has pushed per partition.
-    counts: Vec<usize>,
     /// Absolute output slot where this thread's extent of each partition
     /// begins (from [`crate::histogram::thread_bases`]).
     bases: Vec<usize>,
@@ -62,19 +70,24 @@ pub struct Swwcb<T: Tuple> {
     log: Vec<std::ops::Range<usize>>,
 }
 
+/// Byte offset of a partition's cursor within its 64 B buffer line.
+const CURSOR_OFFSET: usize = CACHE_LINE_BYTES - std::mem::size_of::<usize>();
+
 impl<T: Tuple> Swwcb<T> {
     /// Create a scatter engine writing partition `p`'s tuples at
     /// `bases[p]`, `bases[p]+1`, ….
     pub fn new(bases: Vec<usize>) -> Self {
-        let parts = bases.len();
-        Self {
-            buffers: AlignedBuf::filled(parts * T::LANES, T::dummy()),
-            counts: vec![0; parts],
+        let mut wc = Self {
+            buffers: AlignedBuf::filled(bases.len() * T::LANES, T::dummy()),
             bases,
             stats: SwwcbStats::default(),
             #[cfg(test)]
             log: Vec::new(),
+        };
+        for p in 0..wc.bases.len() {
+            wc.set_cursor(p, wc.bases[p]);
         }
+        wc
     }
 
     /// Buffer one tuple; flushes the partition's line to `out` when the
@@ -83,20 +96,26 @@ impl<T: Tuple> Swwcb<T> {
     /// # Safety
     /// The extents implied by `bases` and the per-thread histogram must be
     /// disjoint from every other writer of `out`. (Flushes past
-    /// `out.len()` panic.)
+    /// `out.len()` panic, and so does a partition `p` out of range.)
     #[inline]
     pub unsafe fn push(&mut self, p: usize, t: T, out: &SharedWriter<T>) {
-        let c = self.counts[p];
-        let abs = self.bases[p] + c;
         let mask = T::LANES - 1;
-        self.buffers[p * T::LANES + (abs & mask)] = t;
-        self.counts[p] = c + 1;
+        let line = self.line_ptr(p);
+        // SAFETY: `line` is partition `p`'s 64-byte-aligned buffer line of
+        // initialised plain-old-data tuples: its last 8 bytes are an
+        // aligned, initialised `usize`, and slot `abs & mask` is in it.
+        let abs = unsafe {
+            let abs = line.cast::<u8>().add(CURSOR_OFFSET).cast::<usize>().read();
+            line.add(abs & mask).write(t);
+            abs
+        };
         if abs & mask == mask {
             let end = abs + 1;
             let start = (end - T::LANES).max(self.bases[p]);
             // SAFETY: forwarded from the caller's contract.
             unsafe { self.flush(p, start, end, out) };
         }
+        self.set_cursor(p, abs + 1);
     }
 
     /// Flush all partially filled buffers (end of the scatter pass) and
@@ -106,9 +125,9 @@ impl<T: Tuple> Swwcb<T> {
     /// Same contract as [`Swwcb::push`].
     pub unsafe fn drain(&mut self, out: &SharedWriter<T>) {
         let mask = T::LANES - 1;
-        for p in 0..self.counts.len() {
-            let end = self.bases[p] + self.counts[p];
-            if end & mask != 0 && self.counts[p] > 0 {
+        for p in 0..self.bases.len() {
+            let end = self.cursor(p);
+            if end & mask != 0 && end > self.bases[p] {
                 let start = (end & !mask).max(self.bases[p]);
                 // SAFETY: forwarded from the caller's contract.
                 unsafe { self.flush(p, start, end, out) };
@@ -117,9 +136,12 @@ impl<T: Tuple> Swwcb<T> {
         nt_store::store_fence();
     }
 
-    /// Tuples pushed per partition so far.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
+    /// Tuples pushed to partition `p` so far.
+    ///
+    /// # Panics
+    /// Panics if `p` is not a partition of this engine.
+    pub fn count(&self, p: usize) -> usize {
+        self.cursor(p) - self.bases[p]
     }
 
     /// Flush accounting accumulated so far.
@@ -127,8 +149,55 @@ impl<T: Tuple> Swwcb<T> {
         self.stats
     }
 
+    /// Index of partition `p`'s first buffer slot.
+    ///
+    /// # Panics
+    /// Panics if `p` is not a partition of this engine.
+    #[inline]
+    fn line_start(&self, p: usize) -> usize {
+        let parts = self.bases.len();
+        assert!(p < parts, "partition {p} of {parts}");
+        p * T::LANES
+    }
+
+    /// Start of partition `p`'s buffer line.
+    #[inline]
+    fn line_ptr(&mut self, p: usize) -> *mut T {
+        let start = self.line_start(p);
+        // SAFETY: the buffer holds one line of `LANES` slots per partition.
+        unsafe { self.buffers.as_mut_slice().as_mut_ptr().add(start) }
+    }
+
+    /// Partition `p`'s cursor: the absolute output slot of its next tuple.
+    #[inline]
+    fn cursor(&self, p: usize) -> usize {
+        // SAFETY: as in `line_ptr`, partition `p`'s line is in the buffer;
+        // as in `push`, its last 8 bytes are an aligned, initialised
+        // `usize`.
+        unsafe {
+            let line = self.buffers.as_ptr().add(self.line_start(p));
+            line.cast::<u8>().add(CURSOR_OFFSET).cast::<usize>().read()
+        }
+    }
+
+    /// Store partition `p`'s cursor.
+    #[inline]
+    fn set_cursor(&mut self, p: usize, slot: usize) {
+        let line = self.line_ptr(p);
+        // SAFETY: as in `push`, the line's last 8 bytes are in bounds and
+        // aligned for a `usize`.
+        unsafe {
+            line.cast::<u8>()
+                .add(CURSOR_OFFSET)
+                .cast::<usize>()
+                .write(slot)
+        }
+    }
+
     /// Stream the buffered tuples of partition `p` bound for absolute
-    /// slots `start..end`, which lie in one destination line.
+    /// slots `start..end`, which lie in one destination line. A partial
+    /// window never reaches the line's last slot, so the cursor stored
+    /// there is never written out.
     ///
     /// # Panics
     /// Panics if `end > out.len()` — checked in every build, once per
@@ -208,7 +277,7 @@ mod tests {
             }
             // SAFETY: as above.
             unsafe { wc.drain(&writer) };
-            assert_eq!(wc.counts().iter().sum::<usize>(), 37);
+            assert_eq!((0..4).map(|p| wc.count(p)).sum::<usize>(), 37);
         }
         for (p, &h) in hist.iter().enumerate() {
             rel.set_partition_fill(p, h, h);
@@ -357,7 +426,7 @@ mod flush_tests {
                     }
                     // At most a head and a tail partial flush per
                     // partition this thread wrote to.
-                    let touched = e.wc.counts().iter().filter(|&&c| c > 0).count();
+                    let touched = (0..f.fan_out()).filter(|&p| e.wc.count(p) > 0).count();
                     assert!(stats.partial_flushes as usize <= 2 * touched, "{what}");
                 }
             }
@@ -370,6 +439,84 @@ mod flush_tests {
         check_width::<Tuple16>();
         check_width::<Tuple32>();
         check_width::<Tuple64>();
+    }
+
+    /// A tuple of key `key` whose last 8 bytes are `tail`: the bytes a
+    /// buffer line keeps its cursor in.
+    fn with_tail<T: Tuple>(key: u64, tail: u64) -> T {
+        let mut t = T::new(T::K::from_u64(key), key);
+        // SAFETY: tuples are plain-old-data `repr(C)` structs of at least
+        // 8 bytes, so their last 8 bytes may hold any value.
+        unsafe {
+            std::ptr::addr_of_mut!(t)
+                .cast::<u8>()
+                .add(T::WIDTH - 8)
+                .cast::<u64>()
+                .write_unaligned(tail)
+        };
+        t
+    }
+
+    /// Tuples whose last 8 bytes look like a cursor (all ones, or the slot
+    /// numbers the cursor holds around them) come out unchanged, also from
+    /// extents that start mid-line and in `Tuple64`, whose every push
+    /// overwrites the cursor.
+    fn check_cursor_layout<T: Tuple>() {
+        let lanes = T::LANES;
+        // This thread's pushes per partition, and the slots before its
+        // extent that another thread owns.
+        let pushes = [2 * lanes + 3, 1, 0, 5 * lanes, lanes - 1];
+        let heads = [3 % lanes, 1 % lanes, 0, (lanes + 2) % lanes, lanes / 2];
+        let hist: Vec<usize> = pushes.iter().zip(&heads).map(|(n, h)| n + h).collect();
+        let starts = crate::histogram::prefix_sum(&hist);
+        let bases: Vec<usize> = starts.iter().zip(&heads).map(|(s, h)| s + h).collect();
+
+        let mut rel = PartitionedRelation::<T>::with_histogram(&hist, false);
+        let mut expect = rel.raw_data().to_vec();
+        let w = SharedWriter::new(&mut rel);
+        let mut wc = Swwcb::<T>::new(bases.clone());
+        // Round-robin over the partitions, so that every line is in
+        // flight at once.
+        for j in 0..pushes.iter().copied().max().unwrap_or(0) {
+            for (p, &n) in pushes.iter().enumerate() {
+                if j >= n {
+                    continue;
+                }
+                let slot = bases[p] + j;
+                let tail = match j % 3 {
+                    0 => u64::MAX,
+                    1 => slot as u64,
+                    _ => slot as u64 + 1,
+                };
+                let t = with_tail::<T>((p * 1000 + j) as u64, tail);
+                expect[slot] = t;
+                // SAFETY: single writer; slot `bases[p] + j` lies in
+                // partition `p`'s extent.
+                unsafe { wc.push(p, t, &w) };
+            }
+        }
+        for (p, &n) in pushes.iter().enumerate() {
+            assert_eq!(wc.count(p), n, "{}B partition {p}", T::WIDTH);
+        }
+        // SAFETY: as above.
+        unsafe { wc.drain(&w) };
+        assert_eq!(rel.raw_data(), expect, "{}B", T::WIDTH);
+
+        let mut idle = Swwcb::<T>::new(bases);
+        let mut rel = PartitionedRelation::<T>::with_histogram(&hist, false);
+        // SAFETY: nothing was pushed, so nothing is written.
+        unsafe { idle.drain(&SharedWriter::new(&mut rel)) };
+        assert!(idle.log.is_empty(), "{}B", T::WIDTH);
+        assert_eq!(idle.stats(), SwwcbStats::default());
+        assert!((0..pushes.len()).all(|p| idle.count(p) == 0));
+    }
+
+    #[test]
+    fn tuples_that_look_like_cursors_come_out_unchanged() {
+        check_cursor_layout::<Tuple8>();
+        check_cursor_layout::<Tuple16>();
+        check_cursor_layout::<Tuple32>();
+        check_cursor_layout::<Tuple64>();
     }
 
     /// A thread whose extent starts mid-line flushes a short head, then

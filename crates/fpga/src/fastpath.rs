@@ -47,8 +47,10 @@
 use std::ops::Range;
 
 use fpart_cpu::swwcb::Swwcb;
+use fpart_hash::PartitionFn;
 use fpart_hwsim::{QpiConfig, QpiEndpoint, QpiStats};
 use fpart_obs::{Ctr, Recorder};
+use fpart_types::line::MAX_LANES;
 use fpart_types::{FpartError, Input, PartitionedRelation, Result, SharedWriter, Tuple};
 
 use crate::config::{OutputMode, PartitionerConfig};
@@ -94,21 +96,25 @@ fn forward(regs: &mut (usize, usize), hits: &mut (u64, u64), p: usize) {
 /// Input lines the batched PAD scatter walks between overflow checks.
 const ABORT_BLOCK_LINES: usize = 1024;
 
-/// Call `f(lane, tuple)` for every real tuple of input lines `lines`, in
-/// the order the circuit's hash lanes see them, and return the number of
-/// tuple lines the circuit generates.
+/// Call `f(lane, tuple, partition)` for every real tuple of input lines
+/// `lines`, in the order the circuit's hash lanes see them, with its
+/// partition under `pf`, and return the number of tuple lines the
+/// circuit generates.
 #[inline]
 fn for_each_tuple<T: Tuple>(
     input: &Input<'_, T>,
     lines: Range<usize>,
-    mut f: impl FnMut(usize, T),
+    pf: PartitionFn,
+    mut f: impl FnMut(usize, T, usize),
 ) -> u64 {
     let mut tuple_lines = 0;
+    let mut ids = [0; MAX_LANES];
     input.for_each_line(lines, |line| {
         tuple_lines += 1;
-        for (lane, &t) in line.iter().enumerate() {
+        pf.partition_line(line, &mut ids);
+        for (lane, (&t, &p)) in line.iter().zip(&ids).enumerate() {
             if !t.is_dummy() {
-                f(lane, t);
+                f(lane, t, p);
             }
         }
     });
@@ -129,8 +135,7 @@ pub(crate) fn histogram_pass<T: Tuple>(
     let mut regs = vec![(usize::MAX, usize::MAX); T::LANES];
     let mut forward_hits = (0, 0);
     let f = cfg.partition_fn;
-    let tuple_lines = for_each_tuple(input, 0..input.input_lines(), |lane, t| {
-        let p = f.partition_of(t.key());
+    let tuple_lines = for_each_tuple(input, 0..input.input_lines(), f, |lane, _, p| {
         forward(&mut regs[lane], &mut forward_hits, p);
         lane_hists[lane * parts + p] += 1;
     });
@@ -223,10 +228,10 @@ pub(crate) fn run_batched<T: Tuple>(
     let mut wc = Swwcb::new(bases.collect());
     let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
     let tuple_lines = if hist.is_some() {
-        for_each_tuple(input, 0..input.input_lines(), |_, t| {
+        for_each_tuple(input, 0..input.input_lines(), f, |_, t, p| {
             // SAFETY: single writer; each partition receives exactly its
             // histogram count, which its extent holds.
-            unsafe { wc.push(f.partition_of(t.key()), t, &w) };
+            unsafe { wc.push(p, t, &w) };
         })
     } else {
         let cap_lines = extents.capacity_lines[0];
@@ -239,12 +244,11 @@ pub(crate) fn run_batched<T: Tuple>(
         let input_lines = input.input_lines();
         for first in (0..input_lines).step_by(ABORT_BLOCK_LINES) {
             let block = first..(first + ABORT_BLOCK_LINES).min(input_lines);
-            tuple_lines += for_each_tuple(input, block, |lane, t| {
+            tuple_lines += for_each_tuple(input, block, f, |lane, t, p| {
                 if aborted.is_some() {
                     return;
                 }
                 tuples_consumed += 1;
-                let p = f.partition_of(t.key());
                 forward(&mut regs[lane], &mut forward_hits, p);
                 let cell = lane * parts + p;
                 fills[cell] += 1;
@@ -259,7 +263,7 @@ pub(crate) fn run_batched<T: Tuple>(
                 }
                 // A partition that will overflow stops receiving data at its
                 // capacity; the run aborts before it completes.
-                if wc.counts()[p] < cap {
+                if wc.count(p) < cap {
                     // SAFETY: single writer; partition `p` writes only
                     // `p * cap .. (p + 1) * cap`.
                     unsafe { wc.push(p, t, &w) };

@@ -24,7 +24,8 @@
 
 #![warn(missing_docs)]
 
-use fpart_types::Key;
+use fpart_types::line::MAX_LANES;
+use fpart_types::{Key, Tuple};
 
 /// The paper's Code 3 for 4 B keys — the murmur3 32-bit finalizer.
 ///
@@ -158,31 +159,49 @@ impl PartitionFn {
         let k = key.to_u64();
         match self {
             Self::Radix { bits } => (k & mask(bits)) as usize,
-            Self::RadixAt { shift, bits } => {
-                let shifted = if shift >= 64 { 0 } else { k >> shift };
-                (shifted & mask(bits)) as usize
-            }
-            Self::Murmur { bits } => {
-                let h = if K::BITS == 32 {
-                    murmur3_finalizer_32(k as u32) as u64
-                } else {
-                    murmur3_finalizer_64(k)
-                };
-                (h & mask(bits)) as usize
-            }
+            Self::RadixAt { shift, bits } => (shifted(k, shift) & mask(bits)) as usize,
+            Self::Murmur { bits } => (murmur::<K>(k) & mask(bits)) as usize,
             Self::MurmurAt { shift, bits } => {
-                let h = if K::BITS == 32 {
-                    murmur3_finalizer_32(k as u32) as u64
-                } else {
-                    murmur3_finalizer_64(k)
-                };
-                let shifted = if shift >= 64 { 0 } else { h >> shift };
-                (shifted & mask(bits)) as usize
+                (shifted(murmur::<K>(k), shift) & mask(bits)) as usize
             }
             Self::Multiplicative { bits } => {
                 let h = multiply_shift_64(k);
                 // Top bits are the well-mixed ones for multiply-shift.
                 (h >> (64 - bits)) as usize
+            }
+        }
+    }
+
+    /// Map every key of a tuple line to its partition id: `ids[i]` becomes
+    /// `self.partition_of(line[i].key())`, dummy keys included.
+    ///
+    /// The function is matched once per line, not once per key. A full
+    /// line of [`Tuple::LANES`] keys then runs a loop whose trip count is
+    /// fixed at compile time, which the compiler vectorises with the
+    /// target's baseline SIMD. A short line calls
+    /// [`PartitionFn::partition_of`] per key.
+    ///
+    /// # Panics
+    /// Panics if `line` holds more than [`MAX_LANES`] tuples.
+    #[inline]
+    pub fn partition_line<T: Tuple>(self, line: &[T], ids: &mut [usize; MAX_LANES]) {
+        if line.len() != T::LANES {
+            for (i, t) in line.iter().enumerate() {
+                ids[i] = self.partition_of(t.key());
+            }
+            return;
+        }
+        match self {
+            Self::Radix { bits } => each_key(line, ids, |k| k & mask(bits)),
+            Self::RadixAt { shift, bits } => {
+                each_key(line, ids, |k| shifted(k, shift) & mask(bits))
+            }
+            Self::Murmur { bits } => each_key(line, ids, |k| murmur::<T::K>(k) & mask(bits)),
+            Self::MurmurAt { shift, bits } => each_key(line, ids, |k| {
+                shifted(murmur::<T::K>(k), shift) & mask(bits)
+            }),
+            Self::Multiplicative { bits } => {
+                each_key(line, ids, |k| multiply_shift_64(k) >> (64 - bits))
             }
         }
     }
@@ -196,6 +215,35 @@ impl PartitionFn {
             Self::MurmurAt { .. } => "murmur@shift",
             Self::Multiplicative { .. } => "multiplicative",
         }
+    }
+}
+
+/// `ids[i] = id_of(line[i].key())` over one full line, a loop of exactly
+/// [`Tuple::LANES`] trips.
+#[inline(always)]
+fn each_key<T: Tuple>(line: &[T], ids: &mut [usize; MAX_LANES], id_of: impl Fn(u64) -> u64) {
+    for (id, t) in ids[..T::LANES].iter_mut().zip(&line[..T::LANES]) {
+        *id = id_of(t.key().to_u64()) as usize;
+    }
+}
+
+/// The murmur3 finalizer for a key of width `K`, widened to 64 bits.
+#[inline(always)]
+fn murmur<K: Key>(k: u64) -> u64 {
+    if K::BITS == 32 {
+        murmur3_finalizer_32(k as u32) as u64
+    } else {
+        murmur3_finalizer_64(k)
+    }
+}
+
+/// `k >> shift`, 0 once the shift reaches past the word.
+#[inline(always)]
+fn shifted(k: u64, shift: u32) -> u64 {
+    if shift >= 64 {
+        0
+    } else {
+        k >> shift
     }
 }
 
@@ -434,5 +482,63 @@ mod radix_at_tests {
             rebuilt |= (f.partition_of(k) as u64) << (8 * d);
         }
         assert_eq!(rebuilt, k as u64);
+    }
+}
+
+#[cfg(test)]
+mod line_tests {
+    use super::*;
+    use fpart_types::{SplitMix64, Tuple16, Tuple32, Tuple64, Tuple8};
+
+    /// `partition_line` agrees with `partition_of` on every key of full
+    /// lines, short lines and lines holding dummy keys, for every
+    /// function, including bit fields shifted past the key word.
+    fn check_width<T: Tuple>(seed: u64) {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        for _ in 0..200 {
+            let bits = 1 + rng.below_u64(24) as u32;
+            let shift = rng.below_u64(72) as u32;
+            let fns = [
+                PartitionFn::Radix { bits },
+                PartitionFn::RadixAt { shift, bits },
+                PartitionFn::RadixAt { shift: 64, bits },
+                PartitionFn::Murmur { bits },
+                PartitionFn::MurmurAt { shift, bits },
+                PartitionFn::MurmurAt { shift: 64, bits },
+                PartitionFn::Multiplicative { bits },
+            ];
+            for f in fns {
+                for len in 0..=T::LANES {
+                    let dummies = rng.below_u64(4);
+                    let line: Vec<T> = (0..len as u64)
+                        .map(|rid| match dummies {
+                            0 => T::dummy(),
+                            1 if rng.below_u64(2) == 0 => T::dummy(),
+                            _ => T::new(T::K::from_u64(rng.next_u64()), rid),
+                        })
+                        .collect();
+                    let mut ids = [usize::MAX; MAX_LANES];
+                    f.partition_line(&line, &mut ids);
+                    for (lane, t) in line.iter().enumerate() {
+                        assert_eq!(
+                            ids[lane],
+                            f.partition_of(t.key()),
+                            "{}B {f:?} line of {len}, lane {lane}, key {:?}",
+                            T::WIDTH,
+                            t.key()
+                        );
+                    }
+                    assert!(ids[len..].iter().all(|&id| id == usize::MAX), "{f:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partition_line_equals_partition_of_for_every_key() {
+        check_width::<Tuple8>(0x4a54_0101);
+        check_width::<Tuple16>(0x4a54_0102);
+        check_width::<Tuple32>(0x4a54_0103);
+        check_width::<Tuple64>(0x4a54_0104);
     }
 }
