@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use fpart_hash::PartitionFn;
 use fpart_types::line::MAX_LANES;
-use fpart_types::{Input, PartitionedRelation, SharedWriter, Tuple};
+use fpart_types::{Input, PartitionLayout, PartitionedRelation, SharedWriter, Tuple};
 
 use crate::histogram;
 use crate::swwcb::Swwcb;
@@ -54,8 +54,9 @@ pub struct CpuRunReport {
     /// histogram, from the first key read to the last thread's join.
     pub hist_time: Duration,
     /// Wall time of everything after the histogram pass: the prefix sum
-    /// into per-thread extents, the output allocation and its dummy
-    /// fill, the scatter itself and the drain of every SWWCB.
+    /// into per-thread extents, the output allocation (left unwritten:
+    /// the scatter writes each slot once), the scatter itself and the
+    /// drain of every SWWCB.
     pub scatter_time: Duration,
     /// Data passes over the input (histogram + scatter).
     pub passes: usize,
@@ -154,11 +155,15 @@ pub(crate) fn scatter<T: Tuple>(
     // that way.
     let t1 = Instant::now();
     let (global, bases) = histogram::thread_bases(&thread_hists);
-    let mut out = PartitionedRelation::<T>::with_histogram(&global, false);
+    // SAFETY: every slot is written before `out` is read. Thread `i`
+    // pushes `thread_hists[i][p]` tuples from `bases[i][p]` on, these
+    // extents tile partition `p`'s `global[p]` slots, and each thread's
+    // `assert_counts` checks its counts before the relation is returned.
+    let mut out = unsafe { PartitionedRelation::<T>::uninit(&global, PartitionLayout::Exact) };
     let flush_reg = fpart_obs::AtomicRegistry::new();
     {
         let writer = SharedWriter::new(&mut out);
-        let scatter = |chunk: Input<'_, T>, bases: Vec<usize>| {
+        let scatter = |chunk: Input<'_, T>, bases: Vec<usize>, hist: &[usize]| {
             let mut wc = Swwcb::new(bases);
             let mut ids = [0; MAX_LANES];
             chunk.for_each_line(0..chunk.input_lines(), |line| {
@@ -171,17 +176,18 @@ pub(crate) fn scatter<T: Tuple>(
             });
             // SAFETY: as above.
             unsafe { wc.drain(&writer) };
+            wc.assert_counts(hist);
             let mut c = fpart_obs::CounterSet::default();
             wc.stats().record_into(&mut c);
             flush_reg.merge_from(&c);
         };
         if chunks.len() == 1 {
-            scatter(chunks[0], bases[0].clone());
+            scatter(chunks[0], bases[0].clone(), &thread_hists[0]);
         } else {
             std::thread::scope(|s| {
-                for (&chunk, b) in chunks.iter().zip(bases) {
+                for ((&chunk, b), hist) in chunks.iter().zip(bases).zip(&thread_hists) {
                     let scatter = &scatter;
-                    s.spawn(move || scatter(chunk, b));
+                    s.spawn(move || scatter(chunk, b, hist));
                 }
             });
         }

@@ -144,6 +144,27 @@ impl<T: Tuple> Swwcb<T> {
         self.cursor(p) - self.bases[p]
     }
 
+    /// Check, in every build, that each partition `p` has received
+    /// exactly `counts[p]` tuples. A writer whose extents were sized by
+    /// the same counts has then written every slot of them, since each
+    /// pushed tuple's slot is written by the flush of its window (or by
+    /// [`Swwcb::drain`]); outputs from `PartitionedRelation::uninit` rely
+    /// on that.
+    ///
+    /// # Panics
+    /// Panics unless `counts` holds one count per partition and every
+    /// partition's count equals it.
+    pub fn assert_counts(&self, counts: &[usize]) {
+        assert_eq!(counts.len(), self.bases.len(), "one count per partition");
+        for (p, &expected) in counts.iter().enumerate() {
+            let got = self.count(p);
+            assert!(
+                got == expected,
+                "partition {p} received {got} tuples for an extent of {expected}"
+            );
+        }
+    }
+
     /// Flush accounting accumulated so far.
     pub fn stats(&self) -> SwwcbStats {
         self.stats
@@ -541,6 +562,23 @@ mod flush_tests {
                 nt_lines: 3,
             }
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "received 2 tuples for an extent of 3")]
+    fn a_partition_short_of_its_count_panics() {
+        let mut rel = PartitionedRelation::<Tuple8>::with_histogram(&[2, 3], false);
+        let w = SharedWriter::new(&mut rel);
+        let mut wc = Swwcb::<Tuple8>::new(vec![0, 2]);
+        for (p, key) in [(0, 1), (0, 2), (1, 3), (1, 4)] {
+            // SAFETY: single writer; slots 0..4 are in bounds.
+            unsafe { wc.push(p, Tuple8::new(key, 0), &w) };
+        }
+        // SAFETY: as above.
+        unsafe { wc.drain(&w) };
+        wc.assert_counts(&[2, 2]);
+        // Partition 1's extent holds 3 slots, but only 2 were written.
+        wc.assert_counts(&[2, 3]);
     }
 
     #[test]

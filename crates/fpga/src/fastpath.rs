@@ -17,11 +17,14 @@
 //! cycle count as `max(circuit bound, link bound)` instead of ticking
 //! every module once per simulated clock. Lines, padding and the PAD
 //! overflow point depend only on per-`(lane, partition)` tuple counts:
-//! HIST takes them from its histogram pass (⌊h/LANES⌋ full lines plus a
-//! flush line of `h mod LANES` tuples per cell); PAD replays them with a
-//! `u8` fill counter per cell and a line count per partition. The tuples
-//! move through the CPU partitioner's [`Swwcb`] into the same
-//! line-rounded extents. Differential tests
+//! a cell of `h` tuples yields ⌊h/LANES⌋ full lines plus a flush line of
+//! `h mod LANES` tuples. HIST's histogram pass therefore keeps one cell
+//! per partition, its tuple count and each lane's count mod `LANES`;
+//! PAD replays the counts with a `u8` fill counter per cell and a line
+//! count per partition. The tuples move through the CPU partitioner's
+//! [`Swwcb`] into the same line-rounded extents of an output allocated
+//! unwritten, and dummies fill only what the tuples leave free, so each
+//! slot is written once. Differential tests
 //! (`crates/fpga/tests/fastpath_equivalence.rs`) pin this path to the
 //! cycle-accurate engine: identical per-partition contents, counts,
 //! capacities and padding, and cycle counts within the documented
@@ -51,7 +54,9 @@ use fpart_hash::PartitionFn;
 use fpart_hwsim::{QpiConfig, QpiEndpoint, QpiStats};
 use fpart_obs::{Ctr, Recorder};
 use fpart_types::line::MAX_LANES;
-use fpart_types::{FpartError, Input, PartitionedRelation, Result, SharedWriter, Tuple};
+use fpart_types::{
+    FpartError, Input, PartitionLayout, PartitionedRelation, Result, SharedWriter, Tuple,
+};
 
 use crate::config::{OutputMode, PartitionerConfig};
 use crate::partitioner::{build_pagetable, RunReport, TIMELINE_INTERVAL};
@@ -64,11 +69,16 @@ use crate::writeback::PartitionExtents;
 /// only has to be representative, not exact.
 const PIPELINE_SLACK: u64 = 48;
 
-/// Result of the batched histogram pass.
+/// Result of the batched histogram pass: what the write combiners' line
+/// accounting needs, one tuple count per partition and one partial-line
+/// fill per combiner cell, instead of a count per (lane, partition).
 pub(crate) struct BatchedHistogram {
-    /// Per-(lane, partition) tuple counts, flattened as
-    /// `lane_hists[lane * partitions + p]`.
-    pub(crate) lane_hists: Vec<u64>,
+    /// Tuples per partition.
+    pub(crate) totals: Vec<u64>,
+    /// Each combiner cell's partial-line fill, flattened as
+    /// `fills[lane * partitions + p]`: the tuples lane `lane` sent to
+    /// partition `p`, mod `LANES`.
+    pub(crate) fills: Vec<u8>,
     /// The combiners' forwarding-register hits (1-cycle, 2-cycle).
     forward_hits: (u64, u64),
     /// Analytic cycle count of the pass.
@@ -77,68 +87,177 @@ pub(crate) struct BatchedHistogram {
     pub(crate) qpi_stats: QpiStats,
 }
 
-/// Count a write-combiner forwarding-register hit: `regs` holds the
-/// partitions of the lane's last two tuples (1-cycle, 2-cycle) and the
-/// lane now combines a tuple of partition `p`. This reproduces the
-/// combiner's hit counters for an unstalled tuple stream (link stalls
-/// insert bubbles the batched path does not model, so under backpressure
-/// these counters are an upper bound).
-#[inline]
-fn forward(regs: &mut (usize, usize), hits: &mut (u64, u64), p: usize) {
-    if p == regs.0 {
-        hits.0 += 1;
-    } else if p == regs.1 {
-        hits.1 += 1;
+/// The write combiners' forwarding registers: per lane, the partitions
+/// of its last two tuples (1-cycle, 2-cycle), and the hits counted so
+/// far. This reproduces the combiners' hit counters for an unstalled
+/// tuple stream (link stalls insert bubbles the batched path does not
+/// model, so under backpressure these counters are an upper bound).
+/// Partition ids fit in a `u32`: there are at most 2^`MAX_BRAM_BITS`.
+struct Forwarding {
+    last: [u32; MAX_LANES],
+    before: [u32; MAX_LANES],
+    /// Per lane, the 1-cycle and 2-cycle hits since the last
+    /// [`Forwarding::fold`]; a block between folds has fewer than 2^32
+    /// tuple lines.
+    lane_hits: [[u32; MAX_LANES]; 2],
+    /// All hits folded so far.
+    hits: (u64, u64),
+}
+
+impl Forwarding {
+    fn new() -> Self {
+        Self {
+            last: [u32::MAX; MAX_LANES],
+            before: [u32::MAX; MAX_LANES],
+            lane_hits: [[0; MAX_LANES]; 2],
+            hits: (0, 0),
+        }
     }
-    *regs = (p, regs.0);
+
+    /// Pass the real tuples of `line`, whose partitions are `ids`,
+    /// through the registers, and return whether the line is full and
+    /// holds no dummy. Such a line updates every lane at once, without a
+    /// branch; any other line takes its real tuples one at a time.
+    #[inline(always)]
+    fn line<T: Tuple>(&mut self, line: &[T], ids: &[usize; MAX_LANES]) -> bool {
+        let clean = line.len() == T::LANES && !line.iter().any(|t| t.is_dummy());
+        if clean {
+            let mut now = [0; MAX_LANES];
+            for (p, &id) in now[..T::LANES].iter_mut().zip(ids) {
+                *p = id as u32;
+            }
+            let [one, two] = &mut self.lane_hits;
+            for lane in 0..T::LANES {
+                let hit1 = now[lane] == self.last[lane];
+                one[lane] += u32::from(hit1);
+                two[lane] += u32::from(!hit1 & (now[lane] == self.before[lane]));
+            }
+            self.before = self.last;
+            self.last = now;
+        } else {
+            for (lane, (t, &p)) in line.iter().zip(ids).enumerate() {
+                if !t.is_dummy() {
+                    self.tuple(lane, p as u32);
+                }
+            }
+        }
+        clean
+    }
+
+    /// Lane `lane` combines a tuple of partition `p`.
+    #[inline]
+    fn tuple(&mut self, lane: usize, p: u32) {
+        if p == self.last[lane] {
+            self.lane_hits[0][lane] += 1;
+        } else if p == self.before[lane] {
+            self.lane_hits[1][lane] += 1;
+        }
+        self.before[lane] = self.last[lane];
+        self.last[lane] = p;
+    }
+
+    /// Move the per-lane hit counts into `hits`.
+    fn fold(&mut self) {
+        let [one, two] = std::mem::take(&mut self.lane_hits);
+        self.hits.0 += one.iter().map(|&h| u64::from(h)).sum::<u64>();
+        self.hits.1 += two.iter().map(|&h| u64::from(h)).sum::<u64>();
+    }
+}
+
+/// One tuple in a histogram cell. A cell is one `u64` per partition: the
+/// high 32 bits count the partition's tuples, and the low 32 bits hold
+/// each lane's count mod `LANES`, 4 bits per lane.
+const CELL_TUPLE: u64 = 1 << 32;
+
+/// The most tuple lines between two folds of the cells' counts into the
+/// `u64` totals. A line adds at most `LANES <= 8` tuples to a cell, so a
+/// count half reaches at most 2^19 between folds and never overflows.
+const FOLD_LINES: usize = 1 << 16;
+
+/// Count a tuple of lane `lane` into `cell`: one more tuple, and one more
+/// in the lane's 4-bit field, whose `LANES` bit is then cleared. The field
+/// holds at most `LANES - 1 <= 7` before the add, so no carry crosses
+/// into the next field, and `LANES` (a power of two) wraps to 0.
+#[inline(always)]
+fn count_into<T: Tuple>(cell: &mut u64, lane: usize) {
+    let shift = 4 * lane;
+    *cell = (*cell + CELL_TUPLE + (1 << shift)) & !((T::LANES as u64) << shift);
+}
+
+/// Move the cells' tuple counts into `totals`, keeping their fills.
+fn fold(cells: &mut [u64], totals: &mut [u64]) {
+    for (cell, total) in cells.iter_mut().zip(totals) {
+        *total += *cell >> 32;
+        *cell &= u64::from(u32::MAX);
+    }
 }
 
 /// Input lines the batched PAD scatter walks between overflow checks.
 const ABORT_BLOCK_LINES: usize = 1024;
 
-/// Call `f(lane, tuple, partition)` for every real tuple of input lines
-/// `lines`, in the order the circuit's hash lanes see them, with its
-/// partition under `pf`, and return the number of tuple lines the
-/// circuit generates.
-#[inline]
-fn for_each_tuple<T: Tuple>(
+/// Call `f(line, ids)` for every tuple line of input lines `lines`, in
+/// the order the circuit's hash lanes see them, with `ids[i]` the
+/// partition of `line[i]` under `pf`, and return the number of tuple
+/// lines the circuit generates.
+#[inline(always)]
+fn for_each_line<T: Tuple>(
     input: &Input<'_, T>,
     lines: Range<usize>,
     pf: PartitionFn,
-    mut f: impl FnMut(usize, T, usize),
+    mut f: impl FnMut(&[T], &[usize; MAX_LANES]),
 ) -> u64 {
     let mut tuple_lines = 0;
     let mut ids = [0; MAX_LANES];
     input.for_each_line(lines, |line| {
         tuple_lines += 1;
         pf.partition_line(line, &mut ids);
-        for (lane, (&t, &p)) in line.iter().zip(&ids).enumerate() {
-            if !t.is_dummy() {
-                f(lane, t, p);
-            }
-        }
+        f(line, &ids);
     });
     tuple_lines
 }
 
-/// Functional histogram pass: stream every input tuple once, count tuples
-/// per (lane, partition) and forwarding hits, and derive the pass
-/// duration analytically.
+/// Functional histogram pass: stream every input tuple once, count its
+/// partition's tuples and its combiner cell's fill, and the forwarding
+/// hits, and derive the pass duration analytically.
 pub(crate) fn histogram_pass<T: Tuple>(
     cfg: &PartitionerConfig,
     qpi_cfg: &QpiConfig,
     input: &Input<'_, T>,
 ) -> BatchedHistogram {
     let parts = cfg.partitions();
-    let total_lines = input.input_lines() as u64;
-    let mut lane_hists = vec![0u64; T::LANES * parts];
-    let mut regs = vec![(usize::MAX, usize::MAX); T::LANES];
-    let mut forward_hits = (0, 0);
+    let input_lines = input.input_lines();
+    let total_lines = input_lines as u64;
+    let mut cells = vec![0u64; parts];
+    let mut totals = vec![0u64; parts];
+    let mut fwd = Forwarding::new();
     let f = cfg.partition_fn;
-    let tuple_lines = for_each_tuple(input, 0..input.input_lines(), f, |lane, _, p| {
-        forward(&mut regs[lane], &mut forward_hits, p);
-        lane_hists[lane * parts + p] += 1;
-    });
+    // Each block of input lines yields at most `FOLD_LINES` tuple lines.
+    let block = (FOLD_LINES / input.expansion()).max(1);
+    let mut tuple_lines = 0;
+    for first in (0..input_lines).step_by(block) {
+        let lines = first..(first + block).min(input_lines);
+        tuple_lines += for_each_line(input, lines, f, |line, ids| {
+            if fwd.line(line, ids) {
+                for (lane, &p) in ids[..T::LANES].iter().enumerate() {
+                    count_into::<T>(&mut cells[p], lane);
+                }
+            } else {
+                for (lane, (t, &p)) in line.iter().zip(ids).enumerate() {
+                    if !t.is_dummy() {
+                        count_into::<T>(&mut cells[p], lane);
+                    }
+                }
+            }
+        });
+        fold(&mut cells, &mut totals);
+        fwd.fold();
+    }
+    let mut fills = vec![0u8; T::LANES * parts];
+    for (p, &cell) in cells.iter().enumerate() {
+        for lane in 0..T::LANES {
+            fills[lane * parts + p] = (cell >> (4 * lane)) as u8 & 0xF;
+        }
+    }
 
     let mut ep = QpiEndpoint::new(qpi_cfg.clone());
     let link = ep.fast_forward(total_lines, 0);
@@ -150,8 +269,9 @@ pub(crate) fn histogram_pass<T: Tuple>(
     qpi_stats.read_stall_cycles = cycles.saturating_sub(circuit);
 
     BatchedHistogram {
-        lane_hists,
-        forward_hits,
+        totals,
+        fills,
+        forward_hits: fwd.hits,
         cycles,
         qpi_stats,
     }
@@ -198,29 +318,41 @@ pub(crate) fn run_batched<T: Tuple>(
     let mut fills: Vec<u8> = vec![0; lanes * parts];
     let mut tuples_consumed = 0u64;
     // Extents: HIST sizes them from the histogram pass, PAD fixes them.
-    let (extents, mut out, hist) = match cfg.output {
+    let (extents, layout, hist) = match cfg.output {
         OutputMode::Hist => {
-            let pass = histogram_pass(cfg, qpi_cfg, input);
-            // Every line count follows from the histogram.
-            let mut valid = vec![0; parts];
-            for (cell, &h) in pass.lane_hists.iter().enumerate() {
-                valid[cell % parts] += h as usize;
-                counts[cell % parts] += h / lanes as u64;
-                fills[cell] = (h % lanes as u64) as u8;
-                tuples_consumed += h;
+            let mut pass = histogram_pass(cfg, qpi_cfg, input);
+            // Every line count follows from the histogram: a partition's
+            // tuples fill (total − Σ fills) / LANES full lines, and each
+            // non-empty combiner cell flushes one more.
+            fills = std::mem::take(&mut pass.fills);
+            let mut capacity_lines = vec![0; parts];
+            for (p, &total) in pass.totals.iter().enumerate() {
+                let cell_fills = fills[p..].iter().step_by(parts).map(|&f| u64::from(f));
+                let (partial, flushes) = cell_fills.fold((0, 0), |(sum, n), fill| {
+                    (sum + fill, n + u64::from(fill != 0))
+                });
+                counts[p] = (total - partial) / lanes as u64;
+                capacity_lines[p] = counts[p] + flushes;
+                tuples_consumed += total;
             }
-            let lane_hists: Vec<&[u64]> = pass.lane_hists.chunks_exact(parts).collect();
-            let extents = PartitionExtents::from_lane_histograms(&lane_hists, lanes);
-            let lines: Vec<usize> = extents.capacity_lines.iter().map(|&l| l as usize).collect();
-            let out = PartitionedRelation::<T>::with_line_extents(&valid, &lines);
-            (extents, out, Some(pass))
+            let extents = PartitionExtents::from_lines(capacity_lines);
+            (extents, PartitionLayout::Exact, Some(pass))
         }
         OutputMode::Pad { padding } => {
             let cap_lines = padding.capacity(n, parts, lanes).div_ceil(lanes) as u64;
-            let out = PartitionedRelation::<T>::padded(parts, cap_lines as usize * lanes, true);
-            (PartitionExtents::fixed(parts, cap_lines), out, None)
+            let capacity = cap_lines as usize * lanes;
+            let extents = PartitionExtents::fixed(parts, cap_lines);
+            (extents, PartitionLayout::Padded { capacity }, None)
         }
     };
+    let extent_slots: Vec<usize> = (extents.capacity_lines.iter())
+        .map(|&l| l as usize * lanes)
+        .collect();
+    // SAFETY: every slot is written before `out` is returned: partition
+    // `p`'s valid tuples go through the SWWCB into the first slots of its
+    // extent (`assert_counts` checks how many), and dummies fill the rest
+    // of the extent below. An aborted run drops `out` unread.
+    let mut out = unsafe { PartitionedRelation::<T>::uninit(&extent_slots, layout) };
 
     // Scatter through the SWWCB.
     let w = SharedWriter::new(&mut out);
@@ -228,15 +360,19 @@ pub(crate) fn run_batched<T: Tuple>(
     let mut wc = Swwcb::new(bases.collect());
     let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
     let tuple_lines = if hist.is_some() {
-        for_each_tuple(input, 0..input.input_lines(), f, |_, t, p| {
-            // SAFETY: single writer; each partition receives exactly its
-            // histogram count, which its extent holds.
-            unsafe { wc.push(p, t, &w) };
+        for_each_line(input, 0..input.input_lines(), f, |line, ids| {
+            for (&t, &p) in line.iter().zip(ids) {
+                if !t.is_dummy() {
+                    // SAFETY: single writer; each partition receives
+                    // exactly its histogram count, which its extent holds.
+                    unsafe { wc.push(p, t, &w) };
+                }
+            }
         })
     } else {
         let cap_lines = extents.capacity_lines[0];
         let cap = cap_lines as usize * lanes;
-        let mut regs = vec![(usize::MAX, usize::MAX); lanes];
+        let mut fwd = Forwarding::new();
         // The first full line past a partition's capacity aborts the run.
         // The input is walked in blocks so that an aborted run stops
         // reading within one block of the overflow, as the circuit does.
@@ -244,35 +380,42 @@ pub(crate) fn run_batched<T: Tuple>(
         let input_lines = input.input_lines();
         for first in (0..input_lines).step_by(ABORT_BLOCK_LINES) {
             let block = first..(first + ABORT_BLOCK_LINES).min(input_lines);
-            tuple_lines += for_each_tuple(input, block, f, |lane, t, p| {
+            tuple_lines += for_each_line(input, block, f, |line, ids| {
                 if aborted.is_some() {
                     return;
                 }
-                tuples_consumed += 1;
-                forward(&mut regs[lane], &mut forward_hits, p);
-                let cell = lane * parts + p;
-                fills[cell] += 1;
-                if fills[cell] as usize == lanes {
-                    // Full line: the write-back's count BRAM check.
-                    fills[cell] = 0;
-                    if counts[p] == cap_lines {
-                        aborted = Some(overflow(p, cap, tuples_consumed));
-                        return;
+                fwd.line(line, ids);
+                for (lane, (&t, &p)) in line.iter().zip(ids).enumerate() {
+                    if t.is_dummy() {
+                        continue;
                     }
-                    counts[p] += 1;
-                }
-                // A partition that will overflow stops receiving data at its
-                // capacity; the run aborts before it completes.
-                if wc.count(p) < cap {
-                    // SAFETY: single writer; partition `p` writes only
-                    // `p * cap .. (p + 1) * cap`.
-                    unsafe { wc.push(p, t, &w) };
+                    tuples_consumed += 1;
+                    let cell = lane * parts + p;
+                    fills[cell] += 1;
+                    if fills[cell] as usize == lanes {
+                        // Full line: the write-back's count BRAM check.
+                        fills[cell] = 0;
+                        if counts[p] == cap_lines {
+                            aborted = Some(overflow(p, cap, tuples_consumed));
+                            return;
+                        }
+                        counts[p] += 1;
+                    }
+                    // A partition that will overflow stops receiving data
+                    // at its capacity; the run aborts before it completes.
+                    if wc.count(p) < cap {
+                        // SAFETY: single writer; partition `p` writes only
+                        // `p * cap .. (p + 1) * cap`.
+                        unsafe { wc.push(p, t, &w) };
+                    }
                 }
             });
             if let Some(e) = aborted {
                 return Err(e);
             }
+            fwd.fold();
         }
+        forward_hits = fwd.hits;
         tuple_lines
     };
     // SAFETY: as above.
@@ -280,28 +423,37 @@ pub(crate) fn run_batched<T: Tuple>(
     let (hist_cycles, hist_stats) =
         hist.map_or((0, QpiStats::default()), |h| (h.cycles, h.qpi_stats));
 
-    // Flush: every non-empty combiner cell emits one line, padded with the
-    // dummies the extents were allocated with, partition-major /
-    // lane-minor (the ticked flush scan's PAD overflow order).
+    // Flush: every non-empty combiner cell emits one line, padded with
+    // dummies, partition-major / lane-minor (the ticked flush scan's PAD
+    // overflow order).
     let mut padding_slots = 0u64;
     let mut flush_lines = 0u64;
+    let mut valid = vec![0; parts];
     for p in 0..parts {
-        let mut valid = counts[p] * lanes as u64;
+        valid[p] = counts[p] as usize * lanes;
         for lane in 0..lanes {
-            let fill = fills[lane * parts + p] as u64;
+            let fill = fills[lane * parts + p] as usize;
             if fill == 0 {
                 continue;
             }
             if counts[p] == extents.capacity_lines[p] {
-                let cap = extents.capacity_lines[p] as usize * lanes;
-                return Err(overflow(p, cap, tuples_consumed));
+                return Err(overflow(p, extent_slots[p], tuples_consumed));
             }
             counts[p] += 1;
-            valid += fill;
-            padding_slots += lanes as u64 - fill;
+            valid[p] += fill;
+            padding_slots += (lanes - fill) as u64;
             flush_lines += 1;
         }
-        out.set_partition_fill(p, counts[p] as usize * lanes, valid as usize);
+        out.set_partition_fill(p, counts[p] as usize * lanes, valid[p]);
+    }
+    // Each partition's valid tuples are the first slots of its extent;
+    // dummies fill the rest, the flush lines' padding included.
+    wc.assert_counts(&valid);
+    for (p, (&v, &slots)) in valid.iter().zip(&extent_slots).enumerate() {
+        let base = out.partition_base(p);
+        // SAFETY: single writer; `base + v .. base + slots` is the part of
+        // partition `p`'s extent that the SWWCB did not write.
+        unsafe { w.fill(base + v..base + slots, T::dummy()) };
     }
     let lines_written: u64 = counts.iter().sum();
 
@@ -414,4 +566,155 @@ pub(crate) fn run_batched<T: Tuple>(
         obs: rec.finish(),
     };
     Ok((out, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::InputMode;
+    use fpart_types::{
+        ColumnRelation, Key, Relation, RleColumn, SplitMix64, Tuple16, Tuple32, Tuple64, Tuple8,
+    };
+
+    /// Per-`(lane, partition)` tuple counts and forwarding hits, one
+    /// tuple at a time: the scalar model of the combiners' counters.
+    fn reference<T: Tuple>(input: &Input<'_, T>, f: PartitionFn) -> (Vec<Vec<u64>>, (u64, u64)) {
+        let mut counts = vec![vec![0u64; f.fan_out()]; T::LANES];
+        let mut regs = vec![(usize::MAX, usize::MAX); T::LANES];
+        let mut hits = (0, 0);
+        input.for_each_line(0..input.input_lines(), |line| {
+            for (lane, t) in line.iter().enumerate() {
+                if t.is_dummy() {
+                    continue;
+                }
+                let p = f.partition_of(t.key());
+                counts[lane][p] += 1;
+                if p == regs[lane].0 {
+                    hits.0 += 1;
+                } else if p == regs[lane].1 {
+                    hits.1 += 1;
+                }
+                regs[lane] = (p, regs[lane].0);
+            }
+        });
+        (counts, hits)
+    }
+
+    /// Tuple lines the circuit sees for `input`.
+    fn tuple_lines<T: Tuple>(input: &Input<'_, T>) -> usize {
+        let mut n = 0;
+        input.for_each_line(0..input.input_lines(), |_| n += 1);
+        n
+    }
+
+    /// The cell histogram of `input` against the scalar reference: every
+    /// cell's total and fills, and both forwarding-hit counts, which it
+    /// returns.
+    fn check<T: Tuple>(label: &str, input: Input<'_, T>, f: PartitionFn) -> (u64, u64) {
+        let cfg = PartitionerConfig {
+            partition_fn: f,
+            ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::of(&input))
+        };
+        let qpi = QpiConfig::unlimited(200e6);
+        let pass = histogram_pass(&cfg, &qpi, &input);
+        let (counts, hits) = reference(&input, f);
+        let parts = f.fan_out();
+        assert_eq!(pass.totals.len(), parts, "{label}");
+        assert_eq!(pass.fills.len(), T::LANES * parts, "{label}");
+        for p in 0..parts {
+            let total: u64 = counts.iter().map(|c| c[p]).sum();
+            assert_eq!(pass.totals[p], total, "{label}: total of partition {p}");
+            for (lane, c) in counts.iter().enumerate() {
+                assert_eq!(
+                    u64::from(pass.fills[lane * parts + p]),
+                    c[p] % T::LANES as u64,
+                    "{label}: fill of lane {lane}, partition {p}"
+                );
+            }
+        }
+        assert_eq!(pass.forward_hits, hits, "{label}: forwarding hits");
+        hits
+    }
+
+    /// `n` keys of at most `distinct` values, drawn from `seed`, with
+    /// about one in `dummy_every` replaced by the dummy key (0: none).
+    fn keys<K: Key>(n: usize, distinct: u64, dummy_every: u64, seed: u64) -> Vec<K> {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                if dummy_every > 0 && rng.below_u64(dummy_every) == 0 {
+                    K::DUMMY
+                } else {
+                    K::from_u64(rng.below_u64(distinct))
+                }
+            })
+            .collect()
+    }
+
+    const FNS: [PartitionFn; 2] = [
+        PartitionFn::Murmur { bits: 5 },
+        PartitionFn::Radix { bits: 3 },
+    ];
+
+    /// Rows with and without dummy keys, and column and RLE views whose
+    /// first and last lines are short.
+    fn check_width<T: Tuple>(width: &str) {
+        for f in FNS {
+            for (dummies, seed) in [(0, 1), (7, 2)] {
+                // Few distinct keys so that lanes repeat partitions and
+                // the forwarding registers hit.
+                let ks = keys::<T::K>(4099, 40, dummies, seed);
+                let rows: Vec<T> = (ks.iter().enumerate())
+                    .map(|(i, &k)| T::new(k, i as u64))
+                    .collect();
+                let rel = Relation::from_tuples(&rows);
+                let label = format!("{width} rows, dummies 1/{dummies}, {f:?}");
+                let hits = check(&label, (&rel).into(), f);
+                assert!(hits.0 > 0 && hits.1 > 0, "{label}: both registers hit");
+            }
+            let ks = keys::<T::K>(3001, 1 << 20, 0, 3);
+            let col = ColumnRelation::<T>::from_keys(&ks);
+            let cols = Input::from(&col);
+            check(&format!("{width} columns, {f:?}"), cols, f);
+            check(
+                &format!("{width} column view, {f:?}"),
+                cols.slice(5..2990),
+                f,
+            );
+            let mut runs = keys::<T::K>(3001, 40, 0, 4);
+            runs.sort_unstable();
+            let rle = RleColumn::encode(&runs);
+            let rle = Input::<T>::from(&rle);
+            check(&format!("{width} rle, {f:?}"), rle, f);
+            check(&format!("{width} rle view, {f:?}"), rle.slice(3..2999), f);
+        }
+    }
+
+    #[test]
+    fn cell_histogram_equals_scalar_counts_at_every_width() {
+        check_width::<Tuple8>("Tuple8");
+        check_width::<Tuple16>("Tuple16");
+        check_width::<Tuple32>("Tuple32");
+        check_width::<Tuple64>("Tuple64");
+    }
+
+    #[test]
+    fn cell_histogram_stays_exact_across_folds() {
+        // One tuple per line at 64 B: more tuple lines than one fold
+        // covers, so the counts cross at least one fold.
+        let ks = keys::<u64>(FOLD_LINES + 3000, 40, 11, 5);
+        let rows: Vec<Tuple64> = (ks.iter().enumerate())
+            .map(|(i, &k)| Tuple64::new(k, i as u64))
+            .collect();
+        let rel = Relation::from_tuples(&rows);
+        let input = Input::from(&rel);
+        assert!(tuple_lines(&input) > FOLD_LINES);
+        check("Tuple64 rows", input, PartitionFn::Radix { bits: 3 });
+        // Eight tuples per line, columns expanded from keys.
+        let ks = keys::<u32>(8 * FOLD_LINES + 1000, 1 << 20, 0, 6);
+        let col = ColumnRelation::<Tuple8>::from_keys(&ks);
+        let input = Input::from(&col);
+        assert!(tuple_lines(&input) > FOLD_LINES);
+        check("Tuple8 columns", input, PartitionFn::Murmur { bits: 6 });
+    }
 }

@@ -261,10 +261,7 @@ impl FpgaPartitioner {
         let parts = self.config.partitions();
         if self.fast_path_active() {
             let pass = crate::fastpath::histogram_pass(&self.config, &self.qpi, &input);
-            let hist = (0..parts)
-                .map(|p| (0..T::LANES).map(|l| pass.lane_hists[l * parts + p]).sum())
-                .collect();
-            return Ok((hist, pass.cycles));
+            return Ok((pass.totals, pass.cycles));
         }
         let mut rec = Recorder::new(self.config.obs);
         let pass = HistogramPass::run::<T>(
@@ -314,8 +311,15 @@ impl FpgaPartitioner {
                 let valid: Vec<usize> = (0..parts)
                     .map(|p| pass.lane_hists.iter().map(|h| h[p] as usize).sum())
                     .collect();
+                // Every write combiner flushes its own partial line.
+                let lines = (0..parts)
+                    .map(|p| {
+                        let lanes = T::LANES as u64;
+                        pass.lane_hists.iter().map(|h| h[p].div_ceil(lanes)).sum()
+                    })
+                    .collect();
                 (
-                    PartitionExtents::from_lane_histograms(&pass.lane_hists, T::LANES),
+                    PartitionExtents::from_lines(lines),
                     pass.cycles,
                     pass.qpi_stats,
                     Some(valid),

@@ -34,22 +34,16 @@ pub struct PartitionExtents {
 }
 
 impl PartitionExtents {
-    /// HIST-mode extents from per-lane histograms: partition `p` owns
-    /// `Σ_lane ⌈hist[lane][p] / LANES⌉` lines.
-    pub fn from_lane_histograms<H: AsRef<[u64]>>(lane_hists: &[H], lanes: usize) -> Self {
-        let parts = lane_hists.first().map_or(0, |h| h.as_ref().len());
-        let mut base_lines = Vec::with_capacity(parts);
-        let mut capacity_lines = Vec::with_capacity(parts);
-        let mut acc = 0u64;
-        for p in 0..parts {
-            let lines: u64 = lane_hists
-                .iter()
-                .map(|h| h.as_ref()[p].div_ceil(lanes as u64))
-                .sum();
-            base_lines.push(acc);
-            capacity_lines.push(lines);
-            acc += lines;
-        }
+    /// HIST-mode extents: partition `p` owns `capacity_lines[p]` lines,
+    /// back to back from line 0.
+    pub fn from_lines(capacity_lines: Vec<u64>) -> Self {
+        let base_lines = (capacity_lines.iter())
+            .scan(0, |acc, &lines| {
+                let base = *acc;
+                *acc += lines;
+                Some(base)
+            })
+            .collect();
         Self {
             base_lines,
             capacity_lines,
@@ -372,9 +366,9 @@ mod tests {
 
     #[test]
     fn lane_histogram_extents() {
-        // 2 lanes, 3 partitions; lane 0 has [3, 0, 8], lane 1 has [1, 1, 9]
-        // tuples; LANES = 8 ⇒ lines = [1+1, 0+1, 1+2] = [2, 1, 3].
-        let ext = PartitionExtents::from_lane_histograms(&[vec![3, 0, 8], vec![1, 1, 9]], 8);
+        // Extents of 2, 1 and 3 lines sit back to back (the lines of
+        // 2 lanes holding [3, 0, 8] and [1, 1, 9] tuples at LANES = 8).
+        let ext = PartitionExtents::from_lines(vec![2, 1, 3]);
         assert_eq!(ext.capacity_lines, vec![2, 1, 3]);
         assert_eq!(ext.base_lines, vec![0, 2, 3]);
         assert_eq!(ext.total_lines(), 6);

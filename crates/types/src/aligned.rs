@@ -17,9 +17,11 @@ use crate::line::CACHE_LINE_BYTES;
 /// A fixed-length, 64-byte-aligned, heap-allocated buffer of `T`.
 ///
 /// Semantically a `Box<[T]>` whose base address is cache-line aligned.
-/// Every element is initialised on creation: [`AlignedBuf::zeroed`] needs
-/// `T` to tolerate the all-zeroes bit pattern (all fpart tuple types do,
-/// being plain-old-data); [`AlignedBuf::filled`] writes a given value.
+/// [`AlignedBuf::zeroed`] needs `T` to tolerate the all-zeroes bit
+/// pattern (all fpart tuple types do, being plain-old-data);
+/// [`AlignedBuf::filled`] writes a given value. Only the crate-internal
+/// `uninit` leaves the elements unwritten, for an owner that writes every
+/// one through the base pointer before reading any.
 pub struct AlignedBuf<T: Copy> {
     ptr: NonNull<T>,
     len: usize,
@@ -58,6 +60,21 @@ impl<T: Copy> AlignedBuf<T> {
         slots.fill(MaybeUninit::new(fill));
         Self {
             ptr,
+            len,
+            _marker: PhantomData,
+        }
+    }
+
+    /// Allocate a buffer of `len` elements and leave them uninitialised.
+    ///
+    /// # Safety
+    /// No element may be read, and no slice of the buffer formed (no
+    /// `Deref`, `as_slice`, `as_mut_slice`, `clone` or `==`), until every
+    /// element has been written through [`AlignedBuf::as_mut_ptr`].
+    /// Dropping the buffer reads nothing and is always sound.
+    pub(crate) unsafe fn uninit(len: usize) -> Self {
+        Self {
+            ptr: Self::allocate(len, false),
             len,
             _marker: PhantomData,
         }
@@ -129,6 +146,14 @@ impl<T: Copy> AlignedBuf<T> {
     /// Base pointer (64-byte aligned when non-empty).
     #[inline]
     pub fn as_ptr(&self) -> *const T {
+        self.ptr.as_ptr()
+    }
+
+    /// Mutable base pointer, valid for writes of `len` elements; unlike
+    /// [`AlignedBuf::as_mut_slice`] it forms no reference to the elements,
+    /// so it may be taken while they are uninitialised.
+    #[inline]
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut T {
         self.ptr.as_ptr()
     }
 }

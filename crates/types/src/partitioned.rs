@@ -16,8 +16,15 @@
 //! slot count can exceed its *valid* tuple count. CPU partitioners write
 //! tuple-exact and leave the two counts equal.
 
+use std::ops::Range;
+
 use crate::aligned::AlignedBuf;
 use crate::tuple::Tuple;
+
+/// A buffer of `len` dummy tuples.
+fn dummy_filled<T: Tuple>(len: usize) -> AlignedBuf<T> {
+    AlignedBuf::filled(len, T::dummy())
+}
 
 /// How partition space was assigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,26 +61,14 @@ impl<T: Tuple> PartitionedRelation<T> {
     /// writes 64 B lines; CPU partitioners pass `false` for tuple-exact
     /// extents).
     pub fn with_histogram(histogram: &[usize], line_align: bool) -> Self {
-        let parts = histogram.len();
-        let mut offsets = Vec::with_capacity(parts + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &h in histogram {
-            let extent = if line_align {
+        let extents = histogram.iter().map(|&h| {
+            if line_align {
                 crate::line::line_count::<T>(h) * T::LANES
             } else {
                 h
-            };
-            acc += extent;
-            offsets.push(acc);
-        }
-        Self {
-            data: AlignedBuf::filled(acc, T::dummy()),
-            offsets,
-            written: vec![0; parts],
-            valid: vec![0; parts],
-            layout: PartitionLayout::Exact,
-        }
+            }
+        });
+        Self::laid_out(extents, PartitionLayout::Exact, dummy_filled)
     }
 
     /// Allocate an exact layout with explicit per-partition extents in
@@ -86,25 +81,14 @@ impl<T: Tuple> PartitionedRelation<T> {
     /// valid count.
     pub fn with_line_extents(valid_counts: &[usize], extent_lines: &[usize]) -> Self {
         assert_eq!(valid_counts.len(), extent_lines.len());
-        let parts = valid_counts.len();
-        let mut offsets = Vec::with_capacity(parts + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
         for (&v, &l) in valid_counts.iter().zip(extent_lines) {
             assert!(
                 l * T::LANES >= v,
                 "extent of {l} lines cannot hold {v} tuples"
             );
-            acc += l * T::LANES;
-            offsets.push(acc);
         }
-        Self {
-            data: AlignedBuf::filled(acc, T::dummy()),
-            offsets,
-            written: vec![0; parts],
-            valid: vec![0; parts],
-            layout: PartitionLayout::Exact,
-        }
+        let extents = extent_lines.iter().map(|&l| l * T::LANES);
+        Self::laid_out(extents, PartitionLayout::Exact, dummy_filled)
     }
 
     /// Allocate a padded layout: `parts` partitions of `capacity` tuples
@@ -116,13 +100,54 @@ impl<T: Tuple> PartitionedRelation<T> {
         } else {
             capacity
         };
-        let offsets = (0..=parts).map(|i| i * capacity).collect();
+        let extents = std::iter::repeat_n(capacity, parts);
+        Self::laid_out(extents, PartitionLayout::Padded { capacity }, dummy_filled)
+    }
+
+    /// Allocate partitions of `extents[p]` tuple slots, back to back, and
+    /// leave every slot unwritten. This is the constructor for outputs
+    /// whose writers fill every slot themselves (the CPU partitioner's
+    /// tuple-exact output, the batched FPGA path's HIST and PAD outputs),
+    /// so that no slot is written twice. `layout` is reported as given;
+    /// a [`PartitionLayout::Padded`] caller passes `capacity` for every
+    /// extent.
+    ///
+    /// # Safety
+    /// Every slot, `0..allocated_slots()`, must be written through a
+    /// [`SharedWriter`] before the relation is read in any way: before
+    /// [`PartitionedRelation::raw_data`], [`PartitionedRelation::raw_data_mut`],
+    /// [`PartitionedRelation::partition_slots`] and every method built on
+    /// them. Dropping the relation unread is sound.
+    pub unsafe fn uninit(extents: &[usize], layout: PartitionLayout) -> Self {
+        // SAFETY: forwarded from the caller's contract; `laid_out` only
+        // allocates, and `SharedWriter::new` takes the buffer's pointer
+        // without reading it.
+        Self::laid_out(extents.iter().copied(), layout, |len| unsafe {
+            AlignedBuf::uninit(len)
+        })
+    }
+
+    /// Partitions of the given extents, back to back, over a buffer that
+    /// `alloc` makes for their total; nothing written yet.
+    fn laid_out(
+        extents: impl ExactSizeIterator<Item = usize>,
+        layout: PartitionLayout,
+        alloc: impl FnOnce(usize) -> AlignedBuf<T>,
+    ) -> Self {
+        let parts = extents.len();
+        let mut offsets = Vec::with_capacity(parts + 1);
+        offsets.push(0);
+        let mut acc = 0usize;
+        for extent in extents {
+            acc += extent;
+            offsets.push(acc);
+        }
         Self {
-            data: AlignedBuf::filled(parts * capacity, T::dummy()),
+            data: alloc(acc),
             offsets,
             written: vec![0; parts],
             valid: vec![0; parts],
-            layout: PartitionLayout::Padded { capacity },
+            layout,
         }
     }
 
@@ -268,12 +293,13 @@ unsafe impl<T: Tuple> Send for SharedWriter<T> {}
 unsafe impl<T: Tuple> Sync for SharedWriter<T> {}
 
 impl<T: Tuple> SharedWriter<T> {
-    /// Wrap a relation's backing store for multi-threaded writing.
+    /// Wrap a relation's backing store for multi-threaded writing. Takes
+    /// the store's pointer without forming a slice of it, so it may wrap
+    /// a relation from [`PartitionedRelation::uninit`].
     pub fn new(rel: &mut PartitionedRelation<T>) -> Self {
-        let slice = rel.raw_data_mut();
         Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
+            ptr: rel.data.as_mut_ptr(),
+            len: rel.data.len(),
         }
     }
 
@@ -306,6 +332,28 @@ impl<T: Tuple> SharedWriter<T> {
         // SAFETY: in bounds (checked above); slots are disjoint across
         // threads per the type-level contract.
         unsafe { self.ptr.add(slot).write(t) };
+    }
+
+    /// Write `t` to every slot of `slots`.
+    ///
+    /// # Safety
+    /// No other thread may write a slot of `slots` concurrently.
+    ///
+    /// # Panics
+    /// Panics if `slots` is reversed or ends past `self.len()`, in every
+    /// build.
+    #[inline]
+    pub unsafe fn fill(&self, slots: Range<usize>, t: T) {
+        assert!(
+            slots.start <= slots.end && slots.end <= self.len,
+            "fill of slots {slots:?} past the output's {} slots",
+            self.len
+        );
+        for slot in slots {
+            // SAFETY: in bounds (checked above); no other thread writes
+            // these slots per the caller's contract.
+            unsafe { self.ptr.add(slot).write(t) };
+        }
     }
 
     /// Raw pointer to an absolute slot, for specialised copies (e.g.
