@@ -110,12 +110,8 @@ impl CpuPartitioner {
     /// *balance* (not the partitioned bytes) should use this — it skips
     /// the scatter pass and the full-size output allocation.
     pub fn histogram_only<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>) -> Vec<usize> {
-        let f = self.partition_fn;
         let chunks = chunk_evenly(input.into(), self.threads);
-        let thread_hists = thread_histograms(&chunks, f.fan_out(), &|line, ids| {
-            f.partition_line(line, ids)
-        });
-        histogram::thread_bases(&thread_hists).0
+        histogram::thread_bases(&thread_histograms(&chunks, &self.partition_fn)).0
     }
 
     /// Partition a row store, or a column store, plain or run-length
@@ -125,28 +121,46 @@ impl CpuPartitioner {
         &self,
         input: impl Into<Input<'a, T>>,
     ) -> (PartitionedRelation<T>, CpuRunReport) {
-        let f = self.partition_fn;
-        scatter(input.into(), self.threads, f.fan_out(), |line, ids| {
-            f.partition_line(line, ids)
-        })
+        scatter(input.into(), self.threads, &self.partition_fn)
+    }
+}
+
+/// What the histogram and scatter passes ask of a partitioning function:
+/// its fan-out, and the partition ids of one tuple line at a time.
+/// Implementations inline their `line_ids` (`#[inline(always)]`), so that
+/// each pass is one loop with no call per line or per tuple.
+pub(crate) trait LinePartitioner<T: Tuple>: Sync {
+    /// Number of partitions.
+    fn fan_out(&self) -> usize;
+
+    /// Set `ids[i]` to the partition of `line[i]`.
+    fn line_ids(&self, line: &[T], ids: &mut [usize; MAX_LANES]);
+}
+
+impl<T: Tuple> LinePartitioner<T> for PartitionFn {
+    fn fan_out(&self) -> usize {
+        PartitionFn::fan_out(*self)
+    }
+
+    #[inline(always)]
+    fn line_ids(&self, line: &[T], ids: &mut [usize; MAX_LANES]) {
+        self.partition_line(line, ids)
     }
 }
 
 /// The one CPU partitioning path, for radix, hash and range partitioning
-/// alike: route every tuple of `input` to one of `parts` partitions on up
+/// alike: route every tuple of `input` to one of `by`'s partitions on up
 /// to `threads` threads — a histogram pass, then a single-pass SWWCB
 /// scatter with non-temporal stores into tuple-exact, per-thread-disjoint
-/// extents. `partition_line(line, ids)` sets `ids[i]` to the partition of
-/// `line[i]` for a whole tuple line at a time.
+/// extents. `by` gives the partition ids of a whole tuple line at a time.
 pub(crate) fn scatter<T: Tuple>(
     input: Input<'_, T>,
     threads: usize,
-    parts: usize,
-    partition_line: impl Fn(&[T], &mut [usize; MAX_LANES]) + Sync,
+    by: &impl LinePartitioner<T>,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
     let chunks = chunk_evenly(input, threads);
     let t0 = Instant::now();
-    let thread_hists = thread_histograms(&chunks, parts, &partition_line);
+    let thread_hists = thread_histograms(&chunks, by);
     let hist_time = t0.elapsed();
 
     // Pass 2: scatter into disjoint extents. Its timer covers the output
@@ -167,7 +181,7 @@ pub(crate) fn scatter<T: Tuple>(
             let mut wc = Swwcb::new(bases);
             let mut ids = [0; MAX_LANES];
             chunk.for_each_line(0..chunk.input_lines(), |line| {
-                partition_line(line, &mut ids);
+                by.line_ids(line, &mut ids);
                 for (&t, &p) in line.iter().zip(&ids) {
                     // SAFETY: per-thread extents are disjoint by
                     // construction of `thread_bases`.
@@ -214,14 +228,13 @@ pub(crate) fn scatter<T: Tuple>(
 /// Pass 1: each chunk's private histogram, one thread per chunk.
 fn thread_histograms<T: Tuple>(
     chunks: &[Input<'_, T>],
-    parts: usize,
-    partition_line: &(impl Fn(&[T], &mut [usize; MAX_LANES]) + Sync),
+    by: &impl LinePartitioner<T>,
 ) -> Vec<Vec<usize>> {
     let count = |chunk: Input<'_, T>| {
-        let mut hist = vec![0usize; parts];
+        let mut hist = vec![0usize; by.fan_out()];
         let mut ids = [0; MAX_LANES];
         chunk.for_each_line(0..chunk.input_lines(), |line| {
-            partition_line(line, &mut ids);
+            by.line_ids(line, &mut ids);
             for &p in &ids[..line.len()] {
                 hist[p] += 1;
             }

@@ -12,9 +12,10 @@
 //! or [`RangeSplitters::from_sample`] (quantiles of a random sample — the
 //! standard balanced choice).
 
+use fpart_types::line::MAX_LANES;
 use fpart_types::{Key, PartitionedRelation, Relation, Tuple};
 
-use crate::parallel::{scatter, CpuRunReport};
+use crate::parallel::{scatter, CpuRunReport, LinePartitioner};
 
 /// Sorted splitters defining `splitters.len() + 1` key ranges.
 ///
@@ -143,11 +144,20 @@ pub fn range_partition_parallel<T: Tuple>(
     splitters: &RangeSplitters<T::K>,
     threads: usize,
 ) -> (PartitionedRelation<T>, CpuRunReport) {
-    scatter(rel.into(), threads, splitters.fan_out(), |line, ids| {
+    scatter(rel.into(), threads, splitters)
+}
+
+impl<T: Tuple> LinePartitioner<T> for RangeSplitters<T::K> {
+    fn fan_out(&self) -> usize {
+        RangeSplitters::fan_out(self)
+    }
+
+    #[inline(always)]
+    fn line_ids(&self, line: &[T], ids: &mut [usize; MAX_LANES]) {
         for (id, t) in ids.iter_mut().zip(line) {
-            *id = splitters.partition_of(t.key());
+            *id = self.partition_of(t.key());
         }
-    })
+    }
 }
 
 #[cfg(test)]

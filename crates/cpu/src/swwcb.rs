@@ -93,29 +93,35 @@ impl<T: Tuple> Swwcb<T> {
     /// Buffer one tuple; flushes the partition's line to `out` when the
     /// line's last slot fills.
     ///
+    /// Always inlined: the fast path is a cursor load, a slot store, the
+    /// full-line test and a cursor store, and only a full line leaves it,
+    /// through the out-of-line `Swwcb::flush`. The range check on `p`
+    /// stays in every build; its panic is formatted in a cold function,
+    /// so the fast path spills nothing for it.
+    ///
     /// # Safety
     /// The extents implied by `bases` and the per-thread histogram must be
     /// disjoint from every other writer of `out`. (Flushes past
     /// `out.len()` panic, and so does a partition `p` out of range.)
-    #[inline]
+    #[inline(always)]
     pub unsafe fn push(&mut self, p: usize, t: T, out: &SharedWriter<T>) {
         let mask = T::LANES - 1;
         let line = self.line_ptr(p);
         // SAFETY: `line` is partition `p`'s 64-byte-aligned buffer line of
         // initialised plain-old-data tuples: its last 8 bytes are an
         // aligned, initialised `usize`, and slot `abs & mask` is in it.
-        let abs = unsafe {
-            let abs = line.cast::<u8>().add(CURSOR_OFFSET).cast::<usize>().read();
+        unsafe {
+            let cursor = line.cast::<u8>().add(CURSOR_OFFSET).cast::<usize>();
+            let abs = cursor.read();
             line.add(abs & mask).write(t);
-            abs
-        };
-        if abs & mask == mask {
-            let end = abs + 1;
-            let start = (end - T::LANES).max(self.bases[p]);
-            // SAFETY: forwarded from the caller's contract.
-            unsafe { self.flush(p, start, end, out) };
+            if abs & mask == mask {
+                // SAFETY: forwarded from the caller's contract. The flush
+                // writes the cursor back.
+                self.flush(p, abs + 1, out);
+            } else {
+                cursor.write(abs + 1);
+            }
         }
-        self.set_cursor(p, abs + 1);
     }
 
     /// Flush all partially filled buffers (end of the scatter pass) and
@@ -128,9 +134,8 @@ impl<T: Tuple> Swwcb<T> {
         for p in 0..self.bases.len() {
             let end = self.cursor(p);
             if end & mask != 0 && end > self.bases[p] {
-                let start = (end & !mask).max(self.bases[p]);
                 // SAFETY: forwarded from the caller's contract.
-                unsafe { self.flush(p, start, end, out) };
+                unsafe { self.flush(p, end, out) };
             }
         }
         nt_store::store_fence();
@@ -174,15 +179,17 @@ impl<T: Tuple> Swwcb<T> {
     ///
     /// # Panics
     /// Panics if `p` is not a partition of this engine.
-    #[inline]
+    #[inline(always)]
     fn line_start(&self, p: usize) -> usize {
         let parts = self.bases.len();
-        assert!(p < parts, "partition {p} of {parts}");
+        if p >= parts {
+            partition_out_of_range(p, parts);
+        }
         p * T::LANES
     }
 
     /// Start of partition `p`'s buffer line.
-    #[inline]
+    #[inline(always)]
     fn line_ptr(&mut self, p: usize) -> *mut T {
         let start = self.line_start(p);
         // SAFETY: the buffer holds one line of `LANES` slots per partition.
@@ -215,16 +222,21 @@ impl<T: Tuple> Swwcb<T> {
         }
     }
 
-    /// Stream the buffered tuples of partition `p` bound for absolute
-    /// slots `start..end`, which lie in one destination line. A partial
-    /// window never reaches the line's last slot, so the cursor stored
-    /// there is never written out.
+    /// Stream the buffered tuples of partition `p` that end before
+    /// absolute slot `end`, from the start of `end - 1`'s destination line
+    /// or the partition's base, whichever is later, and store `end` as the
+    /// partition's cursor. A partial window never reaches the line's last
+    /// slot, so the cursor stored there is never written out.
+    ///
+    /// Out of line: a push reaches it once per `LANES` tuples, and keeping
+    /// it out keeps every push site small.
     ///
     /// # Panics
     /// Panics if `end > out.len()` — checked in every build, once per
     /// flush, because the copy below is unchecked.
-    #[inline]
-    unsafe fn flush(&mut self, p: usize, start: usize, end: usize, out: &SharedWriter<T>) {
+    #[inline(never)]
+    unsafe fn flush(&mut self, p: usize, end: usize, out: &SharedWriter<T>) {
+        let start = ((end - 1) & !(T::LANES - 1)).max(self.bases[p]);
         assert!(
             end <= out.len(),
             "SWWCB flush to slots {start}..{end} past the output's {} slots",
@@ -252,7 +264,15 @@ impl<T: Tuple> Swwcb<T> {
             // is 64-byte aligned and tuple widths are multiples of 8.
             unsafe { nt_store::nt_copy(dst, src) };
         }
+        self.set_cursor(p, end);
     }
+}
+
+/// The panic of a partition id out of range, kept out of every push.
+#[cold]
+#[inline(never)]
+fn partition_out_of_range(p: usize, parts: usize) -> ! {
+    panic!("partition {p} of {parts}")
 }
 
 /// The naive scatter of Code 1: every tuple goes straight to memory —

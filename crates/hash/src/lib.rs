@@ -181,9 +181,12 @@ impl PartitionFn {
     /// target's baseline SIMD. A short line calls
     /// [`PartitionFn::partition_of`] per key.
     ///
+    /// Always inlined: the partitioning kernels call it once per tuple
+    /// line, and a call there costs as much as the hashing of a line.
+    ///
     /// # Panics
     /// Panics if `line` holds more than [`MAX_LANES`] tuples.
-    #[inline]
+    #[inline(always)]
     pub fn partition_line<T: Tuple>(self, line: &[T], ids: &mut [usize; MAX_LANES]) {
         if line.len() != T::LANES {
             for (i, t) in line.iter().enumerate() {

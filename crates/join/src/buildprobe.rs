@@ -63,7 +63,7 @@ pub fn build_probe_all<T: Tuple>(
             if p >= parts {
                 break;
             }
-            table.rebuild(r.partition_tuples(p));
+            table.rebuild(r.partition_slots(p));
             if table.is_empty() {
                 continue;
             }
@@ -101,10 +101,10 @@ pub fn build_probe_all<T: Tuple>(
 /// Reference join for verification: one unpartitioned hash join over the
 /// raw relations. Returns `(matches, checksum)` with the same checksum
 /// definition as [`build_probe_all`]. Uses [`BucketChainTable`] directly
-/// (no per-key allocations), so verifying a multi-million-tuple join
-/// costs about as much as running it.
+/// over `r` (no copy, no per-key allocations), so verifying a
+/// multi-million-tuple join costs about as much as running it.
 pub fn reference_join<T: Tuple>(r: &[T], s: &[T]) -> (u64, u64) {
-    let table = BucketChainTable::build(r.iter().copied(), 0);
+    let table = BucketChainTable::build(r, 0);
     let mut matches = 0u64;
     let mut checksum = 0u64;
     for t in s.iter().filter(|t| !t.is_dummy()) {
@@ -155,6 +155,83 @@ mod tests {
         assert_eq!(report.checksum, c);
         // FK workload: every probe tuple matches exactly once.
         assert_eq!(report.matches, 6000);
+    }
+
+    /// Build+probe and the materialised join read every output layout
+    /// like the reference join: the CPU partitioner's tuple-exact
+    /// extents; the batched FPGA path's HIST and PAD extents, a valid
+    /// prefix and then a dummy tail; and the cycle-accurate engine's,
+    /// whose flush lines put dummies among the valid tuples. R holds
+    /// every key two or three times and S draws its keys Zipf-skewed.
+    #[test]
+    fn every_output_layout_joins_like_the_reference() {
+        use crate::materialize::{materialize_join, rows_checksum};
+        use fpart_datagen::dist::zipf_foreign_keys;
+        use fpart_fpga::{
+            FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
+        };
+
+        let f = PartitionFn::Murmur { bits: 5 };
+        let r_keys: Vec<u32> = (0..4000u32).map(|i| (i % 1500) * 7 + 1).collect();
+        let s_keys = zipf_foreign_keys(&r_keys, 5000, 1.25, 3);
+        let (r, s) = (Relation::from_keys(&r_keys), Relation::from_keys(&s_keys));
+        let expect = reference_join(r.tuples(), s.tuples());
+        assert!(
+            expect.0 > s.len() as u64,
+            "duplicate build keys multiply matches"
+        );
+
+        let cpu = CpuPartitioner::new(f, 2);
+        let mut layouts = vec![("cpu", cpu.partition(&r).0, cpu.partition(&s).0)];
+        for (fidelity, name) in [
+            (SimFidelity::Batched, "batched"),
+            (SimFidelity::CycleAccurate, "cycle-accurate"),
+        ] {
+            for output in [
+                OutputMode::Hist,
+                OutputMode::Pad {
+                    padding: PaddingSpec::Tuples(s.len()),
+                },
+            ] {
+                let config = PartitionerConfig {
+                    partition_fn: f,
+                    ..PartitionerConfig::paper_default(output, InputMode::Rid)
+                };
+                let fpga = FpgaPartitioner::new(config.with_fidelity(fidelity));
+                let rp = fpga.partition(&r).expect("no overflow");
+                let sp = fpga.partition(&s).expect("no overflow");
+                layouts.push((name, rp.0, sp.0));
+            }
+        }
+
+        let slots = |rel: &PartitionedRelation<Tuple8>| -> Vec<Vec<bool>> {
+            (0..rel.num_partitions())
+                .map(|p| {
+                    rel.partition_slots(p)
+                        .iter()
+                        .map(|t| t.is_dummy())
+                        .collect()
+                })
+                .collect()
+        };
+        for (name, rp, sp) in &layouts {
+            let dummies = slots(rp);
+            let has_dummy = dummies.iter().flatten().any(|&d| d);
+            // A dummy with a valid tuple after it in the same partition.
+            let dummy_inside = dummies.iter().any(|p| p.windows(2).any(|w| w[0] && !w[1]));
+            match *name {
+                "cpu" => assert!(!has_dummy, "cpu: tuple-exact"),
+                "batched" => assert!(has_dummy && !dummy_inside, "{name}: dummy tails"),
+                _ => assert!(dummy_inside, "{name}: dummies inside flush lines"),
+            }
+            for threads in [1, 3] {
+                let report = build_probe_all(rp, sp, f.bits(), threads);
+                let what = format!("{name}, {threads} threads");
+                assert_eq!((report.matches, report.checksum), expect, "{what}");
+                let rows = materialize_join(rp, sp, f.bits(), threads);
+                assert_eq!((rows.len() as u64, rows_checksum(&rows)), expect, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! and sort-based joins on modern multi-core architectures" (Section 3.3).
 //!
 //! * [`hashtable::BucketChainTable`] — the cache-resident bucket-chaining
-//!   hash table of Manegold et al., built per partition;
+//!   hash table of Manegold et al., built in place over each partition's
+//!   slots and indexed by one multiply-shift of the key;
 //! * [`buildprobe`] — the parallel build+probe phase over partition pairs;
 //! * [`radix::radix_join`] — the one join driver: partition both inputs
 //!   with any [`engine::PartitionEngine`], then build+probe. With a CPU

@@ -31,8 +31,9 @@ pub struct JoinedRow<K> {
 }
 
 /// Materialise the join of two partitioned relations (RID-mode payloads).
-/// Threads claim partitions; each appends to a private vector, and the
-/// results are concatenated partition-ordered.
+/// Threads claim partitions and reuse one table each, as
+/// [`crate::build_probe_all`] does; each appends to a private vector, and
+/// the results are concatenated partition-ordered.
 pub fn materialize_join<T: Tuple>(
     r: &PartitionedRelation<T>,
     s: &PartitionedRelation<T>,
@@ -46,12 +47,13 @@ pub fn materialize_join<T: Tuple>(
 
     let worker = || {
         let mut rows: Vec<(usize, Vec<JoinedRow<T::K>>)> = Vec::new();
+        let mut table = BucketChainTable::with_shift(partition_bits);
         loop {
             let p = cursor.fetch_add(1, Ordering::Relaxed);
             if p >= parts {
                 break;
             }
-            let table = BucketChainTable::build(r.partition_tuples(p), partition_bits);
+            table.rebuild(r.partition_slots(p));
             if table.is_empty() {
                 continue;
             }

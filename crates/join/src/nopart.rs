@@ -21,7 +21,7 @@ pub fn no_partition_join<T: Tuple>(
     threads: usize,
 ) -> (JoinResult, BuildProbeReport) {
     let t0 = Instant::now();
-    let table = BucketChainTable::build(r.tuples().iter().copied(), 0);
+    let table = BucketChainTable::build(r.tuples(), 0);
     let threads = threads.max(1);
 
     let chunk_size = s.len().div_ceil(threads).max(1);

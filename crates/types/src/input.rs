@@ -213,7 +213,9 @@ impl<'a, T: Tuple> Input<'a, T> {
                     &buf[..fill]
                 }
             };
-            tuples.chunks(T::LANES).for_each(&mut f);
+            for line in tuples.chunks(T::LANES) {
+                f(line);
+            }
         }
     }
 }
