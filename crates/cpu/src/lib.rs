@@ -13,8 +13,9 @@
 //! tested against.
 //!
 //! [`parallel`] drives the scatter on many threads: per-thread histograms
-//! and a global prefix sum give every thread private output extents,
-//! removing synchronisation from the scatter ("the partitioning algorithm for the
+//! and a global prefix sum give every thread private output regions,
+//! which [`swwcb::OutputBuilder`] lays out and bounds, removing
+//! synchronisation from the scatter ("the partitioning algorithm for the
 //! CPU builds the histogram out of necessity, in order to remove
 //! synchronization between multiple threads", Section 4.7).
 //!

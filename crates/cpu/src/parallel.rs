@@ -5,7 +5,8 @@
 //! 1. each thread scans a contiguous chunk of the input and builds a
 //!    private histogram;
 //! 2. a global prefix sum over the per-thread histograms assigns every
-//!    thread a private extent inside every partition — "so that each
+//!    thread a private region inside every partition
+//!    ([`OutputBuilder`]) — "so that each
 //!    thread accesses a specific part of memory while writing out the
 //!    partitions", removing all synchronisation from the scatter;
 //! 3. each thread re-scans its chunk and scatters through its
@@ -15,10 +16,9 @@ use std::time::{Duration, Instant};
 
 use fpart_hash::PartitionFn;
 use fpart_types::line::MAX_LANES;
-use fpart_types::{Input, PartitionLayout, PartitionedRelation, SharedWriter, Tuple};
+use fpart_types::{Input, PartitionLayout, PartitionedRelation, Tuple};
 
-use crate::histogram;
-use crate::swwcb::Swwcb;
+use crate::swwcb::{OutputBuilder, Writer};
 
 /// A configured CPU partitioner.
 ///
@@ -111,7 +111,7 @@ impl CpuPartitioner {
     /// the scatter pass and the full-size output allocation.
     pub fn histogram_only<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>) -> Vec<usize> {
         let chunks = chunk_evenly(input.into(), self.threads);
-        histogram::thread_bases(&thread_histograms(&chunks, &self.partition_fn)).0
+        totals(&thread_histograms(&chunks, &self.partition_fn))
     }
 
     /// Partition a row store, or a column store, plain or run-length
@@ -163,66 +163,60 @@ pub(crate) fn scatter<T: Tuple>(
     let thread_hists = thread_histograms(&chunks, by);
     let hist_time = t0.elapsed();
 
-    // Pass 2: scatter into disjoint extents. Its timer covers the output
-    // allocation too. Flush accounting merges through an atomic registry
-    // — the scatter threads are otherwise fully unsynchronised and stay
-    // that way.
+    // Pass 2: scatter into disjoint per-thread regions. Its timer covers
+    // the output allocation and the drain too. The scatter threads are
+    // fully unsynchronised.
     let t1 = Instant::now();
-    let (global, bases) = histogram::thread_bases(&thread_hists);
-    // SAFETY: every slot is written before `out` is read. Thread `i`
-    // pushes `thread_hists[i][p]` tuples from `bases[i][p]` on, these
-    // extents tile partition `p`'s `global[p]` slots, and each thread's
-    // `assert_counts` checks its counts before the relation is returned.
-    let mut out = unsafe { PartitionedRelation::<T>::uninit(&global, PartitionLayout::Exact) };
-    let flush_reg = fpart_obs::AtomicRegistry::new();
-    {
-        let writer = SharedWriter::new(&mut out);
-        let scatter = |chunk: Input<'_, T>, bases: Vec<usize>, hist: &[usize]| {
-            let mut wc = Swwcb::new(bases);
-            let mut ids = [0; MAX_LANES];
-            chunk.for_each_line(0..chunk.input_lines(), |line| {
-                by.line_ids(line, &mut ids);
-                for (&t, &p) in line.iter().zip(&ids) {
-                    // SAFETY: per-thread extents are disjoint by
-                    // construction of `thread_bases`.
-                    unsafe { wc.push(p, t, &writer) };
-                }
-            });
-            // SAFETY: as above.
-            unsafe { wc.drain(&writer) };
-            wc.assert_counts(hist);
-            let mut c = fpart_obs::CounterSet::default();
-            wc.stats().record_into(&mut c);
-            flush_reg.merge_from(&c);
-        };
-        if chunks.len() == 1 {
-            scatter(chunks[0], bases[0].clone(), &thread_hists[0]);
-        } else {
-            std::thread::scope(|s| {
-                for ((&chunk, b), hist) in chunks.iter().zip(bases).zip(&thread_hists) {
-                    let scatter = &scatter;
-                    s.spawn(move || scatter(chunk, b, hist));
-                }
-            });
-        }
+    let mut output = OutputBuilder::new(
+        &totals(&thread_hists),
+        PartitionLayout::Exact,
+        &thread_hists,
+    );
+    let scatter = |chunk: Input<'_, T>, mut wc: Writer<'_, T>| {
+        let mut ids = [0; MAX_LANES];
+        chunk.for_each_line(0..chunk.input_lines(), |line| {
+            by.line_ids(line, &mut ids);
+            for (&t, &p) in line.iter().zip(&ids) {
+                wc.push(p, t);
+            }
+        });
+    };
+    let jobs = chunks.iter().copied().zip(output.writers());
+    if chunks.len() == 1 {
+        jobs.for_each(|(chunk, wc)| scatter(chunk, wc));
+    } else {
+        let scatter = &scatter;
+        std::thread::scope(|s| {
+            for (chunk, wc) in jobs {
+                s.spawn(move || scatter(chunk, wc));
+            }
+        });
     }
+    let (out, flushes) = output.finish();
     let scatter_time = t1.elapsed();
 
-    for (p, &count) in global.iter().enumerate() {
-        out.set_partition_fill(p, count, count);
-    }
-    let flushes = flush_reg.snapshot();
     let report = CpuRunReport {
         tuples: input.len() as u64,
         threads: chunks.len(),
         hist_time,
         scatter_time,
         passes: 2,
-        swwcb_full_flushes: flushes.get(fpart_obs::Ctr::SwwcbFullFlushes),
-        swwcb_partial_flushes: flushes.get(fpart_obs::Ctr::SwwcbPartialFlushes),
-        nt_store_lines: flushes.get(fpart_obs::Ctr::SwwcbNtLines),
+        swwcb_full_flushes: flushes.full_flushes,
+        swwcb_partial_flushes: flushes.partial_flushes,
+        nt_store_lines: flushes.nt_lines,
     };
     (out, report)
+}
+
+/// Each partition's tuples summed over the per-thread histograms.
+fn totals(thread_hists: &[Vec<usize>]) -> Vec<usize> {
+    let mut global = vec![0; thread_hists.first().map_or(0, Vec::len)];
+    for hist in thread_hists {
+        for (g, &c) in global.iter_mut().zip(hist) {
+            *g += c;
+        }
+    }
+    global
 }
 
 /// Pass 1: each chunk's private histogram, one thread per chunk.

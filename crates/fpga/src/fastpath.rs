@@ -49,14 +49,12 @@
 
 use std::ops::Range;
 
-use fpart_cpu::swwcb::Swwcb;
+use fpart_cpu::swwcb::OutputBuilder;
 use fpart_hash::PartitionFn;
 use fpart_hwsim::{QpiConfig, QpiEndpoint, QpiStats};
 use fpart_obs::{Ctr, Recorder};
 use fpart_types::line::MAX_LANES;
-use fpart_types::{
-    FpartError, Input, PartitionLayout, PartitionedRelation, Result, SharedWriter, Tuple,
-};
+use fpart_types::{FpartError, Input, PartitionLayout, PartitionedRelation, Result, Tuple};
 
 use crate::config::{OutputMode, PartitionerConfig};
 use crate::partitioner::{build_pagetable, RunReport, TIMELINE_INTERVAL};
@@ -318,7 +316,7 @@ pub(crate) fn run_batched<T: Tuple>(
     let mut fills: Vec<u8> = vec![0; lanes * parts];
     let mut tuples_consumed = 0u64;
     // Extents: HIST sizes them from the histogram pass, PAD fixes them.
-    let (extents, layout, hist) = match cfg.output {
+    let (extents, layout, mut hist) = match cfg.output {
         OutputMode::Hist => {
             let mut pass = histogram_pass(cfg, qpi_cfg, input);
             // Every line count follows from the histogram: a partition's
@@ -348,24 +346,25 @@ pub(crate) fn run_batched<T: Tuple>(
     let extent_slots: Vec<usize> = (extents.capacity_lines.iter())
         .map(|&l| l as usize * lanes)
         .collect();
-    // SAFETY: every slot is written before `out` is returned: partition
-    // `p`'s valid tuples go through the SWWCB into the first slots of its
-    // extent (`assert_counts` checks how many), and dummies fill the rest
-    // of the extent below. An aborted run drops `out` unread.
-    let mut out = unsafe { PartitionedRelation::<T>::uninit(&extent_slots, layout) };
+    // HIST plans each partition's histogram total; PAD's one writer may
+    // fill its partition's whole extent.
+    let planned = match &mut hist {
+        Some(pass) => std::mem::take(&mut pass.totals)
+            .into_iter()
+            .map(|t| t as usize)
+            .collect(),
+        None => extent_slots.clone(),
+    };
+    let mut output = OutputBuilder::new(&extent_slots, layout, &[planned]);
 
     // Scatter through the SWWCB.
-    let w = SharedWriter::new(&mut out);
-    let bases = extents.base_lines.iter().map(|&b| b as usize * lanes);
-    let mut wc = Swwcb::new(bases.collect());
+    let mut wc = output.writers().next().expect("one writer");
     let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
     let tuple_lines = if hist.is_some() {
         for_each_line(input, 0..input.input_lines(), f, |line, ids| {
             for (&t, &p) in line.iter().zip(ids) {
                 if !t.is_dummy() {
-                    // SAFETY: single writer; each partition receives
-                    // exactly its histogram count, which its extent holds.
-                    unsafe { wc.push(p, t, &w) };
+                    wc.push(p, t);
                 }
             }
         })
@@ -404,9 +403,7 @@ pub(crate) fn run_batched<T: Tuple>(
                     // A partition that will overflow stops receiving data
                     // at its capacity; the run aborts before it completes.
                     if wc.count(p) < cap {
-                        // SAFETY: single writer; partition `p` writes only
-                        // `p * cap .. (p + 1) * cap`.
-                        unsafe { wc.push(p, t, &w) };
+                        wc.push(p, t);
                     }
                 }
             });
@@ -418,8 +415,6 @@ pub(crate) fn run_batched<T: Tuple>(
         forward_hits = fwd.hits;
         tuple_lines
     };
-    // SAFETY: as above.
-    unsafe { wc.drain(&w) };
     let (hist_cycles, hist_stats) =
         hist.map_or((0, QpiStats::default()), |h| (h.cycles, h.qpi_stats));
 
@@ -428,9 +423,7 @@ pub(crate) fn run_batched<T: Tuple>(
     // overflow order).
     let mut padding_slots = 0u64;
     let mut flush_lines = 0u64;
-    let mut valid = vec![0; parts];
     for p in 0..parts {
-        valid[p] = counts[p] as usize * lanes;
         for lane in 0..lanes {
             let fill = fills[lane * parts + p] as usize;
             if fill == 0 {
@@ -440,20 +433,17 @@ pub(crate) fn run_batched<T: Tuple>(
                 return Err(overflow(p, extent_slots[p], tuples_consumed));
             }
             counts[p] += 1;
-            valid[p] += fill;
             padding_slots += (lanes - fill) as u64;
             flush_lines += 1;
         }
-        out.set_partition_fill(p, counts[p] as usize * lanes, valid[p]);
     }
     // Each partition's valid tuples are the first slots of its extent;
-    // dummies fill the rest, the flush lines' padding included.
-    wc.assert_counts(&valid);
-    for (p, (&v, &slots)) in valid.iter().zip(&extent_slots).enumerate() {
-        let base = out.partition_base(p);
-        // SAFETY: single writer; `base + v .. base + slots` is the part of
-        // partition `p`'s extent that the SWWCB did not write.
-        unsafe { w.fill(base + v..base + slots, T::dummy()) };
+    // the builder writes dummies over the rest, the flush lines' padding
+    // included.
+    let (mut out, _) = output.finish();
+    for (p, &lines) in counts.iter().enumerate() {
+        let valid = out.partition_valid(p);
+        out.set_partition_fill(p, lines as usize * lanes, valid);
     }
     let lines_written: u64 = counts.iter().sum();
 

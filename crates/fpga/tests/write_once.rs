@@ -1,8 +1,10 @@
-//! Write-once outputs: the CPU partitioner and the batched FPGA path
-//! allocate their outputs unwritten (`PartitionedRelation::uninit`), move
-//! each partition's tuples into the first slots of its extent and write
-//! dummies only into the rest. These tests read every slot back, so a
-//! slot left unwritten shows up as a wrong tuple or a missing dummy.
+//! Write-once outputs: the CPU partitioner, the batched FPGA path and the
+//! hybrid split build their outputs through
+//! `fpart_cpu::swwcb::OutputBuilder`, which allocates them unwritten
+//! (`PartitionedRelation::uninit`), moves each partition's tuples into
+//! the first slots of its extent and writes dummies only into the rest.
+//! These tests read every slot back, so a slot left unwritten shows up as
+//! a wrong tuple or a missing dummy.
 
 use fpart_cpu::swwcb::scatter_scalar;
 use fpart_cpu::CpuPartitioner;
@@ -10,6 +12,7 @@ use fpart_fpga::{
     FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
 };
 use fpart_hash::PartitionFn;
+use fpart_join::{HybridSplitEngine, PartitionEngine};
 use fpart_types::{
     ColumnRelation, FpartError, Input, PartitionedRelation, Relation, RleColumn, SharedWriter,
     SplitMix64, Tuple, Tuple16, Tuple8,
@@ -79,7 +82,8 @@ const ROOMY_PAD: OutputMode = OutputMode::Pad {
 };
 
 /// Every writer on one input: the CPU partitioner at 1 and 2 threads
-/// (bit for bit against the naive scatter), and batched HIST and PAD.
+/// (bit for bit against the naive scatter), batched HIST and PAD, and the
+/// hybrid split over either at fraction 0.37.
 fn check_input<T: Tuple>(label: &str, input: Input<'_, T>) {
     let all = tuples(&input);
     let reference = scalar(&all);
@@ -94,6 +98,11 @@ fn check_input<T: Tuple>(label: &str, input: Input<'_, T>) {
             .partition(input)
             .expect("no overflow");
         check_layout(&format!("{label}, batched {output:?}"), &out, &all);
+        let (out, _) = HybridSplitEngine::new(batched(output, InputMode::of(&input)), 2)
+            .with_fraction(0.37)
+            .partition(input)
+            .expect("no overflow");
+        check_layout(&format!("{label}, hybrid {output:?}"), &out, &all);
     }
 }
 

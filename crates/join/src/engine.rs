@@ -19,17 +19,20 @@
 //! (`costmodel::overlap` — both agents share the memory bus, so the
 //! FPGA sees the interfered curve and the CPU keeps ~72% of its solo
 //! throughput), each share is partitioned by its back-end, and the two
-//! partial outputs are stitched into one dense [`PartitionedRelation`]
-//! with merged statistics and a merged observability snapshot.
+//! partial outputs are written once more, by one
+//! [`fpart_cpu::swwcb::OutputBuilder`], into one dense
+//! [`PartitionedRelation`] with merged statistics and a merged
+//! observability snapshot.
 
 use fpart_costmodel::cpu::DistributionKind;
 use fpart_costmodel::{CpuCostModel, FpgaCostModel, ModePair};
+use fpart_cpu::swwcb::OutputBuilder;
 use fpart_cpu::{CpuPartitioner, CpuRunReport};
 use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, RunReport};
 use fpart_hash::PartitionFn;
 use fpart_memmodel::BandwidthCurve;
 use fpart_obs::{Ctr, ObsSnapshot};
-use fpart_types::{Input, PartitionedRelation, Result, Tuple};
+use fpart_types::{Input, PartitionLayout, PartitionedRelation, Result, Tuple};
 
 use crate::fallback::AttemptPath;
 
@@ -269,8 +272,9 @@ impl<T: Tuple> PartitionEngine<T> for FpgaPartitioner {
 
 /// Carves a relation into two bandwidth-proportional contiguous shares,
 /// partitions the front share on the FPGA and the tail share on the
-/// CPU, and stitches the two partial outputs into one dense
-/// [`PartitionedRelation`].
+/// CPU, and writes the two partial outputs into one dense
+/// [`PartitionedRelation`]: each partition holds the FPGA share's tuples,
+/// then the CPU share's.
 ///
 /// The default share split comes from the interference-aware §4.6
 /// models: the FPGA share is sized by the interfered bandwidth curve
@@ -300,8 +304,11 @@ impl HybridSplitEngine {
     }
 
     /// Pin the FPGA share to `fraction` (clamped to 0..=1) of the input
-    /// instead of the modeled bandwidth-proportional split.
+    /// instead of the modeled bandwidth-proportional split. A NaN
+    /// fraction pins 0.0, the all-CPU split, so that
+    /// [`Self::planned_fraction`] reports the split that runs.
     pub fn with_fraction(mut self, fraction: f64) -> Self {
+        let fraction = if fraction.is_nan() { 0.0 } else { fraction };
         self.fraction = Some(fraction.clamp(0.0, 1.0));
         self
     }
@@ -391,50 +398,6 @@ impl HybridSplitEngine {
     }
 }
 
-/// Stitch two partial partitioned relations into one dense output:
-/// per-partition counts add, and each output partition is the FPGA
-/// share's tuples followed by the CPU share's.
-fn stitch<T: Tuple>(
-    a: &PartitionedRelation<T>,
-    b: &PartitionedRelation<T>,
-) -> PartitionedRelation<T> {
-    let parts = a.num_partitions().max(b.num_partitions());
-    let hist: Vec<usize> = (0..parts)
-        .map(|p| {
-            let av = if p < a.num_partitions() {
-                a.partition_valid(p)
-            } else {
-                0
-            };
-            let bv = if p < b.num_partitions() {
-                b.partition_valid(p)
-            } else {
-                0
-            };
-            av + bv
-        })
-        .collect();
-    let mut out = PartitionedRelation::with_histogram(&hist, false);
-    for (p, &fill) in hist.iter().enumerate() {
-        let mut idx = out.partition_base(p);
-        let from_a = (p < a.num_partitions()).then(|| a.partition_tuples(p));
-        let from_b = (p < b.num_partitions()).then(|| b.partition_tuples(p));
-        {
-            let data = out.raw_data_mut();
-            for t in from_a
-                .into_iter()
-                .flatten()
-                .chain(from_b.into_iter().flatten())
-            {
-                data[idx] = t;
-                idx += 1;
-            }
-        }
-        out.set_partition_fill(p, fill, fill);
-    }
-    out
-}
-
 /// Merged hybrid snapshot: the FPGA share's snapshot plus the CPU
 /// share's software-write-combining counters. Only counters no FPGA
 /// conservation law references are absorbed from the CPU side — the
@@ -467,7 +430,7 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
 
     /// The FPGA partitions the front share and the CPU the tail. Both
     /// shares are views of the input; a column view keeps the whole
-    /// column's positions, so the stitched output is position-exact.
+    /// column's positions, so the split's output is position-exact.
     ///
     /// # Errors
     /// Propagates FPGA-share aborts (PAD overflow, injected faults)
@@ -480,7 +443,8 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
             .then(|| self.fpga.partition(input.slice(0..k)))
             .transpose()?;
         let cpu_side = (k < n || n == 0).then(|| self.cpu.partition(input.slice(k..n)));
-        Ok(finish_split(fpga_side, cpu_side, k, n))
+        let parts = self.fpga.config().partition_fn.fan_out();
+        Ok(finish_split(parts, fpga_side, cpu_side, k, n))
     }
 
     fn estimate(&self, n: u64) -> f64 {
@@ -503,35 +467,43 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
     }
 }
 
-/// Assemble the stitched output and merged stats from the two share
-/// results.
+/// Assemble the split's output and merged stats from the two share
+/// results. The output is written once, by a builder with two writers:
+/// each partition holds the FPGA share's valid tuples, then the CPU
+/// share's. The copy's SWWCB flushes are not a partitioner's and stay out
+/// of the merged snapshot.
 fn finish_split<T: Tuple>(
+    parts: usize,
     fpga_side: Option<(PartitionedRelation<T>, RunReport)>,
     cpu_side: Option<(PartitionedRelation<T>, CpuRunReport)>,
     k: usize,
     n: usize,
 ) -> (PartitionedRelation<T>, PartitionStats) {
-    let (fpga_parts, fpga_report) = match fpga_side {
-        Some((p, r)) => (Some(p), Some(r)),
-        None => (None, None),
-    };
-    let (cpu_parts, cpu_report) = match cpu_side {
-        Some((p, r)) => (Some(p), Some(r)),
-        None => (None, None),
-    };
-    let parts = match (fpga_parts, cpu_parts) {
-        (Some(a), Some(b)) => stitch(&a, &b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => PartitionedRelation::with_histogram(&[], false),
-    };
-    let obs = merged_obs(fpga_report.as_ref(), cpu_report.as_ref());
+    let shares = [
+        fpga_side.as_ref().map(|s| &s.0),
+        cpu_side.as_ref().map(|s| &s.0),
+    ];
+    let planned: Vec<Vec<usize>> = (shares.iter())
+        .map(|share| share.map_or_else(|| vec![0; parts], |r| r.histogram().to_vec()))
+        .collect();
+    let extents: Vec<usize> = (0..parts).map(|p| planned[0][p] + planned[1][p]).collect();
+    let mut output = OutputBuilder::new(&extents, PartitionLayout::Exact, &planned);
+    for (mut wc, share) in output.writers().zip(shares) {
+        let Some(share) = share else { continue };
+        for p in 0..parts {
+            share.partition_tuples(p).for_each(|t| wc.push(p, t));
+        }
+    }
+    let obs = merged_obs(
+        fpga_side.as_ref().map(|s| &s.1),
+        cpu_side.as_ref().map(|s| &s.1),
+    );
     let stats = PartitionStats::Hybrid(Box::new(HybridSplitStats {
-        fpga: fpga_report,
-        cpu: cpu_report,
+        fpga: fpga_side.map(|s| s.1),
+        cpu: cpu_side.map(|s| s.1),
         fpga_share: k,
         cpu_share: n - k,
         obs,
     }));
-    (parts, stats)
+    (output.finish().0, stats)
 }

@@ -151,8 +151,8 @@ pub struct EnginePlanner {
     /// co-scheduling decision the caller must opt into).
     pub allow_hybrid: bool,
     /// Minimum modeled speedup over the best single back-end before the
-    /// hybrid split is selected (default 1.15 — below that the stitch
-    /// overhead is not worth the coordination).
+    /// hybrid split is selected (default 1.15 — below that the copy into
+    /// one output is not worth the coordination).
     pub hybrid_gain: f64,
     /// Chain policy: retry aborted runs in HIST mode.
     pub hist_retry: bool,

@@ -1,15 +1,12 @@
 //! The fixed counter universe: a macro-generated enum of counter ids with
-//! stable snake_case labels, a plain `u64` set, and an atomic registry for
-//! cross-thread aggregation.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! stable snake_case labels, and a plain `u64` set.
 
 macro_rules! counters {
     ($($variant:ident => $label:literal : $doc:literal),+ $(,)?) => {
         /// Identifier of one pipeline counter.
         ///
-        /// The discriminant indexes [`CounterSet`]/[`AtomicRegistry`]
-        /// storage; [`Ctr::name`] yields the stable snake_case label used
+        /// The discriminant indexes [`CounterSet`] storage;
+        /// [`Ctr::name`] yields the stable snake_case label used
         /// in JSON output and golden files.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[repr(usize)]
@@ -165,52 +162,6 @@ impl CounterSet {
     }
 }
 
-/// The counter universe backed by `AtomicU64`, for aggregation across CPU
-/// worker threads (scoped threads share `&AtomicRegistry`).
-#[derive(Debug)]
-pub struct AtomicRegistry {
-    vals: Vec<AtomicU64>,
-}
-
-impl Default for AtomicRegistry {
-    fn default() -> Self {
-        AtomicRegistry {
-            vals: (0..Ctr::ALL.len()).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-impl AtomicRegistry {
-    /// New registry with every counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `v` to `ctr` (relaxed; totals are read after thread join).
-    #[inline]
-    pub fn add(&self, ctr: Ctr, v: u64) {
-        self.vals[ctr as usize].fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Add an entire [`CounterSet`] (one worker's local tally) into `self`.
-    pub fn merge_from(&self, set: &CounterSet) {
-        for (ctr, v) in set.iter() {
-            if v != 0 {
-                self.add(ctr, v);
-            }
-        }
-    }
-
-    /// Copy the current totals out into a plain [`CounterSet`].
-    pub fn snapshot(&self) -> CounterSet {
-        let mut out = CounterSet::default();
-        for &ctr in Ctr::ALL {
-            out.set(ctr, self.vals[ctr as usize].load(Ordering::Relaxed));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,23 +188,5 @@ mod tests {
         assert_eq!(a.get(Ctr::TuplesIn), 16);
         assert_eq!(a.get(Ctr::Lanes), 8);
         assert_eq!(a.nonzero().count(), 2);
-    }
-
-    #[test]
-    fn atomic_registry_aggregates_across_threads() {
-        let reg = AtomicRegistry::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let mut local = CounterSet::default();
-                    local.add(Ctr::SwwcbFullFlushes, 100);
-                    local.inc(Ctr::SwwcbNtLines);
-                    reg.merge_from(&local);
-                });
-            }
-        });
-        let snap = reg.snapshot();
-        assert_eq!(snap.get(Ctr::SwwcbFullFlushes), 400);
-        assert_eq!(snap.get(Ctr::SwwcbNtLines), 4);
     }
 }

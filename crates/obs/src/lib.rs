@@ -6,8 +6,6 @@
 //! * [`Ctr`] / [`CounterSet`] — a fixed, named universe of `u64` counters
 //!   (QPI stall cycles, BRAM accesses, write-combiner events, SWWCB
 //!   flushes, …) with stable snake_case labels used in every JSON schema.
-//! * [`AtomicRegistry`] — the same universe backed by `AtomicU64`, for
-//!   aggregation across CPU worker threads.
 //! * [`CycleHistogram`] — log2-bucketed value histograms (e.g. per-cycle
 //!   lane-FIFO occupancy).
 //! * [`TraceRing`] / [`TraceEvent`] — a bounded drop-oldest ring buffer of
@@ -33,7 +31,7 @@ pub mod json;
 mod snapshot;
 mod trace;
 
-pub use counters::{AtomicRegistry, CounterSet, Ctr};
+pub use counters::{CounterSet, Ctr};
 pub use hist::CycleHistogram;
 pub use snapshot::ObsSnapshot;
 pub use trace::{TraceEvent, TraceRing};

@@ -105,11 +105,10 @@ impl<T: Tuple> PartitionedRelation<T> {
     }
 
     /// Allocate partitions of `extents[p]` tuple slots, back to back, and
-    /// leave every slot unwritten. This is the constructor for outputs
-    /// whose writers fill every slot themselves (the CPU partitioner's
-    /// tuple-exact output, the batched FPGA path's HIST and PAD outputs),
-    /// so that no slot is written twice. `layout` is reported as given;
-    /// a [`PartitionLayout::Padded`] caller passes `capacity` for every
+    /// leave every slot unwritten, so that no slot is written twice. Its
+    /// one caller is `fpart_cpu::swwcb::OutputBuilder`, the safe builder
+    /// of every write-once output. `layout` is reported as given; a
+    /// [`PartitionLayout::Padded`] caller passes `capacity` for every
     /// extent.
     ///
     /// # Safety

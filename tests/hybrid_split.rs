@@ -1,5 +1,5 @@
 //! Property tests for the CPU⊕FPGA split engine: for every output mode,
-//! input mode, key distribution and split fraction, the stitched result
+//! input mode, key distribution and split fraction, the split's result
 //! is per-partition multiset-identical to a single-back-end run; a PAD
 //! overflow on the FPGA share propagates untransformed while the
 //! all-CPU split of the same input succeeds; and the merged
@@ -137,6 +137,22 @@ fn one_sided_pad_overflow_propagates() {
         .partition((&rel).into())
         .unwrap();
     assert_eq!(parts.total_valid(), n);
+}
+
+/// A NaN fraction pins the all-CPU split, and the engine reports the
+/// fraction it runs.
+#[test]
+fn nan_fraction_runs_all_cpu() {
+    let n = 1000;
+    let rel = Relation::<Tuple8>::from_keys(&KeyDistribution::Random.generate_keys::<u32>(n, 41));
+    let e = engine(OutputMode::Hist, InputMode::Rid, f64::NAN);
+    assert_eq!(e.planned_fraction(n as u64, Tuple8::WIDTH), 0.0);
+    let (parts, stats) = e.partition((&rel).into()).unwrap();
+    assert_eq!(parts.total_valid(), n);
+    let PartitionStats::Hybrid(h) = stats else {
+        panic!("hybrid runs must report hybrid stats");
+    };
+    assert_eq!((h.fpga_share, h.cpu_share), (0, n));
 }
 
 /// Counter conservation holds for the merged hybrid snapshot: the FPGA
