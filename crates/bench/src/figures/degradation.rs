@@ -136,7 +136,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
             rep.qpi.link_errors.to_string(),
             rep.qpi.link_replays.to_string(),
             rep.qpi.replay_stall_cycles.to_string(),
-            rep.pt_retries.to_string(),
+            rep.obs.get(fpart::obs::Ctr::PtRetriesTotal).to_string(),
             rep.total_cycles().to_string(),
             fnum(rep.total_cycles() as f64 / clean.total_cycles() as f64),
             verdict(&parts, &cpu_parts),

@@ -141,9 +141,10 @@ impl InputMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimFidelity {
     /// Tick every pipeline stage once per simulated FPGA clock. Exact
-    /// per-cycle observables (stall counters, FIFO high-water marks,
-    /// utilisation timeline); required for fault injection. Throughput:
-    /// roughly one simulated cache line per microsecond of host time.
+    /// per-cycle observables (port counters, lane-FIFO occupancy, the
+    /// `scatter/interval` utilisation trace); required for fault
+    /// injection. Throughput: roughly one simulated cache line per
+    /// microsecond of host time.
     #[default]
     CycleAccurate,
     /// Execute the datapath functionally from per-(lane, partition)

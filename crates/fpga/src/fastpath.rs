@@ -39,11 +39,11 @@
 //! arrival order, followed by its flush dummies. Both layouts hold the
 //! same circuit output: every consumer in this repository — and the
 //! paper's own evaluation — treats a partition as an unordered set of
-//! tuples, which is exactly what the equivalence tests assert. Per-cycle
-//! observables (stall counters, FIFO high-water marks, the utilisation
-//! timeline) are synthesized from the analytic model and are
-//! approximations; fault injection always forces the cycle-accurate
-//! engine (see [`FpgaPartitioner::set_fault_plan`]).
+//! tuples, which is exactly what the equivalence tests assert. The stall
+//! counts and the port classification are synthesized from the analytic
+//! model and are approximations; no lane-FIFO occupancy or trace events
+//! are recorded. Fault injection always forces the cycle-accurate engine
+//! (see [`FpgaPartitioner::set_fault_plan`]).
 //!
 //! [`FpgaPartitioner::set_fault_plan`]: crate::FpgaPartitioner::set_fault_plan
 
@@ -51,14 +51,15 @@ use std::ops::Range;
 
 use fpart_cpu::swwcb::OutputBuilder;
 use fpart_hash::PartitionFn;
-use fpart_hwsim::{QpiConfig, QpiEndpoint, QpiStats};
+use fpart_hwsim::{QpiConfig, QpiEndpoint};
 use fpart_obs::{Ctr, Recorder};
 use fpart_types::line::MAX_LANES;
 use fpart_types::{FpartError, Input, PartitionLayout, PartitionedRelation, Result, Tuple};
 
 use crate::config::{OutputMode, PartitionerConfig};
-use crate::partitioner::{build_pagetable, RunReport, TIMELINE_INTERVAL};
+use crate::partitioner::{build_pagetable, PassTotals, RunReport, RunTotals};
 use crate::writeback::PartitionExtents;
+use crate::writecomb::CombinerStats;
 
 /// Fixed circuit warm-up folded into the analytic cycle count: QPI read
 /// latency is added separately; this covers the 5-stage hash pipeline,
@@ -79,10 +80,9 @@ pub(crate) struct BatchedHistogram {
     pub(crate) fills: Vec<u8>,
     /// The combiners' forwarding-register hits (1-cycle, 2-cycle).
     forward_hits: (u64, u64),
-    /// Analytic cycle count of the pass.
-    pub(crate) cycles: u64,
-    /// Link counters (reads; synthesized stalls).
-    pub(crate) qpi_stats: QpiStats,
+    /// Analytic cycle count and link counters (reads; synthesized
+    /// stalls) of the pass.
+    pub(crate) pass: PassTotals,
 }
 
 /// The write combiners' forwarding registers: per lane, the partitions
@@ -261,17 +261,16 @@ pub(crate) fn histogram_pass<T: Tuple>(
     let link = ep.fast_forward(total_lines, 0);
     let circuit = circuit_bound(qpi_cfg, tuple_lines, 0);
     let cycles = link.max(circuit);
-    let mut qpi_stats = ep.stats();
+    let mut qpi = ep.stats();
     // A read-only pass spends every link-bound cycle beyond the circuit
     // bound waiting on read credit.
-    qpi_stats.read_stall_cycles = cycles.saturating_sub(circuit);
+    qpi.read_stall_cycles = cycles.saturating_sub(circuit);
 
     BatchedHistogram {
         totals,
         fills,
         forward_hits: fwd.hits,
-        cycles,
-        qpi_stats,
+        pass: PassTotals { cycles, qpi },
     }
 }
 
@@ -415,13 +414,10 @@ pub(crate) fn run_batched<T: Tuple>(
         forward_hits = fwd.hits;
         tuple_lines
     };
-    let (hist_cycles, hist_stats) =
-        hist.map_or((0, QpiStats::default()), |h| (h.cycles, h.qpi_stats));
-
     // Flush: every non-empty combiner cell emits one line, padded with
     // dummies, partition-major / lane-minor (the ticked flush scan's PAD
     // overflow order).
-    let mut padding_slots = 0u64;
+    let mut flush_dummies = 0u64;
     let mut flush_lines = 0u64;
     for p in 0..parts {
         for lane in 0..lanes {
@@ -433,7 +429,7 @@ pub(crate) fn run_batched<T: Tuple>(
                 return Err(overflow(p, extent_slots[p], tuples_consumed));
             }
             counts[p] += 1;
-            padding_slots += (lanes - fill) as u64;
+            flush_dummies += (lanes - fill) as u64;
             flush_lines += 1;
         }
     }
@@ -461,100 +457,55 @@ pub(crate) fn run_batched<T: Tuple>(
     let link = ep.fast_forward(total_lines, lines_written);
     let flush_scan = (parts * lanes) as u64;
     let circuit = circuit_bound(qpi_cfg, tuple_lines, flush_scan);
-    let scatter_cycles = link.max(circuit);
-    let mut scatter_stats = ep.stats();
+    let mut scatter = PassTotals {
+        cycles: link.max(circuit),
+        qpi: ep.stats(),
+    };
     // Synthesized stalls: every link-bound cycle beyond the circuit bound
     // is a denied grant, split by traffic share.
-    let stall = scatter_cycles.saturating_sub(circuit);
+    let stall = scatter.cycles.saturating_sub(circuit);
     let rd_stall = (stall * total_lines)
         .checked_div(total_lines + lines_written)
         .unwrap_or(0);
-    let wr_stall = stall - rd_stall;
-    scatter_stats.read_stall_cycles = rd_stall;
-    scatter_stats.write_stall_cycles = wr_stall;
+    scatter.qpi.read_stall_cycles = rd_stall;
+    scatter.qpi.write_stall_cycles = stall - rd_stall;
 
-    // Synthesized utilisation timeline: linear ramp (steady state has no
-    // warm-up/flush articulation at this fidelity).
-    let timeline = (TIMELINE_INTERVAL..=scatter_cycles)
-        .step_by(TIMELINE_INTERVAL as usize)
-        .map(|c| {
-            let frac = c as f64 / scatter_cycles as f64;
-            let at = |total: u64| (total as f64 * frac) as u64;
-            (c, at(total_lines), at(lines_written))
-        })
-        .collect();
-
-    let mut qpi = scatter_stats;
-    qpi.accumulate(&hist_stats);
-
-    // Synthesize the observability snapshot from the same analytic model,
-    // mirroring the cycle-accurate engine's end-of-run totals so the
-    // conservation laws (and the fastpath-equivalence counter pins) hold
-    // on both paths.
+    // The write-back and BRAM tallies of the model: one fill-rate
+    // read+write per combined tuple, one extra write per flushed partial
+    // line; one count read+write per emitted line — exactly what the
+    // ticked BRAMs tally.
     let mut rec = Recorder::new(cfg.obs);
-    rec.set(Ctr::Lanes, lanes as u64);
-    rec.set(Ctr::Partitions, parts as u64);
-    rec.set(Ctr::TuplesIn, n as u64);
-    rec.set(Ctr::TuplesOut, out.total_valid() as u64);
-    rec.set(Ctr::PaddingSlots, padding_slots);
-    rec.set(Ctr::InputLines, total_lines);
-    rec.set(Ctr::TupleLines, tuple_lines);
-    rec.set(Ctr::LinesWritten, lines_written);
-    rec.set(Ctr::HistLinesRead, hist_stats.lines_read);
-    rec.set(Ctr::HistCycles, hist_cycles);
-    rec.set(Ctr::ScatterCycles, scatter_cycles);
-    // Port classification: grants and synthesized stalls, remainder idle
-    // (the batched model has no FIFO-credit throttling).
-    rec.set(Ctr::RdBusy, total_lines);
-    rec.set(Ctr::RdStall, rd_stall);
-    rec.set(Ctr::RdIdle, scatter_cycles - total_lines - rd_stall);
-    rec.set(Ctr::WrBusy, lines_written);
-    rec.set(Ctr::WrStall, wr_stall);
-    rec.set(Ctr::WrIdle, scatter_cycles - lines_written - wr_stall);
-    rec.set(Ctr::HistRdBusy, hist_stats.lines_read);
-    rec.set(Ctr::HistRdStall, hist_stats.read_stall_cycles);
-    rec.set(
-        Ctr::HistRdIdle,
-        hist_cycles - hist_stats.lines_read - hist_stats.read_stall_cycles,
-    );
-    rec.set(Ctr::RrIdleCycles, scatter_cycles - lines_written);
-    rec.set(Ctr::CombTuplesIn, tuples_consumed);
-    rec.set(Ctr::CombLinesOut, lines_written - flush_lines);
-    rec.set(Ctr::CombFlushLines, flush_lines);
-    rec.set(Ctr::CombFlushDummies, padding_slots);
-    rec.set(Ctr::Fwd1dHits, forward_hits.0);
-    rec.set(Ctr::Fwd2dHits, forward_hits.1);
-    rec.set(Ctr::WbLinesEmitted, lines_written);
-    // One fill-rate read+write per combined tuple, one extra write per
-    // flushed partial line; one count read+write per emitted line —
-    // exactly what the ticked BRAMs tally.
-    rec.set(Ctr::FillBramReads, tuples_consumed);
-    rec.set(Ctr::FillBramWrites, tuples_consumed + flush_lines);
-    rec.set(Ctr::CountBramReads, lines_written);
-    rec.set(Ctr::CountBramWrites, lines_written);
-    rec.set(Ctr::EpCacheHits, 0);
-    rec.set(Ctr::EpCacheMisses, total_lines);
-    qpi.record_into(&mut rec.counters);
-    pagetable.record_into(&mut rec.counters);
-
-    let report = RunReport {
-        mode: cfg.mode_label(),
-        tuples: n as u64,
-        hist_cycles,
-        scatter_cycles,
-        clock_hz: qpi_cfg.clock_hz,
-        qpi,
-        padding_slots,
-        lane_fifo_high_water: 0,
-        forward_hits,
-        translations: pagetable.translations(),
-        pt_retries: pagetable.retries_total(),
-        timeline,
+    for (ctr, v) in [
+        (Ctr::WbLinesEmitted, lines_written),
+        (Ctr::FillBramReads, tuples_consumed),
+        (Ctr::FillBramWrites, tuples_consumed + flush_lines),
+        (Ctr::CountBramReads, lines_written),
+        (Ctr::CountBramWrites, lines_written),
+    ] {
+        rec.set(ctr, v);
+    }
+    let totals = RunTotals {
+        tuples_in: n as u64,
+        tuples_out: out.total_valid() as u64,
+        input_lines: total_lines,
+        tuple_lines,
+        lines_written,
+        hist: hist.map_or_else(PassTotals::default, |h| h.pass),
+        scatter,
+        combiners: CombinerStats {
+            tuples_in: tuples_consumed,
+            lines_out: lines_written - flush_lines,
+            flush_lines,
+            flush_dummies,
+            forward_1d_hits: forward_hits.0,
+            forward_2d_hits: forward_hits.1,
+        },
         // Streaming reads of distinct addresses: every access is a
         // compulsory miss in the 128 KB endpoint cache (Section 2.2).
-        endpoint_cache: (0, total_lines),
-        obs: rec.finish(),
+        ep_cache: (0, total_lines),
+        ports_counted: false,
     };
+    let report = RunReport::publish::<T>(cfg, qpi_cfg.clock_hz, &totals, &pagetable, rec);
     Ok((out, report))
 }
 

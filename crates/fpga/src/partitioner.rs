@@ -32,7 +32,7 @@ use fpart_types::{FpartError, Input, Line, PartitionedRelation, Result, Tuple, C
 use crate::config::{InputMode, OutputMode, PartitionerConfig, SimFidelity};
 use crate::hashmod::HashPipeline;
 use crate::writeback::{AddressedLine, PartitionExtents, WriteBack};
-use crate::writecomb::{CombinedLine, WriteCombiner};
+use crate::writecomb::{CombinedLine, CombinerStats, WriteCombiner};
 
 /// The simulated FPGA partitioner.
 ///
@@ -64,8 +64,14 @@ pub struct FpgaPartitioner {
     faults: Option<FaultInjector>,
 }
 
-/// Everything a partitioning run reports: cycle counts per phase, derived
-/// time and throughput, link statistics, padding overhead.
+/// Everything a partitioning run reports: its mode, size, per-pass
+/// cycles, clock and link statistics, and the observability snapshot.
+/// The snapshot is the one store of the run's counts: forwarding hits
+/// (`fwd_1d_hits`, `fwd_2d_hits`), page-table retries
+/// (`pt_retries_total`), endpoint-cache hits and misses and the rest are
+/// read with [`ObsSnapshot::get`]. Both fidelities build their report in
+/// one function, which copies `padding_slots` and `translations` from
+/// their counters, so neither can disagree with the snapshot.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Mode label, e.g. "HIST/RID".
@@ -80,27 +86,12 @@ pub struct RunReport {
     pub clock_hz: f64,
     /// QPI statistics summed over both passes.
     pub qpi: QpiStats,
-    /// Dummy tuple slots written by the flush.
+    /// Dummy tuple slots written by the flush: the snapshot's
+    /// [`Ctr::PaddingSlots`].
     pub padding_slots: u64,
-    /// Highest first-stage FIFO occupancy observed.
-    pub lane_fifo_high_water: usize,
-    /// Forwarding-path hits across all combiners (1d, 2d).
-    pub forward_hits: (u64, u64),
-    /// Page-table translations performed.
+    /// Page-table translations performed: the snapshot's
+    /// [`Ctr::PtTranslations`].
     pub translations: u64,
-    /// Page-table entry re-reads absorbed by transient lookup faults
-    /// (non-zero only under fault injection; the retries are internal and
-    /// never surface as errors).
-    pub pt_retries: u64,
-    /// Periodic samples of the scatter pass: `(cycle, lines_read,
-    /// lines_written)` every [`TIMELINE_INTERVAL`] cycles — lets callers
-    /// plot link utilisation over the run (warm-up, steady state, flush).
-    pub timeline: Vec<(u64, u64, u64)>,
-    /// Endpoint-cache hits and misses for the scatter pass's reads. The
-    /// partitioner streams, so the 128 KB two-way cache essentially never
-    /// hits — the same fact that makes FPGA-socket snoops expensive
-    /// (Section 2.2).
-    pub endpoint_cache: (u64, u64),
     /// Observability snapshot: always present — end-of-run totals are
     /// published even at [`fpart_obs::ObsLevel::Off`], so the
     /// `fpart_obs::asserts` conservation laws can run on every report.
@@ -109,8 +100,38 @@ pub struct RunReport {
     pub obs: ObsSnapshot,
 }
 
-/// Cycles between timeline samples in [`RunReport::timeline`].
+/// Cycles between the cycle-accurate scatter pass's `scatter/interval`
+/// trace events, each carrying the lines read plus written so far — the
+/// link utilisation over the run (warm-up, steady state, flush).
 pub const TIMELINE_INTERVAL: u64 = 4096;
+
+/// One pass's length and link statistics.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PassTotals {
+    pub(crate) cycles: u64,
+    pub(crate) qpi: QpiStats,
+}
+
+/// A finished run's end-of-run totals, as either fidelity measures them:
+/// what [`RunReport::publish`] turns into the counter set.
+pub(crate) struct RunTotals {
+    pub(crate) tuples_in: u64,
+    /// Valid tuples written to the partitions.
+    pub(crate) tuples_out: u64,
+    pub(crate) input_lines: u64,
+    /// Expanded tuple lines entering the lane pipes.
+    pub(crate) tuple_lines: u64,
+    pub(crate) lines_written: u64,
+    pub(crate) hist: PassTotals,
+    pub(crate) scatter: PassTotals,
+    /// The write combiners' counts, summed over the lanes.
+    pub(crate) combiners: CombinerStats,
+    /// Endpoint-cache hits and misses of the scatter pass's reads.
+    pub(crate) ep_cache: (u64, u64),
+    /// Whether the recorder classified the ports cycle by cycle; if not,
+    /// [`RunReport::publish`] synthesizes the classification.
+    pub(crate) ports_counted: bool,
+}
 
 impl RunReport {
     /// Total cycles across phases.
@@ -134,14 +155,97 @@ impl RunReport {
         self.qpi.total_bytes() as f64 / self.seconds() / 1e9
     }
 
-    /// Link line-operations per cycle during the scatter pass (reads +
-    /// writes). The circuit's ceiling is 2.0 (one line in and one out per
-    /// clock); on the HARP link the QPI token bucket caps it well below.
+    /// Link line-operations (both passes' reads and writes) per cycle of
+    /// the whole run, [`RunReport::total_cycles`]. The circuit's ceiling
+    /// is 2.0 (one line in and one out per clock); on the HARP link the
+    /// QPI token bucket caps it well below.
     pub fn lines_per_cycle(&self) -> f64 {
-        if self.scatter_cycles == 0 {
+        if self.total_cycles() == 0 {
             return 0.0;
         }
         (self.qpi.lines_read + self.qpi.lines_written) as f64 / self.total_cycles() as f64
+    }
+
+    /// Publish a finished run's totals `t` and page-table counts into
+    /// `rec` and freeze it into the run's report: the one place either
+    /// fidelity builds a `RunReport`. What differs between the fidelities
+    /// (the BRAM tallies, the per-cycle counters) is in `rec` already.
+    pub(crate) fn publish<T: Tuple>(
+        cfg: &PartitionerConfig,
+        clock_hz: f64,
+        t: &RunTotals,
+        pagetable: &PageTable,
+        mut rec: Recorder,
+    ) -> RunReport {
+        let (hist, scatter, comb) = (&t.hist, &t.scatter, &t.combiners);
+        for (ctr, v) in [
+            (Ctr::Lanes, T::LANES as u64),
+            (Ctr::Partitions, cfg.partitions() as u64),
+            (Ctr::TuplesIn, t.tuples_in),
+            (Ctr::TuplesOut, t.tuples_out),
+            (Ctr::InputLines, t.input_lines),
+            (Ctr::TupleLines, t.tuple_lines),
+            (Ctr::LinesWritten, t.lines_written),
+            (Ctr::HistLinesRead, hist.qpi.lines_read),
+            (Ctr::HistCycles, hist.cycles),
+            (Ctr::ScatterCycles, scatter.cycles),
+            (Ctr::CombTuplesIn, comb.tuples_in),
+            (Ctr::CombLinesOut, comb.lines_out),
+            (Ctr::CombFlushLines, comb.flush_lines),
+            (Ctr::CombFlushDummies, comb.flush_dummies),
+            (Ctr::PaddingSlots, comb.flush_dummies),
+            (Ctr::Fwd1dHits, comb.forward_1d_hits),
+            (Ctr::Fwd2dHits, comb.forward_2d_hits),
+            (Ctr::EpCacheHits, t.ep_cache.0),
+            (Ctr::EpCacheMisses, t.ep_cache.1),
+        ] {
+            rec.set(ctr, v);
+        }
+        if !t.ports_counted {
+            // Port synthesis: one grant per line, one stall per endpoint
+            // denial (credit or replay window), the rest idle. Scatter
+            // replay stalls go to the read port up to its idle headroom,
+            // the remainder to the write port; the per-cycle attempts
+            // argument keeps every port within its pass's cycles.
+            let (h, s) = (&hist.qpi, &scatter.qpi);
+            let hist_stall = h.read_stall_cycles + h.replay_stall_cycles;
+            let rd_headroom = scatter.cycles - s.lines_read - s.read_stall_cycles;
+            let rd_replay = s.replay_stall_cycles.min(rd_headroom);
+            let wr_stall = s.write_stall_cycles + s.replay_stall_cycles - rd_replay;
+            for (ctr, v) in [
+                (Ctr::HistRdBusy, h.lines_read),
+                (Ctr::HistRdStall, hist_stall),
+                (Ctr::HistRdIdle, hist.cycles - h.lines_read - hist_stall),
+                (Ctr::RdBusy, s.lines_read),
+                (Ctr::RdStall, s.read_stall_cycles + rd_replay),
+                (Ctr::RdIdle, rd_headroom - rd_replay),
+                (Ctr::WrBusy, s.lines_written),
+                (Ctr::WrStall, wr_stall),
+                (Ctr::WrIdle, scatter.cycles - s.lines_written - wr_stall),
+                (
+                    Ctr::RrIdleCycles,
+                    scatter.cycles - comb.lines_out - comb.flush_lines,
+                ),
+            ] {
+                rec.set(ctr, v);
+            }
+        }
+        let mut qpi = scatter.qpi;
+        qpi.accumulate(&hist.qpi);
+        qpi.record_into(&mut rec.counters);
+        pagetable.record_into(&mut rec.counters);
+        let obs = rec.finish();
+        RunReport {
+            mode: cfg.mode_label(),
+            tuples: t.tuples_in,
+            hist_cycles: hist.cycles,
+            scatter_cycles: scatter.cycles,
+            clock_hz,
+            qpi,
+            padding_slots: obs.get(Ctr::PaddingSlots),
+            translations: obs.get(Ctr::PtTranslations),
+            obs,
+        }
     }
 }
 
@@ -261,7 +365,7 @@ impl FpgaPartitioner {
         let parts = self.config.partitions();
         if self.fast_path_active() {
             let pass = crate::fastpath::histogram_pass(&self.config, &self.qpi, &input);
-            return Ok((pass.totals, pass.cycles));
+            return Ok((pass.totals, pass.pass.cycles));
         }
         let mut rec = Recorder::new(self.config.obs);
         let pass = HistogramPass::run::<T>(
@@ -274,7 +378,7 @@ impl FpgaPartitioner {
         let hist = (0..parts)
             .map(|p| pass.lane_hists.iter().map(|h| h[p]).sum())
             .collect();
-        Ok((hist, pass.cycles))
+        Ok((hist, pass.totals.cycles))
     }
 
     /// Whether this run takes the batched fast path: the configuration
@@ -299,7 +403,7 @@ impl FpgaPartitioner {
         }
 
         // Phase 1 (HIST only): build per-lane histograms.
-        let (extents, hist_cycles, hist_stats, valid_hint) = match self.config.output {
+        let (extents, hist, valid_hint) = match self.config.output {
             OutputMode::Hist => {
                 let pass = HistogramPass::run::<T>(
                     &self.config,
@@ -320,20 +424,15 @@ impl FpgaPartitioner {
                     .collect();
                 (
                     PartitionExtents::from_lines(lines),
-                    pass.cycles,
-                    pass.qpi_stats,
+                    pass.totals,
                     Some(valid),
                 )
             }
             OutputMode::Pad { padding } => {
                 let cap_tuples = padding.capacity(n, parts, T::LANES);
                 let cap_lines = cap_tuples.div_ceil(T::LANES) as u64;
-                (
-                    PartitionExtents::fixed(parts, cap_lines),
-                    0,
-                    QpiStats::default(),
-                    None,
-                )
+                let extents = PartitionExtents::fixed(parts, cap_lines);
+                (extents, PassTotals::default(), None)
             }
         };
 
@@ -360,35 +459,12 @@ impl FpgaPartitioner {
             input,
             self.faults.as_ref(),
         );
-        let scatter = engine.run(&mut out, &mut pagetable, &mut rec)?;
-
-        let mut qpi = scatter.qpi_stats;
-        qpi.accumulate(&hist_stats);
-
-        // Publish run-level totals into the recorder (exact at every
-        // observability level) and freeze the snapshot.
-        rec.set(Ctr::Lanes, T::LANES as u64);
-        rec.set(Ctr::Partitions, parts as u64);
-        rec.set(Ctr::TuplesIn, n as u64);
-        qpi.record_into(&mut rec.counters);
-        pagetable.record_into(&mut rec.counters);
-
-        let report = RunReport {
-            mode: self.config.mode_label(),
-            tuples: n as u64,
-            hist_cycles,
-            scatter_cycles: scatter.cycles,
-            clock_hz: self.qpi.clock_hz,
-            qpi,
-            padding_slots: scatter.padding_slots,
-            lane_fifo_high_water: scatter.lane_fifo_high_water,
-            forward_hits: scatter.forward_hits,
-            translations: pagetable.translations(),
-            pt_retries: pagetable.retries_total(),
-            timeline: scatter.timeline,
-            endpoint_cache: scatter.endpoint_cache,
-            obs: rec.finish(),
+        let totals = RunTotals {
+            hist,
+            ..engine.run(&mut out, &mut pagetable, &mut rec)?
         };
+        let report =
+            RunReport::publish::<T>(&self.config, self.qpi.clock_hz, &totals, &pagetable, rec);
         Ok((out, report))
     }
 }
@@ -420,8 +496,7 @@ pub(crate) fn build_pagetable<T: Tuple>(
 /// Result of the histogram pass.
 struct HistogramPass {
     lane_hists: Vec<Vec<u64>>,
-    cycles: u64,
-    qpi_stats: QpiStats,
+    totals: PassTotals,
 }
 
 impl HistogramPass {
@@ -522,39 +597,13 @@ impl HistogramPass {
             }
         }
 
-        let qpi_stats = qpi.stats();
-        rec.set(Ctr::HistCycles, cycles);
-        rec.set(Ctr::HistLinesRead, qpi_stats.lines_read);
-        if !rec.on() {
-            // Synthesize the port classification from end-of-run totals:
-            // one grant per fetched line, one stall per endpoint denial
-            // (credit or replay window), the rest idle. The attempts
-            // argument guarantees busy + stall <= cycles.
-            let busy = qpi_stats.lines_read;
-            let stall = qpi_stats.read_stall_cycles + qpi_stats.replay_stall_cycles;
-            rec.set(Ctr::HistRdBusy, busy);
-            rec.set(Ctr::HistRdStall, stall);
-            rec.set(Ctr::HistRdIdle, cycles - busy - stall);
-        }
-        rec.event(cycles, "hist", "pass_end", qpi_stats.lines_read);
-
+        let qpi = qpi.stats();
+        rec.event(cycles, "hist", "pass_end", qpi.lines_read);
         Ok(Self {
             lane_hists,
-            cycles,
-            qpi_stats,
+            totals: PassTotals { cycles, qpi },
         })
     }
-}
-
-/// Result of the scatter pass.
-struct ScatterResult {
-    cycles: u64,
-    qpi_stats: QpiStats,
-    padding_slots: u64,
-    lane_fifo_high_water: usize,
-    forward_hits: (u64, u64),
-    timeline: Vec<(u64, u64, u64)>,
-    endpoint_cache: (u64, u64),
 }
 
 /// The full-pipeline engine of Figure 5.
@@ -626,7 +675,7 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
         out: &mut PartitionedRelation<T>,
         pagetable: &mut PageTable,
         rec: &mut Recorder,
-    ) -> Result<ScatterResult> {
+    ) -> Result<RunTotals> {
         let total_lines = self.input.input_lines();
         let expansion = self.input.expansion();
         let mut read_cursor = 0usize;
@@ -637,7 +686,6 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
         let mut flushing = false;
         let mut lines_written: Vec<u64> = vec![0; out.num_partitions()];
         let mut valid_written: Vec<u64> = vec![0; out.num_partitions()];
-        let mut timeline: Vec<(u64, u64, u64)> = Vec::new();
         let mut tuple_lines = 0u64;
 
         loop {
@@ -648,7 +696,6 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
             }
             if cycles.is_multiple_of(TIMELINE_INTERVAL) {
                 let s = self.qpi.stats();
-                timeline.push((cycles, s.lines_read, s.lines_written));
                 rec.event(
                     cycles,
                     "scatter",
@@ -824,99 +871,31 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
             );
         }
 
-        let padding_slots = self.combiners.iter().map(|c| c.stats().flush_dummies).sum();
-        let forward_hits = self.combiners.iter().fold((0, 0), |acc, c| {
-            let s = c.stats();
-            (acc.0 + s.forward_1d_hits, acc.1 + s.forward_2d_hits)
-        });
-
-        self.publish_totals(rec, cycles, tuple_lines, &lines_written, &valid_written);
-        rec.event(cycles, "scatter", "pass_end", lines_written.iter().sum());
-
-        Ok(ScatterResult {
-            cycles,
-            qpi_stats: self.qpi.stats(),
-            padding_slots,
-            lane_fifo_high_water: self
-                .lane_fifos
-                .iter()
-                .map(Fifo::high_water)
-                .max()
-                .unwrap_or(0),
-            forward_hits,
-            timeline,
-            endpoint_cache: (self.endpoint_cache.hits(), self.endpoint_cache.misses()),
-        })
-    }
-
-    /// Publish scatter-side end-of-run totals into the recorder; when
-    /// per-cycle counting was off, synthesize the port classification
-    /// from the endpoint's own totals so the conservation laws still
-    /// have exact values to check.
-    fn publish_totals(
-        &self,
-        rec: &mut Recorder,
-        cycles: u64,
-        tuple_lines: u64,
-        lines_written: &[u64],
-        valid_written: &[u64],
-    ) {
-        let total_lines = self.input.input_lines() as u64;
-        let written: u64 = lines_written.iter().sum();
-        let valid: u64 = valid_written.iter().sum();
-        rec.set(Ctr::ScatterCycles, cycles);
-        rec.set(Ctr::InputLines, total_lines);
-        rec.set(Ctr::TupleLines, tuple_lines);
-        rec.set(Ctr::LinesWritten, written);
-        rec.set(Ctr::TuplesOut, valid);
+        // The circuit's own tallies; `RunReport::publish` adds the rest.
         rec.set(Ctr::WbLinesEmitted, self.writeback.lines_emitted());
-        rec.set(Ctr::EpCacheHits, self.endpoint_cache.hits());
-        rec.set(Ctr::EpCacheMisses, self.endpoint_cache.misses());
         self.writeback.record_bram_into(&mut rec.counters);
-
-        let mut comb_tuples = 0u64;
-        let mut comb_lines = 0u64;
-        let mut flush_lines = 0u64;
-        let mut flush_dummies = 0u64;
-        let mut fwd = (0u64, 0u64);
+        let mut combiners = CombinerStats::default();
         for c in &self.combiners {
-            let s = c.stats();
-            comb_tuples += s.tuples_in;
-            comb_lines += s.lines_out;
-            flush_lines += s.flush_lines;
-            flush_dummies += s.flush_dummies;
-            fwd.0 += s.forward_1d_hits;
-            fwd.1 += s.forward_2d_hits;
+            combiners.accumulate(&c.stats());
             c.record_bram_into(&mut rec.counters);
         }
-        rec.set(Ctr::CombTuplesIn, comb_tuples);
-        rec.set(Ctr::CombLinesOut, comb_lines);
-        rec.set(Ctr::CombFlushLines, flush_lines);
-        rec.set(Ctr::CombFlushDummies, flush_dummies);
-        rec.set(Ctr::PaddingSlots, flush_dummies);
-        rec.set(Ctr::Fwd1dHits, fwd.0);
-        rec.set(Ctr::Fwd2dHits, fwd.1);
-
-        if !rec.on() {
-            // Port synthesis. Replay-window stalls are attributed to the
-            // read port first (up to its idle headroom), remainder to the
-            // write port — the per-cycle attempts argument guarantees
-            // both ports stay within `cycles`.
-            let s = self.qpi.stats();
-            let rd_headroom = cycles - s.lines_read - s.read_stall_cycles;
-            let rd_replay = s.replay_stall_cycles.min(rd_headroom);
-            let wr_replay = s.replay_stall_cycles - rd_replay;
-            rec.set(Ctr::RdBusy, s.lines_read);
-            rec.set(Ctr::RdStall, s.read_stall_cycles + rd_replay);
-            rec.set(Ctr::RdIdle, rd_headroom - rd_replay);
-            rec.set(Ctr::WrBusy, s.lines_written);
-            rec.set(Ctr::WrStall, s.write_stall_cycles + wr_replay);
-            rec.set(
-                Ctr::WrIdle,
-                cycles - s.lines_written - s.write_stall_cycles - wr_replay,
-            );
-            rec.set(Ctr::RrIdleCycles, cycles - comb_lines - flush_lines);
-        }
+        let lines_written = lines_written.iter().sum();
+        rec.event(cycles, "scatter", "pass_end", lines_written);
+        Ok(RunTotals {
+            tuples_in: self.input.len() as u64,
+            tuples_out: valid_written.iter().sum(),
+            input_lines: total_lines as u64,
+            tuple_lines,
+            lines_written,
+            hist: PassTotals::default(),
+            scatter: PassTotals {
+                cycles,
+                qpi: self.qpi.stats(),
+            },
+            combiners,
+            ep_cache: (self.endpoint_cache.hits(), self.endpoint_cache.misses()),
+            ports_counted: rec.on(),
+        })
     }
 }
 
@@ -1213,8 +1192,8 @@ mod tests {
             rep_faulty.total_cycles() > rep_clean.total_cycles(),
             "replays cost cycles"
         );
-        assert_eq!(rep_faulty.pt_retries, 2);
-        assert_eq!(rep_clean.pt_retries, 0);
+        assert_eq!(rep_faulty.obs.get(Ctr::PtRetriesTotal), 2);
+        assert_eq!(rep_clean.obs.get(Ctr::PtRetriesTotal), 0);
     }
 
     #[test]

@@ -62,6 +62,19 @@ pub struct CombinerStats {
     pub forward_2d_hits: u64,
 }
 
+impl CombinerStats {
+    /// Add another combiner's counts onto these (the circuit reports one
+    /// total over its `LANES` combiners).
+    pub fn accumulate(&mut self, other: &CombinerStats) {
+        self.tuples_in += other.tuples_in;
+        self.lines_out += other.lines_out;
+        self.flush_lines += other.flush_lines;
+        self.flush_dummies += other.flush_dummies;
+        self.forward_1d_hits += other.forward_1d_hits;
+        self.forward_2d_hits += other.forward_2d_hits;
+    }
+}
+
 /// One write combiner instance (the circuit has `LANES` of them).
 #[derive(Debug)]
 pub struct WriteCombiner<T: Tuple> {

@@ -502,11 +502,12 @@ fn hist_line_accounting_matches_pad_counters() {
     let pad = batched_runs(ROOMY_PAD);
     for ((h_label, _, h), (p_label, _, p)) in hist.iter().zip(&pad) {
         let label = format!("{h_label} vs {p_label}");
-        assert!(
-            h.forward_hits.0 + h.forward_hits.1 > 0,
-            "{label}: skew hits"
-        );
-        assert_eq!(h.forward_hits, p.forward_hits, "{label}: forwarding hits");
+        let fwd = |r: &RunReport| {
+            use fpart_obs::Ctr::{Fwd1dHits, Fwd2dHits};
+            (r.obs.get(Fwd1dHits), r.obs.get(Fwd2dHits))
+        };
+        assert!(fwd(h).0 + fwd(h).1 > 0, "{label}: skew hits");
+        assert_eq!(fwd(h), fwd(p), "{label}: forwarding hits");
         assert_eq!(h.padding_slots, p.padding_slots, "{label}: padding slots");
         for ctr in [fpart_obs::Ctr::CombLinesOut, fpart_obs::Ctr::CombFlushLines] {
             assert_eq!(h.obs.get(ctr), p.obs.get(ctr), "{label}: {}", ctr.name());

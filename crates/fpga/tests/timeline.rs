@@ -2,16 +2,18 @@
 
 use fpart_datagen::KeyDistribution;
 use fpart_fpga::partitioner::TIMELINE_INTERVAL;
-use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig};
+use fpart_fpga::{FpgaPartitioner, InputMode, ObsLevel, OutputMode, PartitionerConfig, RunReport};
 use fpart_hash::PartitionFn;
 use fpart_hwsim::QpiConfig;
+use fpart_obs::Ctr;
 use fpart_types::{Relation, Tuple8};
 
-fn run(n: usize, unlimited: bool) -> fpart_fpga::RunReport {
+fn run(n: usize, unlimited: bool, obs: ObsLevel) -> RunReport {
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits: 6 },
         ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
-    };
+    }
+    .with_obs(obs);
     let p = if unlimited {
         FpgaPartitioner::with_qpi(config, QpiConfig::unlimited(200e6))
     } else {
@@ -22,30 +24,38 @@ fn run(n: usize, unlimited: bool) -> fpart_fpga::RunReport {
     p.partition(&rel).expect("partition").1
 }
 
+/// The `(cycle, lines read + written)` samples of a traced run's scatter
+/// pass, one per `scatter/interval` event.
+fn timeline(report: &RunReport) -> Vec<(u64, u64)> {
+    (report.obs.events.iter())
+        .filter(|e| e.stage == "scatter" && e.event == "interval")
+        .map(|e| (e.cycle, e.value))
+        .collect()
+}
+
 #[test]
 fn timeline_samples_are_monotone() {
-    let report = run(400_000, false);
+    let timeline = timeline(&run(400_000, false, ObsLevel::Trace));
     assert!(
-        report.timeline.len() >= 2,
+        timeline.len() >= 2,
         "a 50k-line run spans several sample intervals"
     );
-    for w in report.timeline.windows(2) {
-        let (c0, r0, w0) = w[0];
-        let (c1, r1, w1) = w[1];
+    for w in timeline.windows(2) {
+        let ((c0, l0), (c1, l1)) = (w[0], w[1]);
         assert_eq!(c1 - c0, TIMELINE_INTERVAL);
-        assert!(r1 >= r0 && w1 >= w0, "counters are monotone");
+        assert!(l1 >= l0, "counters are monotone");
     }
 }
 
 #[test]
 fn steady_state_rate_matches_aggregate() {
-    let report = run(400_000, false);
+    let report = run(400_000, false, ObsLevel::Trace);
+    let timeline = timeline(&report);
     // Instantaneous line rate over the middle of the run ≈ the aggregate
     // lines_per_cycle (no long warm-up or tail at this size).
-    let mid = report.timeline.len() / 2;
-    let (c0, r0, w0) = report.timeline[mid - 1];
-    let (c1, r1, w1) = report.timeline[mid];
-    let inst = ((r1 - r0) + (w1 - w0)) as f64 / (c1 - c0) as f64;
+    let mid = timeline.len() / 2;
+    let ((c0, l0), (c1, l1)) = (timeline[mid - 1], timeline[mid]);
+    let inst = (l1 - l0) as f64 / (c1 - c0) as f64;
     let agg = report.lines_per_cycle();
     assert!(
         (inst - agg).abs() / agg < 0.35,
@@ -56,7 +66,7 @@ fn steady_state_rate_matches_aggregate() {
 #[test]
 fn unlimited_link_reaches_two_lines_per_cycle() {
     // The stall-free ceiling: one line in and one out per clock.
-    let report = run(400_000, true);
+    let report = run(400_000, true, ObsLevel::Off);
     let lpc = report.lines_per_cycle();
     assert!(
         lpc > 1.8,
@@ -67,7 +77,7 @@ fn unlimited_link_reaches_two_lines_per_cycle() {
 #[test]
 fn qpi_bound_run_is_link_limited() {
     // On the HARP link B(1) = 6.97 GB/s at 200 MHz ⇒ ~0.545 lines/cycle.
-    let report = run(400_000, false);
+    let report = run(400_000, false, ObsLevel::Off);
     let lpc = report.lines_per_cycle();
     assert!(
         (0.40..0.70).contains(&lpc),
@@ -80,8 +90,9 @@ fn endpoint_cache_never_hits_on_streaming_reads() {
     // The 128 KB endpoint cache is useless for a streaming partitioner —
     // the observation behind Section 2.2's "any cache-line that is
     // snooped on the FPGA socket is most likely not found".
-    let report = run(200_000, false);
-    let (hits, misses) = report.endpoint_cache;
+    let report = run(200_000, false, ObsLevel::Off);
+    let hits = report.obs.get(Ctr::EpCacheHits);
+    let misses = report.obs.get(Ctr::EpCacheMisses);
     assert_eq!(hits, 0, "streaming reads must not hit");
     assert_eq!(misses, report.qpi.lines_read, "every read missed");
 }

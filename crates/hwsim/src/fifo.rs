@@ -1,4 +1,4 @@
-//! Bounded FIFOs with occupancy statistics.
+//! Bounded FIFOs.
 //!
 //! In the simulated circuit a FIFO's free-slot count is the backpressure
 //! signal: upstream producers only act when `free_slots() > 0`, exactly
@@ -27,8 +27,6 @@ use std::collections::VecDeque;
 pub struct Fifo<T> {
     items: VecDeque<T>,
     capacity: usize,
-    high_water: usize,
-    total_pushed: u64,
 }
 
 impl<T> Fifo<T> {
@@ -41,8 +39,6 @@ impl<T> Fifo<T> {
         Self {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            high_water: 0,
-            total_pushed: 0,
         }
     }
 
@@ -85,8 +81,6 @@ impl<T> Fifo<T> {
             return Err(item);
         }
         self.items.push_back(item);
-        self.total_pushed += 1;
-        self.high_water = self.high_water.max(self.items.len());
         Ok(())
     }
 
@@ -100,18 +94,6 @@ impl<T> Fifo<T> {
     #[inline]
     pub fn peek(&self) -> Option<&T> {
         self.items.front()
-    }
-
-    /// Largest occupancy ever observed (sizing aid).
-    #[inline]
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Total items ever pushed.
-    #[inline]
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
     }
 }
 
@@ -139,19 +121,6 @@ mod tests {
         assert_eq!(f.push("b"), Err("b"));
         assert_eq!(f.pop(), Some("a"));
         f.push("b").unwrap();
-    }
-
-    #[test]
-    fn stats_track_high_water_and_throughput() {
-        let mut f = Fifo::new(8);
-        for i in 0..5 {
-            f.push(i).unwrap();
-        }
-        f.pop();
-        f.pop();
-        f.push(9).unwrap();
-        assert_eq!(f.high_water(), 5);
-        assert_eq!(f.total_pushed(), 6);
     }
 
     #[test]

@@ -91,11 +91,6 @@ fn run_and_check(
         "{label}: translations"
     );
     assert_eq!(
-        (c(Ctr::Fwd1dHits), c(Ctr::Fwd2dHits)),
-        report.forward_hits,
-        "{label}: forward hits"
-    );
-    assert_eq!(
         c(Ctr::QpiLinesRead),
         report.qpi.lines_read,
         "{label}: qpi lines_read"
