@@ -1,352 +1,381 @@
-//! Hand-rolled argument parsing (no CLI dependency; the surface is
-//! small and the parser is fully unit-tested).
+//! Hand-rolled argument parsing (no CLI dependency). One table,
+//! [`FLAGS`], states every flag once: the commands that take it, its
+//! value, its default and its help. The help text, the unknown-flag
+//! check, the switches and every default are read from it; [`parse`]
+//! then validates each value and builds the command's argument struct.
 
 use fpart::fpga::MAX_BRAM_BITS;
 use fpart::prelude::*;
 use fpart_costmodel::ModePair;
 
-/// Usage reference printed on parse errors and by `fpart help`.
-pub const USAGE: &str = "\
-fpart <command> [flags]
+/// Every command and what it does, in help order.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str)] = &[
+    ("gen", "generate a relation and write it to a file"),
+    ("partition", "partition a generated relation and report throughput"),
+    ("join", "run a Table 4 join workload"),
+    ("dist", "run a distributed join across a simulated cluster"),
+    ("select", "run the streaming selection accelerator (simulated)"),
+    ("groupby", "run the FPGA aggregating-cache group-by (simulated)"),
+    ("sort", "sort a generated relation via partitioning"),
+    ("model", "print the Section 4.6 analytical prediction"),
+    ("plan", "explain what the engine planner would pick for a relation"),
+    ("faults", "sweep fault-injection points through the degradation chain"),
+    ("trace", "run one simulated partitioning and dump its observability snapshot"),
+    ("help", "show this text"),
+];
 
-commands:
-  gen         generate a relation and write it to a file
-  partition   partition a generated relation and report throughput
-  join        run a Table 4 join workload
-  dist        run a distributed join across a simulated cluster
-  select      run the streaming selection accelerator (simulated)
-  groupby     run the FPGA aggregating-cache group-by (simulated)
-  sort        sort a generated relation via partitioning
-  model       print the Section 4.6 analytical prediction
-  plan        explain what the engine planner would pick for a relation
-  faults      sweep fault-injection points through the degradation chain
-  trace       run one simulated partitioning and dump its observability snapshot
-  help        show this text
+/// One row of [`FLAGS`].
+struct Flag {
+    /// The flag without its `--`.
+    name: &'static str,
+    /// The commands that take the flag with this row's default.
+    commands: &'static [&'static str],
+    /// The value placeholder; empty for a switch.
+    value: &'static str,
+    /// The default as printed; empty when the flag is optional or required.
+    default: &'static str,
+    help: &'static str,
+}
 
-common flags:
-  --n <tuples>          relation size (partition/sort; default 1000000)
-  --dist <d>            linear|random|grid|revgrid (default random)
-  --seed <s>            data seed (default 42)
-  --threads <t>         worker threads (default: all cores)
-  --bits <b>            partition bits, 1..=20 (default 13 = 8192 partitions)
+/// The printed default of `--threads`, which the parser computes.
+const ALL_CORES: &str = "all cores";
 
-gen flags:
-  --out <file>          destination (.csv suffix → CSV, else FPRT binary)
+/// Every flag of every command. A flag whose default differs between
+/// commands has one row per default.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "n",          commands: &["gen", "partition", "select", "groupby", "sort", "plan"], value: "tuples", default: "1000000",   help: "relation size" },
+    Flag { name: "n",          commands: &["faults", "trace"],                                       value: "tuples", default: "65536",     help: "relation size" },
+    Flag { name: "n",          commands: &["model"],                                                 value: "tuples", default: "128000000", help: "relation size" },
+    Flag { name: "dist",       commands: &["gen", "partition", "sort", "plan", "faults", "trace"],   value: "d",      default: "random",    help: "linear|random|grid|revgrid" },
+    Flag { name: "seed",       commands: &["gen", "partition", "join", "dist", "select", "groupby", "sort", "plan", "faults", "trace"], value: "s",      default: "42",        help: "data seed" },
+    Flag { name: "threads",    commands: &["partition", "join", "dist", "sort", "plan", "faults"],   value: "t",      default: ALL_CORES,   help: "worker threads" },
+    Flag { name: "bits",       commands: &["partition", "join", "plan"],                             value: "b",      default: "13",        help: "partition bits, 1..=20; 2^b partitions" },
+    Flag { name: "bits",       commands: &["dist"],                                                  value: "b",      default: "8",         help: "partition bits, 1..=20; 2^b partitions" },
+    Flag { name: "bits",       commands: &["faults", "trace"],                                       value: "b",      default: "6",         help: "partition bits, 1..=20; 2^b partitions" },
+    Flag { name: "out",        commands: &["gen"],                                                   value: "file",   default: "",          help: "destination, required (.csv suffix → CSV, else FPRT binary)" },
+    Flag { name: "in",         commands: &["partition"],                                             value: "file",   default: "",          help: "read the relation from a file instead of generating" },
+    Flag { name: "backend",    commands: &["partition"],                                             value: "b",      default: "cpu",       help: "cpu|fpga" },
+    Flag { name: "backend",    commands: &["join"],                                                  value: "b",      default: "cpu",       help: "cpu|hybrid" },
+    Flag { name: "fn",         commands: &["partition", "plan", "trace"],                            value: "f",      default: "murmur",    help: "radix|murmur" },
+    Flag { name: "mode",       commands: &["partition", "model"],                                    value: "m",      default: "pad/rid",   help: "FPGA mode: hist/rid|hist/vrid|pad/rid|pad/vrid" },
+    Flag { name: "mode",       commands: &["trace"],                                                 value: "m",      default: "hist/rid",  help: "FPGA mode: hist/rid|hist/vrid|pad/rid|pad/vrid" },
+    Flag { name: "workload",   commands: &["join"],                                                  value: "w",      default: "A",         help: "A|B|C|D|E" },
+    Flag { name: "scale",      commands: &["join"],                                                  value: "f",      default: "0.01",      help: "fraction of paper size" },
+    Flag { name: "scale",      commands: &["dist"],                                                  value: "f",      default: "0.005",     help: "fraction of workload A" },
+    Flag { name: "zipf",       commands: &["join"],                                                  value: "z",      default: "",          help: "skew the probe side (exponent >= 0)" },
+    Flag { name: "zipf",       commands: &["groupby"],                                               value: "z",      default: "0.5",       help: "key skew, >= 0" },
+    Flag { name: "nodes",      commands: &["dist"],                                                  value: "n",      default: "4",         help: "cluster size, power of two" },
+    Flag { name: "net",        commands: &["dist"],                                                  value: "n",      default: "ib",        help: "ib|10gbe" },
+    Flag { name: "pct",        commands: &["select"],                                                value: "p",      default: "25",        help: "predicate selectivity target in percent" },
+    Flag { name: "groups",     commands: &["groupby"],                                               value: "g",      default: "1000",      help: "distinct keys to generate" },
+    Flag { name: "cache-bits", commands: &["groupby"],                                               value: "b",      default: "",          help: "aggregating-cache size in bits, 1..=20; sized to groups when absent" },
+    Flag { name: "algo",       commands: &["sort"],                                                  value: "a",      default: "lsd",       help: "lsd|sample" },
+    Flag { name: "gbps",       commands: &["model"],                                                 value: "g",      default: "",          help: "override link bandwidth, > 0 (flat curve)" },
+    Flag { name: "hybrid",     commands: &["plan"],                                                  value: "",       default: "",          help: "let the planner consider the CPU+FPGA split engine" },
+    Flag { name: "json",       commands: &["plan"],                                                  value: "",       default: "",          help: "emit the plan explanation as JSON on stdout (stable schema)" },
+    Flag { name: "json",       commands: &["trace"],                                                 value: "",       default: "",          help: "emit the snapshot as JSON on stdout (stable schema)" },
+    Flag { name: "level",      commands: &["trace"],                                                 value: "l",      default: "trace",     help: "off|counters|trace observability level" },
+    Flag { name: "sweep",      commands: &["faults"],                                                value: "k",      default: "8",         help: "PAD-overflow injection points to sweep" },
+    Flag { name: "pad",        commands: &["faults"],                                                value: "p",      default: "64",        help: "PAD padding per partition in tuples" },
+    Flag { name: "fault-seed", commands: &["faults"],                                                value: "s",      default: "7",         help: "seed for the background fault plan" },
+    Flag { name: "qpi",        commands: &["faults"],                                                value: "q",      default: "2",         help: "QPI transients injected per pass" },
+    Flag { name: "burst",      commands: &["faults"],                                                value: "b",      default: "3",         help: "worst-case CRC replay burst length" },
+    Flag { name: "policy",     commands: &["faults"],                                                value: "p",      default: "full",      help: "full|hist|cpu|fail escalation policy" },
+];
 
-partition flags:
-  --in <file>           read the relation from a file instead of generating
-  --backend <b>         cpu|fpga (default cpu)
-  --fn <f>              radix|murmur (default murmur)
-  --mode <m>            hist/rid|hist/vrid|pad/rid|pad/vrid (fpga; default pad/rid)
+/// The row of `--name` for `cmd`, if `cmd` takes it.
+fn row(cmd: &str, name: &str) -> Option<&'static Flag> {
+    FLAGS
+        .iter()
+        .find(|f| f.name == name && f.commands.contains(&cmd))
+}
 
-join flags:
-  --workload <w>        A|B|C|D|E (default A)
-  --scale <f>           fraction of paper size (default 0.01)
-  --backend <b>         cpu|hybrid (default cpu)
-  --zipf <z>            skew the probe side (exponent >= 0)
+/// The help text, printed by `fpart help` and on parse errors: every
+/// command, then each command's flags with the defaults it uses.
+pub fn usage() -> String {
+    let mut s = String::from("fpart <command> [flags]\n\ncommands:\n");
+    for (cmd, what) in COMMANDS {
+        s.push_str(&format!("  {cmd:<11} {what}\n"));
+    }
+    for (cmd, _) in COMMANDS {
+        let mut rows = FLAGS.iter().filter(|f| f.commands.contains(cmd)).peekable();
+        if rows.peek().is_some() {
+            s.push_str(&format!("\n{cmd} flags:\n"));
+        }
+        for f in rows {
+            let name = match f.value {
+                "" => format!("--{}", f.name),
+                v => format!("--{} <{v}>", f.name),
+            };
+            let default = match f.default {
+                "" => String::new(),
+                d => format!(" (default {d})"),
+            };
+            s.push_str(&format!("  {name:<21} {}{default}\n", f.help));
+        }
+    }
+    s
+}
 
-dist flags:
-  --nodes <n>           cluster size, power of two (default 4)
-  --scale <f>           fraction of workload A (default 0.005)
-  --net <n>             ib|10gbe (default ib)
+/// `fpart gen`. Each field of an argument struct is the flag of its
+/// name in [`FLAGS`], unless its doc names another.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GenArgs {
+    pub n: usize,
+    pub dist: KeyDistribution,
+    pub seed: u64,
+    pub out: String,
+}
 
-select flags:
-  --pct <p>             predicate selectivity target in percent (default 25)
+/// `fpart partition`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionArgs {
+    /// `--in`: the file to read instead of generating.
+    pub input: Option<String>,
+    pub n: usize,
+    pub dist: KeyDistribution,
+    pub seed: u64,
+    pub threads: usize,
+    pub bits: u32,
+    pub backend: EngineChoice,
+    /// `--fn`: murmur (true) or radix.
+    pub hash: bool,
+    pub mode: ModePair,
+}
 
-groupby flags:
-  --groups <g>          distinct keys to generate (default 1000)
-  --zipf <z>            key skew, >= 0 (default 0.5)
-  --cache-bits <b>      aggregating-cache size in bits, 1..=20 (default: sized to groups)
+/// `fpart join`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinArgs {
+    pub workload: WorkloadId,
+    pub scale: f64,
+    pub backend: EngineChoice,
+    pub threads: usize,
+    pub bits: u32,
+    pub zipf: Option<f64>,
+    pub seed: u64,
+}
 
-sort flags:
-  --algo <a>            lsd|sample (default lsd)
+/// `fpart dist`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistArgs {
+    pub nodes: usize,
+    pub scale: f64,
+    pub bits: u32,
+    pub threads: usize,
+    pub seed: u64,
+    /// `--net`: InfiniBand (true) or 10 GbE.
+    pub infiniband: bool,
+}
 
-model flags:
-  --mode <m>            as above (default pad/rid)
-  --gbps <g>            override link bandwidth, > 0 (flat curve)
+/// `fpart select`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelectArgs {
+    pub n: usize,
+    pub pct: u64,
+    pub seed: u64,
+}
 
-plan flags:
-  --fn <f>              radix|murmur (default murmur)
-  --hybrid              let the planner consider the CPU+FPGA split engine
-  --json                emit the plan explanation as JSON on stdout (stable schema)
+/// `fpart groupby`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupByArgs {
+    pub n: usize,
+    pub groups: usize,
+    pub zipf: f64,
+    pub cache_bits: Option<u32>,
+    pub seed: u64,
+}
 
-trace flags:
-  --mode <m>            hist/rid|hist/vrid|pad/rid|pad/vrid (default hist/rid)
-  --fn <f>              radix|murmur (default murmur)
-  --level <l>           off|counters|trace observability level (default trace)
-  --json                emit the snapshot as JSON on stdout (stable schema)
+/// `fpart sort`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SortArgs {
+    pub n: usize,
+    pub dist: KeyDistribution,
+    pub seed: u64,
+    pub threads: usize,
+    /// `--algo`: LSD radix (true) or sample sort.
+    pub lsd: bool,
+}
 
-faults flags:
-  --sweep <k>           PAD-overflow injection points to sweep (default 8)
-  --pad <p>             PAD padding per partition in tuples (default 64)
-  --fault-seed <s>      seed for the background fault plan (default 7)
-  --qpi <q>             QPI transients injected per pass (default 2)
-  --burst <b>           worst-case CRC replay burst length (default 3)
-  --policy <p>          full|hist|cpu|fail escalation policy (default full)";
+/// `fpart model`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelArgs {
+    pub n: usize,
+    pub mode: ModePair,
+    pub gbps: Option<f64>,
+}
+
+/// `fpart plan`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanArgs {
+    pub n: usize,
+    pub dist: KeyDistribution,
+    pub seed: u64,
+    pub bits: u32,
+    pub threads: usize,
+    /// `--fn`: murmur (true) or radix.
+    pub hash: bool,
+    pub hybrid: bool,
+    pub json: bool,
+}
+
+/// `fpart faults`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultsArgs {
+    pub n: usize,
+    pub dist: KeyDistribution,
+    pub seed: u64,
+    pub threads: usize,
+    pub bits: u32,
+    pub pad: usize,
+    pub sweep: usize,
+    pub fault_seed: u64,
+    pub qpi: u32,
+    pub burst: u32,
+    /// `--policy`: retry an aborted PAD run in HIST mode.
+    pub hist_retry: bool,
+    /// `--policy`: fall back to the CPU partitioner.
+    pub cpu_fallback: bool,
+}
+
+/// `fpart trace`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceArgs {
+    pub n: usize,
+    pub dist: KeyDistribution,
+    pub seed: u64,
+    pub bits: u32,
+    /// `--fn`: murmur (true) or radix.
+    pub hash: bool,
+    pub mode: ModePair,
+    pub level: ObsLevel,
+    pub json: bool,
+}
 
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `fpart gen`.
-    Gen {
-        /// Tuples to generate.
-        n: usize,
-        /// Key distribution.
-        dist: KeyDistribution,
-        /// Seed.
-        seed: u64,
-        /// Destination path.
-        out: String,
-    },
-    /// `fpart partition`.
-    Partition {
-        /// Optional input file (overrides generation).
-        input: Option<String>,
-        /// Tuples to generate.
-        n: usize,
-        /// Key distribution.
-        dist: KeyDistribution,
-        /// Seed.
-        seed: u64,
-        /// Worker threads.
-        threads: usize,
-        /// Partition bits.
-        bits: u32,
-        /// cpu or fpga.
-        backend: EngineChoice,
-        /// radix or murmur.
-        hash: bool,
-        /// FPGA mode pair.
-        mode: ModePair,
-    },
-    /// `fpart join`.
-    Join {
-        /// Table 4 workload.
-        workload: WorkloadId,
-        /// Fraction of paper size.
-        scale: f64,
-        /// cpu or fpga (`hybrid`: the FPGA-partitioned join).
-        backend: EngineChoice,
-        /// Threads.
-        threads: usize,
-        /// Partition bits.
-        bits: u32,
-        /// Optional Zipf skew on S.
-        zipf: Option<f64>,
-        /// Seed.
-        seed: u64,
-    },
-    /// `fpart dist`.
-    Dist {
-        /// Cluster size (power of two).
-        nodes: usize,
-        /// Fraction of workload A.
-        scale: f64,
-        /// Local partition bits per node.
-        bits: u32,
-        /// Threads per local join.
-        threads: usize,
-        /// Seed.
-        seed: u64,
-        /// Use InfiniBand (true) or 10 GbE (false).
-        infiniband: bool,
-    },
-    /// `fpart select`.
-    Select {
-        /// Tuples to scan.
-        n: usize,
-        /// Selectivity target in percent.
-        pct: u64,
-        /// Seed.
-        seed: u64,
-    },
-    /// `fpart groupby`.
-    GroupBy {
-        /// Input rows.
-        n: usize,
-        /// Distinct keys.
-        groups: usize,
-        /// Zipf skew of the key stream.
-        zipf: f64,
-        /// Aggregating-cache bits (None = auto).
-        cache_bits: Option<u32>,
-        /// Seed.
-        seed: u64,
-    },
-    /// `fpart sort`.
-    Sort {
-        /// Tuples.
-        n: usize,
-        /// Distribution.
-        dist: KeyDistribution,
-        /// Seed.
-        seed: u64,
-        /// Threads.
-        threads: usize,
-        /// lsd or sample.
-        lsd: bool,
-    },
-    /// `fpart model`.
-    Model {
-        /// Tuples.
-        n: usize,
-        /// Mode pair.
-        mode: ModePair,
-        /// Optional flat link bandwidth.
-        gbps: Option<f64>,
-    },
-    /// `fpart plan`.
-    Plan {
-        /// Tuples.
-        n: usize,
-        /// Distribution.
-        dist: KeyDistribution,
-        /// Seed.
-        seed: u64,
-        /// Partition bits.
-        bits: u32,
-        /// Threads the CPU back-end would use.
-        threads: usize,
-        /// radix or murmur.
-        hash: bool,
-        /// Let the planner consider the CPU⊕FPGA split engine.
-        hybrid: bool,
-        /// Emit the explanation as JSON instead of human-readable text.
-        json: bool,
-    },
-    /// `fpart faults`.
+    Gen(GenArgs),
+    Partition(PartitionArgs),
+    Join(JoinArgs),
+    Dist(DistArgs),
+    Select(SelectArgs),
+    GroupBy(GroupByArgs),
+    Sort(SortArgs),
+    Model(ModelArgs),
+    Plan(PlanArgs),
     Faults(FaultsArgs),
-    /// `fpart trace`.
-    Trace {
-        /// Tuples.
-        n: usize,
-        /// Distribution.
-        dist: KeyDistribution,
-        /// Seed.
-        seed: u64,
-        /// Partition bits.
-        bits: u32,
-        /// radix or murmur.
-        hash: bool,
-        /// FPGA mode pair.
-        mode: ModePair,
-        /// Observability level for the run.
-        level: ObsLevel,
-        /// Emit the snapshot as JSON instead of human-readable text.
-        json: bool,
-    },
-    /// `fpart help`.
+    Trace(TraceArgs),
     Help,
 }
 
-/// The flags of `fpart faults` (bundled; the flag surface is wide).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultsArgs {
-    /// Tuples.
-    pub n: usize,
-    /// Distribution.
-    pub dist: KeyDistribution,
-    /// Data seed.
-    pub seed: u64,
-    /// Threads for the CPU reference / fallback.
-    pub threads: usize,
-    /// Partition bits.
-    pub bits: u32,
-    /// PAD padding per partition in tuples.
-    pub pad: usize,
-    /// Number of PAD-overflow injection points swept.
-    pub sweep: usize,
-    /// Seed for the background fault plan (QPI / page-table noise).
-    pub fault_seed: u64,
-    /// QPI transients injected per pass.
-    pub qpi: u32,
-    /// Worst-case CRC replay burst length.
-    pub burst: u32,
-    /// Escalation chain: retry an aborted PAD run in HIST mode.
-    pub hist_retry: bool,
-    /// Escalation chain: fall back to the CPU partitioner.
-    pub cpu_fallback: bool,
-}
-
+/// One command's flags as given, each checked against [`FLAGS`].
 struct Flags<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
+    cmd: &'a str,
+    given: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Flags<'a> {
-    fn parse(argv: &'a [String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let flag = argv[i]
+    /// Pair each flag of `cmd` with its value; a switch takes none.
+    fn parse(cmd: &'a str, argv: &'a [String]) -> Result<Self, String> {
+        let mut given = Vec::new();
+        let mut args = argv.iter();
+        while let Some(arg) = args.next() {
+            let name = arg
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got {:?}", argv[i]))?;
-            let value = argv
-                .get(i + 1)
-                .ok_or_else(|| format!("--{flag} needs a value"))?;
-            pairs.push((flag, value.as_str()));
-            i += 2;
+                .ok_or_else(|| format!("expected a --flag, got {arg:?}"))?;
+            let flag = row(cmd, name).ok_or_else(|| format!("unknown flag --{name}"))?;
+            let value = match flag.value {
+                "" => "",
+                _ => args
+                    .next()
+                    .ok_or_else(|| format!("--{name} needs a value"))?,
+            };
+            given.push((name, value));
         }
-        Ok(Self { pairs })
+        Ok(Self { cmd, given })
     }
 
+    fn given(&self, name: &str) -> Option<&'a str> {
+        self.given.iter().find(|(f, _)| *f == name).map(|(_, v)| *v)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.given(name).is_some()
+    }
+
+    /// The value given for `name`, else this command's default for it.
     fn get(&self, name: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(f, _)| *f == name).map(|(_, v)| *v)
+        let row = row(self.cmd, name)?;
+        self.given(name)
+            .or((!row.default.is_empty()).then_some(row.default))
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: bad value {v:?}")),
-        }
+    /// [`Self::get`] for a flag that has a default or is required.
+    fn value(&self, name: &str) -> Result<&'a str, String> {
+        self.get(name)
+            .ok_or_else(|| format!("{} requires --{name}", self.cmd))
+    }
+
+    /// `read(self, name)` for a flag that has a value, else `None`.
+    fn opt<T>(
+        &self,
+        name: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.get(name).map(|_| read(self, name)).transpose()
+    }
+
+    /// An enumerated value, read by one of the `parse_*` functions.
+    fn choice<T>(&self, name: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
+        parse(self.value(name)?)
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        let v = self.value(name)?;
+        v.parse().map_err(|_| format!("--{name}: bad value {v:?}"))
     }
 
     /// A count flag that must be at least 1.
-    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.num(name, default)? {
+    fn count(&self, name: &str) -> Result<usize, String> {
+        match self.num(name)? {
             0 => Err(format!("--{name} must be at least 1")),
             v => Ok(v),
         }
     }
 
-    /// An optional finite real flag: above 0 when `positive`, else at
-    /// least 0.
-    fn real(&self, name: &str, positive: bool) -> Result<Option<f64>, String> {
-        if self.get(name).is_none() {
-            return Ok(None);
+    /// `--threads`: a count, all cores when not given.
+    fn threads(&self) -> Result<usize, String> {
+        match self.given("threads") {
+            Some(_) => self.count("threads"),
+            None => Ok(std::thread::available_parallelism().map_or(1, |p| p.get())),
         }
-        let v: f64 = self.num(name, 0.0)?;
+    }
+
+    /// A finite real: above 0 when `positive`, else at least 0.
+    fn real(&self, name: &str, positive: bool) -> Result<f64, String> {
+        let v: f64 = self.num(name)?;
         if v.is_finite() && (v > 0.0 || (v == 0.0 && !positive)) {
-            Ok(Some(v))
+            Ok(v)
         } else {
             let want = if positive { "positive" } else { "non-negative" };
             Err(format!("--{name} must be a {want} number, got {v}"))
         }
     }
 
-    /// An optional log2 table size: 1 up to the FPGA's BRAM bound
+    /// A log2 table size: 1 up to the FPGA's BRAM bound
     /// ([`MAX_BRAM_BITS`]).
-    fn bits(&self, name: &str) -> Result<Option<u32>, String> {
-        if self.get(name).is_none() {
-            return Ok(None);
-        }
-        match self.num(name, 0)? {
-            b if (1..=MAX_BRAM_BITS).contains(&b) => Ok(Some(b)),
+    fn bits(&self, name: &str) -> Result<u32, String> {
+        match self.num(name)? {
+            b if (1..=MAX_BRAM_BITS).contains(&b) => Ok(b),
             b => Err(format!("--{name} must be in 1..={MAX_BRAM_BITS}, got {b}")),
         }
     }
-
-    fn unknown_check(&self, allowed: &[&str]) -> Result<(), String> {
-        for (f, _) in &self.pairs {
-            if !allowed.contains(f) {
-                return Err(format!("unknown flag --{f}"));
-            }
-        }
-        Ok(())
-    }
 }
 
-fn parse_dist(v: Option<&str>) -> Result<KeyDistribution, String> {
-    Ok(match v.unwrap_or("random") {
+fn parse_dist(v: &str) -> Result<KeyDistribution, String> {
+    Ok(match v {
         "linear" => KeyDistribution::Linear,
         "random" => KeyDistribution::Random,
         "grid" => KeyDistribution::Grid,
@@ -355,8 +384,8 @@ fn parse_dist(v: Option<&str>) -> Result<KeyDistribution, String> {
     })
 }
 
-fn parse_mode(v: Option<&str>) -> Result<ModePair, String> {
-    Ok(match v.unwrap_or("pad/rid").to_ascii_lowercase().as_str() {
+fn parse_mode(v: &str) -> Result<ModePair, String> {
+    Ok(match v.to_ascii_lowercase().as_str() {
         "hist/rid" => ModePair::HistRid,
         "hist/vrid" => ModePair::HistVrid,
         "pad/rid" => ModePair::PadRid,
@@ -365,19 +394,24 @@ fn parse_mode(v: Option<&str>) -> Result<ModePair, String> {
     })
 }
 
-/// `--backend`: `cpu` (the default) or `fpga`. `hybrid` names the
-/// paper's hybrid join — FPGA partitioning feeding CPU build+probe — so
-/// it also parses to [`EngineChoice::Fpga`].
-fn parse_backend(v: Option<&str>) -> Result<EngineChoice, String> {
+/// `--backend`: `cpu` or `fpga`. `hybrid` names the paper's hybrid join
+/// — FPGA partitioning feeding CPU build+probe — so it also parses to
+/// [`EngineChoice::Fpga`].
+fn parse_backend(v: &str) -> Result<EngineChoice, String> {
     Ok(match v {
-        None | Some("cpu") => EngineChoice::Cpu,
-        Some("fpga") | Some("hybrid") => EngineChoice::Fpga,
-        Some(other) => return Err(format!("--backend: unknown backend {other:?}")),
+        "cpu" => EngineChoice::Cpu,
+        "fpga" | "hybrid" => EngineChoice::Fpga,
+        other => return Err(format!("--backend: unknown backend {other:?}")),
     })
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+/// `--fn`: true for murmur (alias `hash`), false for radix.
+fn parse_fn(v: &str) -> Result<bool, String> {
+    match v {
+        "murmur" | "hash" => Ok(true),
+        "radix" => Ok(false),
+        other => Err(format!("--fn: unknown function {other:?}")),
+    }
 }
 
 /// Parse an argv (without the program name) into a [`Command`].
@@ -385,219 +419,140 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err("missing command".into());
     };
-    // `--json` (trace, plan) and `--hybrid` (plan) are the only
-    // valueless flags in the surface; strip them before the pair-wise
-    // parse.
-    let json = (cmd == "trace" || cmd == "plan") && rest.iter().any(|a| a == "--json");
-    let hybrid = cmd == "plan" && rest.iter().any(|a| a == "--hybrid");
-    let filtered: Vec<String>;
-    let rest: &[String] = if json || hybrid {
-        filtered = rest
-            .iter()
-            .filter(|a| *a != "--json" && *a != "--hybrid")
-            .cloned()
-            .collect();
-        &filtered
-    } else {
-        rest
+    let cmd = match cmd.as_str() {
+        "--help" | "-h" => "help",
+        c if COMMANDS.iter().any(|(name, _)| *name == c) => c,
+        other => return Err(format!("unknown command {other:?}")),
     };
-    let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "gen" => {
-            flags.unknown_check(&["n", "dist", "seed", "out"])?;
-            Ok(Command::Gen {
-                n: flags.num("n", 1_000_000)?,
-                dist: parse_dist(flags.get("dist"))?,
-                seed: flags.num("seed", 42)?,
-                out: flags
-                    .get("out")
-                    .ok_or_else(|| "gen requires --out <file>".to_string())?
-                    .to_string(),
-            })
-        }
-        "partition" => {
-            flags.unknown_check(&[
-                "n", "dist", "seed", "threads", "bits", "backend", "fn", "mode", "in",
-            ])?;
-            Ok(Command::Partition {
-                input: flags.get("in").map(str::to_string),
-                n: flags.num("n", 1_000_000)?,
-                dist: parse_dist(flags.get("dist"))?,
-                seed: flags.num("seed", 42)?,
-                threads: flags.count("threads", default_threads())?,
-                bits: flags.bits("bits")?.unwrap_or(13),
-                backend: parse_backend(flags.get("backend"))?,
-                hash: match flags.get("fn").unwrap_or("murmur") {
-                    "murmur" | "hash" => true,
-                    "radix" => false,
-                    other => return Err(format!("--fn: unknown function {other:?}")),
-                },
-                mode: parse_mode(flags.get("mode"))?,
-            })
-        }
-        "join" => {
-            flags.unknown_check(&[
-                "workload", "scale", "backend", "threads", "bits", "zipf", "seed",
-            ])?;
-            let workload = match flags.get("workload").unwrap_or("A") {
+    let flags = Flags::parse(cmd, rest)?;
+    Ok(match cmd {
+        "gen" => Command::Gen(GenArgs {
+            n: flags.num("n")?,
+            dist: flags.choice("dist", parse_dist)?,
+            seed: flags.num("seed")?,
+            out: flags.value("out")?.to_string(),
+        }),
+        "partition" => Command::Partition(PartitionArgs {
+            input: flags.get("in").map(str::to_string),
+            n: flags.num("n")?,
+            dist: flags.choice("dist", parse_dist)?,
+            seed: flags.num("seed")?,
+            threads: flags.threads()?,
+            bits: flags.bits("bits")?,
+            backend: flags.choice("backend", parse_backend)?,
+            hash: flags.choice("fn", parse_fn)?,
+            mode: flags.choice("mode", parse_mode)?,
+        }),
+        "join" => Command::Join(JoinArgs {
+            workload: match flags.value("workload")? {
                 "A" | "a" => WorkloadId::A,
                 "B" | "b" => WorkloadId::B,
                 "C" | "c" => WorkloadId::C,
                 "D" | "d" => WorkloadId::D,
                 "E" | "e" => WorkloadId::E,
                 other => return Err(format!("--workload: unknown workload {other:?}")),
-            };
-            Ok(Command::Join {
-                workload,
-                scale: flags.real("scale", true)?.unwrap_or(0.01),
-                backend: parse_backend(flags.get("backend"))?,
-                threads: flags.count("threads", default_threads())?,
-                bits: flags.bits("bits")?.unwrap_or(13),
-                zipf: flags.real("zipf", false)?,
-                seed: flags.num("seed", 42)?,
-            })
-        }
-        "dist" => {
-            flags.unknown_check(&["nodes", "scale", "bits", "threads", "seed", "net"])?;
-            let nodes: usize = flags.num("nodes", 4)?;
-            if !nodes.is_power_of_two() {
-                return Err("--nodes must be a power of two".into());
-            }
-            Ok(Command::Dist {
-                nodes,
-                scale: flags.real("scale", true)?.unwrap_or(0.005),
-                bits: flags.bits("bits")?.unwrap_or(8),
-                threads: flags.count("threads", default_threads())?,
-                seed: flags.num("seed", 42)?,
-                infiniband: match flags.get("net").unwrap_or("ib") {
-                    "ib" | "infiniband" => true,
-                    "10gbe" | "gbe" => false,
-                    other => return Err(format!("--net: unknown network {other:?}")),
-                },
-            })
-        }
-        "select" => {
-            flags.unknown_check(&["n", "pct", "seed"])?;
-            let pct: u64 = flags.num("pct", 25)?;
-            if pct > 100 {
-                return Err("--pct must be 0..=100".into());
-            }
-            Ok(Command::Select {
-                n: flags.num("n", 1_000_000)?,
-                pct,
-                seed: flags.num("seed", 42)?,
-            })
-        }
-        "groupby" => {
-            flags.unknown_check(&["n", "groups", "zipf", "cache-bits", "seed"])?;
-            Ok(Command::GroupBy {
-                n: flags.count("n", 1_000_000)?,
-                groups: flags.count("groups", 1000)?,
-                zipf: flags.real("zipf", false)?.unwrap_or(0.5),
-                cache_bits: flags.bits("cache-bits")?,
-                seed: flags.num("seed", 42)?,
-            })
-        }
-        "sort" => {
-            flags.unknown_check(&["n", "dist", "seed", "threads", "algo"])?;
-            Ok(Command::Sort {
-                n: flags.num("n", 1_000_000)?,
-                dist: parse_dist(flags.get("dist"))?,
-                seed: flags.num("seed", 42)?,
-                threads: flags.count("threads", default_threads())?,
-                lsd: match flags.get("algo").unwrap_or("lsd") {
-                    "lsd" | "radix" => true,
-                    "sample" => false,
-                    other => return Err(format!("--algo: unknown algorithm {other:?}")),
-                },
-            })
-        }
-        "model" => {
-            flags.unknown_check(&["n", "mode", "gbps"])?;
-            Ok(Command::Model {
-                n: flags.num("n", 128_000_000)?,
-                mode: parse_mode(flags.get("mode"))?,
-                gbps: flags.real("gbps", true)?,
-            })
-        }
-        "plan" => {
-            flags.unknown_check(&["n", "dist", "seed", "bits", "threads", "fn"])?;
-            Ok(Command::Plan {
-                n: flags.num("n", 1_000_000)?,
-                dist: parse_dist(flags.get("dist"))?,
-                seed: flags.num("seed", 42)?,
-                bits: flags.bits("bits")?.unwrap_or(13),
-                threads: flags.count("threads", default_threads())?,
-                hash: match flags.get("fn").unwrap_or("murmur") {
-                    "murmur" | "hash" => true,
-                    "radix" => false,
-                    other => return Err(format!("--fn: unknown function {other:?}")),
-                },
-                hybrid,
-                json,
-            })
-        }
+            },
+            scale: flags.real("scale", true)?,
+            backend: flags.choice("backend", parse_backend)?,
+            threads: flags.threads()?,
+            bits: flags.bits("bits")?,
+            zipf: flags.opt("zipf", |f, name| f.real(name, false))?,
+            seed: flags.num("seed")?,
+        }),
+        "dist" => Command::Dist(DistArgs {
+            nodes: match flags.num("nodes")? {
+                n if usize::is_power_of_two(n) => n,
+                _ => return Err("--nodes must be a power of two".into()),
+            },
+            scale: flags.real("scale", true)?,
+            bits: flags.bits("bits")?,
+            threads: flags.threads()?,
+            seed: flags.num("seed")?,
+            infiniband: match flags.value("net")? {
+                "ib" | "infiniband" => true,
+                "10gbe" | "gbe" => false,
+                other => return Err(format!("--net: unknown network {other:?}")),
+            },
+        }),
+        "select" => Command::Select(SelectArgs {
+            n: flags.num("n")?,
+            pct: match flags.num("pct")? {
+                p @ 0..=100 => p,
+                _ => return Err("--pct must be 0..=100".into()),
+            },
+            seed: flags.num("seed")?,
+        }),
+        "groupby" => Command::GroupBy(GroupByArgs {
+            n: flags.count("n")?,
+            groups: flags.count("groups")?,
+            zipf: flags.real("zipf", false)?,
+            cache_bits: flags.opt("cache-bits", Flags::bits)?,
+            seed: flags.num("seed")?,
+        }),
+        "sort" => Command::Sort(SortArgs {
+            n: flags.num("n")?,
+            dist: flags.choice("dist", parse_dist)?,
+            seed: flags.num("seed")?,
+            threads: flags.threads()?,
+            lsd: match flags.value("algo")? {
+                "lsd" | "radix" => true,
+                "sample" => false,
+                other => return Err(format!("--algo: unknown algorithm {other:?}")),
+            },
+        }),
+        "model" => Command::Model(ModelArgs {
+            n: flags.num("n")?,
+            mode: flags.choice("mode", parse_mode)?,
+            gbps: flags.opt("gbps", |f, name| f.real(name, true))?,
+        }),
+        "plan" => Command::Plan(PlanArgs {
+            n: flags.num("n")?,
+            dist: flags.choice("dist", parse_dist)?,
+            seed: flags.num("seed")?,
+            bits: flags.bits("bits")?,
+            threads: flags.threads()?,
+            hash: flags.choice("fn", parse_fn)?,
+            hybrid: flags.switch("hybrid"),
+            json: flags.switch("json"),
+        }),
         "faults" => {
-            flags.unknown_check(&[
-                "n",
-                "dist",
-                "seed",
-                "threads",
-                "bits",
-                "pad",
-                "sweep",
-                "fault-seed",
-                "qpi",
-                "burst",
-                "policy",
-            ])?;
-            let (hist_retry, cpu_fallback) = match flags.get("policy").unwrap_or("full") {
+            let (hist_retry, cpu_fallback) = match flags.value("policy")? {
                 "full" | "chain" => (true, true),
                 "hist" => (true, false),
                 "cpu" => (false, true),
                 "fail" => (false, false),
                 other => return Err(format!("--policy: unknown policy {other:?}")),
             };
-            Ok(Command::Faults(FaultsArgs {
-                n: flags.num("n", 65_536)?,
-                dist: parse_dist(flags.get("dist"))?,
-                seed: flags.num("seed", 42)?,
-                threads: flags.count("threads", default_threads())?,
-                bits: flags.bits("bits")?.unwrap_or(6),
-                pad: flags.num("pad", 64)?,
-                sweep: flags.count("sweep", 8)?,
-                fault_seed: flags.num("fault-seed", 7)?,
-                qpi: flags.num("qpi", 2)?,
-                burst: flags.num("burst", 3)?,
+            Command::Faults(FaultsArgs {
+                n: flags.num("n")?,
+                dist: flags.choice("dist", parse_dist)?,
+                seed: flags.num("seed")?,
+                threads: flags.threads()?,
+                bits: flags.bits("bits")?,
+                pad: flags.num("pad")?,
+                sweep: flags.count("sweep")?,
+                fault_seed: flags.num("fault-seed")?,
+                qpi: flags.num("qpi")?,
+                burst: flags.num("burst")?,
                 hist_retry,
                 cpu_fallback,
-            }))
-        }
-        "trace" => {
-            flags.unknown_check(&["n", "dist", "seed", "bits", "fn", "mode", "level"])?;
-            Ok(Command::Trace {
-                n: flags.num("n", 65_536)?,
-                dist: parse_dist(flags.get("dist"))?,
-                seed: flags.num("seed", 42)?,
-                bits: flags.bits("bits")?.unwrap_or(6),
-                hash: match flags.get("fn").unwrap_or("murmur") {
-                    "murmur" | "hash" => true,
-                    "radix" => false,
-                    other => return Err(format!("--fn: unknown function {other:?}")),
-                },
-                mode: parse_mode(Some(flags.get("mode").unwrap_or("hist/rid")))?,
-                level: match flags.get("level") {
-                    None => ObsLevel::Trace,
-                    Some(v) => {
-                        ObsLevel::parse(v).ok_or_else(|| format!("--level: unknown level {v:?}"))?
-                    }
-                },
-                json,
             })
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command {other:?}")),
-    }
+        "trace" => Command::Trace(TraceArgs {
+            n: flags.num("n")?,
+            dist: flags.choice("dist", parse_dist)?,
+            seed: flags.num("seed")?,
+            bits: flags.bits("bits")?,
+            hash: flags.choice("fn", parse_fn)?,
+            mode: flags.choice("mode", parse_mode)?,
+            level: flags.choice("level", |v| {
+                ObsLevel::parse(v).ok_or_else(|| format!("--level: unknown level {v:?}"))
+            })?,
+            json: flags.switch("json"),
+        }),
+        // `help`, the one command in COMMANDS without flags.
+        _ => Command::Help,
+    })
 }
 
 #[cfg(test)]
@@ -612,14 +567,14 @@ mod tests {
     fn partition_defaults() {
         let cmd = parse(&argv("partition")).unwrap();
         match cmd {
-            Command::Partition {
+            Command::Partition(PartitionArgs {
                 n,
                 bits,
                 backend,
                 hash,
                 mode,
                 ..
-            } => {
+            }) => {
                 assert_eq!(n, 1_000_000);
                 assert_eq!(bits, 13);
                 assert_eq!(backend, EngineChoice::Cpu);
@@ -637,14 +592,14 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Partition {
+            Command::Partition(PartitionArgs {
                 backend,
                 mode,
                 hash,
                 n,
                 bits,
                 ..
-            } => {
+            }) => {
                 assert_eq!(backend, EngineChoice::Fpga);
                 assert_eq!(mode, ModePair::HistVrid);
                 assert!(!hash);
@@ -658,12 +613,12 @@ mod tests {
     fn join_with_zipf() {
         let cmd = parse(&argv("join --workload E --zipf 1.25 --backend hybrid")).unwrap();
         match cmd {
-            Command::Join {
+            Command::Join(JoinArgs {
                 workload,
                 zipf,
                 backend,
                 ..
-            } => {
+            }) => {
                 assert_eq!(workload, WorkloadId::E);
                 assert_eq!(zipf, Some(1.25));
                 assert_eq!(backend, EngineChoice::Fpga);
@@ -727,7 +682,7 @@ mod tests {
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         let cmd = parse(&argv("model --mode pad/vrid --gbps 25.6")).unwrap();
         match cmd {
-            Command::Model { mode, gbps, n } => {
+            Command::Model(ModelArgs { mode, gbps, n }) => {
                 assert_eq!(mode, ModePair::PadVrid);
                 assert_eq!(gbps, Some(25.6));
                 assert_eq!(n, 128_000_000);
@@ -793,14 +748,14 @@ mod tests {
     fn trace_defaults_and_flags() {
         let cmd = parse(&argv("trace")).unwrap();
         match cmd {
-            Command::Trace {
+            Command::Trace(TraceArgs {
                 n,
                 bits,
                 mode,
                 level,
                 json,
                 ..
-            } => {
+            }) => {
                 assert_eq!(n, 65_536);
                 assert_eq!(bits, 6);
                 assert_eq!(mode, ModePair::HistRid);
@@ -814,14 +769,14 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Trace {
+            Command::Trace(TraceArgs {
                 n,
                 mode,
                 level,
                 json,
                 hash,
                 ..
-            } => {
+            }) => {
                 assert_eq!(n, 1000);
                 assert_eq!(mode, ModePair::PadVrid);
                 assert_eq!(level, ObsLevel::Counters);
@@ -846,14 +801,14 @@ mod tests {
     fn plan_defaults_and_flags() {
         let cmd = parse(&argv("plan")).unwrap();
         match cmd {
-            Command::Plan {
+            Command::Plan(PlanArgs {
                 n,
                 bits,
                 hash,
                 hybrid,
                 json,
                 ..
-            } => {
+            }) => {
                 assert_eq!(n, 1_000_000);
                 assert_eq!(bits, 13);
                 assert!(hash);
@@ -867,7 +822,7 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Plan {
+            Command::Plan(PlanArgs {
                 n,
                 bits,
                 threads,
@@ -875,7 +830,7 @@ mod tests {
                 hybrid,
                 json,
                 ..
-            } => {
+            }) => {
                 assert_eq!((n, bits, threads), (4096, 6, 4));
                 assert!(!hash);
                 assert!(hybrid);
@@ -889,12 +844,42 @@ mod tests {
     fn sort_algorithms() {
         assert!(matches!(
             parse(&argv("sort --algo sample")).unwrap(),
-            Command::Sort { lsd: false, .. }
+            Command::Sort(SortArgs { lsd: false, .. })
         ));
         assert!(matches!(
             parse(&argv("sort")).unwrap(),
-            Command::Sort { lsd: true, .. }
+            Command::Sort(SortArgs { lsd: true, .. })
         ));
+    }
+
+    /// Every literal default in [`FLAGS`], and so in the help text, is
+    /// the one the parser uses: giving it changes nothing.
+    #[test]
+    fn printed_defaults_are_the_parsers() {
+        let bare = |cmd: &str| match cmd {
+            "gen" => "gen --out x".to_string(),
+            _ => cmd.to_string(),
+        };
+        for f in FLAGS
+            .iter()
+            .filter(|f| !f.default.is_empty() && f.default != ALL_CORES)
+        {
+            for cmd in f.commands {
+                let given = format!("{} --{} {}", bare(cmd), f.name, f.default);
+                assert_eq!(parse(&argv(&given)), parse(&argv(&bare(cmd))), "{given}");
+            }
+        }
+        // Defaults that differ from the other commands' for the same flag.
+        for given in [
+            "dist --bits 8",
+            "trace --bits 6 --n 65536",
+            "faults --bits 6 --n 65536",
+            "model --n 128000000",
+        ] {
+            let cmd = given.split(' ').next().unwrap();
+            assert_eq!(parse(&argv(given)), parse(&argv(cmd)), "{given}");
+        }
+        assert!(usage().contains(&format!("1..={MAX_BRAM_BITS};")));
     }
 }
 
@@ -911,20 +896,20 @@ mod dist_tests {
         let cmd = parse(&argv("dist")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Dist {
+            Command::Dist(DistArgs {
                 nodes: 4,
                 infiniband: true,
                 ..
-            }
+            })
         ));
         let cmd = parse(&argv("dist --nodes 8 --net 10gbe --scale 0.01")).unwrap();
         match cmd {
-            Command::Dist {
+            Command::Dist(DistArgs {
                 nodes,
                 infiniband,
                 scale,
                 ..
-            } => {
+            }) => {
                 assert_eq!(nodes, 8);
                 assert!(!infiniband);
                 assert_eq!(scale, 0.01);
@@ -952,14 +937,14 @@ mod gen_tests {
     fn gen_requires_out() {
         assert!(parse(&argv("gen")).is_err());
         let cmd = parse(&argv("gen --n 5 --out /tmp/x.fprt")).unwrap();
-        assert!(matches!(cmd, Command::Gen { n: 5, .. }));
+        assert!(matches!(cmd, Command::Gen(GenArgs { n: 5, .. })));
     }
 
     #[test]
     fn partition_accepts_input_file() {
         let cmd = parse(&argv("partition --in /tmp/x.fprt --bits 6")).unwrap();
         match cmd {
-            Command::Partition { input, bits, .. } => {
+            Command::Partition(PartitionArgs { input, bits, .. }) => {
                 assert_eq!(input.as_deref(), Some("/tmp/x.fprt"));
                 assert_eq!(bits, 6);
             }

@@ -7,120 +7,51 @@ use fpart::join::circuit_modes;
 use fpart::prelude::*;
 use fpart_costmodel::{FpgaCostModel, ModePair};
 
-use crate::args::{Command, FaultsArgs, USAGE};
+use crate::args::{
+    usage, Command, DistArgs, FaultsArgs, GenArgs, GroupByArgs, JoinArgs, ModelArgs, PartitionArgs,
+    PlanArgs, SelectArgs, SortArgs, TraceArgs,
+};
+
+/// What a command returns.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
 
 /// Execute a parsed command.
-pub fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(cmd: Command) -> Outcome {
     match cmd {
+        Command::Gen(a) => gen(a),
+        Command::Partition(a) => partition_command(a),
+        Command::Join(a) => join(a),
+        Command::Dist(a) => dist(a),
+        Command::Select(a) => select(a),
+        Command::GroupBy(a) => groupby(a),
+        Command::Sort(a) => sort(a),
+        Command::Model(a) => model(a),
+        Command::Plan(a) => plan(a),
+        Command::Faults(a) => faults(a),
+        Command::Trace(a) => trace(a),
         Command::Help => {
-            println!("{USAGE}");
+            print!("{}", usage());
             Ok(())
         }
-        Command::Gen { n, dist, seed, out } => gen(n, dist, seed, &out),
-        Command::Partition {
-            input,
-            n,
-            dist,
-            seed,
-            threads,
-            bits,
-            backend,
-            hash,
-            mode,
-        } => {
-            let (rel, what) = load_relation(input.as_deref(), n, dist, seed)?;
-            partition(
-                &rel,
-                &what,
-                partition_fn(hash, bits),
-                threads,
-                backend,
-                mode,
-            )
-            .map(drop)
-        }
-        Command::Join {
-            workload,
-            scale,
-            backend,
-            threads,
-            bits,
-            zipf,
-            seed,
-        } => join(workload, scale, backend, threads, bits, zipf, seed),
-        Command::Sort {
-            n,
-            dist,
-            seed,
-            threads,
-            lsd,
-        } => sort(n, dist, seed, threads, lsd),
-        Command::Model { n, mode, gbps } => model(n, mode, gbps),
-        Command::Plan {
-            n,
-            dist,
-            seed,
-            bits,
-            threads,
-            hash,
-            hybrid,
-            json,
-        } => plan(n, dist, seed, bits, threads, hash, hybrid, json),
-        Command::Dist {
-            nodes,
-            scale,
-            bits,
-            threads,
-            seed,
-            infiniband,
-        } => dist(nodes, scale, bits, threads, seed, infiniband),
-        Command::Select { n, pct, seed } => select(n, pct, seed),
-        Command::GroupBy {
-            n,
-            groups,
-            zipf,
-            cache_bits,
-            seed,
-        } => groupby(n, groups, zipf, cache_bits, seed),
-        Command::Faults(a) => faults(a),
-        Command::Trace {
-            n,
-            dist,
-            seed,
-            bits,
-            hash,
-            mode,
-            level,
-            json,
-        } => trace(n, dist, seed, bits, hash, mode, level, json),
     }
 }
 
 /// Run one cycle-accurate partitioning with observability turned up and
 /// dump the snapshot: JSON (stable schema, used by the golden tests) or a
 /// human-readable counter/stall/trace breakdown.
-#[allow(clippy::too_many_arguments)]
-fn trace(
-    n: usize,
-    dist: KeyDistribution,
-    seed: u64,
-    bits: u32,
-    hash: bool,
-    mode: ModePair,
-    level: ObsLevel,
-    json: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn trace(a: TraceArgs) -> Outcome {
     use fpart::obs::Ctr;
 
-    let f = partition_fn(hash, bits);
-    let (output, input) = circuit_modes(mode);
+    let TraceArgs { n, dist, level, .. } = a;
+    let f = partition_fn(a.hash, a.bits);
+    let (output, input) = circuit_modes(a.mode);
     let config = PartitionerConfig {
         partition_fn: f,
         ..PartitionerConfig::paper_default(output, input)
     }
     .with_fidelity(SimFidelity::CycleAccurate)
     .with_obs(level);
-    let keys = dist.generate_keys::<u32>(n, seed);
+    let keys = dist.generate_keys::<u32>(n, a.seed);
     let partitioner = FpgaPartitioner::new(config);
     let (_, report) = if input == InputMode::Vrid {
         partitioner.partition(&ColumnRelation::<Tuple8>::from_keys(&keys))?
@@ -128,7 +59,7 @@ fn trace(
         partitioner.partition(&Relation::<Tuple8>::from_keys(&keys))?
     };
 
-    if json {
+    if a.json {
         println!("{}", report.obs.to_json());
         return Ok(());
     }
@@ -193,24 +124,13 @@ fn trace(
 /// relation: back-end (cost-model comparison), output mode (key
 /// sample), fidelity and degradation chain. `--json` prints the
 /// machine-readable [`PlanExplanation`] (stable schema, golden-tested).
-#[allow(clippy::too_many_arguments)]
-fn plan(
-    n: usize,
-    dist: KeyDistribution,
-    seed: u64,
-    bits: u32,
-    threads: usize,
-    hash: bool,
-    hybrid: bool,
-    json: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let f = partition_fn(hash, bits);
-    let keys = dist.generate_keys::<u32>(n, seed);
-    let rel = Relation::<Tuple8>::from_keys(&keys);
-    let plan = EnginePlanner::new(threads)
-        .with_hybrid(hybrid)
+fn plan(a: PlanArgs) -> Outcome {
+    let f = partition_fn(a.hash, a.bits);
+    let rel = Relation::<Tuple8>::from_keys(&a.dist.generate_keys(a.n, a.seed));
+    let plan = EnginePlanner::new(a.threads)
+        .with_hybrid(a.hybrid)
         .plan(&rel, f);
-    if json {
+    if a.json {
         println!("{}", plan.explanation.to_json());
     } else {
         print!("{}", plan.explanation.to_text());
@@ -218,7 +138,7 @@ fn plan(
     Ok(())
 }
 
-fn faults(a: FaultsArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn faults(a: FaultsArgs) -> Outcome {
     use fpart::join::fallback::AttemptPath;
 
     let chain = EscalationChain {
@@ -226,23 +146,15 @@ fn faults(a: FaultsArgs) -> Result<(), Box<dyn std::error::Error>> {
         cpu_fallback: a.cpu_fallback,
         cpu_threads: a.threads,
     };
-    let keys = a.dist.generate_keys::<u32>(a.n, a.seed);
-    let rel = Relation::<Tuple8>::from_keys(&keys);
+    let rel = Relation::<Tuple8>::from_keys(&a.dist.generate_keys(a.n, a.seed));
     let f = PartitionFn::Murmur { bits: a.bits };
-    let config = PartitionerConfig {
-        partition_fn: f,
-        ..PartitionerConfig::paper_default(
-            OutputMode::Pad {
-                padding: PaddingSpec::Tuples(a.pad),
-            },
-            InputMode::Rid,
-        )
-    };
+    let padding = PaddingSpec::Tuples(a.pad);
+    let fpga = FpgaPartitioner::with_modes(f, OutputMode::Pad { padding }, InputMode::Rid);
     // Fault-free references: the CPU histogram every degraded run must
     // reproduce, and the clean PAD cycle count recovery cost is measured
     // against.
     let (cpu_parts, _) = CpuPartitioner::new(f, a.threads).partition(&rel);
-    let (_, clean) = FpgaPartitioner::new(config.clone()).partition(&rel)?;
+    let (_, clean) = fpga.partition(&rel)?;
     println!(
         "fault-free PAD/RID run: {} tuples, {} partitions, {} cycles",
         a.n,
@@ -269,7 +181,7 @@ fn faults(a: FaultsArgs) -> Result<(), Box<dyn std::error::Error>> {
     for i in 1..=a.sweep {
         let consumed = a.n as u64 * i as u64 / (a.sweep as u64 + 1);
         let plan = FaultPlan::from_seed(a.fault_seed, &spec).with(Fault::PadOverflow { consumed });
-        let p = FpgaPartitioner::new(config.clone()).with_faults(plan);
+        let p = fpga.clone().with_faults(plan);
         match chain.run(&p, &rel) {
             Ok((parts, report)) => {
                 let recovery = report
@@ -313,14 +225,15 @@ fn faults(a: FaultsArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn select(n: usize, pct: u64, seed: u64) -> Result<(), Box<dyn std::error::Error>> {
+fn select(a: SelectArgs) -> Outcome {
     use fpart::fpga::{FpgaSelector, Predicate};
-    let keys = KeyDistribution::Random.generate_keys::<u32>(n, seed);
-    let rel = Relation::<Tuple8>::from_keys(&keys);
-    let bound = ((u32::MAX as u64 - 1) * pct / 100) as u32;
+    let n = a.n;
+    let rel = Relation::<Tuple8>::from_keys(&KeyDistribution::Random.generate_keys(n, a.seed));
+    let bound = ((u32::MAX as u64 - 1) * a.pct / 100) as u32;
     let (out, report) = FpgaSelector::new().select(&rel, Predicate::LessThan(bound))?;
     println!(
-        "selection (simulated @200MHz): scanned {n} tuples, {} matched ({:.1}% observed),          {:.1} Mtuples/s; {} lines read, {} written",
+        "selection (simulated @200MHz): scanned {n} tuples, {} matched ({:.1}% observed), \
+         {:.1} Mtuples/s; {} lines read, {} written",
         out.len(),
         report.selectivity() * 100.0,
         report.mtuples_per_sec(),
@@ -330,22 +243,20 @@ fn select(n: usize, pct: u64, seed: u64) -> Result<(), Box<dyn std::error::Error
     Ok(())
 }
 
-fn groupby(
-    n: usize,
-    groups: usize,
-    zipf: f64,
-    cache_bits: Option<u32>,
-    seed: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn groupby(a: GroupByArgs) -> Outcome {
     use fpart::datagen::dist::zipf_foreign_keys;
     use fpart::fpga::aggcache::{cache_bits_for_groups, fpga_group_by_harp};
-    let domain = KeyDistribution::Random.generate_keys::<u32>(groups, seed);
-    let keys = zipf_foreign_keys(&domain, n, zipf, seed ^ 0x11);
+    let n = a.n;
+    let domain = KeyDistribution::Random.generate_keys::<u32>(a.groups, a.seed);
+    let keys = zipf_foreign_keys(&domain, n, a.zipf, a.seed ^ 0x11);
     let rel = Relation::<Tuple8>::from_keys(&keys);
-    let bits = cache_bits.unwrap_or_else(|| cache_bits_for_groups(groups));
+    let bits = a
+        .cache_bits
+        .unwrap_or_else(|| cache_bits_for_groups(a.groups));
     let (out, report) = fpga_group_by_harp(&rel, bits)?;
     println!(
-        "fpga group-by (simulated, 2^{bits}-slot caches): {n} rows → {} groups,          {:.1} Mtuples/s; {:.1}% merged on-chip, {} victims evicted",
+        "fpga group-by (simulated, 2^{bits}-slot caches): {n} rows → {} groups, \
+         {:.1} Mtuples/s; {:.1}% merged on-chip, {} victims evicted",
         out.len(),
         report.mtuples_per_sec(),
         report.hit_rate() * 100.0,
@@ -356,18 +267,14 @@ fn groupby(
     Ok(())
 }
 
-fn dist(
-    nodes: usize,
-    scale: f64,
-    bits: u32,
-    threads: usize,
-    seed: u64,
-    infiniband: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn dist(a: DistArgs) -> Outcome {
     use fpart_net::{DistributedJoin, NetworkModel};
-    let (r, s) = WorkloadId::A.spec().row_relations::<Tuple8>(scale, seed);
-    let mut join = DistributedJoin::new(nodes, bits);
-    join.threads = threads;
+    let (nodes, infiniband) = (a.nodes, a.infiniband);
+    let (r, s) = WorkloadId::A
+        .spec()
+        .row_relations::<Tuple8>(a.scale, a.seed);
+    let mut join = DistributedJoin::new(nodes, a.bits);
+    join.threads = a.threads;
     if !infiniband {
         join.network = NetworkModel::ten_gbe();
     }
@@ -403,18 +310,13 @@ fn partition_fn(hash: bool, bits: u32) -> PartitionFn {
     }
 }
 
-fn gen(
-    n: usize,
-    dist: KeyDistribution,
-    seed: u64,
-    out: &str,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let keys = dist.generate_keys::<u32>(n, seed);
-    let rel = Relation::<Tuple8>::from_keys(&keys);
+fn gen(a: GenArgs) -> Outcome {
+    let GenArgs { n, dist, out, .. } = a;
+    let rel = Relation::<Tuple8>::from_keys(&dist.generate_keys(n, a.seed));
     if out.ends_with(".csv") {
-        fpart_io::export_csv(&rel, out)?;
+        fpart_io::export_csv(&rel, &out)?;
     } else {
-        fpart_io::write_relation(&rel, out)?;
+        fpart_io::write_relation(&rel, &out)?;
     }
     println!("wrote {n} {} tuples to {out}", dist.label());
     Ok(())
@@ -442,6 +344,13 @@ fn load_relation(
             format!("{} tuples", dist.label()),
         ),
     })
+}
+
+/// `fpart partition`: the file given, or generated keys.
+fn partition_command(a: PartitionArgs) -> Outcome {
+    let (rel, what) = load_relation(a.input.as_deref(), a.n, a.dist, a.seed)?;
+    let f = partition_fn(a.hash, a.bits);
+    partition(&rel, &what, f, a.threads, a.backend, a.mode).map(drop)
 }
 
 /// Partition `rel` (described by `what`) on `backend` and print the
@@ -477,11 +386,8 @@ fn partition(
         // front-end of its own here.
         EngineChoice::Fpga | EngineChoice::Hybrid => {
             let (output, input) = circuit_modes(mode);
-            let config = PartitionerConfig {
-                partition_fn: f,
-                ..PartitionerConfig::paper_default(output, input)
-            };
-            let partitioner = FpgaPartitioner::new(config.with_fidelity(SimFidelity::Batched));
+            let partitioner = FpgaPartitioner::with_modes(f, output, input)
+                .with_sim_fidelity(SimFidelity::Batched);
             let t0 = Instant::now();
             let (parts, report) = if input == InputMode::Vrid {
                 let keys: Vec<u32> = rel.tuples().iter().map(|t| t.key).collect();
@@ -525,34 +431,23 @@ fn print_balance(hist: &[usize]) {
     );
 }
 
-fn join(
-    workload: WorkloadId,
-    scale: f64,
-    backend: EngineChoice,
-    threads: usize,
-    bits: u32,
-    zipf: Option<f64>,
-    seed: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = workload.spec();
-    let (r, s) = match zipf {
-        Some(z) => spec.skewed_row_relations::<Tuple8>(scale, z, seed),
-        None => spec.row_relations::<Tuple8>(scale, seed),
+fn join(a: JoinArgs) -> Outcome {
+    let (backend, threads) = (a.backend, a.threads);
+    let spec = a.workload.spec();
+    let (r, s) = match a.zipf {
+        Some(z) => spec.skewed_row_relations::<Tuple8>(a.scale, z, a.seed),
+        None => spec.row_relations::<Tuple8>(a.scale, a.seed),
     };
     println!(
-        "{} at scale {scale}: |R| = {}, |S| = {}{}",
+        "{} at scale {}: |R| = {}, |S| = {}{}",
         spec.name,
+        a.scale,
         r.len(),
         s.len(),
-        zipf.map(|z| format!(", zipf {z}")).unwrap_or_default()
+        a.zipf.map(|z| format!(", zipf {z}")).unwrap_or_default()
     );
-    let f = PartitionFn::Murmur { bits };
-    let fpga = || {
-        FpgaPartitioner::new(PartitionerConfig {
-            partition_fn: f,
-            ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
-        })
-    };
+    let f = PartitionFn::Murmur { bits: a.bits };
+    let fpga = || FpgaPartitioner::with_modes(f, OutputMode::pad_default(), InputMode::Rid);
     let engine: Box<dyn PartitionEngine<Tuple8>> = match backend {
         EngineChoice::Cpu => Box::new(CpuPartitioner::new(f, threads)),
         EngineChoice::Fpga => Box::new(fpga()),
@@ -581,18 +476,12 @@ fn join(
     Ok(())
 }
 
-fn sort(
-    n: usize,
-    dist: KeyDistribution,
-    seed: u64,
-    threads: usize,
-    lsd: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let keys = dist.generate_keys::<u32>(n, seed);
-    let rel = Relation::<Tuple8>::from_keys(&keys);
+fn sort(a: SortArgs) -> Outcome {
+    let SortArgs { n, dist, lsd, .. } = a;
+    let rel = Relation::<Tuple8>::from_keys(&dist.generate_keys(n, a.seed));
     let t0 = Instant::now();
     let sorted = if lsd {
-        lsd_radix_sort(&rel, threads)
+        lsd_radix_sort(&rel, a.threads)
     } else {
         sample_sort(&rel, 256)
     };
@@ -608,7 +497,8 @@ fn sort(
     Ok(())
 }
 
-fn model(n: usize, mode: ModePair, gbps: Option<f64>) -> Result<(), Box<dyn std::error::Error>> {
+fn model(a: ModelArgs) -> Outcome {
+    let ModelArgs { n, mode, gbps } = a;
     let m = match gbps {
         Some(g) => FpgaCostModel {
             curve: fpart::memmodel::BandwidthCurve::new("flat", vec![(0.0, g), (1.0, g)]),

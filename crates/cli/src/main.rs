@@ -22,7 +22,7 @@ fn main() {
             }
         }
         Err(msg) => {
-            eprintln!("{msg}\n\n{}", args::USAGE);
+            eprint!("{msg}\n\n{}", args::usage());
             std::process::exit(2);
         }
     }

@@ -22,7 +22,8 @@
 //! partial outputs are written once more, by one
 //! [`fpart_cpu::swwcb::OutputBuilder`], into one dense
 //! [`PartitionedRelation`] with merged statistics and a merged
-//! observability snapshot.
+//! observability snapshot. A one-sided split returns its one share's
+//! output as it is.
 
 use fpart_costmodel::cpu::DistributionKind;
 use fpart_costmodel::{CpuCostModel, FpgaCostModel, ModePair};
@@ -443,8 +444,7 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
             .then(|| self.fpga.partition(input.slice(0..k)))
             .transpose()?;
         let cpu_side = (k < n || n == 0).then(|| self.cpu.partition(input.slice(k..n)));
-        let parts = self.fpga.config().partition_fn.fan_out();
-        Ok(finish_split(parts, fpga_side, cpu_side, k, n))
+        Ok(finish_split(fpga_side, cpu_side, k, n))
     }
 
     fn estimate(&self, n: u64) -> f64 {
@@ -468,42 +468,85 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
 }
 
 /// Assemble the split's output and merged stats from the two share
-/// results. The output is written once, by a builder with two writers:
+/// results. A one-sided split returns its one share's output as it is.
+/// Otherwise the output is written once, by a builder with two writers:
 /// each partition holds the FPGA share's valid tuples, then the CPU
 /// share's. The copy's SWWCB flushes are not a partitioner's and stay out
 /// of the merged snapshot.
 fn finish_split<T: Tuple>(
-    parts: usize,
     fpga_side: Option<(PartitionedRelation<T>, RunReport)>,
     cpu_side: Option<(PartitionedRelation<T>, CpuRunReport)>,
     k: usize,
     n: usize,
 ) -> (PartitionedRelation<T>, PartitionStats) {
-    let shares = [
-        fpga_side.as_ref().map(|s| &s.0),
-        cpu_side.as_ref().map(|s| &s.0),
-    ];
-    let planned: Vec<Vec<usize>> = (shares.iter())
-        .map(|share| share.map_or_else(|| vec![0; parts], |r| r.histogram().to_vec()))
-        .collect();
-    let extents: Vec<usize> = (0..parts).map(|p| planned[0][p] + planned[1][p]).collect();
-    let mut output = OutputBuilder::new(&extents, PartitionLayout::Exact, &planned);
-    for (mut wc, share) in output.writers().zip(shares) {
-        let Some(share) = share else { continue };
-        for p in 0..parts {
-            share.partition_tuples(p).for_each(|t| wc.push(p, t));
-        }
-    }
-    let obs = merged_obs(
-        fpga_side.as_ref().map(|s| &s.1),
-        cpu_side.as_ref().map(|s| &s.1),
-    );
+    let (fpga_parts, fpga) = fpga_side.unzip();
+    let (cpu_parts, cpu) = cpu_side.unzip();
+    let output = match (fpga_parts, cpu_parts) {
+        (Some(a), Some(b)) => write_shares([&a, &b]),
+        (a, b) => a.or(b).expect("a split runs at least one share"),
+    };
+    let obs = merged_obs(fpga.as_ref(), cpu.as_ref());
     let stats = PartitionStats::Hybrid(Box::new(HybridSplitStats {
-        fpga: fpga_side.map(|s| s.1),
-        cpu: cpu_side.map(|s| s.1),
+        fpga,
+        cpu,
         fpga_share: k,
         cpu_share: n - k,
         obs,
     }));
-    (output.finish().0, stats)
+    (output, stats)
+}
+
+/// Both shares' valid tuples, written once into one dense output.
+fn write_shares<T: Tuple>(shares: [&PartitionedRelation<T>; 2]) -> PartitionedRelation<T> {
+    let planned = shares.map(|share| share.histogram().to_vec());
+    let extents: Vec<usize> = (planned[0].iter().zip(&planned[1]))
+        .map(|(a, b)| a + b)
+        .collect();
+    let mut output = OutputBuilder::new(&extents, PartitionLayout::Exact, &planned);
+    for (mut wc, share) in output.writers().zip(shares) {
+        for p in 0..extents.len() {
+            share.partition_tuples(p).for_each(|t| wc.push(p, t));
+        }
+    }
+    output.finish().0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fpart_datagen::KeyDistribution;
+    use fpart_types::{Relation, Tuple8};
+
+    /// A one-sided split hands back its one share's output as that
+    /// engine wrote it, slot for slot (PAD padding included), and
+    /// reports that share alone.
+    #[test]
+    fn one_sided_split_returns_its_share_as_written() {
+        let n = 4096;
+        let f = PartitionFn::Murmur { bits: 5 };
+        let keys = KeyDistribution::Random.generate_keys::<u32>(n, 23);
+        let rel = Relation::<Tuple8>::from_keys(&keys);
+        for output in [OutputMode::Hist, OutputMode::pad_default()] {
+            let fpga = FpgaPartitioner::with_modes(f, output, InputMode::Rid);
+            let engine = |fraction| HybridSplitEngine::new(fpga.clone(), 2).with_fraction(fraction);
+            for (fraction, direct) in [
+                (0.0, CpuPartitioner::new(f, 2).partition(&rel).0),
+                (1.0, fpga.partition(&rel).unwrap().0),
+            ] {
+                let (parts, stats) = engine(fraction).partition(Input::from(&rel)).unwrap();
+                let label = format!("{output:?} f={fraction}");
+                assert!(parts.raw_data() == direct.raw_data(), "{label}");
+                let PartitionStats::Hybrid(h) = stats else {
+                    panic!("hybrid runs report hybrid stats");
+                };
+                let k = (fraction * n as f64) as usize;
+                assert_eq!((h.fpga_share, h.cpu_share), (k, n - k), "{label}");
+                assert_eq!(
+                    (h.fpga.is_some(), h.cpu.is_some()),
+                    (k > 0, k < n),
+                    "{label}"
+                );
+            }
+        }
+    }
 }
