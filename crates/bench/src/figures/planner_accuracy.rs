@@ -118,7 +118,7 @@ pub fn sweep(scale: &Scale) -> Vec<AccuracyPoint> {
             n,
             dist,
             explanation,
-            fpga_sim_seconds: report.stats.seconds(),
+            fpga_sim_seconds: report.fpga().expect("no CPU fallback").seconds(),
             wall_s: t0.elapsed().as_secs_f64(),
         }
     })

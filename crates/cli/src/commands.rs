@@ -447,12 +447,8 @@ fn join(a: JoinArgs) -> Outcome {
         a.zipf.map(|z| format!(", zipf {z}")).unwrap_or_default()
     );
     let f = PartitionFn::Murmur { bits: a.bits };
-    let fpga = || FpgaPartitioner::with_modes(f, OutputMode::pad_default(), InputMode::Rid);
-    let engine: Box<dyn PartitionEngine<Tuple8>> = match backend {
-        EngineChoice::Cpu => Box::new(CpuPartitioner::new(f, threads)),
-        EngineChoice::Fpga => Box::new(fpga()),
-        EngineChoice::Hybrid => Box::new(HybridSplitEngine::new(fpga(), threads)),
-    };
+    let fpga = FpgaPartitioner::with_modes(f, OutputMode::pad_default(), InputMode::Rid);
+    let engine = backend.engine::<Tuple8>(fpga, threads);
     // A PAD abort falls back to the CPU partitioner (Section 4.5).
     let chain = EscalationChain {
         hist_retry: false,

@@ -167,6 +167,19 @@ impl SimFidelity {
     }
 }
 
+/// Depth of the first-stage FIFOs after the hash modules; their free
+/// slots throttle read requests (Section 4.3).
+pub(crate) const FIFO_CAPACITY: usize = 64;
+
+/// Depth of each write combiner's output FIFO.
+pub(crate) const OUT_FIFO_CAPACITY: usize = 8;
+
+// First-stage FIFOs need 4 slots to cover the read latency. The
+// combiner's accept threshold reserves 4 output slots for its in-flight
+// stages (see `WriteCombiner::can_accept`); a smaller output FIFO could
+// never accept a tuple and the pipeline would deadlock.
+const _: () = assert!(FIFO_CAPACITY >= 4 && OUT_FIFO_CAPACITY >= 4);
+
 /// Full configuration of one partitioner instantiation.
 #[derive(Debug, Clone)]
 pub struct PartitionerConfig {
@@ -177,11 +190,6 @@ pub struct PartitionerConfig {
     pub output: OutputMode,
     /// RID or VRID input.
     pub input: InputMode,
-    /// Depth of the first-stage FIFOs after the hash modules; their free
-    /// slots throttle read requests (Section 4.3).
-    pub fifo_capacity: usize,
-    /// Depth of each write combiner's output FIFO.
-    pub out_fifo_capacity: usize,
     /// Cycle-accurate or batched simulation (a harness knob, not a
     /// property of the modelled hardware — both fidelities describe the
     /// same circuit).
@@ -202,8 +210,6 @@ impl PartitionerConfig {
             },
             output,
             input,
-            fifo_capacity: 64,
-            out_fifo_capacity: 8,
             fidelity: SimFidelity::default(),
             obs: ObsLevel::default(),
         }
@@ -235,20 +241,6 @@ impl PartitionerConfig {
             return Err(FpartError::InvalidConfig(format!(
                 "partition bits must be in 1..={MAX_BRAM_BITS} (BRAM budget), got {bits}"
             )));
-        }
-        if self.fifo_capacity < 4 {
-            return Err(FpartError::InvalidConfig(
-                "first-stage FIFOs need at least 4 slots to cover read latency".into(),
-            ));
-        }
-        if self.out_fifo_capacity < 4 {
-            // The combiner's accept threshold reserves 4 slots for its
-            // in-flight stages (see `WriteCombiner::can_accept`); a
-            // smaller FIFO could never accept a tuple and the pipeline
-            // would deadlock.
-            return Err(FpartError::InvalidConfig(
-                "combiner output FIFOs need at least 4 slots (the can_accept reservation)".into(),
-            ));
         }
         Ok(())
     }
@@ -300,16 +292,5 @@ mod tests {
         let mut cfg = PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid);
         cfg.partition_fn = PartitionFn::Radix { bits: 25 };
         assert!(cfg.validate().is_err());
-
-        let mut cfg = PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid);
-        cfg.fifo_capacity = 2;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid);
-        cfg.out_fifo_capacity = 3;
-        assert!(
-            cfg.validate().is_err(),
-            "3 slots can never satisfy can_accept"
-        );
     }
 }

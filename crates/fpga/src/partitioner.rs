@@ -29,7 +29,9 @@ use fpart_hwsim::{
 use fpart_obs::{Ctr, ObsSnapshot, Recorder};
 use fpart_types::{FpartError, Input, Line, PartitionedRelation, Result, Tuple, CACHE_LINE_BYTES};
 
-use crate::config::{InputMode, OutputMode, PartitionerConfig, SimFidelity};
+use crate::config::{
+    InputMode, OutputMode, PartitionerConfig, SimFidelity, FIFO_CAPACITY, OUT_FIFO_CAPACITY,
+};
 use crate::hashmod::HashPipeline;
 use crate::writeback::{AddressedLine, PartitionExtents, WriteBack};
 use crate::writecomb::{CombinedLine, CombinerStats, WriteCombiner};
@@ -570,7 +572,7 @@ impl HistogramPass {
             // every cycle is exactly one of busy/stall/throttled/idle.
             let committed = pending.len() + qpi.reads_in_flight() * expansion;
             if read_cursor < total_lines {
-                if committed + expansion <= cfg.fifo_capacity {
+                if committed + expansion <= FIFO_CAPACITY {
                     if qpi.try_read(read_cursor as u64) {
                         read_cursor += 1;
                         rec.inc(Ctr::HistRdBusy);
@@ -608,7 +610,6 @@ impl HistogramPass {
 
 /// The full-pipeline engine of Figure 5.
 struct ScatterEngine<'a, T: Tuple> {
-    cfg: &'a PartitionerConfig,
     qpi: QpiEndpoint,
     pipes: Vec<HashPipeline<T>>,
     lane_fifos: Vec<Fifo<crate::hashmod::HashedTuple<T>>>,
@@ -627,7 +628,7 @@ struct ScatterEngine<'a, T: Tuple> {
 
 impl<'a, T: Tuple> ScatterEngine<'a, T> {
     fn new(
-        cfg: &'a PartitionerConfig,
+        cfg: &PartitionerConfig,
         mut qpi: QpiEndpoint,
         extents: PartitionExtents,
         input: &'a Input<'a, T>,
@@ -648,19 +649,16 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
             }
         }
         Self {
-            cfg,
             qpi,
             pipes: (0..T::LANES)
                 .map(|_| HashPipeline::new(cfg.partition_fn))
                 .collect(),
-            lane_fifos: (0..T::LANES)
-                .map(|_| Fifo::new(cfg.fifo_capacity))
-                .collect(),
+            lane_fifos: (0..T::LANES).map(|_| Fifo::new(FIFO_CAPACITY)).collect(),
             combiners: (0..T::LANES)
                 .map(|_| WriteCombiner::new(cfg.partitions()))
                 .collect(),
             out_fifos: (0..T::LANES)
-                .map(|_| Fifo::new(cfg.out_fifo_capacity))
+                .map(|_| Fifo::new(OUT_FIFO_CAPACITY))
                 .collect(),
             writeback,
             wb_fifo: Fifo::new(8),
@@ -804,7 +802,7 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
                 + fifo_occupancy;
             rec.sample_occupancy(fifo_occupancy as u64);
             if read_cursor < total_lines {
-                if committed + expansion <= self.cfg.fifo_capacity {
+                if committed + expansion <= FIFO_CAPACITY {
                     // Translate the input address (the page table is
                     // pipelined; throughput-neutral).
                     let vaddr = read_cursor as u64 * CACHE_LINE_BYTES as u64;
@@ -912,8 +910,6 @@ mod tests {
             partition_fn: PartitionFn::Murmur { bits },
             output,
             input,
-            fifo_capacity: 64,
-            out_fifo_capacity: 8,
             fidelity: SimFidelity::CycleAccurate,
             obs: fpart_obs::ObsLevel::Off,
         }
@@ -1018,8 +1014,6 @@ mod tests {
                 padding: crate::config::PaddingSpec::Tuples(0),
             },
             input: InputMode::Rid,
-            fifo_capacity: 64,
-            out_fifo_capacity: 8,
             fidelity: SimFidelity::CycleAccurate,
             obs: fpart_obs::ObsLevel::Off,
         };
@@ -1141,8 +1135,6 @@ mod tests {
             partition_fn: PartitionFn::Radix { bits: 5 },
             output: OutputMode::Hist,
             input: InputMode::Rid,
-            fifo_capacity: 64,
-            out_fifo_capacity: 8,
             fidelity: SimFidelity::CycleAccurate,
             obs: fpart_obs::ObsLevel::Off,
         };

@@ -16,8 +16,6 @@ fn config(bits: u32, output: OutputMode) -> PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         output,
         input: InputMode::Rid,
-        fifo_capacity: 64,
-        out_fifo_capacity: 8,
         fidelity: SimFidelity::CycleAccurate,
         obs: fpart_fpga::ObsLevel::Off,
     }

@@ -213,19 +213,3 @@ fn tuple32_circuit_round_trip() {
     // 32 B tuples: two per line; HIST reads the input twice.
     assert_eq!(report.qpi.lines_read, 2 * 1500);
 }
-
-#[test]
-fn minimum_out_fifo_capacity_makes_progress() {
-    // The smallest legal output FIFO (4 slots = the can_accept
-    // reservation) must still complete, just more slowly.
-    let config = PartitionerConfig {
-        partition_fn: PartitionFn::Murmur { bits: 5 },
-        out_fifo_capacity: 4,
-        ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
-    };
-    let keys = KeyDistribution::Random.generate_keys::<u32>(4096, 12);
-    let rel = Relation::<Tuple8>::from_keys(&keys);
-    let (parts, report) = FpgaPartitioner::new(config).partition(&rel).unwrap();
-    assert_eq!(parts.total_valid(), 4096);
-    assert!(report.scatter_cycles > 0);
-}

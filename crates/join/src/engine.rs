@@ -1,132 +1,95 @@
 //! The unified back-end interface: every partitioner — CPU threads, the
 //! simulated FPGA circuit, and the hybrid CPU⊕FPGA split — behind one
-//! object-safe [`PartitionEngine`] trait.
+//! object-safe [`PartitionEngine`] trait with four methods.
 //!
 //! The paper's hybrid join treats partitioning as a pluggable
 //! sub-operator; Section 4.6's cost model tells a planner *which*
-//! back-end wins at a given bandwidth. This module makes both first
-//! class: engines expose their modeled cost through
-//! [`PartitionEngine::estimate`] (so [`crate::planner::EnginePlanner`]
-//! can rank them), their degradation affordances through
+//! back-end wins at a given bandwidth. [`crate::planner::EnginePlanner`]
+//! prices the back-ends with those models and builds the winner through
+//! [`EngineChoice::engine`], the one place an engine is made from a
+//! choice. Engines expose their degradation affordances through
 //! [`PartitionEngine::path`] and [`PartitionEngine::hist_fallback`] (so
 //! [`crate::fallback::EscalationChain`] can drive any engine, not just
-//! the FPGA), and their observability through a per-run
-//! [`PartitionStats`].
+//! the FPGA), and report every run as one [`PartitionStats`]: the FPGA's
+//! report, the CPU's, or both for a split.
 //!
 //! [`HybridSplitEngine`] implements the paper's CPU/FPGA concurrency
 //! discussion literally: the relation is carved into two contiguous
-//! shares sized by the *interfered* bandwidth models
-//! (`costmodel::overlap` — both agents share the memory bus, so the
-//! FPGA sees the interfered curve and the CPU keeps ~72% of its solo
-//! throughput), each share is partitioned by its back-end, and the two
-//! partial outputs are written once more, by one
+//! shares sized by the *interfered* models of
+//! [`fpart_costmodel::OverlapModel::paper`] (both agents share the memory
+//! bus, so the FPGA sees the interfered curve and the CPU keeps ~72% of
+//! its solo throughput), each share is partitioned by its back-end, and
+//! the two partial outputs are written once more, by one
 //! [`fpart_cpu::swwcb::OutputBuilder`], into one dense
-//! [`PartitionedRelation`] with merged statistics and a merged
-//! observability snapshot. A one-sided split returns its one share's
+//! [`PartitionedRelation`]. A one-sided split returns its one share's
 //! output as it is.
 
+use std::time::Duration;
+
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_costmodel::{CpuCostModel, FpgaCostModel, ModePair};
+use fpart_costmodel::{CpuCostModel, ModePair, OverlapModel};
 use fpart_cpu::swwcb::OutputBuilder;
 use fpart_cpu::{CpuPartitioner, CpuRunReport};
 use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, RunReport};
 use fpart_hash::PartitionFn;
-use fpart_memmodel::BandwidthCurve;
 use fpart_obs::{Ctr, ObsSnapshot};
 use fpart_types::{Input, PartitionLayout, PartitionedRelation, Result, Tuple};
 
 use crate::fallback::AttemptPath;
 
-/// How long a partitioning run took, in the back-end's own time domain.
+/// The reports of one partitioning run, each in its back-end's own time
+/// domain. A CPU run fills `cpu`, an FPGA run `fpga`, and a hybrid split
+/// the side of each share that ran.
 #[derive(Debug, Clone)]
-pub enum PartitionStats {
-    /// CPU back-end: measured wall-clock on this host.
-    Cpu(CpuRunReport),
-    /// FPGA back-end: simulated time at the circuit clock under the
-    /// calibrated QPI model.
-    Fpga(Box<RunReport>),
-    /// Hybrid split: both back-ends ran concurrently on shares of the
-    /// input.
-    Hybrid(Box<HybridSplitStats>),
+pub struct PartitionStats {
+    /// The FPGA run (or share): simulated time at the circuit clock under
+    /// the calibrated QPI model.
+    pub fpga: Option<RunReport>,
+    /// The CPU run (or share): measured wall-clock on this host.
+    pub cpu: Option<CpuRunReport>,
 }
 
 impl PartitionStats {
-    /// Seconds (measured for CPU, simulated for FPGA, the slower share
-    /// for the hybrid split — the shares run concurrently).
-    pub fn seconds(&self) -> f64 {
-        match self {
-            Self::Cpu(r) => r.total_time().as_secs_f64(),
-            Self::Fpga(r) => r.seconds(),
-            Self::Hybrid(h) => h.seconds(),
-        }
-    }
-
-    /// Tuples partitioned.
+    /// Tuples partitioned, across both sides.
     pub fn tuples(&self) -> u64 {
-        match self {
-            Self::Cpu(r) => r.tuples,
-            Self::Fpga(r) => r.tuples,
-            Self::Hybrid(h) => h.tuples(),
-        }
+        self.fpga.as_ref().map_or(0, |r| r.tuples) + self.cpu.as_ref().map_or(0, |r| r.tuples)
     }
 
-    /// Measured wall time if this run (or part of it) ran on the host
+    /// Measured wall time, if this run (or part of it) ran on the host
     /// CPU.
-    pub fn wall_time(&self) -> Option<std::time::Duration> {
-        match self {
-            Self::Cpu(r) => Some(r.total_time()),
-            Self::Fpga(_) => None,
-            Self::Hybrid(h) => h.cpu.as_ref().map(|r| r.total_time()),
-        }
+    pub fn wall_time(&self) -> Option<Duration> {
+        self.cpu.as_ref().map(CpuRunReport::total_time)
     }
 
-    /// Simulated seconds at the circuit clock, if an FPGA share ran.
+    /// Simulated seconds at the circuit clock, if an FPGA run or share
+    /// ran.
     pub fn simulated_seconds(&self) -> Option<f64> {
-        match self {
-            Self::Cpu(_) => None,
-            Self::Fpga(r) => Some(r.seconds()),
-            Self::Hybrid(h) => h.fpga.as_ref().map(|r| r.seconds()),
-        }
+        self.fpga.as_ref().map(RunReport::seconds)
     }
-}
 
-/// Per-share reports and the merged observability snapshot of one
-/// hybrid-split run.
-#[derive(Debug, Clone)]
-pub struct HybridSplitStats {
-    /// The FPGA share's run report (`None` when the split gave the FPGA
-    /// nothing).
-    pub fpga: Option<RunReport>,
-    /// The CPU share's run report (`None` when the split gave the CPU
-    /// nothing).
-    pub cpu: Option<CpuRunReport>,
-    /// Tuples in the FPGA share.
-    pub fpga_share: usize,
-    /// Tuples in the CPU share.
-    pub cpu_share: usize,
-    /// Merged snapshot: the FPGA share's snapshot (every conservation
-    /// law of the datapath still holds for it) plus the CPU share's
-    /// software-write-combining counters, which no FPGA law touches.
-    pub obs: ObsSnapshot,
-}
-
-impl HybridSplitStats {
-    /// Completion time of the split: the slower share (the shares run
-    /// concurrently; the CPU share is host wall-clock, the FPGA share
-    /// simulated time).
-    pub fn seconds(&self) -> f64 {
-        let f = self.fpga.as_ref().map(|r| r.seconds()).unwrap_or(0.0);
-        let c = self
-            .cpu
+    /// The run's observability snapshot: the FPGA side's snapshot plus
+    /// the CPU side's software-write-combining counters. Only counters no
+    /// FPGA conservation law references are absorbed from the CPU side —
+    /// the datapath laws (tuples in/out, line accounting, cycle
+    /// accounting) keep holding for the merged snapshot exactly as they
+    /// did for the FPGA side alone.
+    pub fn obs(&self) -> ObsSnapshot {
+        let mut obs = self
+            .fpga
             .as_ref()
-            .map(|r| r.total_time().as_secs_f64())
-            .unwrap_or(0.0);
-        f.max(c)
-    }
-
-    /// Total tuples across both shares.
-    pub fn tuples(&self) -> u64 {
-        self.fpga_share as u64 + self.cpu_share as u64
+            .map(|r| r.obs.clone())
+            .unwrap_or_default();
+        if let Some(c) = &self.cpu {
+            let cc = c.obs_counters();
+            for ctr in [
+                Ctr::SwwcbFullFlushes,
+                Ctr::SwwcbPartialFlushes,
+                Ctr::SwwcbNtLines,
+            ] {
+                obs.counters.set(ctr, obs.counters.get(ctr) + cc.get(ctr));
+            }
+        }
+        obs
     }
 }
 
@@ -149,6 +112,21 @@ impl EngineChoice {
             Self::Cpu => "cpu",
             Self::Fpga => "fpga",
             Self::Hybrid => "hybrid",
+        }
+    }
+
+    /// The engine this choice names: `fpga` itself, a CPU partitioner
+    /// over its partition function on `cpu_threads` threads, or the split
+    /// over both.
+    pub fn engine<T: Tuple>(
+        self,
+        fpga: FpgaPartitioner,
+        cpu_threads: usize,
+    ) -> Box<dyn PartitionEngine<T>> {
+        match self {
+            Self::Cpu => Box::new(CpuPartitioner::new(fpga.config().partition_fn, cpu_threads)),
+            Self::Fpga => Box::new(fpga),
+            Self::Hybrid => Box::new(HybridSplitEngine::new(fpga, cpu_threads)),
         }
     }
 }
@@ -180,10 +158,6 @@ pub trait PartitionEngine<T: Tuple>: std::fmt::Debug {
     /// input mode does not match the input's layout returns
     /// [`fpart_types::FpartError::InvalidConfig`].
     fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)>;
-
-    /// Modeled seconds to partition `n` tuples (Section 4.6), in the
-    /// paper platform's time domain — the planner ranks engines by this.
-    fn estimate(&self, n: u64) -> f64;
 
     /// The overflow-free variant of this engine, if it has one: PAD-mode
     /// FPGA engines return their HIST twin, everything else `None`. The
@@ -227,17 +201,11 @@ impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
 
     fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
         let (parts, report) = CpuPartitioner::partition(self, input);
-        Ok((parts, PartitionStats::Cpu(report)))
-    }
-
-    fn estimate(&self, n: u64) -> f64 {
-        CpuCostModel::paper().partition_seconds(
-            n,
-            self.partition_fn,
-            DistributionKind::Random,
-            self.threads,
-            T::WIDTH,
-        )
+        let stats = PartitionStats {
+            fpga: None,
+            cpu: Some(report),
+        };
+        Ok((parts, stats))
     }
 }
 
@@ -255,12 +223,11 @@ impl<T: Tuple> PartitionEngine<T> for FpgaPartitioner {
 
     fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
         let (parts, report) = FpgaPartitioner::partition(self, input)?;
-        Ok((parts, PartitionStats::Fpga(Box::new(report))))
-    }
-
-    fn estimate(&self, n: u64) -> f64 {
-        let mode = cost_mode_pair(self.config().output, self.config().input);
-        FpgaCostModel::paper().partition_seconds(n, T::WIDTH, mode)
+        let stats = PartitionStats {
+            fpga: Some(report),
+            cpu: None,
+        };
+        Ok((parts, stats))
     }
 
     fn hist_fallback(&self) -> Option<Box<dyn PartitionEngine<T>>> {
@@ -278,10 +245,10 @@ impl<T: Tuple> PartitionEngine<T> for FpgaPartitioner {
 /// then the CPU share's.
 ///
 /// The default share split comes from the interference-aware §4.6
-/// models: the FPGA share is sized by the interfered bandwidth curve
-/// and the CPU share by its solo throughput derated to the overlap
-/// model's 72% — the same constants `costmodel::overlap` uses for the
-/// full hybrid join schedule. [`HybridSplitEngine::with_fraction`] pins
+/// models of [`OverlapModel::paper`], the ones it uses for the full
+/// hybrid join schedule: the FPGA share is sized by the interfered
+/// bandwidth curve and the CPU share by its solo throughput derated to
+/// the overlap model's 72%. [`HybridSplitEngine::with_fraction`] pins
 /// the split for experiments.
 #[derive(Debug, Clone)]
 pub struct HybridSplitEngine {
@@ -341,19 +308,19 @@ impl HybridSplitEngine {
     /// anything would finish *after* the CPU is already done.
     pub fn share_times(&self, n: u64, tuple_width: usize) -> (u64, f64, f64) {
         let mode = cost_mode_pair(self.fpga.config().output, self.fpga.config().input);
-        let interfered = FpgaCostModel {
-            curve: BandwidthCurve::fpga_interfered(),
-            ..FpgaCostModel::paper()
-        };
+        let OverlapModel {
+            fpga_interfered,
+            cpu_interference,
+            ..
+        } = OverlapModel::paper(self.cpu.threads);
         let cpu_model = CpuCostModel::paper();
         let t_f = |k: u64| {
             if k == 0 {
                 0.0
             } else {
-                interfered.partition_seconds(k, tuple_width, mode)
+                fpga_interfered.partition_seconds(k, tuple_width, mode)
             }
         };
-        // The overlap model's calibrated CPU interference factor.
         let t_c = |m: u64| {
             if m == 0 {
                 0.0
@@ -364,7 +331,7 @@ impl HybridSplitEngine {
                     DistributionKind::Random,
                     self.cpu.threads,
                     tuple_width,
-                ) / 0.72
+                ) / cpu_interference
             }
         };
         let k = match self.fraction {
@@ -399,27 +366,6 @@ impl HybridSplitEngine {
     }
 }
 
-/// Merged hybrid snapshot: the FPGA share's snapshot plus the CPU
-/// share's software-write-combining counters. Only counters no FPGA
-/// conservation law references are absorbed from the CPU side — the
-/// datapath laws (tuples in/out, line accounting, cycle accounting)
-/// keep holding for the merged snapshot exactly as they did for the
-/// FPGA share alone.
-fn merged_obs(fpga: Option<&RunReport>, cpu: Option<&CpuRunReport>) -> ObsSnapshot {
-    let mut obs = fpga.map(|r| r.obs.clone()).unwrap_or_default();
-    if let Some(c) = cpu {
-        let cc = c.obs_counters();
-        for ctr in [
-            Ctr::SwwcbFullFlushes,
-            Ctr::SwwcbPartialFlushes,
-            Ctr::SwwcbNtLines,
-        ] {
-            obs.counters.set(ctr, obs.counters.get(ctr) + cc.get(ctr));
-        }
-    }
-    obs
-}
-
 impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
     fn partition_fn(&self) -> PartitionFn {
         self.fpga.config().partition_fn
@@ -444,15 +390,7 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
             .then(|| self.fpga.partition(input.slice(0..k)))
             .transpose()?;
         let cpu_side = (k < n || n == 0).then(|| self.cpu.partition(input.slice(k..n)));
-        Ok(finish_split(fpga_side, cpu_side, k, n))
-    }
-
-    fn estimate(&self, n: u64) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let (_, t_fpga, t_cpu) = self.share_times(n, T::WIDTH);
-        t_fpga.max(t_cpu)
+        Ok(finish_split(fpga_side, cpu_side))
     }
 
     fn hist_fallback(&self) -> Option<Box<dyn PartitionEngine<T>>> {
@@ -467,17 +405,15 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
     }
 }
 
-/// Assemble the split's output and merged stats from the two share
-/// results. A one-sided split returns its one share's output as it is.
-/// Otherwise the output is written once, by a builder with two writers:
-/// each partition holds the FPGA share's valid tuples, then the CPU
-/// share's. The copy's SWWCB flushes are not a partitioner's and stay out
-/// of the merged snapshot.
+/// Assemble the split's output and stats from the two share results. A
+/// one-sided split returns its one share's output as it is. Otherwise
+/// the output is written once, by a builder with two writers: each
+/// partition holds the FPGA share's valid tuples, then the CPU share's.
+/// The copy's SWWCB flushes are not a partitioner's and stay out of the
+/// stats.
 fn finish_split<T: Tuple>(
     fpga_side: Option<(PartitionedRelation<T>, RunReport)>,
     cpu_side: Option<(PartitionedRelation<T>, CpuRunReport)>,
-    k: usize,
-    n: usize,
 ) -> (PartitionedRelation<T>, PartitionStats) {
     let (fpga_parts, fpga) = fpga_side.unzip();
     let (cpu_parts, cpu) = cpu_side.unzip();
@@ -485,15 +421,7 @@ fn finish_split<T: Tuple>(
         (Some(a), Some(b)) => write_shares([&a, &b]),
         (a, b) => a.or(b).expect("a split runs at least one share"),
     };
-    let obs = merged_obs(fpga.as_ref(), cpu.as_ref());
-    let stats = PartitionStats::Hybrid(Box::new(HybridSplitStats {
-        fpga,
-        cpu,
-        fpga_share: k,
-        cpu_share: n - k,
-        obs,
-    }));
-    (output, stats)
+    (output, PartitionStats { fpga, cpu })
 }
 
 /// Both shares' valid tuples, written once into one dense output.
@@ -515,7 +443,41 @@ fn write_shares<T: Tuple>(shares: [&PartitionedRelation<T>; 2]) -> PartitionedRe
 mod tests {
     use super::*;
     use fpart_datagen::KeyDistribution;
+    use fpart_types::relation::content_checksum;
     use fpart_types::{Relation, Tuple8};
+
+    /// Each choice builds the engine it names, over the FPGA's partition
+    /// function, and every engine partitions alike.
+    #[test]
+    fn every_choice_builds_its_engine() {
+        let f = PartitionFn::Murmur { bits: 5 };
+        let keys = KeyDistribution::Random.generate_keys::<u32>(4096, 19);
+        let rel = Relation::<Tuple8>::from_keys(&keys);
+        let multisets = |parts: &PartitionedRelation<Tuple8>| -> Vec<_> {
+            (0..parts.num_partitions())
+                .map(|p| content_checksum(parts.partition_tuples(p)))
+                .collect()
+        };
+        let expect = multisets(&CpuPartitioner::new(f, 2).partition(&rel).0);
+        for (choice, output, path) in [
+            (EngineChoice::Cpu, OutputMode::Hist, AttemptPath::Cpu),
+            (
+                EngineChoice::Fpga,
+                OutputMode::pad_default(),
+                AttemptPath::Pad,
+            ),
+            (EngineChoice::Fpga, OutputMode::Hist, AttemptPath::Hist),
+            (EngineChoice::Hybrid, OutputMode::Hist, AttemptPath::Hybrid),
+        ] {
+            let fpga = FpgaPartitioner::with_modes(f, output, InputMode::Rid);
+            let engine = choice.engine::<Tuple8>(fpga, 2);
+            let label = format!("{choice:?} over {output:?}");
+            assert_eq!(engine.path(), path, "{label}");
+            assert_eq!(engine.partition_fn(), f, "{label}");
+            let (parts, _) = engine.partition(Input::from(&rel)).unwrap();
+            assert_eq!(multisets(&parts), expect, "{label}");
+        }
+    }
 
     /// A one-sided split hands back its one share's output as that
     /// engine wrote it, slot for slot (PAD padding included), and
@@ -536,16 +498,13 @@ mod tests {
                 let (parts, stats) = engine(fraction).partition(Input::from(&rel)).unwrap();
                 let label = format!("{output:?} f={fraction}");
                 assert!(parts.raw_data() == direct.raw_data(), "{label}");
-                let PartitionStats::Hybrid(h) = stats else {
-                    panic!("hybrid runs report hybrid stats");
-                };
-                let k = (fraction * n as f64) as usize;
-                assert_eq!((h.fpga_share, h.cpu_share), (k, n - k), "{label}");
-                assert_eq!(
-                    (h.fpga.is_some(), h.cpu.is_some()),
-                    (k > 0, k < n),
-                    "{label}"
+                let k = (fraction * n as f64) as u64;
+                let shares = (
+                    stats.fpga.as_ref().map(|r| r.tuples),
+                    stats.cpu.as_ref().map(|r| r.tuples),
                 );
+                let expect = ((k > 0).then_some(k), (k < n as u64).then_some(n as u64 - k));
+                assert_eq!(shares, expect, "{label}");
             }
         }
     }

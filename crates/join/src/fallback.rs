@@ -19,9 +19,12 @@
 //! Every attempt — failed or successful — is recorded in a
 //! [`DegradationReport`], including *why* a step failed and an estimate
 //! of the simulated work the abort threw away ("the data partitioned
-//! up to the point of failure is not usable", Section 5.4). The chain
-//! is deterministic: the same fault plan against the same input
-//! reproduces the identical report.
+//! up to the point of failure is not usable", Section 5.4). The report
+//! keeps the [`PartitionStats`] of the attempt that succeeded, whichever
+//! engine ran it, and its counters are what
+//! [`DegradationReport::fault_counters`] builds on. The chain is
+//! deterministic: the same fault plan against the same input reproduces
+//! the identical report.
 
 use fpart_cpu::{CpuPartitioner, CpuRunReport};
 use fpart_fpga::RunReport;
@@ -83,21 +86,13 @@ impl DegradationReport {
     /// Report of the successful FPGA run (or the FPGA share of a hybrid
     /// run), if one completed the request.
     pub fn fpga(&self) -> Option<&RunReport> {
-        match &self.stats {
-            PartitionStats::Fpga(r) => Some(r),
-            PartitionStats::Hybrid(h) => h.fpga.as_ref(),
-            PartitionStats::Cpu(_) => None,
-        }
+        self.stats.fpga.as_ref()
     }
 
     /// Report of the CPU run (fallback or hybrid share), if one
     /// completed the request.
     pub fn cpu(&self) -> Option<&CpuRunReport> {
-        match &self.stats {
-            PartitionStats::Cpu(r) => Some(r),
-            PartitionStats::Hybrid(h) => h.cpu.as_ref(),
-            PartitionStats::Fpga(_) => None,
-        }
+        self.stats.cpu.as_ref()
     }
 
     /// The path that finally produced the output.
@@ -151,18 +146,15 @@ impl DegradationReport {
     }
 
     /// Roll the chain's own accounting into an observability counter set:
-    /// attempt/waste totals plus per-fault-class event counts, merged with
-    /// the successful FPGA run's counters when the chain ended on the
-    /// FPGA. The fault-injection suite asserts injected faults are visible
+    /// attempt/waste totals plus per-fault-class event counts, on top of
+    /// the counters of the run that completed the request
+    /// ([`PartitionStats::obs`]: an FPGA run's snapshot, a CPU run's
+    /// SWWCB counters, or both for a hybrid split), whichever engine it
+    /// was. The fault-injection suite asserts injected faults are visible
     /// here.
     pub fn fault_counters(&self) -> fpart_obs::CounterSet {
         use fpart_obs::Ctr;
-        let mut c = fpart_obs::CounterSet::default();
-        match &self.stats {
-            PartitionStats::Fpga(r) => c.merge(&r.obs.counters),
-            PartitionStats::Hybrid(h) => c.merge(&h.obs.counters),
-            PartitionStats::Cpu(_) => {}
-        }
+        let mut c = self.stats.obs().counters;
         c.set(Ctr::FallbackAttempts, self.attempts.len() as u64);
         c.set(Ctr::FallbackWastedCycles, self.wasted_cycles());
         c.set(Ctr::BramParityEvents, self.parity_events());
@@ -318,8 +310,6 @@ mod tests {
                 padding: PaddingSpec::Tuples(pad),
             },
             input: InputMode::Rid,
-            fifo_capacity: 64,
-            out_fifo_capacity: 8,
             fidelity: SimFidelity::CycleAccurate,
             obs: fpart_obs::ObsLevel::Off,
         }

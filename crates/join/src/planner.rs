@@ -21,7 +21,6 @@
 
 use fpart_costmodel::cpu::DistributionKind;
 use fpart_costmodel::{CpuCostModel, FpgaCostModel};
-use fpart_cpu::CpuPartitioner;
 use fpart_fpga::{
     FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
 };
@@ -225,7 +224,8 @@ impl EnginePlanner {
         };
         if self.allow_hybrid {
             let hybrid = HybridSplitEngine::new(fpga.clone(), self.cpu_threads);
-            let th = PartitionEngine::<T>::estimate(&hybrid, n);
+            let (_, t_fpga_share, t_cpu_share) = hybrid.share_times(n, T::WIDTH);
+            let th = t_fpga_share.max(t_cpu_share);
             t_hybrid = Some(th);
             fpga_fraction = Some(hybrid.planned_fraction(n, T::WIDTH));
             if th > 0.0 && t_fpga.min(t_cpu) / th >= self.hybrid_gain {
@@ -233,13 +233,7 @@ impl EnginePlanner {
             }
         }
 
-        let engine: Box<dyn PartitionEngine<T>> = match choice {
-            EngineChoice::Cpu => Box::new(CpuPartitioner::new(f, self.cpu_threads)),
-            EngineChoice::Fpga => Box::new(fpga.clone()),
-            EngineChoice::Hybrid => {
-                Box::new(HybridSplitEngine::new(fpga.clone(), self.cpu_threads))
-            }
-        };
+        let engine = choice.engine(fpga, self.cpu_threads);
 
         let explanation = PlanExplanation {
             tuples: n,

@@ -11,9 +11,7 @@ use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig, SimF
 use fpart_hash::PartitionFn;
 use fpart_join::buildprobe::build_probe_all;
 use fpart_join::radix::JoinResult;
-use fpart_join::{
-    radix_join, EngineChoice, EnginePlanner, EscalationChain, HybridSplitEngine, PartitionEngine,
-};
+use fpart_join::{radix_join, EngineChoice, EnginePlanner, EscalationChain};
 use fpart_types::{PartitionedRelation, Relation, Result, Tuple};
 
 use crate::exchange::{exchange, scatter_evenly};
@@ -147,8 +145,9 @@ impl DistributedJoin {
     }
 
     /// Level-1 partition one node's share; returns the fragments and the
-    /// phase seconds (simulated for FPGA, measured for CPU, the slower
-    /// share for the split).
+    /// phase seconds: simulated for an FPGA run, measured for a CPU run,
+    /// and for a split the slower share, host or simulated — the one
+    /// place the distributed join blends the two time domains.
     fn partition_share<T: Tuple>(
         &self,
         share: &Relation<T>,
@@ -165,16 +164,13 @@ impl DistributedJoin {
                     ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
                 }
                 .with_fidelity(self.fidelity);
-                let fpga = FpgaPartitioner::new(config);
-                let engine: Box<dyn PartitionEngine<T>> = match choice {
-                    EngineChoice::Cpu => Box::new(CpuPartitioner::new(f, self.threads)),
-                    EngineChoice::Fpga => Box::new(fpga),
-                    EngineChoice::Hybrid => Box::new(HybridSplitEngine::new(fpga, self.threads)),
-                };
+                let engine = choice.engine(FpgaPartitioner::new(config), self.threads);
                 EscalationChain::new(self.threads).run(engine.as_ref(), share)?
             }
         };
-        Ok((parts, report.stats.seconds()))
+        let host = report.stats.wall_time().unwrap_or_default().as_secs_f64();
+        let simulated = report.stats.simulated_seconds().unwrap_or(0.0);
+        Ok((parts, host.max(simulated)))
     }
 
     /// Execute R ⋈ S across the cluster.

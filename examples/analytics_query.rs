@@ -82,8 +82,8 @@ fn main() {
     }
     println!(
         "FPGA partitioning (simulated): dim {:.4} s + fact {:.4} s",
-        dim_rep.stats.seconds(),
-        fact_rep.stats.seconds()
+        dim_rep.fpga().expect("no CPU fallback").seconds(),
+        fact_rep.fpga().expect("no CPU fallback").seconds()
     );
 
     let t0 = std::time::Instant::now();

@@ -21,8 +21,6 @@ fn pad_cfg(bits: u32, pad: usize) -> PartitionerConfig {
             padding: PaddingSpec::Tuples(pad),
         },
         input: InputMode::Rid,
-        fifo_capacity: 64,
-        out_fifo_capacity: 8,
         fidelity: SimFidelity::CycleAccurate,
         obs: ObsLevel::Off,
     }
@@ -229,6 +227,10 @@ fn parity_events_visible_in_degradation_report() {
         report.wasted_cycles()
     );
     assert!(report.wasted_cycles() > 0, "both aborts discarded work");
+    assert!(
+        counters.get(Ctr::SwwcbNtLines) > 0,
+        "the CPU run that completed the request merges its SWWCB counters"
+    );
 }
 
 /// Seeded fault campaigns reproduce end to end: the same
