@@ -3,10 +3,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use fpart::join::circuit_modes;
 use fpart::prelude::*;
-use fpart_costmodel::ModePair;
-use fpart_fpga::{FpgaPartitioner, RunReport, SimFidelity};
+use fpart_fpga::{mode_label, FpgaPartitioner, RunReport, SimFidelity};
 use fpart_hwsim::QpiConfig;
 
 use crate::Scale;
@@ -76,13 +74,19 @@ pub fn relation(n: usize, dist: KeyDistribution, seed: u64) -> Relation<Tuple8> 
 
 /// Run the simulated FPGA partitioner in a given mode pair over `n`
 /// random tuples; `raw` swaps the QPI link for the 25.6 GB/s wrapper.
+/// PAD runs at its default padding.
 ///
 /// Throughput figures use [`SimFidelity::Batched`]: the partitioned
 /// bytes are identical to the cycle-accurate path (differential tests in
 /// `fpart-fpga`) and the cycle count is analytic, which is what makes
 /// the full suite fast enough to run on every change.
-pub fn simulate_mode(mode: ModePair, n: usize, bits: u32, raw: bool, seed: u64) -> RunReport {
-    let (output, input) = circuit_modes(mode);
+pub fn simulate_mode(
+    (output, input): (OutputMode, InputMode),
+    n: usize,
+    bits: u32,
+    raw: bool,
+    seed: u64,
+) -> RunReport {
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         ..PartitionerConfig::paper_default(output, input)
@@ -112,7 +116,7 @@ pub fn simulate_mode(mode: ModePair, n: usize, bits: u32, raw: bool, seed: u64) 
 /// of scheduling.
 pub fn sim_points(
     figure: &str,
-    points: &[(ModePair, bool)],
+    points: &[((OutputMode, InputMode), bool)],
     n: usize,
     bits: u32,
     seed: u64,
@@ -129,12 +133,9 @@ pub fn sim_points(
     points
         .iter()
         .zip(sims)
-        .map(|(&(mode, raw), (report, wall))| {
-            let point = if raw {
-                format!("{} raw", mode.label())
-            } else {
-                mode.label().to_string()
-            };
+        .map(|(&((output, input), raw), (report, wall))| {
+            let label = mode_label(output, input);
+            let point = if raw { format!("{label} raw") } else { label };
             crate::record::emit_report(figure, &point, &report, wall);
             report
         })

@@ -12,7 +12,7 @@
 
 use fpart::prelude::*;
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel, ModePair};
+use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel};
 
 use crate::figures::common::{scale_note, workload_rows, PARTITION_AXIS};
 use crate::table::{fnum, TextTable};
@@ -45,7 +45,8 @@ fn model_table(threads: usize) -> TextTable {
             2.0 * N as f64 / cpu.throughput_at(f, DistributionKind::Linear, threads, 8, parts);
         let cpu_bp = join.build_probe_seconds(N, N, parts, 8, threads, false);
         // FPGA partition time is independent of the fan-out (PAD/RID).
-        let fpga_part = 2.0 * fpga.partition_seconds(N, 8, ModePair::PadRid);
+        let fpga_part =
+            2.0 * fpga.partition_seconds(N, 8, OutputMode::pad_default(), InputMode::Rid);
         let hyb_bp = join.build_probe_seconds(N, N, parts, 8, threads, true);
         t.row(vec![
             parts.to_string(),

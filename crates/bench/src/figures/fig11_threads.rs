@@ -9,7 +9,7 @@
 
 use fpart::prelude::*;
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel, ModePair};
+use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel};
 
 use crate::figures::common::{scale_note, workload_columns, workload_rows, THREAD_AXIS};
 use crate::table::{fnum, TextTable};
@@ -20,6 +20,7 @@ fn model_table(name: &str, r_n: u64, s_n: u64) -> TextTable {
     let fpga = FpgaCostModel::paper();
     let join = JoinCostModel::paper();
     let f = PartitionFn::Murmur { bits: 13 };
+    let pad = OutputMode::pad_default();
 
     let mut t = TextTable::new(
         format!("Figure 11 — {name} join time (s) vs threads, model of the paper machine"),
@@ -39,10 +40,10 @@ fn model_table(name: &str, r_n: u64, s_n: u64) -> TextTable {
         let cpu_part =
             (r_n + s_n) as f64 / cpu.throughput_at(f, DistributionKind::Linear, threads, 8, 8192);
         let cpu_bp = join.build_probe_seconds(r_n, s_n, 8192, 8, threads, false);
-        let rid = fpga.partition_seconds(r_n, 8, ModePair::PadRid)
-            + fpga.partition_seconds(s_n, 8, ModePair::PadRid);
-        let vrid = fpga.partition_seconds(r_n, 8, ModePair::PadVrid)
-            + fpga.partition_seconds(s_n, 8, ModePair::PadVrid);
+        let rid = fpga.partition_seconds(r_n, 8, pad, InputMode::Rid)
+            + fpga.partition_seconds(s_n, 8, pad, InputMode::Rid);
+        let vrid = fpga.partition_seconds(r_n, 8, pad, InputMode::Vrid)
+            + fpga.partition_seconds(s_n, 8, pad, InputMode::Vrid);
         let hyb_bp = join.build_probe_seconds(r_n, s_n, 8192, 8, threads, true);
         t.row(vec![
             threads.to_string(),
@@ -63,7 +64,7 @@ fn model_table(name: &str, r_n: u64, s_n: u64) -> TextTable {
                 + join.build_probe_seconds(r_n, s_n, 8192, 8, 10, false))
             / 1e6;
         let hyb_tp = total_10
-            / (fpga.partition_seconds(r_n, 8, ModePair::PadVrid) * 2.0
+            / (fpga.partition_seconds(r_n, 8, pad, InputMode::Vrid) * 2.0
                 + join.build_probe_seconds(r_n, s_n, 8192, 8, 10, true))
             / 1e6;
         t.note(format!(
@@ -169,7 +170,8 @@ mod tests {
         let cpu_tp = 2.0 * n as f64 / cpu_total / 1e6;
         assert!((cpu_tp - 436.0).abs() < 20.0, "CPU {cpu_tp:.0}");
 
-        let hyb_total = 2.0 * fpga.partition_seconds(n, 8, ModePair::PadVrid)
+        let hyb_total = 2.0
+            * fpga.partition_seconds(n, 8, OutputMode::pad_default(), InputMode::Vrid)
             + join.build_probe_seconds(n, n, 8192, 8, 10, true);
         let hyb_tp = 2.0 * n as f64 / hyb_total / 1e6;
         assert!((hyb_tp - 406.0).abs() < 30.0, "hybrid {hyb_tp:.0}");
@@ -182,8 +184,8 @@ mod tests {
         let fpga = FpgaCostModel::paper();
         let n = 128_000_000u64;
         assert!(
-            fpga.partition_seconds(n, 8, ModePair::PadVrid)
-                < fpga.partition_seconds(n, 8, ModePair::PadRid)
+            fpga.partition_seconds(n, 8, OutputMode::pad_default(), InputMode::Vrid)
+                < fpga.partition_seconds(n, 8, OutputMode::pad_default(), InputMode::Rid)
         );
     }
 }

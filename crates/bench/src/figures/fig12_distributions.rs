@@ -15,7 +15,7 @@
 
 use fpart::prelude::*;
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel, ModePair};
+use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel};
 
 use crate::figures::common::{scale_note, THREAD_AXIS};
 use crate::table::{fnum, TextTable};
@@ -103,7 +103,8 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
                 join.build_probe_seconds_skewed(&radix_r_hist, &radix_s_hist, 8, threads, false);
             let bp_hash =
                 join.build_probe_seconds_skewed(&hash_r_hist, &hash_s_hist, 8, threads, false);
-            let fpga_part = 2.0 * fpga.partition_seconds(n, 8, ModePair::PadRid);
+            let fpga_part =
+                2.0 * fpga.partition_seconds(n, 8, OutputMode::pad_default(), InputMode::Rid);
             let bp_hyb =
                 join.build_probe_seconds_skewed(&hash_r_hist, &hash_s_hist, 8, threads, true);
             t.row(vec![

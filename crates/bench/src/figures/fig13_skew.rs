@@ -8,7 +8,7 @@
 
 use fpart::prelude::*;
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel, ModePair};
+use fpart_costmodel::{CpuCostModel, FpgaCostModel, JoinCostModel};
 
 use crate::figures::common::scale_note;
 use crate::table::{fnum, TextTable};
@@ -100,7 +100,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
                 8,
                 8192,
             );
-        let fpga_part = 2.0 * fpga.partition_seconds(n, 8, ModePair::HistRid);
+        let fpga_part = 2.0 * fpga.partition_seconds(n, 8, OutputMode::Hist, InputMode::Rid);
         let bp_cpu = join.build_probe_seconds_skewed(&r_hist, &s_hist, 8, 10, false);
         let bp_hyb = join.build_probe_seconds_skewed(&r_hist, &s_hist, 8, 10, true);
 
@@ -143,11 +143,11 @@ mod tests {
                 8,
                 8192,
             );
-        let fpga_secs = fpga.partition_seconds(n, 8, ModePair::HistRid);
+        let fpga_secs = fpga.partition_seconds(n, 8, OutputMode::Hist, InputMode::Rid);
         assert!(fpga_secs > cpu_secs, "QPI-bound HIST/RID loses to the CPU");
 
         let raw = FpgaCostModel::raw_wrapper();
-        let raw_secs = raw.partition_seconds(n, 8, ModePair::HistRid);
+        let raw_secs = raw.partition_seconds(n, 8, OutputMode::Hist, InputMode::Rid);
         let speedup = cpu_secs / raw_secs;
         assert!(
             (1.3..1.8).contains(&speedup),

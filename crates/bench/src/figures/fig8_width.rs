@@ -5,7 +5,7 @@
 //! experimental proof that the circuit is bandwidth bound.
 
 use fpart::prelude::*;
-use fpart_costmodel::{FpgaCostModel, ModePair};
+use fpart_costmodel::FpgaCostModel;
 use fpart_datagen::KeyDistribution;
 use fpart_fpga::{FpgaPartitioner, RunReport, SimFidelity};
 
@@ -87,9 +87,9 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         crate::record::emit_report("fig8", &format!("{w}B"), report, *wall);
         t.row(vec![
             format!("{w}B"),
-            fnum(model.p_total((n / (w / 8)) as u64, *w, ModePair::HistRid) / 1e6),
+            fnum(model.p_total((n / (w / 8)) as u64, *w, OutputMode::Hist, InputMode::Rid) / 1e6),
             fnum(report.mtuples_per_sec()),
-            fnum(model.data_gbps((n / (w / 8)) as u64, *w, ModePair::HistRid)),
+            fnum(model.data_gbps((n / (w / 8)) as u64, *w, OutputMode::Hist, InputMode::Rid)),
             fnum(report.link_gbps()),
         ]);
     }

@@ -4,7 +4,8 @@
 
 use fpart::prelude::*;
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_costmodel::{CpuCostModel, FpgaCostModel, ModePair};
+use fpart_costmodel::{CpuCostModel, FpgaCostModel};
+use fpart_fpga::mode_label;
 
 use crate::figures::common::{relation, scale_note, sim_points};
 use crate::table::{fnum, TextTable};
@@ -60,20 +61,22 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
     ]);
     // All six simulated points (four QPI modes + two raw-wrapper bars)
     // are independent; fan them out across cores.
+    let (hist, pad) = (OutputMode::Hist, OutputMode::pad_default());
     let points = [
-        (ModePair::HistRid, false),
-        (ModePair::HistVrid, false),
-        (ModePair::PadRid, false),
-        (ModePair::PadVrid, false),
-        (ModePair::HistRid, true),
-        (ModePair::PadRid, true),
+        ((hist, InputMode::Rid), false),
+        ((hist, InputMode::Vrid), false),
+        ((pad, InputMode::Rid), false),
+        ((pad, InputMode::Vrid), false),
+        ((hist, InputMode::Rid), true),
+        ((pad, InputMode::Rid), true),
     ];
     let sims = sim_points("fig9", &points, n, bits, scale.seed);
     for (i, paper) in [299.0, 391.0, 436.0, 514.0].into_iter().enumerate() {
+        let ((output, input), _) = points[i];
         t.row(vec![
-            points[i].0.label().into(),
+            mode_label(output, input),
             fnum(paper),
-            fnum(fpga_model.p_total(n as u64, 8, points[i].0) / 1e6),
+            fnum(fpga_model.p_total(n as u64, 8, output, input) / 1e6),
             format!("{} (sim)", fnum(sims[i].mtuples_per_sec())),
         ]);
     }
@@ -111,11 +114,11 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         .into_iter()
         .enumerate()
     {
-        let (mode, _) = points[4 + i];
+        let ((output, input), _) = points[4 + i];
         t.row(vec![
             label.into(),
             fnum(paper),
-            fnum(raw_model.p_total(n as u64, 8, mode) / 1e6),
+            fnum(raw_model.p_total(n as u64, 8, output, input) / 1e6),
             format!(
                 "{} (sim, 25.6 GB/s wrapper)",
                 fnum(sims[4 + i].mtuples_per_sec())
@@ -145,10 +148,11 @@ mod tests {
         let sim = |mode, raw| {
             crate::figures::common::simulate_mode(mode, n, bits, raw, 3).mtuples_per_sec()
         };
-        let hist_rid = sim(ModePair::HistRid, false);
-        let pad_rid = sim(ModePair::PadRid, false);
-        let pad_vrid = sim(ModePair::PadVrid, false);
-        let raw_pad = sim(ModePair::PadRid, true);
+        let pad = OutputMode::pad_default();
+        let hist_rid = sim((OutputMode::Hist, InputMode::Rid), false);
+        let pad_rid = sim((pad, InputMode::Rid), false);
+        let pad_vrid = sim((pad, InputMode::Vrid), false);
+        let raw_pad = sim((pad, InputMode::Rid), true);
         assert!(hist_rid < pad_rid, "{hist_rid} !< {pad_rid}");
         assert!(pad_rid < pad_vrid, "{pad_rid} !< {pad_vrid}");
         assert!(raw_pad > 2.0 * pad_rid, "raw {raw_pad} vs {pad_rid}");

@@ -5,7 +5,8 @@
 //! harness adds a third column: the cycle-level simulation, which must
 //! match the same model within a comparable envelope.
 
-use fpart_costmodel::{FpgaCostModel, ModePair};
+use fpart_costmodel::{read_write_ratio, FpgaCostModel};
+use fpart_fpga::{mode_label, InputMode, OutputMode};
 
 use crate::figures::common::{scale_note, sim_points};
 use crate::table::{fnum, TextTable};
@@ -34,22 +35,24 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
             "delta",
         ],
     );
+    let (hist, pad) = (OutputMode::Hist, OutputMode::pad_default());
     let rows = [
-        (ModePair::HistRid, 294.0, 299.0),
-        (ModePair::HistVrid, 435.0, 391.0),
-        (ModePair::PadRid, 435.0, 436.0),
-        (ModePair::PadVrid, 495.0, 514.0),
+        ((hist, InputMode::Rid), 294.0, 299.0),
+        ((hist, InputMode::Vrid), 435.0, 391.0),
+        ((pad, InputMode::Rid), 435.0, 436.0),
+        ((pad, InputMode::Vrid), 495.0, 514.0),
     ];
-    let points: Vec<(ModePair, bool)> = rows.iter().map(|&(m, _, _)| (m, false)).collect();
+    let points: Vec<_> = rows.iter().map(|&(mode, _, _)| (mode, false)).collect();
     let sims = sim_points("validation", &points, n, bits, scale.seed);
-    for (i, &(mode, paper_model, paper_measured)) in rows.iter().enumerate() {
-        let ours_model = model.p_total(n as u64, 8, mode) / 1e6;
+    for (i, &((output, input), paper_model, paper_measured)) in rows.iter().enumerate() {
+        let ours_model = model.p_total(n as u64, 8, output, input) / 1e6;
         let sim = sims[i].mtuples_per_sec();
         let delta = (sim - ours_model) / ours_model * 100.0;
+        let r = read_write_ratio(output, input);
         t.row(vec![
-            mode.label().into(),
-            fnum(mode.r()),
-            fnum(model.curve.gbps(fpart::memmodel::RwMix::from_r(mode.r()))),
+            mode_label(output, input),
+            fnum(r),
+            fnum(model.curve.gbps(fpart::memmodel::RwMix::from_r(r))),
             fnum(paper_model),
             fnum(paper_measured),
             fnum(ours_model),

@@ -128,8 +128,12 @@ mod tests {
     }
 
     #[test]
-    fn modepair_reexport_is_consistent() {
+    fn default_mode_is_pad_rid() {
         // The sweep's default mode is the paper's PAD/RID headline.
-        assert_eq!(FutureSweep::paper().mode, fpart_costmodel::ModePair::PadRid);
+        let pad_rid = (
+            fpart_fpga::OutputMode::pad_default(),
+            fpart_fpga::InputMode::Rid,
+        );
+        assert_eq!(FutureSweep::paper().mode, pad_rid);
     }
 }

@@ -6,7 +6,6 @@
 
 use fpart::fpga::MAX_BRAM_BITS;
 use fpart::prelude::*;
-use fpart_costmodel::ModePair;
 
 /// Every command and what it does, in help order.
 #[rustfmt::skip]
@@ -56,8 +55,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "bits",       commands: &["faults", "trace"],                                       value: "b",      default: "6",         help: "partition bits, 1..=20; 2^b partitions" },
     Flag { name: "out",        commands: &["gen"],                                                   value: "file",   default: "",          help: "destination, required (.csv suffix → CSV, else FPRT binary)" },
     Flag { name: "in",         commands: &["partition"],                                             value: "file",   default: "",          help: "read the relation from a file instead of generating" },
-    Flag { name: "backend",    commands: &["partition"],                                             value: "b",      default: "cpu",       help: "cpu|fpga" },
-    Flag { name: "backend",    commands: &["join"],                                                  value: "b",      default: "cpu",       help: "cpu|hybrid" },
+    Flag { name: "backend",    commands: &["partition", "join"],                                     value: "b",      default: "cpu",       help: "cpu|fpga|hybrid; hybrid is the paper's hybrid join (FPGA partitioning, CPU build+probe), i.e. fpga" },
     Flag { name: "fn",         commands: &["partition", "plan", "trace"],                            value: "f",      default: "murmur",    help: "radix|murmur" },
     Flag { name: "mode",       commands: &["partition", "model"],                                    value: "m",      default: "pad/rid",   help: "FPGA mode: hist/rid|hist/vrid|pad/rid|pad/vrid" },
     Flag { name: "mode",       commands: &["trace"],                                                 value: "m",      default: "hist/rid",  help: "FPGA mode: hist/rid|hist/vrid|pad/rid|pad/vrid" },
@@ -142,7 +140,7 @@ pub struct PartitionArgs {
     pub backend: EngineChoice,
     /// `--fn`: murmur (true) or radix.
     pub hash: bool,
-    pub mode: ModePair,
+    pub mode: (OutputMode, InputMode),
 }
 
 /// `fpart join`.
@@ -202,7 +200,7 @@ pub struct SortArgs {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelArgs {
     pub n: usize,
-    pub mode: ModePair,
+    pub mode: (OutputMode, InputMode),
     pub gbps: Option<f64>,
 }
 
@@ -248,7 +246,7 @@ pub struct TraceArgs {
     pub bits: u32,
     /// `--fn`: murmur (true) or radix.
     pub hash: bool,
-    pub mode: ModePair,
+    pub mode: (OutputMode, InputMode),
     pub level: ObsLevel,
     pub json: bool,
 }
@@ -384,12 +382,14 @@ fn parse_dist(v: &str) -> Result<KeyDistribution, String> {
     })
 }
 
-fn parse_mode(v: &str) -> Result<ModePair, String> {
+/// `--mode`: the circuit's output and input modes, PAD at its default
+/// padding.
+fn parse_mode(v: &str) -> Result<(OutputMode, InputMode), String> {
     Ok(match v.to_ascii_lowercase().as_str() {
-        "hist/rid" => ModePair::HistRid,
-        "hist/vrid" => ModePair::HistVrid,
-        "pad/rid" => ModePair::PadRid,
-        "pad/vrid" => ModePair::PadVrid,
+        "hist/rid" => (OutputMode::Hist, InputMode::Rid),
+        "hist/vrid" => (OutputMode::Hist, InputMode::Vrid),
+        "pad/rid" => (OutputMode::pad_default(), InputMode::Rid),
+        "pad/vrid" => (OutputMode::pad_default(), InputMode::Vrid),
         other => return Err(format!("--mode: unknown mode {other:?}")),
     })
 }
@@ -558,6 +558,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpart::fpga::mode_label;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -579,7 +580,7 @@ mod tests {
                 assert_eq!(bits, 13);
                 assert_eq!(backend, EngineChoice::Cpu);
                 assert!(hash);
-                assert_eq!(mode, ModePair::PadRid);
+                assert_eq!(mode, (OutputMode::pad_default(), InputMode::Rid));
             }
             other => panic!("{other:?}"),
         }
@@ -601,7 +602,7 @@ mod tests {
                 ..
             }) => {
                 assert_eq!(backend, EngineChoice::Fpga);
-                assert_eq!(mode, ModePair::HistVrid);
+                assert_eq!(mode, (OutputMode::Hist, InputMode::Vrid));
                 assert!(!hash);
                 assert_eq!((n, bits), (4096, 6));
             }
@@ -624,6 +625,28 @@ mod tests {
                 assert_eq!(backend, EngineChoice::Fpga);
             }
             other => panic!("{other:?}"),
+        }
+        // The help says so, for both commands that take --backend.
+        let help = usage();
+        for cmd in ["partition", "join"] {
+            let flags = help.split(&format!("\n{cmd} flags:\n")).nth(1).unwrap();
+            let row = flags
+                .lines()
+                .find(|l| l.starts_with("  --backend"))
+                .unwrap();
+            assert!(
+                row.contains("cpu|fpga|hybrid; hybrid is the paper's hybrid join"),
+                "{row}"
+            );
+        }
+    }
+
+    /// Every `--mode` value names the pair whose label it is.
+    #[test]
+    fn modes_round_trip_through_their_labels() {
+        for v in ["hist/rid", "hist/vrid", "pad/rid", "pad/vrid"] {
+            let (output, input) = parse_mode(v).unwrap();
+            assert_eq!(mode_label(output, input), v.to_ascii_uppercase());
         }
     }
 
@@ -683,7 +706,7 @@ mod tests {
         let cmd = parse(&argv("model --mode pad/vrid --gbps 25.6")).unwrap();
         match cmd {
             Command::Model(ModelArgs { mode, gbps, n }) => {
-                assert_eq!(mode, ModePair::PadVrid);
+                assert_eq!(mode, (OutputMode::pad_default(), InputMode::Vrid));
                 assert_eq!(gbps, Some(25.6));
                 assert_eq!(n, 128_000_000);
             }
@@ -758,7 +781,7 @@ mod tests {
             }) => {
                 assert_eq!(n, 65_536);
                 assert_eq!(bits, 6);
-                assert_eq!(mode, ModePair::HistRid);
+                assert_eq!(mode, (OutputMode::Hist, InputMode::Rid));
                 assert_eq!(level, ObsLevel::Trace);
                 assert!(!json);
             }
@@ -778,7 +801,7 @@ mod tests {
                 ..
             }) => {
                 assert_eq!(n, 1000);
-                assert_eq!(mode, ModePair::PadVrid);
+                assert_eq!(mode, (OutputMode::pad_default(), InputMode::Vrid));
                 assert_eq!(level, ObsLevel::Counters);
                 assert!(json);
                 assert!(!hash);

@@ -3,9 +3,9 @@
 use std::time::Instant;
 
 use fpart::cpu::sort::{is_sorted_by_key, lsd_radix_sort, sample_sort};
-use fpart::join::circuit_modes;
+use fpart::fpga::mode_label;
 use fpart::prelude::*;
-use fpart_costmodel::{FpgaCostModel, ModePair};
+use fpart_costmodel::FpgaCostModel;
 
 use crate::args::{
     usage, Command, DistArgs, FaultsArgs, GenArgs, GroupByArgs, JoinArgs, ModelArgs, PartitionArgs,
@@ -44,7 +44,7 @@ fn trace(a: TraceArgs) -> Outcome {
 
     let TraceArgs { n, dist, level, .. } = a;
     let f = partition_fn(a.hash, a.bits);
-    let (output, input) = circuit_modes(a.mode);
+    let (output, input) = a.mode;
     let config = PartitionerConfig {
         partition_fn: f,
         ..PartitionerConfig::paper_default(output, input)
@@ -364,7 +364,7 @@ fn partition(
     f: PartitionFn,
     threads: usize,
     backend: EngineChoice,
-    mode: ModePair,
+    (output, input): (OutputMode, InputMode),
 ) -> Result<PartitionedRelation<Tuple8>, Box<dyn std::error::Error>> {
     println!(
         "partitioning {} {what} into {} partitions with {}…",
@@ -385,7 +385,6 @@ fn partition(
         // `--backend hybrid` parses to `Fpga`; the split engine has no
         // front-end of its own here.
         EngineChoice::Fpga | EngineChoice::Hybrid => {
-            let (output, input) = circuit_modes(mode);
             let partitioner = FpgaPartitioner::with_modes(f, output, input)
                 .with_sim_fidelity(SimFidelity::Batched);
             let t0 = Instant::now();
@@ -495,6 +494,7 @@ fn sort(a: SortArgs) -> Outcome {
 
 fn model(a: ModelArgs) -> Outcome {
     let ModelArgs { n, mode, gbps } = a;
+    let (output, input) = mode;
     let m = match gbps {
         Some(g) => FpgaCostModel {
             curve: fpart::memmodel::BandwidthCurve::new("flat", vec![(0.0, g), (1.0, g)]),
@@ -504,16 +504,16 @@ fn model(a: ModelArgs) -> Outcome {
     };
     println!(
         "Section 4.6 model, {} of {n} 8B tuples{}:",
-        mode.label(),
+        mode_label(output, input),
         gbps.map(|g| format!(" at a flat {g} GB/s link"))
             .unwrap_or_else(|| " on the HARP QPI link".into())
     );
     println!(
         "  P_FPGA = {:.0} Mt/s   P_mem = {:.0} Mt/s   P_total = {:.0} Mt/s   time = {:.4} s",
-        m.p_fpga(n as u64, 8, mode) / 1e6,
-        m.p_mem(8, mode) / 1e6,
-        m.p_total(n as u64, 8, mode) / 1e6,
-        m.partition_seconds(n as u64, 8, mode)
+        m.p_fpga(n as u64, 8, output) / 1e6,
+        m.p_mem(8, output, input) / 1e6,
+        m.p_total(n as u64, 8, output, input) / 1e6,
+        m.partition_seconds(n as u64, 8, output, input)
     );
     Ok(())
 }
@@ -542,16 +542,17 @@ mod tests {
 
         let expect = content_checksum(tuples.iter().copied());
         let f = PartitionFn::Murmur { bits: 6 };
-        for (backend, mode) in [
-            (EngineChoice::Cpu, ModePair::PadRid),
-            (EngineChoice::Fpga, ModePair::PadRid),
-            (EngineChoice::Fpga, ModePair::HistRid),
+        for (backend, output) in [
+            (EngineChoice::Cpu, OutputMode::pad_default()),
+            (EngineChoice::Fpga, OutputMode::pad_default()),
+            (EngineChoice::Fpga, OutputMode::Hist),
         ] {
+            let mode = (output, InputMode::Rid);
             let parts = partition(&rel, "from a file", f, 2, backend, mode).unwrap();
             assert_eq!(
                 content_checksum(parts.all_tuples()),
                 expect,
-                "{backend:?} {mode:?}"
+                "{backend:?} {output:?}"
             );
         }
     }

@@ -86,8 +86,8 @@ pub use fpart_obs as obs;
 pub use fpart_types as types;
 
 pub use fpart_join::{
-    EngineChoice, EnginePlanner, EscalationChain, HybridSplitEngine, ModePlan, ModePlanner,
-    PartitionEngine, PartitionStats, PlanExplanation,
+    EngineChoice, EnginePlanner, EscalationChain, HybridSplitEngine, ModePlan, PartitionEngine,
+    PartitionStats, PlanExplanation,
 };
 
 /// One-stop imports for applications.

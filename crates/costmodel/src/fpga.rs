@@ -19,52 +19,19 @@
 //! `P_FPGA = 1 / (f_mode (1/B_FPGA + L_FPGA/N))` (eq. 5) and
 //! `P_mem = B(r) / (W (r + 1))` (eq. 6).
 
+use fpart_fpga::{InputMode, OutputMode};
 use fpart_memmodel::{BandwidthCurve, PlatformSpec, RwMix};
 
-/// The four mode combinations of Section 4.5, with their `r` and `f_mode`
-/// values from Section 4.8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModePair {
-    /// Two passes, row store: reads twice what it writes (r = 2).
-    HistRid,
-    /// Two key-column passes, VRID output: r = 1.
-    HistVrid,
-    /// One pass, row store: r = 1.
-    PadRid,
-    /// One key-column pass, VRID output: r = 0.5.
-    PadVrid,
-}
-
-impl ModePair {
-    /// All four, in Figure 9 order.
-    pub const ALL: [Self; 4] = [Self::HistRid, Self::HistVrid, Self::PadRid, Self::PadVrid];
-
-    /// The read-per-write ratio `r` (Section 4.8).
-    pub fn r(self) -> f64 {
-        match self {
-            Self::HistRid => 2.0,
-            Self::HistVrid | Self::PadRid => 1.0,
-            Self::PadVrid => 0.5,
+/// The read-per-write ratio `r` of a mode pair (Section 4.8): HIST reads
+/// the input `f_mode` = 2 times, and VRID reads only the key column, half
+/// a tuple per tuple written. HIST/RID 2, HIST/VRID and PAD/RID 1,
+/// PAD/VRID 0.5.
+pub fn read_write_ratio(output: OutputMode, input: InputMode) -> f64 {
+    output.f_mode()
+        * match input {
+            InputMode::Rid => 1.0,
+            InputMode::Vrid => 0.5,
         }
-    }
-
-    /// The mode factor `f_mode` (Table 3).
-    pub fn f_mode(self) -> f64 {
-        match self {
-            Self::HistRid | Self::HistVrid => 2.0,
-            Self::PadRid | Self::PadVrid => 1.0,
-        }
-    }
-
-    /// Figure 9 label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::HistRid => "HIST/RID",
-            Self::HistVrid => "HIST/VRID",
-            Self::PadRid => "PAD/RID",
-            Self::PadVrid => "PAD/VRID",
-        }
-    }
 }
 
 /// The Section 4.6 cost model.
@@ -119,51 +86,86 @@ impl FpgaCostModel {
     }
 
     /// `P_FPGA` (eq. 5): the circuit-side rate for `n` tuples.
-    pub fn p_fpga(&self, n: u64, tuple_width: usize, mode: ModePair) -> f64 {
+    /// Only the output mode enters it, through `f_mode`.
+    pub fn p_fpga(&self, n: u64, tuple_width: usize, output: OutputMode) -> f64 {
         let b = self.b_fpga(tuple_width);
         let l = self.latency_seconds(tuple_width);
-        1.0 / (mode.f_mode() * (1.0 / b + l / n as f64))
+        1.0 / (output.f_mode() * (1.0 / b + l / n as f64))
     }
 
     /// `P_mem = B(r) / (W (r + 1))` (eq. 6): the link-side rate.
-    pub fn p_mem(&self, tuple_width: usize, mode: ModePair) -> f64 {
-        let r = mode.r();
+    pub fn p_mem(&self, tuple_width: usize, output: OutputMode, input: InputMode) -> f64 {
+        let r = read_write_ratio(output, input);
         self.curve.bytes_per_sec(RwMix::from_r(r)) / (tuple_width as f64 * (r + 1.0))
     }
 
     /// `P_total = min(P_FPGA, P_mem)` (eq. 7), in tuples/s.
-    pub fn p_total(&self, n: u64, tuple_width: usize, mode: ModePair) -> f64 {
-        self.p_fpga(n, tuple_width, mode)
-            .min(self.p_mem(tuple_width, mode))
+    pub fn p_total(&self, n: u64, tuple_width: usize, output: OutputMode, input: InputMode) -> f64 {
+        self.p_fpga(n, tuple_width, output)
+            .min(self.p_mem(tuple_width, output, input))
     }
 
     /// Predicted partitioning time in seconds for `n` tuples (0 for an
     /// empty input, where the throughput terms would divide 0 by 0).
-    pub fn partition_seconds(&self, n: u64, tuple_width: usize, mode: ModePair) -> f64 {
+    pub fn partition_seconds(
+        &self,
+        n: u64,
+        tuple_width: usize,
+        output: OutputMode,
+        input: InputMode,
+    ) -> f64 {
         if n == 0 {
             return 0.0;
         }
-        n as f64 / self.p_total(n, tuple_width, mode)
+        n as f64 / self.p_total(n, tuple_width, output, input)
     }
 
     /// Total data processed per second in GB/s (the second Figure 8 axis):
     /// `(r + 1) · W · P_total`.
-    pub fn data_gbps(&self, n: u64, tuple_width: usize, mode: ModePair) -> f64 {
-        (mode.r() + 1.0) * tuple_width as f64 * self.p_total(n, tuple_width, mode) / 1e9
+    pub fn data_gbps(
+        &self,
+        n: u64,
+        tuple_width: usize,
+        output: OutputMode,
+        input: InputMode,
+    ) -> f64 {
+        (read_write_ratio(output, input) + 1.0)
+            * tuple_width as f64
+            * self.p_total(n, tuple_width, output, input)
+            / 1e9
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use InputMode::{Rid, Vrid};
 
     const N: u64 = 128_000_000;
+
+    fn pad() -> OutputMode {
+        OutputMode::pad_default()
+    }
+
+    /// The four mode pairs, in Figure 9 order.
+    fn pairs() -> [(OutputMode, InputMode); 4] {
+        [
+            (OutputMode::Hist, Rid),
+            (OutputMode::Hist, Vrid),
+            (pad(), Rid),
+            (pad(), Vrid),
+        ]
+    }
 
     #[test]
     fn empty_input_costs_nothing() {
         let m = FpgaCostModel::paper();
-        for mode in ModePair::ALL {
-            assert_eq!(m.partition_seconds(0, 8, mode), 0.0, "{mode:?}");
+        for (output, input) in pairs() {
+            assert_eq!(
+                m.partition_seconds(0, 8, output, input),
+                0.0,
+                "{output:?} {input:?}"
+            );
         }
     }
 
@@ -171,13 +173,13 @@ mod tests {
     #[test]
     fn section_4_8_validation() {
         let m = FpgaCostModel::paper();
-        let hist_rid = m.p_total(N, 8, ModePair::HistRid) / 1e6;
+        let hist_rid = m.p_total(N, 8, OutputMode::Hist, Rid) / 1e6;
         assert!((hist_rid - 294.0).abs() < 2.0, "HIST/RID {hist_rid:.0}");
-        let pad_rid = m.p_total(N, 8, ModePair::PadRid) / 1e6;
+        let pad_rid = m.p_total(N, 8, pad(), Rid) / 1e6;
         assert!((pad_rid - 435.0).abs() < 2.0, "PAD/RID {pad_rid:.0}");
-        let hist_vrid = m.p_total(N, 8, ModePair::HistVrid) / 1e6;
+        let hist_vrid = m.p_total(N, 8, OutputMode::Hist, Vrid) / 1e6;
         assert!((hist_vrid - 435.0).abs() < 2.0, "HIST/VRID {hist_vrid:.0}");
-        let pad_vrid = m.p_total(N, 8, ModePair::PadVrid) / 1e6;
+        let pad_vrid = m.p_total(N, 8, pad(), Vrid) / 1e6;
         assert!((pad_vrid - 495.0).abs() < 2.0, "PAD/VRID {pad_vrid:.0}");
     }
 
@@ -187,10 +189,10 @@ mod tests {
     #[test]
     fn raw_wrapper_ceiling() {
         let m = FpgaCostModel::raw_wrapper();
-        let pad = m.p_total(N, 8, ModePair::PadRid) / 1e6;
-        assert!((pad - 1597.0).abs() < 10.0, "raw PAD {pad:.0}");
-        let hist = m.p_total(N, 8, ModePair::HistRid) / 1e6;
-        assert!((hist - 799.0).abs() < 5.0, "raw HIST {hist:.0}");
+        let raw_pad = m.p_total(N, 8, pad(), Rid) / 1e6;
+        assert!((raw_pad - 1597.0).abs() < 10.0, "raw PAD {raw_pad:.0}");
+        let raw_hist = m.p_total(N, 8, OutputMode::Hist, Rid) / 1e6;
+        assert!((raw_hist - 799.0).abs() < 5.0, "raw HIST {raw_hist:.0}");
     }
 
     #[test]
@@ -213,8 +215,8 @@ mod tests {
     #[test]
     fn latency_hidden_at_large_n() {
         let m = FpgaCostModel::raw_wrapper();
-        let big = m.p_total(N, 8, ModePair::PadRid);
-        let small = m.p_total(100_000, 8, ModePair::PadRid);
+        let big = m.p_total(N, 8, pad(), Rid);
+        let small = m.p_total(100_000, 8, pad(), Rid);
         assert!(small < big * 0.6, "latency dominates small N: {small:.3e}");
         assert!(big > 0.99 * 1.6e9);
     }
@@ -227,7 +229,7 @@ mod tests {
         let widths = [8usize, 16, 32, 64];
         let rates: Vec<f64> = widths
             .iter()
-            .map(|&w| m.p_total(N, w, ModePair::HistRid))
+            .map(|&w| m.p_total(N, w, OutputMode::Hist, Rid))
             .collect();
         for (i, w) in widths.windows(2).enumerate() {
             let ratio = rates[i] / rates[i + 1];
@@ -238,7 +240,7 @@ mod tests {
         }
         let gbps: Vec<f64> = widths
             .iter()
-            .map(|&w| m.data_gbps(N, w, ModePair::HistRid))
+            .map(|&w| m.data_gbps(N, w, OutputMode::Hist, Rid))
             .collect();
         for g in &gbps {
             assert!(
@@ -250,10 +252,12 @@ mod tests {
 
     #[test]
     fn mode_constants() {
-        assert_eq!(ModePair::HistRid.r(), 2.0);
-        assert_eq!(ModePair::PadVrid.r(), 0.5);
-        assert_eq!(ModePair::HistVrid.f_mode(), 2.0);
-        assert_eq!(ModePair::PadRid.f_mode(), 1.0);
-        assert_eq!(ModePair::ALL.len(), 4);
+        let r: Vec<f64> = pairs()
+            .into_iter()
+            .map(|(output, input)| read_write_ratio(output, input))
+            .collect();
+        assert_eq!(r, [2.0, 1.0, 1.0, 0.5]);
+        assert_eq!(OutputMode::Hist.f_mode(), 2.0);
+        assert_eq!(pad().f_mode(), 1.0);
     }
 }

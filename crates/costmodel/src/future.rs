@@ -13,7 +13,8 @@
 //! [`FutureSweep`] makes those claims executable: sweep link bandwidth
 //! and clock frequency, find the CPU crossover points.
 
-use crate::fpga::{FpgaCostModel, ModePair};
+use crate::fpga::{read_write_ratio, FpgaCostModel};
+use fpart_fpga::{InputMode, OutputMode};
 use fpart_memmodel::{BandwidthCurve, PlatformSpec};
 
 /// Published CPU reference points the sweep compares against
@@ -44,7 +45,7 @@ pub struct FutureSweep {
     /// Tuple width under study (the paper's sweep is 8 B).
     pub tuple_width: usize,
     /// Mode under study (PAD/RID is the paper's headline what-if).
-    pub mode: ModePair,
+    pub mode: (OutputMode, InputMode),
     /// Relation size (large enough to hide latency).
     pub n: u64,
 }
@@ -54,7 +55,7 @@ impl FutureSweep {
     pub fn paper() -> Self {
         Self {
             tuple_width: 8,
-            mode: ModePair::PadRid,
+            mode: (OutputMode::pad_default(), InputMode::Rid),
             n: 128_000_000,
         }
     }
@@ -72,8 +73,16 @@ impl FutureSweep {
 
     /// Partitioning throughput (tuples/s) at a link bandwidth and clock.
     pub fn throughput(&self, link_gbps: f64, clock_hz: f64) -> f64 {
+        let (output, input) = self.mode;
         self.model(link_gbps, clock_hz)
-            .p_total(self.n, self.tuple_width, self.mode)
+            .p_total(self.n, self.tuple_width, output, input)
+    }
+
+    /// The link bandwidth (GB/s) that moves `tuples_per_sec` tuples:
+    /// `W (r + 1)` bytes each.
+    fn link_gbps(&self, tuples_per_sec: f64) -> f64 {
+        let (output, input) = self.mode;
+        tuples_per_sec * self.tuple_width as f64 * (read_write_ratio(output, input) + 1.0) / 1e9
     }
 
     /// The link bandwidth (GB/s) at which the circuit stops being memory
@@ -82,19 +91,19 @@ impl FutureSweep {
         // P_mem = B / (W (r+1)) equals P_FPGA when
         // B = P_FPGA × W × (r+1).
         let m = self.model(1e9, clock_hz); // bandwidth irrelevant for p_fpga
-        let p_fpga = m.p_fpga(self.n, self.tuple_width, self.mode);
-        p_fpga * self.tuple_width as f64 * (self.mode.r() + 1.0) / 1e9
+        let p_fpga = m.p_fpga(self.n, self.tuple_width, self.mode.0);
+        self.link_gbps(p_fpga)
     }
 
     /// Minimum link bandwidth (GB/s) needed to beat a CPU reference.
     pub fn crossover_bandwidth(&self, cpu: CpuReference, clock_hz: f64) -> Option<f64> {
         let m = self.model(1e9, clock_hz);
-        let p_fpga = m.p_fpga(self.n, self.tuple_width, self.mode);
+        let p_fpga = m.p_fpga(self.n, self.tuple_width, self.mode.0);
         if p_fpga < cpu.tuples_per_sec {
             // Even unlimited bandwidth cannot beat this CPU at this clock.
             return None;
         }
-        Some(cpu.tuples_per_sec * self.tuple_width as f64 * (self.mode.r() + 1.0) / 1e9)
+        Some(self.link_gbps(cpu.tuples_per_sec))
     }
 }
 
@@ -155,7 +164,7 @@ mod tests {
     fn unreachable_crossover() {
         let sweep = FutureSweep {
             tuple_width: 8,
-            mode: ModePair::HistRid, // halves the circuit rate
+            mode: (OutputMode::Hist, InputMode::Rid), // halves the circuit rate
             n: 128_000_000,
         };
         // At 50 MHz the circuit caps at 0.2 Gt/s — cannot beat 1.1 Gt/s.

@@ -17,9 +17,10 @@
 //!   where the window runs both sides at interfered rates until the
 //!   shorter finishes and lets the survivor complete uncontended.
 
+use fpart_fpga::{InputMode, OutputMode};
 use fpart_memmodel::BandwidthCurve;
 
-use crate::fpga::{FpgaCostModel, ModePair};
+use crate::fpga::FpgaCostModel;
 use crate::join::JoinCostModel;
 
 /// Models the sequential vs overlapped hybrid join schedule.
@@ -35,8 +36,6 @@ pub struct OverlapModel {
     /// (Figure 2: the CPU keeps ≈0.72 of its bandwidth under FPGA
     /// traffic).
     pub cpu_interference: f64,
-    /// Mode the partitioner runs in.
-    pub mode: ModePair,
     /// Partition count.
     pub partitions: usize,
     /// CPU threads.
@@ -54,10 +53,15 @@ impl OverlapModel {
             },
             join: JoinCostModel::paper(),
             cpu_interference: 0.72,
-            mode: ModePair::PadRid,
             partitions: 8192,
             threads,
         }
+    }
+
+    /// Seconds for the FPGA to partition `n` tuples in PAD/RID mode on
+    /// `link`.
+    fn fpga_seconds(link: &FpgaCostModel, n: u64) -> f64 {
+        link.partition_seconds(n, 8, OutputMode::pad_default(), InputMode::Rid)
     }
 
     /// Seconds for the CPU build phase over R (coherence applied: the
@@ -88,8 +92,8 @@ impl OverlapModel {
 
     /// The paper's schedule: every phase alone.
     pub fn sequential_seconds(&self, n_r: u64, n_s: u64) -> f64 {
-        self.fpga_alone.partition_seconds(n_r, 8, self.mode)
-            + self.fpga_alone.partition_seconds(n_s, 8, self.mode)
+        Self::fpga_seconds(&self.fpga_alone, n_r)
+            + Self::fpga_seconds(&self.fpga_alone, n_s)
             + self.build_seconds(n_r, false)
             + self.probe_seconds(n_s, n_r)
     }
@@ -110,9 +114,9 @@ impl OverlapModel {
     /// while the CPU builds over R's partitions (interfered memory); the
     /// probe waits for both.
     pub fn overlapped_seconds(&self, n_r: u64, n_s: u64) -> f64 {
-        let fpga_r = self.fpga_alone.partition_seconds(n_r, 8, self.mode);
-        let fpga_s_alone = self.fpga_alone.partition_seconds(n_s, 8, self.mode);
-        let fpga_s_interf = self.fpga_interfered.partition_seconds(n_s, 8, self.mode);
+        let fpga_r = Self::fpga_seconds(&self.fpga_alone, n_r);
+        let fpga_s_alone = Self::fpga_seconds(&self.fpga_alone, n_s);
+        let fpga_s_interf = Self::fpga_seconds(&self.fpga_interfered, n_s);
         let build_alone = self.build_seconds(n_r, false);
         let build_interf = self.build_seconds(n_r, true);
         let window =
@@ -167,8 +171,8 @@ mod tests {
     #[test]
     fn interference_slows_both_sides() {
         let m = OverlapModel::paper(10);
-        let fpga_alone = m.fpga_alone.partition_seconds(N, 8, m.mode);
-        let fpga_interf = m.fpga_interfered.partition_seconds(N, 8, m.mode);
+        let fpga_alone = OverlapModel::fpga_seconds(&m.fpga_alone, N);
+        let fpga_interf = OverlapModel::fpga_seconds(&m.fpga_interfered, N);
         assert!(fpga_interf > fpga_alone * 1.2);
         let build_alone = m.build_seconds(N, false);
         let build_interf = m.build_seconds(N, true);
@@ -184,8 +188,8 @@ mod tests {
     #[test]
     fn window_owner_flips_with_threads() {
         let m1 = OverlapModel::paper(1);
-        assert!(m1.build_seconds(N, true) > m1.fpga_interfered.partition_seconds(N, 8, m1.mode));
+        assert!(m1.build_seconds(N, true) > OverlapModel::fpga_seconds(&m1.fpga_interfered, N));
         let m10 = OverlapModel::paper(10);
-        assert!(m10.build_seconds(N, true) < m10.fpga_interfered.partition_seconds(N, 8, m10.mode));
+        assert!(m10.build_seconds(N, true) < OverlapModel::fpga_seconds(&m10.fpga_interfered, N));
     }
 }

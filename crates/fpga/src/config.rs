@@ -180,6 +180,11 @@ pub(crate) const OUT_FIFO_CAPACITY: usize = 8;
 // never accept a tuple and the pipeline would deadlock.
 const _: () = assert!(FIFO_CAPACITY >= 4 && OUT_FIFO_CAPACITY >= 4);
 
+/// Mode label like "HIST/RID" as used in Figure 9.
+pub fn mode_label(output: OutputMode, input: InputMode) -> String {
+    format!("{}/{}", output.label(), input.label())
+}
+
 /// Full configuration of one partitioner instantiation.
 #[derive(Debug, Clone)]
 pub struct PartitionerConfig {
@@ -245,9 +250,9 @@ impl PartitionerConfig {
         Ok(())
     }
 
-    /// Mode label like "HIST/RID" as used in Figure 9.
+    /// This configuration's [`mode_label`].
     pub fn mode_label(&self) -> String {
-        format!("{}/{}", self.output.label(), self.input.label())
+        mode_label(self.output, self.input)
     }
 }
 

@@ -46,7 +46,8 @@ pub mod writecomb;
 
 pub use aggcache::{fpga_group_by, fpga_group_by_harp, AggEntry, AggregatingCache};
 pub use config::{
-    InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity, MAX_BRAM_BITS,
+    mode_label, InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
+    MAX_BRAM_BITS,
 };
 pub use partitioner::{FpgaPartitioner, RunReport};
 pub use resources::ResourceUsage;

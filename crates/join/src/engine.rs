@@ -27,10 +27,10 @@
 use std::time::Duration;
 
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_costmodel::{CpuCostModel, ModePair, OverlapModel};
+use fpart_costmodel::{CpuCostModel, OverlapModel};
 use fpart_cpu::swwcb::OutputBuilder;
 use fpart_cpu::{CpuPartitioner, CpuRunReport};
-use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, RunReport};
+use fpart_fpga::{FpgaPartitioner, OutputMode, RunReport};
 use fpart_hash::PartitionFn;
 use fpart_obs::{Ctr, ObsSnapshot};
 use fpart_types::{Input, PartitionLayout, PartitionedRelation, Result, Tuple};
@@ -168,28 +168,6 @@ pub trait PartitionEngine<T: Tuple>: std::fmt::Debug {
     }
 }
 
-/// The [`ModePair`] the §4.6 FPGA cost model uses for an
-/// (output, input) mode combination.
-pub fn cost_mode_pair(output: OutputMode, input: InputMode) -> ModePair {
-    match (output, input) {
-        (OutputMode::Hist, InputMode::Rid) => ModePair::HistRid,
-        (OutputMode::Hist, InputMode::Vrid) => ModePair::HistVrid,
-        (OutputMode::Pad { .. }, InputMode::Rid) => ModePair::PadRid,
-        (OutputMode::Pad { .. }, InputMode::Vrid) => ModePair::PadVrid,
-    }
-}
-
-/// The partitioner's (output, input) modes for a [`ModePair`], with PAD
-/// at its default padding: the inverse of [`cost_mode_pair`].
-pub fn circuit_modes(pair: ModePair) -> (OutputMode, InputMode) {
-    match pair {
-        ModePair::HistRid => (OutputMode::Hist, InputMode::Rid),
-        ModePair::HistVrid => (OutputMode::Hist, InputMode::Vrid),
-        ModePair::PadRid => (OutputMode::pad_default(), InputMode::Rid),
-        ModePair::PadVrid => (OutputMode::pad_default(), InputMode::Vrid),
-    }
-}
-
 impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
     fn partition_fn(&self) -> PartitionFn {
         self.partition_fn
@@ -307,7 +285,7 @@ impl HybridSplitEngine {
     /// small inputs legitimately balance at `k = 0`: handing the FPGA
     /// anything would finish *after* the CPU is already done.
     pub fn share_times(&self, n: u64, tuple_width: usize) -> (u64, f64, f64) {
-        let mode = cost_mode_pair(self.fpga.config().output, self.fpga.config().input);
+        let (output, input) = (self.fpga.config().output, self.fpga.config().input);
         let OverlapModel {
             fpga_interfered,
             cpu_interference,
@@ -318,7 +296,7 @@ impl HybridSplitEngine {
             if k == 0 {
                 0.0
             } else {
-                fpga_interfered.partition_seconds(k, tuple_width, mode)
+                fpga_interfered.partition_seconds(k, tuple_width, output, input)
             }
         };
         let t_c = |m: u64| {
@@ -443,6 +421,7 @@ fn write_shares<T: Tuple>(shares: [&PartitionedRelation<T>; 2]) -> PartitionedRe
 mod tests {
     use super::*;
     use fpart_datagen::KeyDistribution;
+    use fpart_fpga::InputMode;
     use fpart_types::relation::content_checksum;
     use fpart_types::{Relation, Tuple8};
 

@@ -48,7 +48,7 @@ pub mod planner;
 pub mod radix;
 
 pub use buildprobe::{build_probe_all, BuildProbeReport};
-pub use engine::{circuit_modes, EngineChoice, HybridSplitEngine, PartitionEngine, PartitionStats};
+pub use engine::{EngineChoice, HybridSplitEngine, PartitionEngine, PartitionStats};
 pub use fallback::{AttemptPath, AttemptRecord, DegradationReport, EscalationChain};
-pub use planner::{EnginePlanner, ModePlan, ModePlanner, Plan, PlanExplanation};
+pub use planner::{EnginePlanner, ModePlan, Plan, PlanExplanation};
 pub use radix::{planned_join, radix_join, JoinReport, JoinResult};

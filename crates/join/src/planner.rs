@@ -5,7 +5,7 @@
 //! detected … in the worst case … at the very end of a partitioning run.
 //! Then, the procedure has to start from the beginning in HIST mode."
 //! A DBMS integrating the partitioner (the paper's Discussion) would not
-//! guess — it would sample. [`ModePlanner`] estimates the heaviest
+//! guess — it would sample. [`ModePlan::sample`] estimates the heaviest
 //! partition's fill from a key sample and picks:
 //!
 //! * **PAD** when the estimate fits the padded capacity with margin —
@@ -17,7 +17,11 @@
 //! calibrated §4.6 CPU/FPGA cost models over `memmodel::platform`), and
 //! degradation (the [`EscalationChain`] becomes part of the returned
 //! [`Plan`] instead of a caller-side loop). Every decision is recorded
-//! in a machine-readable [`PlanExplanation`].
+//! in a machine-readable [`PlanExplanation`]. The planner's fields are
+//! the ones callers set (threads, fidelity, key distribution, whether
+//! to consider the split); the sample size, the PAD margin and the
+//! split's gain bar are constants of this module, and the chain is
+//! [`EscalationChain::new`].
 
 use fpart_costmodel::cpu::DistributionKind;
 use fpart_costmodel::{CpuCostModel, FpgaCostModel};
@@ -28,31 +32,20 @@ use fpart_hash::PartitionFn;
 use fpart_obs::json;
 use fpart_types::{Input, PartitionedRelation, Result, Tuple};
 
-use crate::engine::{cost_mode_pair, EngineChoice, HybridSplitEngine, PartitionEngine};
+use crate::engine::{EngineChoice, HybridSplitEngine, PartitionEngine};
 use crate::fallback::{DegradationReport, EscalationChain};
 
-/// Plans HIST vs PAD from a deterministic key sample.
-#[derive(Debug, Clone)]
-pub struct ModePlanner {
-    /// The padding PAD mode would run with.
-    pub padding: PaddingSpec,
-    /// Keys to sample (default 4096).
-    pub sample_size: usize,
-    /// Safety margin: choose PAD only if the estimated heaviest fill
-    /// (plus flush overhead) stays below `margin × capacity`
-    /// (default 0.95).
-    pub margin: f64,
-}
+/// Keys the output-mode sampler reads.
+const SAMPLE_SIZE: usize = 4096;
 
-impl Default for ModePlanner {
-    fn default() -> Self {
-        Self {
-            padding: PaddingSpec::default(),
-            sample_size: 4096,
-            margin: 0.95,
-        }
-    }
-}
+/// Safety margin: the sampler chooses PAD only if the estimated heaviest
+/// fill (plus flush overhead) stays below `MARGIN ×` PAD's capacity.
+const MARGIN: f64 = 0.95;
+
+/// Minimum modeled speedup over the best single back-end before the
+/// hybrid split is selected: below it the copy into one output is not
+/// worth the coordination.
+const HYBRID_GAIN: f64 = 1.15;
 
 /// What the output-mode sampler decided and why.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,19 +58,18 @@ pub struct ModePlan {
     pub pad_capacity: usize,
 }
 
-impl ModePlanner {
+impl ModePlan {
     /// Plan the output mode for partitioning a row store or a column
-    /// store with `f`.
-    pub fn plan<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>, f: PartitionFn) -> ModePlan {
+    /// store with `f`, from a deterministic sample of its keys. PAD runs
+    /// with the default padding.
+    pub fn sample<'a, T: Tuple>(input: impl Into<Input<'a, T>>, f: PartitionFn) -> Self {
         let input = input.into();
         let n = input.len();
         let parts = f.fan_out();
-        let pad_capacity = self.padding.capacity(n, parts, T::LANES);
+        let pad_capacity = PaddingSpec::default().capacity(n, parts, T::LANES);
         if n == 0 {
             return ModePlan {
-                output: OutputMode::Pad {
-                    padding: self.padding,
-                },
+                output: OutputMode::pad_default(),
                 estimated_max_fill: 0,
                 pad_capacity,
             };
@@ -89,7 +81,7 @@ impl ModePlanner {
         // (a fixed stride of ⌊n/sample⌋ would leave the last
         // `n mod sample·⌊n/sample⌋` tuples unseen and tail-concentrated
         // skew invisible).
-        let sample = self.sample_size.min(n).max(1);
+        let sample = SAMPLE_SIZE.min(n).max(1);
         let mut hist = vec![0usize; parts];
         for k in 0..sample {
             let i = k * n / sample;
@@ -114,14 +106,12 @@ impl ModePlanner {
         // PAD also writes flush dummies: up to LANES-1 per combiner per
         // partition.
         let flush_overhead = T::LANES * (T::LANES - 1);
-        let output =
-            if (estimated_max_fill + flush_overhead) as f64 <= self.margin * pad_capacity as f64 {
-                OutputMode::Pad {
-                    padding: self.padding,
-                }
-            } else {
-                OutputMode::Hist
-            };
+        let output = if (estimated_max_fill + flush_overhead) as f64 <= MARGIN * pad_capacity as f64
+        {
+            OutputMode::pad_default()
+        } else {
+            OutputMode::Hist
+        };
         ModePlan {
             output,
             estimated_max_fill,
@@ -141,22 +131,12 @@ pub struct EnginePlanner {
     /// Simulation fidelity for FPGA engines (default batched — same
     /// bytes and cycle counts, orders of magnitude faster).
     pub fidelity: SimFidelity,
-    /// The output-mode sampler.
-    pub mode: ModePlanner,
     /// Key-distribution assumption for the CPU cost model (hash
     /// partitioning ignores it; default [`DistributionKind::Random`]).
     pub dist: DistributionKind,
     /// Consider the CPU⊕FPGA split engine (default off: the split is a
     /// co-scheduling decision the caller must opt into).
     pub allow_hybrid: bool,
-    /// Minimum modeled speedup over the best single back-end before the
-    /// hybrid split is selected (default 1.15 — below that the copy into
-    /// one output is not worth the coordination).
-    pub hybrid_gain: f64,
-    /// Chain policy: retry aborted runs in HIST mode.
-    pub hist_retry: bool,
-    /// Chain policy: fall back to the CPU as the last resort.
-    pub cpu_fallback: bool,
 }
 
 impl EnginePlanner {
@@ -166,12 +146,8 @@ impl EnginePlanner {
         Self {
             cpu_threads,
             fidelity: SimFidelity::Batched,
-            mode: ModePlanner::default(),
             dist: DistributionKind::Random,
             allow_hybrid: false,
-            hybrid_gain: 1.15,
-            hist_retry: true,
-            cpu_fallback: true,
         }
     }
 
@@ -200,17 +176,16 @@ impl EnginePlanner {
     pub fn plan<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>, f: PartitionFn) -> Plan<T> {
         let input = input.into();
         let n = input.len() as u64;
-        let mode_plan = self.mode.plan(input, f);
-        let output = mode_plan.output;
-        let pair = cost_mode_pair(output, InputMode::of(&input));
+        let mode_plan = ModePlan::sample(input, f);
+        let (output, input_mode) = (mode_plan.output, InputMode::of(&input));
 
-        let t_fpga = FpgaCostModel::paper().partition_seconds(n, T::WIDTH, pair);
+        let t_fpga = FpgaCostModel::paper().partition_seconds(n, T::WIDTH, output, input_mode);
         let t_cpu =
             CpuCostModel::paper().partition_seconds(n, f, self.dist, self.cpu_threads, T::WIDTH);
 
         let config = PartitionerConfig {
             partition_fn: f,
-            ..PartitionerConfig::paper_default(output, InputMode::of(&input))
+            ..PartitionerConfig::paper_default(output, input_mode)
         }
         .with_fidelity(self.fidelity);
         let fpga = FpgaPartitioner::new(config);
@@ -228,12 +203,13 @@ impl EnginePlanner {
             let th = t_fpga_share.max(t_cpu_share);
             t_hybrid = Some(th);
             fpga_fraction = Some(hybrid.planned_fraction(n, T::WIDTH));
-            if th > 0.0 && t_fpga.min(t_cpu) / th >= self.hybrid_gain {
+            if th > 0.0 && t_fpga.min(t_cpu) / th >= HYBRID_GAIN {
                 choice = EngineChoice::Hybrid;
             }
         }
 
         let engine = choice.engine(fpga, self.cpu_threads);
+        let chain = EscalationChain::new(self.cpu_threads);
 
         let explanation = PlanExplanation {
             tuples: n,
@@ -248,16 +224,12 @@ impl EnginePlanner {
             fpga_fraction,
             estimated_max_fill: mode_plan.estimated_max_fill,
             pad_capacity: mode_plan.pad_capacity,
-            hist_retry: self.hist_retry,
-            cpu_fallback: self.cpu_fallback,
+            hist_retry: chain.hist_retry,
+            cpu_fallback: chain.cpu_fallback,
         };
         Plan {
             engine,
-            chain: EscalationChain {
-                hist_retry: self.hist_retry,
-                cpu_fallback: self.cpu_fallback,
-                cpu_threads: self.cpu_threads,
-            },
+            chain,
             explanation,
         }
     }
@@ -394,7 +366,7 @@ mod tests {
     #[test]
     fn uniform_input_plans_pad() {
         let (_, s) = WorkloadId::A.spec().row_relations::<Tuple8>(0.0005, 1);
-        let plan = ModePlanner::default().plan(&s, f());
+        let plan = ModePlan::sample(&s, f());
         assert!(
             matches!(plan.output, OutputMode::Pad { .. }),
             "uniform data should take the single-pass mode: {plan:?}"
@@ -407,7 +379,7 @@ mod tests {
         let (_, s) = WorkloadId::A
             .spec()
             .skewed_row_relations::<Tuple8>(0.0005, 1.5, 1);
-        let plan = ModePlanner::default().plan(&s, f());
+        let plan = ModePlan::sample(&s, f());
         assert_eq!(plan.output, OutputMode::Hist, "{plan:?}");
         assert!(plan.estimated_max_fill > plan.pad_capacity / 2);
     }
@@ -419,7 +391,7 @@ mod tests {
             let (_, s) = WorkloadId::A
                 .spec()
                 .skewed_row_relations::<Tuple8>(0.0005, zipf, 2);
-            let plan = ModePlanner::default().plan(&s, f());
+            let plan = ModePlan::sample(&s, f());
             let config = PartitionerConfig {
                 partition_fn: f(),
                 output: plan.output,
@@ -438,7 +410,7 @@ mod tests {
     #[test]
     fn empty_relation_defaults_to_pad() {
         let rel = Relation::<Tuple8>::from_tuples(&[]);
-        let plan = ModePlanner::default().plan(&rel, f());
+        let plan = ModePlan::sample(&rel, f());
         assert!(matches!(plan.output, OutputMode::Pad { .. }));
         assert_eq!(plan.estimated_max_fill, 0);
     }
@@ -448,7 +420,7 @@ mod tests {
         let (_, s) = WorkloadId::A
             .spec()
             .skewed_row_relations::<Tuple8>(0.0005, 1.0, 3);
-        let plan = ModePlanner::default().plan(&s, f());
+        let plan = ModePlan::sample(&s, f());
         // True histogram maximum.
         let mut hist = vec![0usize; f().fan_out()];
         for t in s.tuples() {
@@ -477,7 +449,7 @@ mod tests {
             *k = 0xDEAD;
         }
         let rel = Relation::<Tuple8>::from_keys(&keys);
-        let plan = ModePlanner::default().plan(&rel, f());
+        let plan = ModePlan::sample(&rel, f());
         assert_eq!(
             plan.output,
             OutputMode::Hist,
@@ -564,42 +536,35 @@ mod tests {
         // At 100k tuples the FPGA's fixed setup latency dominates: the
         // balance point is k = 0 and the hybrid (its CPU share derated
         // to 72% by the overlap model) models slower than the solo CPU,
-        // so it must never be picked even with no gain bar.
+        // so no gain bar could select it.
         let keys: Vec<u32> = KeyDistribution::Random.generate_keys(100_000, 2);
         let small = Relation::<Tuple8>::from_keys(&keys);
-        let mut planner = EnginePlanner::new(10).with_hybrid(true);
-        planner.hybrid_gain = 1.0;
-        let plan = planner.plan(&small, f());
-        assert_ne!(
-            plan.explanation.engine,
-            EngineChoice::Hybrid,
-            "{:?}",
-            plan.explanation
-        );
+        let plan = EnginePlanner::new(10).with_hybrid(true).plan(&small, f());
+        let e = &plan.explanation;
+        assert!(e.hybrid_seconds.unwrap() > e.cpu_seconds, "{e:?}");
+        assert_ne!(e.engine, EngineChoice::Hybrid, "{e:?}");
 
         // At 4M tuples the latency amortizes: in single-pass PAD mode
         // the interfered FPGA (~270 Mt/s) plus the derated CPU (~364
-        // Mt/s) beat the solo CPU (~506 Mt/s), clearing the default
-        // 1.15 gain bar. 64 partitions keeps the mode sampler
-        // comfortably inside the PAD margin at this size.
+        // Mt/s) beat the solo CPU (~506 Mt/s), clearing the 1.15 gain
+        // bar. 64 partitions keeps the mode sampler comfortably inside
+        // the PAD margin at this size.
         let big_f = PartitionFn::Murmur { bits: 6 };
         let keys: Vec<u32> = KeyDistribution::Random.generate_keys(4_000_000, 2);
         let big = Relation::<Tuple8>::from_keys(&keys);
         // Hybrid disallowed: never selected.
         let plan = EnginePlanner::new(10).plan(&big, big_f);
         assert_ne!(plan.explanation.engine, EngineChoice::Hybrid);
-        // Allowed with an impossible gain bar: still never selected.
-        let mut high_bar = EnginePlanner::new(10).with_hybrid(true);
-        high_bar.hybrid_gain = 1e9;
-        let plan = high_bar.plan(&big, big_f);
-        assert_ne!(plan.explanation.engine, EngineChoice::Hybrid);
-        // Allowed with the default bar: both agents working beat either
-        // alone, so the split wins.
+        // Allowed: both agents working beat either alone, so the split
+        // wins.
         let plan = EnginePlanner::new(10).with_hybrid(true).plan(&big, big_f);
         let e = &plan.explanation;
         assert_eq!(e.engine, EngineChoice::Hybrid, "{e:?}");
         let th = e.hybrid_seconds.unwrap();
-        assert!(e.cpu_seconds.min(e.fpga_seconds) / th >= 1.15, "{e:?}");
+        assert!(
+            e.cpu_seconds.min(e.fpga_seconds) / th >= HYBRID_GAIN,
+            "{e:?}"
+        );
         let frac = e.fpga_fraction.unwrap();
         assert!(frac > 0.2 && frac < 0.8, "balanced split expected: {e:?}");
     }

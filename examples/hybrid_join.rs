@@ -8,7 +8,7 @@
 //!
 //! `scale` shrinks the 128M⋈128M workload (default 0.001 ⇒ 128k⋈128k).
 
-use fpart::costmodel::{FpgaCostModel, JoinCostModel, ModePair};
+use fpart::costmodel::{FpgaCostModel, JoinCostModel};
 use fpart::join::buildprobe::reference_join;
 use fpart::prelude::*;
 
@@ -75,7 +75,8 @@ fn main() {
     let fpga_model = FpgaCostModel::paper();
     let join_model = JoinCostModel::paper();
     let n = 128_000_000u64;
-    let fpga_part = 2.0 * fpga_model.partition_seconds(n, 8, ModePair::PadRid);
+    let fpga_part =
+        2.0 * fpga_model.partition_seconds(n, 8, OutputMode::pad_default(), InputMode::Rid);
     let cpu_part = 2.0 * n as f64 / 506e6;
     let bp_cpu = join_model.build_probe_seconds(n, n, 8192, 8, 10, false);
     let bp_hybrid = join_model.build_probe_seconds(n, n, 8192, 8, 10, true);

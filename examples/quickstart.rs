@@ -50,7 +50,7 @@ fn main() {
 
     // The paper's analytical prediction for this mode (Section 4.6).
     let model = fpart::costmodel::FpgaCostModel::paper();
-    let predicted = model.p_total(n as u64, 8, fpart::costmodel::ModePair::PadRid) / 1e6;
+    let predicted = model.p_total(n as u64, 8, OutputMode::pad_default(), InputMode::Rid) / 1e6;
     println!("Section 4.6 model predicts {predicted:.0} Mtuples/s for PAD/RID — compare above.");
 
     // --- Or skip the manual choice: the planner samples the output

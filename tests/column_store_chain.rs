@@ -6,7 +6,6 @@
 
 use fpart::costmodel::FpgaCostModel;
 use fpart::fpga::{FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig};
-use fpart::join::engine::cost_mode_pair;
 use fpart::join::AttemptPath;
 use fpart::prelude::*;
 use fpart::types::relation::content_checksum;
@@ -131,11 +130,10 @@ fn large_column_input_plans_fpga_with_vrid_costs() {
     let plan = EnginePlanner::new(1).plan(&col, f());
     let e = &plan.explanation;
     assert_eq!(e.engine, EngineChoice::Fpga, "{e:?}");
-    let vrid = cost_mode_pair(e.output, InputMode::Vrid);
-    let expect = FpgaCostModel::paper().partition_seconds(n as u64, Tuple8::WIDTH, vrid);
+    let model = FpgaCostModel::paper();
+    let expect = model.partition_seconds(n as u64, Tuple8::WIDTH, e.output, InputMode::Vrid);
     assert_eq!(e.fpga_seconds, expect, "{e:?}");
-    let rid = cost_mode_pair(e.output, InputMode::Rid);
-    assert!(e.fpga_seconds < FpgaCostModel::paper().partition_seconds(n as u64, 8, rid));
+    assert!(e.fpga_seconds < model.partition_seconds(n as u64, 8, e.output, InputMode::Rid));
 
     // The planned engine reads columns: handed the same rows, it refuses.
     let rows = col.to_row_store();

@@ -6,7 +6,7 @@ use fpart::cpu::sort::{is_sorted_by_key, lsd_radix_sort, sample_sort};
 use fpart::cpu::{range_partition, RangeSplitters};
 use fpart::fpga::{FpgaSelector, Predicate};
 use fpart::join::buildprobe::reference_join;
-use fpart::join::planner::ModePlanner;
+use fpart::join::ModePlan;
 use fpart::net::DistributedJoin;
 use fpart::prelude::*;
 
@@ -57,7 +57,7 @@ fn planned_hybrid_join_across_skew() {
             .spec()
             .skewed_row_relations::<Tuple8>(0.0004, zipf, 11);
         let f = PartitionFn::Murmur { bits: 7 };
-        let plan = ModePlanner::default().plan(&s, f);
+        let plan = ModePlan::sample(&s, f);
         let config = PartitionerConfig {
             partition_fn: f,
             output: plan.output,

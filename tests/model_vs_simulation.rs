@@ -7,20 +7,22 @@
 //! closed-form model deliberately ignores — the paper makes the same
 //! remark about HIST/VRID vs PAD/RID).
 
-use fpart::costmodel::{FpgaCostModel, ModePair};
-use fpart::fpga::FpgaPartitioner;
+use fpart::costmodel::FpgaCostModel;
+use fpart::fpga::{mode_label, FpgaPartitioner};
 use fpart::hwsim::QpiConfig;
 use fpart::prelude::*;
 
 const N: usize = 200_000;
 
-fn run(mode: ModePair, raw: bool, bits: u32) -> f64 {
-    let (output, input) = match mode {
-        ModePair::HistRid => (OutputMode::Hist, InputMode::Rid),
-        ModePair::HistVrid => (OutputMode::Hist, InputMode::Vrid),
-        ModePair::PadRid => (OutputMode::pad_default(), InputMode::Rid),
-        ModePair::PadVrid => (OutputMode::pad_default(), InputMode::Vrid),
-    };
+fn hist(input: InputMode) -> (OutputMode, InputMode) {
+    (OutputMode::Hist, input)
+}
+
+fn pad(input: InputMode) -> (OutputMode, InputMode) {
+    (OutputMode::pad_default(), input)
+}
+
+fn run((output, input): (OutputMode, InputMode), raw: bool, bits: u32) -> f64 {
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         ..PartitionerConfig::paper_default(output, input)
@@ -44,17 +46,17 @@ fn run(mode: ModePair, raw: bool, bits: u32) -> f64 {
     report.mtuples_per_sec()
 }
 
-fn model(mode: ModePair, raw: bool, bits: u32) -> f64 {
+fn model((output, input): (OutputMode, InputMode), raw: bool, bits: u32) -> f64 {
     let mut m = if raw {
         FpgaCostModel::raw_wrapper()
     } else {
         FpgaCostModel::paper()
     };
     m.partitions = 1 << bits;
-    m.p_total(N as u64, 8, mode) / 1e6
+    m.p_total(N as u64, 8, output, input) / 1e6
 }
 
-fn assert_within(mode: ModePair, raw: bool, tolerance: f64) {
+fn assert_within(mode: (OutputMode, InputMode), raw: bool, tolerance: f64) {
     // A modest fan-out keeps the flush latency term proportionate at the
     // test's N, like the paper's N = 128M at 8192 partitions.
     let bits = 8;
@@ -64,49 +66,49 @@ fn assert_within(mode: ModePair, raw: bool, tolerance: f64) {
     assert!(
         err < tolerance,
         "{} (raw={raw}): simulated {simulated:.0} vs model {predicted:.0} Mtuples/s ({:.0}% off)",
-        mode.label(),
+        mode_label(mode.0, mode.1),
         err * 100.0
     );
 }
 
 #[test]
 fn hist_rid_matches_model() {
-    assert_within(ModePair::HistRid, false, 0.15);
+    assert_within(hist(InputMode::Rid), false, 0.15);
 }
 
 #[test]
 fn pad_rid_matches_model() {
-    assert_within(ModePair::PadRid, false, 0.15);
+    assert_within(pad(InputMode::Rid), false, 0.15);
 }
 
 #[test]
 fn hist_vrid_matches_model() {
-    assert_within(ModePair::HistVrid, false, 0.15);
+    assert_within(hist(InputMode::Vrid), false, 0.15);
 }
 
 #[test]
 fn pad_vrid_matches_model() {
-    assert_within(ModePair::PadVrid, false, 0.15);
+    assert_within(pad(InputMode::Vrid), false, 0.15);
 }
 
 /// The raw-wrapper ceiling: the circuit must sustain ≈1 line/cycle.
 #[test]
 fn raw_pad_reaches_circuit_rate() {
-    assert_within(ModePair::PadRid, true, 0.15);
+    assert_within(pad(InputMode::Rid), true, 0.15);
 }
 
 #[test]
 fn raw_hist_reaches_half_rate() {
-    assert_within(ModePair::HistRid, true, 0.15);
+    assert_within(hist(InputMode::Rid), true, 0.15);
 }
 
 /// Mode ordering matches Figure 9: HIST/RID < HIST/VRID ≈ PAD/RID <
 /// PAD/VRID on the QPI link.
 #[test]
 fn figure9_mode_ordering() {
-    let hist_rid = run(ModePair::HistRid, false, 8);
-    let pad_rid = run(ModePair::PadRid, false, 8);
-    let pad_vrid = run(ModePair::PadVrid, false, 8);
+    let hist_rid = run(hist(InputMode::Rid), false, 8);
+    let pad_rid = run(pad(InputMode::Rid), false, 8);
+    let pad_vrid = run(pad(InputMode::Vrid), false, 8);
     assert!(
         hist_rid < pad_rid && pad_rid < pad_vrid,
         "ordering violated: {hist_rid:.0} / {pad_rid:.0} / {pad_vrid:.0}"
