@@ -69,7 +69,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
                 "@{}",
                 report.abort_points().first().copied().unwrap_or_default()
             ),
-            report.final_path().label().to_string(),
+            report.final_attempt().label(),
             report.attempts.len().to_string(),
             report.wasted_cycles().to_string(),
             recovery.to_string(),
@@ -91,7 +91,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
     cost.row(vec![
         "link down".into(),
         format!("{} aborts", report.attempts.len() - 1),
-        report.final_path().label().to_string(),
+        report.final_attempt().label(),
         report.attempts.len().to_string(),
         report.wasted_cycles().to_string(),
         "host".into(),
@@ -159,7 +159,6 @@ fn verdict(parts: &PartitionedRelation<Tuple8>, cpu: &PartitionedRelation<Tuple8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpart::join::fallback::AttemptPath;
 
     fn tiny() -> Scale {
         Scale {
@@ -185,7 +184,7 @@ mod tests {
             });
             let p = FpgaPartitioner::new(config.clone()).with_faults(plan);
             let (_, report) = chain.run(&p, &rel).unwrap();
-            assert_eq!(report.final_path(), AttemptPath::Hist);
+            assert_eq!(report.final_attempt().label(), "fpga HIST");
             assert!(report.wasted_cycles() > last_waste);
             last_waste = report.wasted_cycles();
         }
@@ -206,7 +205,7 @@ mod tests {
         });
         let p = FpgaPartitioner::new(config).with_faults(plan);
         let (parts, report) = EscalationChain::new(2).run(&p, &rel).unwrap();
-        assert_eq!(report.final_path(), AttemptPath::Cpu);
+        assert_eq!(report.final_attempt().label(), "cpu");
         assert_eq!(report.attempts.len(), 3);
         assert_eq!(parts.total_valid(), n);
     }

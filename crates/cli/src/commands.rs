@@ -139,8 +139,6 @@ fn plan(a: PlanArgs) -> Outcome {
 }
 
 fn faults(a: FaultsArgs) -> Outcome {
-    use fpart::join::fallback::AttemptPath;
-
     let chain = EscalationChain {
         hist_retry: a.hist_retry,
         cpu_fallback: a.cpu_fallback,
@@ -207,7 +205,7 @@ fn faults(a: FaultsArgs) -> Outcome {
                     } else {
                         "completed".into()
                     },
-                    report.final_path().label(),
+                    report.final_attempt().label(),
                     report.wasted_cycles(),
                     if parts.histogram() == cpu_parts.histogram() {
                         "matches CPU"
@@ -215,7 +213,7 @@ fn faults(a: FaultsArgs) -> Outcome {
                         "MISMATCH"
                     }
                 );
-                if report.final_path() == AttemptPath::Cpu {
+                if report.final_attempt().engine == EngineChoice::Cpu {
                     println!("           (FPGA exhausted; request served by the CPU fallback)");
                 }
             }
@@ -372,50 +370,45 @@ fn partition(
         f.fan_out(),
         f.label()
     );
-    let parts = match backend {
-        EngineChoice::Cpu => {
-            let (parts, report) = CpuPartitioner::new(f, threads).partition(rel);
-            println!(
-                "cpu ({threads} threads, measured): {:.1} Mtuples/s in {:.4} s",
-                report.mtuples_per_sec(),
-                report.total_time().as_secs_f64()
-            );
-            parts
-        }
-        // `--backend hybrid` parses to `Fpga`; the split engine has no
-        // front-end of its own here.
-        EngineChoice::Fpga | EngineChoice::Hybrid => {
-            let partitioner = FpgaPartitioner::with_modes(f, output, input)
-                .with_sim_fidelity(SimFidelity::Batched);
-            let t0 = Instant::now();
-            let (parts, report) = if input == InputMode::Vrid {
-                let keys: Vec<u32> = rel.tuples().iter().map(|t| t.key).collect();
-                let payloads: Vec<u64> = rel.tuples().iter().map(|t| t.payload_word()).collect();
-                partitioner.partition(&ColumnRelation::from_columns(&keys, &payloads))?
-            } else {
-                partitioner.partition(rel)?
-            };
-            println!(
-                "fpga {} (simulated @200MHz): {:.1} Mtuples/s in {:.4} s simulated \
-                 ({} cycles; simulator took {:.2} s wall)",
-                report.mode,
-                report.mtuples_per_sec(),
-                report.seconds(),
-                report.total_cycles(),
-                t0.elapsed().as_secs_f64()
-            );
-            println!(
-                "qpi: {} lines read, {} written, {} read-stall cycles; {} dummy slots; \
-                 {:.2} line-ops/cycle (stall-free ceiling: 2.00)",
-                report.qpi.lines_read,
-                report.qpi.lines_written,
-                report.qpi.read_stall_cycles,
-                report.padding_slots,
-                report.lines_per_cycle()
-            );
-            parts
-        }
+    let fpga =
+        FpgaPartitioner::with_modes(f, output, input).with_sim_fidelity(SimFidelity::Batched);
+    let engine = backend.engine::<Tuple8>(fpga, threads);
+    let t0 = Instant::now();
+    let (parts, stats) = if input == InputMode::Vrid {
+        let keys: Vec<u32> = rel.tuples().iter().map(|t| t.key).collect();
+        let payloads: Vec<u64> = rel.tuples().iter().map(|t| t.payload_word()).collect();
+        engine.partition((&ColumnRelation::from_columns(&keys, &payloads)).into())?
+    } else {
+        engine.partition(rel.into())?
     };
+    let wall = t0.elapsed();
+    if let Some(report) = &stats.cpu {
+        println!(
+            "cpu ({threads} threads, measured): {:.1} Mtuples/s in {:.4} s",
+            report.mtuples_per_sec(),
+            report.total_time().as_secs_f64()
+        );
+    }
+    if let Some(report) = &stats.fpga {
+        println!(
+            "fpga {} (simulated @200MHz): {:.1} Mtuples/s in {:.4} s simulated \
+             ({} cycles; simulator took {:.2} s wall)",
+            report.mode,
+            report.mtuples_per_sec(),
+            report.seconds(),
+            report.total_cycles(),
+            wall.as_secs_f64()
+        );
+        println!(
+            "qpi: {} lines read, {} written, {} read-stall cycles; {} dummy slots; \
+             {:.2} line-ops/cycle (stall-free ceiling: 2.00)",
+            report.qpi.lines_read,
+            report.qpi.lines_written,
+            report.qpi.read_stall_cycles,
+            report.padding_slots,
+            report.lines_per_cycle()
+        );
+    }
     print_balance(parts.histogram());
     Ok(parts)
 }

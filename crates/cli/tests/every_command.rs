@@ -53,6 +53,30 @@ fn every_command_runs() {
     }
 }
 
+/// `partition` prints the report of the engine `--backend` built, in
+/// the mode `--mode` names, whatever the input layout.
+#[test]
+fn partition_reports_the_engine_it_built() {
+    for (args, line, other) in [
+        (
+            "partition --backend cpu --mode pad/vrid --n 4096 --bits 5 --threads 2",
+            "\ncpu (2 threads, measured): ",
+            "\nfpga ",
+        ),
+        (
+            "partition --backend fpga --mode hist/vrid --n 4096 --bits 5",
+            "\nfpga HIST/VRID (simulated @200MHz): ",
+            "\ncpu (",
+        ),
+    ] {
+        let out = fpart(&args.split(' ').collect::<Vec<_>>());
+        assert!(out.status.success(), "fpart {args}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains(line), "{args}: {stdout}");
+        assert!(!stdout.contains(other), "{args}: {stdout}");
+    }
+}
+
 #[test]
 fn unknown_flag_exits_2_with_the_help() {
     let out = fpart(&["partition", "--bogus", "1"]);

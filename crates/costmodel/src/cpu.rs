@@ -18,7 +18,7 @@
 //!   "delivers for every key distribution the same throughput".
 
 use fpart_hash::PartitionFn;
-use fpart_memmodel::{BandwidthCurve, PlatformSpec, RwMix};
+use fpart_memmodel::{BandwidthCurve, RwMix};
 
 /// Key distributions as the model cares about them (Figure 4 lines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +49,6 @@ impl DistributionKind {
 /// The calibrated CPU partitioning model.
 #[derive(Debug, Clone)]
 pub struct CpuCostModel {
-    /// Platform constants.
-    pub platform: PlatformSpec,
     /// The CPU socket's bandwidth curve.
     pub curve: BandwidthCurve,
     /// Single-thread radix partitioning rate on linear keys (tuples/s).
@@ -63,7 +61,6 @@ impl CpuCostModel {
     /// The paper's Xeon, calibrated as documented in the module header.
     pub fn paper() -> Self {
         Self {
-            platform: PlatformSpec::harp_v1(),
             curve: BandwidthCurve::cpu_alone(),
             radix_core_rate: 150e6,
             hash_core_rate: 100e6,

@@ -43,9 +43,9 @@
 //! counts and the port classification are synthesized from the analytic
 //! model and are approximations; no lane-FIFO occupancy or trace events
 //! are recorded. Fault injection always forces the cycle-accurate engine
-//! (see [`FpgaPartitioner::set_fault_plan`]).
+//! (see [`FpgaPartitioner::with_faults`]).
 //!
-//! [`FpgaPartitioner::set_fault_plan`]: crate::FpgaPartitioner::set_fault_plan
+//! [`FpgaPartitioner::with_faults`]: crate::FpgaPartitioner::with_faults
 
 use std::ops::Range;
 

@@ -297,17 +297,8 @@ impl FpgaPartitioner {
     /// Arm a fault plan (builder style): every subsequent run injects the
     /// plan's faults at their scheduled points. An empty plan disarms.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
+        self.faults = (!plan.is_empty()).then(|| FaultInjector::new(plan));
         self
-    }
-
-    /// Arm or disarm a fault plan on this partitioner.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = if plan.is_empty() {
-            None
-        } else {
-            Some(FaultInjector::new(plan))
-        };
     }
 
     /// The configuration.

@@ -8,7 +8,7 @@
 //! prices the back-ends with those models and builds the winner through
 //! [`EngineChoice::engine`], the one place an engine is made from a
 //! choice. Engines expose their degradation affordances through
-//! [`PartitionEngine::path`] and [`PartitionEngine::hist_fallback`] (so
+//! [`PartitionEngine::choice`] and [`PartitionEngine::hist_fallback`] (so
 //! [`crate::fallback::EscalationChain`] can drive any engine, not just
 //! the FPGA), and report every run as one [`PartitionStats`]: the FPGA's
 //! report, the CPU's, or both for a split.
@@ -34,8 +34,6 @@ use fpart_fpga::{FpgaPartitioner, OutputMode, RunReport};
 use fpart_hash::PartitionFn;
 use fpart_obs::{Ctr, ObsSnapshot};
 use fpart_types::{Input, PartitionLayout, PartitionedRelation, Result, Tuple};
-
-use crate::fallback::AttemptPath;
 
 /// The reports of one partitioning run, each in its back-end's own time
 /// domain. A CPU run fills `cpu`, an FPGA run `fpga`, and a hybrid split
@@ -93,8 +91,9 @@ impl PartitionStats {
     }
 }
 
-/// Which engine a plan selected; the machine-readable half of a
-/// [`crate::planner::PlanExplanation`].
+/// Which engine a plan selected or an attempt ran; the machine-readable
+/// half of a [`crate::planner::PlanExplanation`] and, with the output
+/// mode of the FPGA side, of a [`crate::fallback::AttemptRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
     /// Software partitioning on host threads.
@@ -142,10 +141,11 @@ pub trait PartitionEngine<T: Tuple>: std::fmt::Debug {
     /// The partition function this engine applies.
     fn partition_fn(&self) -> PartitionFn;
 
-    /// The attempt path this engine records in a
-    /// [`crate::fallback::DegradationReport`]; the degradation chain
+    /// Which engine this is, and the output mode of its FPGA side
+    /// (`None` for the CPU): what an attempt records in a
+    /// [`crate::fallback::DegradationReport`]. The degradation chain
     /// reads it instead of matching on concrete types.
-    fn path(&self) -> AttemptPath;
+    fn choice(&self) -> (EngineChoice, Option<OutputMode>);
 
     /// Partition a row store or a column store (see [`Input`]).
     ///
@@ -173,8 +173,8 @@ impl<T: Tuple> PartitionEngine<T> for CpuPartitioner {
         self.partition_fn
     }
 
-    fn path(&self) -> AttemptPath {
-        AttemptPath::Cpu
+    fn choice(&self) -> (EngineChoice, Option<OutputMode>) {
+        (EngineChoice::Cpu, None)
     }
 
     fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
@@ -192,11 +192,8 @@ impl<T: Tuple> PartitionEngine<T> for FpgaPartitioner {
         self.config().partition_fn
     }
 
-    fn path(&self) -> AttemptPath {
-        match self.config().output {
-            OutputMode::Pad { .. } => AttemptPath::Pad,
-            OutputMode::Hist => AttemptPath::Hist,
-        }
+    fn choice(&self) -> (EngineChoice, Option<OutputMode>) {
+        (EngineChoice::Fpga, Some(self.config().output))
     }
 
     fn partition(&self, input: Input<'_, T>) -> Result<(PartitionedRelation<T>, PartitionStats)> {
@@ -349,8 +346,8 @@ impl<T: Tuple> PartitionEngine<T> for HybridSplitEngine {
         self.fpga.config().partition_fn
     }
 
-    fn path(&self) -> AttemptPath {
-        AttemptPath::Hybrid
+    fn choice(&self) -> (EngineChoice, Option<OutputMode>) {
+        (EngineChoice::Hybrid, Some(self.fpga.config().output))
     }
 
     /// The FPGA partitions the front share and the CPU the tail. Both
@@ -426,7 +423,8 @@ mod tests {
     use fpart_types::{Relation, Tuple8};
 
     /// Each choice builds the engine it names, over the FPGA's partition
-    /// function, and every engine partitions alike.
+    /// function, reports that choice and the FPGA side's output mode, and
+    /// every engine partitions alike.
     #[test]
     fn every_choice_builds_its_engine() {
         let f = PartitionFn::Murmur { bits: 5 };
@@ -438,23 +436,17 @@ mod tests {
                 .collect()
         };
         let expect = multisets(&CpuPartitioner::new(f, 2).partition(&rel).0);
-        for (choice, output, path) in [
-            (EngineChoice::Cpu, OutputMode::Hist, AttemptPath::Cpu),
-            (
-                EngineChoice::Fpga,
-                OutputMode::pad_default(),
-                AttemptPath::Pad,
-            ),
-            (EngineChoice::Fpga, OutputMode::Hist, AttemptPath::Hist),
-            (EngineChoice::Hybrid, OutputMode::Hist, AttemptPath::Hybrid),
-        ] {
-            let fpga = FpgaPartitioner::with_modes(f, output, InputMode::Rid);
-            let engine = choice.engine::<Tuple8>(fpga, 2);
-            let label = format!("{choice:?} over {output:?}");
-            assert_eq!(engine.path(), path, "{label}");
-            assert_eq!(engine.partition_fn(), f, "{label}");
-            let (parts, _) = engine.partition(Input::from(&rel)).unwrap();
-            assert_eq!(multisets(&parts), expect, "{label}");
+        for choice in [EngineChoice::Cpu, EngineChoice::Fpga, EngineChoice::Hybrid] {
+            for output in [OutputMode::Hist, OutputMode::pad_default()] {
+                let fpga = FpgaPartitioner::with_modes(f, output, InputMode::Rid);
+                let engine = choice.engine::<Tuple8>(fpga, 2);
+                let label = format!("{choice:?} over {output:?}");
+                let side = (choice != EngineChoice::Cpu).then_some(output);
+                assert_eq!(engine.choice(), (choice, side), "{label}");
+                assert_eq!(engine.partition_fn(), f, "{label}");
+                let (parts, _) = engine.partition(Input::from(&rel)).unwrap();
+                assert_eq!(multisets(&parts), expect, "{label}");
+            }
         }
     }
 

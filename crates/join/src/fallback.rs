@@ -11,13 +11,15 @@
 //!
 //! [`EscalationChain`] encodes that policy as an ordered chain:
 //!
-//! 1. the configured FPGA run (PAD or HIST),
-//! 2. an optional HIST-mode FPGA retry (skipped when the first attempt
-//!    already ran HIST),
+//! 1. the configured engine (the FPGA or the split, in PAD or HIST),
+//! 2. an optional HIST-mode retry of the same engine (skipped when the
+//!    first attempt already ran HIST),
 //! 3. an optional CPU fallback, which cannot fail.
 //!
 //! Every attempt — failed or successful — is recorded in a
-//! [`DegradationReport`], including *why* a step failed and an estimate
+//! [`DegradationReport`] as an [`AttemptRecord`]: the
+//! [`EngineChoice`] that ran and the output mode of its FPGA side, *why*
+//! the step failed and an estimate
 //! of the simulated work the abort threw away ("the data partitioned
 //! up to the point of failure is not usable", Section 5.4). The report
 //! keeps the [`PartitionStats`] of the attempt that succeeded, whichever
@@ -27,42 +29,20 @@
 //! the identical report.
 
 use fpart_cpu::{CpuPartitioner, CpuRunReport};
-use fpart_fpga::RunReport;
+use fpart_fpga::{OutputMode, RunReport};
 use fpart_types::{FpartError, Input, PartitionedRelation, Result, Tuple};
 
-use crate::engine::{PartitionEngine, PartitionStats};
+use crate::engine::{EngineChoice, PartitionEngine, PartitionStats};
 
-/// Which back-end an attempt ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptPath {
-    /// FPGA, PAD output mode (single pass, overflow possible).
-    Pad,
-    /// FPGA, HIST output mode (two passes, overflow-free).
-    Hist,
-    /// The host CPU partitioner (cannot fail).
-    Cpu,
-    /// The bandwidth-proportional CPU⊕FPGA split engine.
-    Hybrid,
-}
-
-impl AttemptPath {
-    /// Human-readable label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Pad => "FPGA/PAD",
-            Self::Hist => "FPGA/HIST",
-            Self::Cpu => "CPU",
-            Self::Hybrid => "CPU+FPGA",
-        }
-    }
-}
-
-/// One attempt of the chain: which path ran, why it failed (if it did)
-/// and roughly how much simulated work the abort discarded.
+/// One attempt of the chain: which engine ran, in which output mode,
+/// why it failed (if it did) and roughly how much simulated work the
+/// abort discarded.
 #[derive(Debug, Clone)]
 pub struct AttemptRecord {
-    /// The back-end that ran.
-    pub path: AttemptPath,
+    /// The engine that ran.
+    pub engine: EngineChoice,
+    /// The output mode of the engine's FPGA side; `None` for the CPU.
+    pub output: Option<OutputMode>,
     /// The error that aborted this attempt; `None` for the successful
     /// final attempt.
     pub error: Option<FpartError>,
@@ -70,6 +50,17 @@ pub struct AttemptRecord {
     /// abandonment cycle for a link failure, the lines streamed before
     /// detection for a PAD overflow, 0 where the sim gives no handle.
     pub wasted_cycles: u64,
+}
+
+impl AttemptRecord {
+    /// The engine's label, followed by its FPGA side's output mode:
+    /// `fpga HIST`, `hybrid PAD` or `cpu`.
+    pub fn label(&self) -> String {
+        match self.output {
+            Some(output) => format!("{} {}", self.engine.label(), output.label()),
+            None => self.engine.label().to_string(),
+        }
+    }
 }
 
 /// The full story of one partitioning request through the chain.
@@ -95,12 +86,11 @@ impl DegradationReport {
         self.stats.cpu.as_ref()
     }
 
-    /// The path that finally produced the output.
-    pub fn final_path(&self) -> AttemptPath {
+    /// The attempt that finally produced the output.
+    pub fn final_attempt(&self) -> &AttemptRecord {
         self.attempts
             .last()
             .expect("a report always has at least one attempt")
-            .path
     }
 
     /// Whether any step had to abort (i.e. the first attempt was not the
@@ -248,7 +238,7 @@ impl EscalationChain {
             }
         }
 
-        if self.cpu_fallback && engine.path() != AttemptPath::Cpu {
+        if self.cpu_fallback && engine.choice().0 != EngineChoice::Cpu {
             let cpu = CpuPartitioner::new(engine.partition_fn(), self.cpu_threads);
             match Self::try_engine(&mut attempts, &cpu, input)? {
                 Ok((parts, stats)) => return Ok((parts, DegradationReport { attempts, stats })),
@@ -269,11 +259,12 @@ impl EscalationChain {
         engine: &dyn PartitionEngine<T>,
         input: Input<'_, T>,
     ) -> Result<std::result::Result<(PartitionedRelation<T>, PartitionStats), FpartError>> {
-        let path = engine.path();
+        let (choice, output) = engine.choice();
         match engine.partition(input) {
             Ok((parts, stats)) => {
                 attempts.push(AttemptRecord {
-                    path,
+                    engine: choice,
+                    output,
                     error: None,
                     wasted_cycles: 0,
                 });
@@ -282,7 +273,8 @@ impl EscalationChain {
             Err(e @ FpartError::InvalidConfig(_)) => Err(e),
             Err(e) => {
                 attempts.push(AttemptRecord {
-                    path,
+                    engine: choice,
+                    output,
                     error: Some(e.clone()),
                     wasted_cycles: wasted_estimate::<T>(&e),
                 });
@@ -295,6 +287,7 @@ impl EscalationChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HybridSplitEngine;
     use fpart_datagen::KeyDistribution;
     use fpart_fpga::{
         FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
@@ -328,7 +321,7 @@ mod tests {
         let (parts, report) = chain.run(&fpga, &rel).unwrap();
         assert_eq!(parts.total_valid(), 2048);
         assert!(!report.degraded());
-        assert_eq!(report.final_path(), AttemptPath::Pad);
+        assert_eq!(report.final_attempt().label(), "fpga PAD");
         assert_eq!(report.wasted_cycles(), 0);
         assert!(report.fpga().is_some() && report.cpu().is_none());
     }
@@ -341,7 +334,7 @@ mod tests {
         let (parts, report) = chain.run(&fpga, &rel).unwrap();
         assert_eq!(parts.total_valid(), 4096);
         assert!(report.degraded());
-        assert_eq!(report.final_path(), AttemptPath::Hist);
+        assert_eq!(report.final_attempt().label(), "fpga HIST");
         assert_eq!(report.attempts.len(), 2);
         assert!(matches!(
             report.first_error(),
@@ -364,7 +357,7 @@ mod tests {
         let chain = EscalationChain::new(2);
         let (parts, report) = chain.run(&fpga, &rel).unwrap();
         assert_eq!(parts.total_valid(), 4096);
-        assert_eq!(report.final_path(), AttemptPath::Cpu);
+        assert_eq!(report.final_attempt().label(), "cpu");
         assert_eq!(report.attempts.len(), 3, "PAD, HIST, CPU all recorded");
         assert!(matches!(
             report.attempts[1].error,
@@ -389,7 +382,7 @@ mod tests {
         let chain = EscalationChain::new(2);
         let (parts, report) = chain.run(&fpga, &rel).unwrap();
         assert_eq!(parts.total_valid(), 2048);
-        assert_eq!(report.final_path(), AttemptPath::Cpu);
+        assert_eq!(report.final_attempt().label(), "cpu");
         assert!(matches!(
             report.attempts[0].error,
             Some(FpartError::LinkRetryExhausted { .. })
@@ -431,7 +424,24 @@ mod tests {
         let chain = EscalationChain::new(2);
         let (_, report) = chain.run(&fpga, &rel).unwrap();
         assert_eq!(report.attempts.len(), 2, "HIST then CPU, no double HIST");
-        assert_eq!(report.attempts[0].path, AttemptPath::Hist);
-        assert_eq!(report.final_path(), AttemptPath::Cpu);
+        assert_eq!(report.attempts[0].label(), "fpga HIST");
+        assert_eq!(report.final_attempt().label(), "cpu");
+    }
+
+    #[test]
+    fn split_overflow_retries_the_split_in_hist() {
+        // Half of the fully skewed keys reach the split's zero-padded PAD
+        // share, which overflows; the HIST retry keeps the split.
+        let rel = skewed();
+        let fpga = FpgaPartitioner::new(pad_cfg(6, 0));
+        let split = HybridSplitEngine::new(fpga, 2).with_fraction(0.5);
+        let (parts, report) = EscalationChain::new(2).run(&split, &rel).unwrap();
+        assert_eq!(parts.total_valid(), 4096);
+        let labels: Vec<_> = report.attempts.iter().map(AttemptRecord::label).collect();
+        assert_eq!(labels, ["hybrid PAD", "hybrid HIST"]);
+        assert!(matches!(
+            report.first_error(),
+            Some(FpartError::PartitionOverflow { .. })
+        ));
     }
 }

@@ -40,8 +40,6 @@ pub mod buildprobe;
 pub mod engine;
 pub mod fallback;
 pub mod hashtable;
-#[cfg(test)]
-mod hybrid;
 pub mod materialize;
 pub mod nopart;
 pub mod planner;
@@ -49,6 +47,6 @@ pub mod radix;
 
 pub use buildprobe::{build_probe_all, BuildProbeReport};
 pub use engine::{EngineChoice, HybridSplitEngine, PartitionEngine, PartitionStats};
-pub use fallback::{AttemptPath, AttemptRecord, DegradationReport, EscalationChain};
+pub use fallback::{AttemptRecord, DegradationReport, EscalationChain};
 pub use planner::{EnginePlanner, ModePlan, Plan, PlanExplanation};
 pub use radix::{planned_join, radix_join, JoinReport, JoinResult};

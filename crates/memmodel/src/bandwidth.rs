@@ -57,15 +57,6 @@ impl RwMix {
     }
 }
 
-/// Which socket's view of memory a curve describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Agent {
-    /// The Xeon E5-2680 v2 socket (direct DDR access).
-    Cpu,
-    /// The Stratix V socket (all traffic crosses QPI).
-    Fpga,
-}
-
 /// A piecewise-linear bandwidth curve over the read-fraction axis.
 ///
 /// # Examples
@@ -186,16 +177,6 @@ impl BandwidthCurve {
     /// Modelled as a uniform 0.72× derating of the alone curve.
     pub fn cpu_interfered() -> Self {
         Self::scaled(Self::cpu_alone(), "CPU (interfered)", 0.72)
-    }
-
-    /// Look up the standard curve for an agent.
-    pub fn for_agent(agent: Agent, interfered: bool) -> Self {
-        match (agent, interfered) {
-            (Agent::Cpu, false) => Self::cpu_alone(),
-            (Agent::Cpu, true) => Self::cpu_interfered(),
-            (Agent::Fpga, false) => Self::fpga_alone(),
-            (Agent::Fpga, true) => Self::fpga_interfered(),
-        }
     }
 
     fn scaled(base: Self, label: &'static str, factor: f64) -> Self {

@@ -14,8 +14,8 @@
 //! 2. **Table 1** — the cache-coherence side effect: CPU reads of memory
 //!    last written by the FPGA are snooped on the FPGA socket and slowed
 //!    down ([`coherence`]).
-//! 3. The platform constants (clock frequencies, core count, cache-line
-//!    width) in [`platform::PlatformSpec`].
+//! 3. The platform constants the Section 4.6 models read (the CPU and
+//!    FPGA clocks and the cache-line width) in [`platform::PlatformSpec`].
 //!
 //! All calibration anchors are the paper's own published numbers; each
 //! constant cites the section it comes from.
@@ -26,6 +26,6 @@ pub mod bandwidth;
 pub mod coherence;
 pub mod platform;
 
-pub use bandwidth::{Agent, BandwidthCurve, RwMix};
+pub use bandwidth::{BandwidthCurve, RwMix};
 pub use coherence::{CoherencePenalty, CoherenceTracker, Socket};
 pub use platform::PlatformSpec;

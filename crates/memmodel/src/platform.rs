@@ -1,54 +1,24 @@
 //! Platform constants of the machine the paper evaluates on.
 
-use crate::bandwidth::{raw_wrapper_curve, Agent, BandwidthCurve};
-
-/// Static description of a hybrid CPU+FPGA platform.
+/// The clocks and line width of a hybrid CPU+FPGA platform: the values
+/// the Section 4.6 models read.
 #[derive(Debug, Clone)]
 pub struct PlatformSpec {
-    /// Display name.
-    pub name: &'static str,
     /// CPU clock in Hz (Xeon E5-2680 v2: 2.8 GHz).
     pub cpu_hz: f64,
-    /// Physical CPU cores (paper: 10).
-    pub cpu_cores: usize,
     /// FPGA fabric clock in Hz (paper: 200 MHz, Section 4.1).
     pub fpga_hz: f64,
     /// Cache-line width in bytes (64).
     pub cache_line: usize,
-    /// L3 size of the CPU socket in bytes (25 MB).
-    pub cpu_l3_bytes: usize,
-    /// FPGA-local cache in bytes (128 KB, two-way, in the QPI endpoint).
-    pub fpga_cache_bytes: usize,
-    /// Shared-memory page size used by the Intel API (4 MB).
-    pub page_bytes: usize,
-    /// Main memory on the CPU socket in bytes (96 GB).
-    pub memory_bytes: u64,
 }
 
 impl PlatformSpec {
     /// The Intel Xeon+FPGA v1 (HARP) machine of Section 2.1.
     pub fn harp_v1() -> Self {
         Self {
-            name: "Intel Xeon+FPGA (HARP v1)",
             cpu_hz: 2.8e9,
-            cpu_cores: 10,
             fpga_hz: 200e6,
             cache_line: 64,
-            cpu_l3_bytes: 25 << 20,
-            fpga_cache_bytes: 128 << 10,
-            page_bytes: 4 << 20,
-            memory_bytes: 96 << 30,
-        }
-    }
-
-    /// A hypothetical future platform where the FPGA gets the full
-    /// 25.6 GB/s the circuit can consume (Section 4.8's what-if: "the
-    /// first term would define the throughput, which will become
-    /// 1.6 Billion tuples/s").
-    pub fn future_high_bandwidth() -> Self {
-        Self {
-            name: "Future platform (25.6 GB/s to the FPGA)",
-            ..Self::harp_v1()
         }
     }
 
@@ -56,57 +26,25 @@ impl PlatformSpec {
     pub fn fpga_period(&self) -> f64 {
         1.0 / self.fpga_hz
     }
-
-    /// Cache lines per second the FPGA circuit can nominally move: one per
-    /// clock, i.e. 12.8 GB/s at 200 MHz.
-    pub fn fpga_peak_bytes_per_sec(&self) -> f64 {
-        self.fpga_hz * self.cache_line as f64
-    }
-
-    /// The bandwidth curve an agent sees on this platform.
-    pub fn bandwidth(&self, agent: Agent, interfered: bool) -> BandwidthCurve {
-        if self.name.starts_with("Future") && agent == Agent::Fpga {
-            raw_wrapper_curve()
-        } else {
-            BandwidthCurve::for_agent(agent, interfered)
-        }
-    }
-
-    /// Tuples per cache line for a tuple width.
-    pub fn tuples_per_line(&self, tuple_width: usize) -> usize {
-        self.cache_line / tuple_width
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::RwMix;
 
     #[test]
     fn harp_constants() {
         let p = PlatformSpec::harp_v1();
-        assert_eq!(p.cpu_cores, 10);
+        assert_eq!(p.cpu_hz, 2.8e9);
         assert_eq!(p.fpga_hz, 200e6);
         assert_eq!(p.fpga_period(), 5e-9);
         assert_eq!(p.cache_line, 64);
-        assert_eq!(p.tuples_per_line(8), 8);
-        assert_eq!(p.tuples_per_line(64), 1);
     }
 
+    /// One line per FPGA clock: the circuit's 12.8 GB/s (Section 4.1).
     #[test]
     fn fpga_peak_is_12_8_gbps() {
         let p = PlatformSpec::harp_v1();
-        assert_eq!(p.fpga_peak_bytes_per_sec(), 12.8e9);
-    }
-
-    #[test]
-    fn future_platform_lifts_qpi_cap() {
-        let future = PlatformSpec::future_high_bandwidth();
-        let b = future.bandwidth(Agent::Fpga, false).gbps(RwMix::BALANCED);
-        assert_eq!(b, 25.6);
-        // CPU curve unchanged.
-        let cpu = future.bandwidth(Agent::Cpu, false).gbps(RwMix::HIST_RID);
-        assert!((cpu - 12.14).abs() < 0.01);
+        assert_eq!(p.fpga_hz * p.cache_line as f64, 12.8e9);
     }
 }

@@ -8,8 +8,9 @@
 //!   flushes, …) with stable snake_case labels used in every JSON schema.
 //! * [`CycleHistogram`] — log2-bucketed value histograms (e.g. per-cycle
 //!   lane-FIFO occupancy).
-//! * [`TraceRing`] / [`TraceEvent`] — a bounded drop-oldest ring buffer of
-//!   stage events, only active at [`ObsLevel::Trace`].
+//! * [`TraceRing`] / [`TraceEvent`] — a bounded buffer of stage events
+//!   that keeps a run's first events and drops the oldest of the rest,
+//!   only active at [`ObsLevel::Trace`].
 //! * [`Recorder`] — the handle the simulators carry; every increment is
 //!   gated on [`ObsLevel`] so `ObsLevel::Off` costs one predictable branch.
 //! * [`ObsSnapshot`] — the immutable end-of-run result, with a
@@ -100,7 +101,8 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Default trace-ring capacity (drop-oldest beyond this).
+    /// Default trace-ring capacity (beyond it the oldest event after the
+    /// first half is dropped).
     pub const TRACE_CAPACITY: usize = 1024;
 
     /// New recorder at the given level.

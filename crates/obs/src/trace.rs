@@ -1,4 +1,5 @@
-//! A bounded drop-oldest ring buffer of pipeline stage events.
+//! A bounded buffer of pipeline stage events that keeps a run's first
+//! events and drops the oldest of the rest.
 
 use std::collections::VecDeque;
 
@@ -15,8 +16,11 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
-/// Fixed-capacity event ring; pushing beyond capacity drops the oldest
-/// event and counts it.
+/// Fixed-capacity event buffer: the first half of the capacity keeps the
+/// run's first events, and beyond capacity each push evicts (and counts)
+/// the oldest event after them. A long run keeps both its warm-up and its
+/// flush. An eviction shifts at most half the buffer; the simulators
+/// push an event every few thousand cycles.
 #[derive(Debug, Clone)]
 pub struct TraceRing {
     cap: usize,
@@ -25,7 +29,7 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// New ring holding at most `cap` events (`cap` ≥ 1).
+    /// New buffer holding at most `cap` events (`cap` ≥ 1).
     pub fn new(cap: usize) -> Self {
         TraceRing {
             cap: cap.max(1),
@@ -34,10 +38,11 @@ impl TraceRing {
         }
     }
 
-    /// Append an event, evicting the oldest when full.
+    /// Append an event, evicting the oldest one past the first half when
+    /// full.
     pub fn push(&mut self, cycle: u64, stage: &str, event: &str, value: u64) {
         if self.buf.len() == self.cap {
-            self.buf.pop_front();
+            self.buf.remove(self.cap / 2);
             self.dropped += 1;
         }
         self.buf.push_back(TraceEvent {
@@ -65,14 +70,16 @@ mod tests {
 
     #[test]
     fn drops_oldest_beyond_capacity() {
-        let mut r = TraceRing::new(3);
-        for i in 0..5u64 {
-            r.push(i, "s", "e", i);
+        // Capacity 3 keeps the first event and the last two; capacity 1
+        // keeps only the last.
+        for (cap, kept, dropped) in [(3, vec![0, 3, 4], 2), (1, vec![4], 4)] {
+            let mut r = TraceRing::new(cap);
+            for i in 0..5u64 {
+                r.push(i, "s", "e", i);
+            }
+            let cycles: Vec<u64> = r.events().iter().map(|e| e.cycle).collect();
+            assert_eq!(cycles, kept, "cap {cap}");
+            assert_eq!(r.dropped(), dropped, "cap {cap}");
         }
-        let evts = r.events();
-        assert_eq!(evts.len(), 3);
-        assert_eq!(evts[0].cycle, 2);
-        assert_eq!(evts[2].cycle, 4);
-        assert_eq!(r.dropped(), 2);
     }
 }

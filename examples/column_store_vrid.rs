@@ -118,10 +118,10 @@ fn main() {
     );
     assert!(report.s.degraded(), "Zipf 1.5 S must overflow zero padding");
     println!(
-        "Column-store join, Zipf 1.5 S on zero PAD padding: S ran {} after a {} abort; \
+        "Column-store join, Zipf 1.5 S on zero PAD padding: S ran {} after an {} abort; \
          {} matches, equal to the RID join.",
-        report.s.final_path().label(),
-        report.s.attempts[0].path.label(),
+        report.s.final_attempt().label(),
+        report.s.attempts[0].label(),
         vrid.matches
     );
 }

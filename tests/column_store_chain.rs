@@ -6,7 +6,6 @@
 
 use fpart::costmodel::FpgaCostModel;
 use fpart::fpga::{FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig};
-use fpart::join::AttemptPath;
 use fpart::prelude::*;
 use fpart::types::relation::content_checksum;
 
@@ -74,7 +73,7 @@ fn zipf_column_overflow_escalates_to_hist() {
         );
 
         let (parts, report) = EscalationChain::new(2).run(&fpga, input).unwrap();
-        assert_eq!(report.final_path(), AttemptPath::Hist, "{layout}");
+        assert_eq!(report.final_attempt().label(), "fpga HIST", "{layout}");
         assert!(matches!(
             report.first_error(),
             Some(FpartError::PartitionOverflow { .. })
@@ -94,7 +93,7 @@ fn zipf_column_overflow_falls_back_to_cpu() {
             ..EscalationChain::new(2)
         };
         let (parts, report) = chain.run(&zero_pad(InputMode::Vrid), input).unwrap();
-        assert_eq!(report.final_path(), AttemptPath::Cpu, "{layout}");
+        assert_eq!(report.final_attempt().label(), "cpu", "{layout}");
         assert_eq!(report.attempts.len(), 2, "{layout}");
         assert_eq!(partition_multisets(&parts), reference, "{layout}");
     });

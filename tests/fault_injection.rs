@@ -9,7 +9,7 @@ use fpart::fpga::{
     FpgaPartitioner, InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
 };
 use fpart::hwsim::{Fault, FaultPlan, FaultSpec};
-use fpart::join::fallback::{AttemptPath, AttemptRecord, DegradationReport, EscalationChain};
+use fpart::join::fallback::{AttemptRecord, DegradationReport, EscalationChain};
 use fpart::prelude::*;
 use fpart::types::SplitMix64;
 use fpart_datagen::dist::{foreign_keys, zipf_foreign_keys, KeyDistribution};
@@ -28,12 +28,12 @@ fn pad_cfg(bits: u32, pad: usize) -> PartitionerConfig {
 
 /// Comparable essence of a degradation report (the report type itself
 /// carries wall-clock CPU timings, which never reproduce exactly).
-fn report_fingerprint(r: &DegradationReport) -> Vec<(AttemptPath, Option<String>, u64)> {
+fn report_fingerprint(r: &DegradationReport) -> Vec<(String, Option<String>, u64)> {
     r.attempts
         .iter()
         .map(|a: &AttemptRecord| {
             (
-                a.path,
+                a.label(),
                 a.error.as_ref().map(|e| format!("{e:?}")),
                 a.wasted_cycles,
             )
@@ -67,8 +67,8 @@ fn zipf_chain_histogram_equals_cpu() {
         assert_eq!(
             parts.histogram(),
             cpu_parts.histogram(),
-            "chain ended on {:?} with factor {factor:.2}",
-            report.final_path()
+            "chain ended on {} with factor {factor:.2}",
+            report.final_attempt().label()
         );
         assert_eq!(parts.total_valid(), n);
     }
@@ -120,12 +120,12 @@ fn injected_midpoint_overflow_degrades_and_reproduces() {
     // The request completed via the HIST retry (the PAD overflow does not
     // reoccur in HIST mode) — or via the CPU if HIST also degraded.
     assert!(report.degraded(), "the injected overflow must abort PAD");
-    assert_eq!(report.attempts[0].path, AttemptPath::Pad);
+    assert_eq!(report.attempts[0].label(), "fpga PAD");
     assert!(matches!(
-        report.final_path(),
-        AttemptPath::Hist | AttemptPath::Cpu
+        report.final_attempt().label().as_str(),
+        "fpga HIST" | "cpu"
     ));
-    assert_eq!(report.final_path(), AttemptPath::Hist);
+    assert_eq!(report.final_attempt().label(), "fpga HIST");
 
     // Output histogram equals the fault-free CPU run.
     assert_eq!(parts.histogram(), cpu_parts.histogram());
@@ -214,7 +214,7 @@ fn parity_events_visible_in_degradation_report() {
     let fpga = FpgaPartitioner::new(pad_cfg(6, 0)).with_faults(plan);
     let (parts, report) = EscalationChain::new(2).run(&fpga, &rel).unwrap();
     assert_eq!(parts.total_valid(), 4096);
-    assert_eq!(report.final_path(), AttemptPath::Cpu);
+    assert_eq!(report.final_attempt().label(), "cpu");
 
     assert_eq!(report.parity_events(), 1, "the HIST retry hit the flip");
     assert_eq!(report.overflow_events(), 1, "the PAD attempt overflowed");
