@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use fpart::prelude::*;
-use fpart_fpga::{mode_label, FpgaPartitioner, RunReport, SimFidelity};
+use fpart_fpga::{mode_label, FpgaPartitioner, RunReport};
 use fpart_hwsim::QpiConfig;
 
 use crate::Scale;
@@ -76,8 +76,8 @@ pub fn relation(n: usize, dist: KeyDistribution, seed: u64) -> Relation<Tuple8> 
 /// random tuples; `raw` swaps the QPI link for the 25.6 GB/s wrapper.
 /// PAD runs at its default padding.
 ///
-/// Throughput figures use [`SimFidelity::Batched`]: the partitioned
-/// bytes are identical to the cycle-accurate path (differential tests in
+/// The simulator runs batched, its default: the partitioned bytes are
+/// identical to the cycle-accurate path (differential tests in
 /// `fpart-fpga`) and the cycle count is analytic, which is what makes
 /// the full suite fast enough to run on every change.
 pub fn simulate_mode(
@@ -90,8 +90,7 @@ pub fn simulate_mode(
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         ..PartitionerConfig::paper_default(output, input)
-    }
-    .with_fidelity(SimFidelity::Batched);
+    };
     let partitioner = if raw {
         FpgaPartitioner::with_qpi(
             config,

@@ -39,10 +39,9 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
     );
     let mut ib: Option<fpart::net::DistJoinReport> = None;
     for nodes in [1usize, 2, 4, 8, 16] {
-        // Batched node-partitioner fidelity; the local-join wall time is
-        // measured, so the cluster-size axis stays serial.
-        let join = DistributedJoin::new(nodes, scale.partition_bits_for(13))
-            .with_fidelity(SimFidelity::Batched);
+        // The local-join wall time is measured, so the cluster-size axis
+        // stays serial.
+        let join = DistributedJoin::new(nodes, scale.partition_bits_for(13));
         let t0 = std::time::Instant::now();
         let (result, report) = join.execute(r, s).expect("distributed join");
         crate::record::emit(
@@ -76,8 +75,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
     // Network sensitivity at 4 nodes: the FDR IB numbers come from the
     // scaling loop above (the exchange model is deterministic), so only
     // the 10 GbE variant needs a fresh run.
-    let mut n4 =
-        DistributedJoin::new(4, scale.partition_bits_for(13)).with_fidelity(SimFidelity::Batched);
+    let mut n4 = DistributedJoin::new(4, scale.partition_bits_for(13));
     let ib = ib.expect("4-node row ran");
     n4.network = NetworkModel::ten_gbe();
     let (_, gbe) = n4.execute(r, s).expect("gbe join");

@@ -99,14 +99,11 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         let cpu = CpuPartitioner::new(f, scale.host_threads);
         let (_, report) = radix_join(&cpu, &chain, r, s).expect("cpu join");
 
-        // Batched fidelity: the hybrid join's FPGA phase contributes
-        // simulated seconds, so only the functional output and the
-        // analytic cycle count matter here.
+        // The hybrid join's FPGA phase contributes simulated seconds.
         let config = PartitionerConfig {
             partition_fn: f,
             ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
-        }
-        .with_fidelity(SimFidelity::Batched);
+        };
         let fpga = FpgaPartitioner::new(config);
         let (_, hreport) = radix_join(&fpga, &chain, r, s).expect("hybrid join");
         crate::record::emit(

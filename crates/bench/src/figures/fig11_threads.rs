@@ -112,8 +112,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         let rid_cfg = PartitionerConfig {
             partition_fn: f,
             ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
-        }
-        .with_fidelity(SimFidelity::Batched);
+        };
         let (_, hyb) =
             radix_join(&FpgaPartitioner::new(rid_cfg), &chain, r, s).expect("hybrid join");
 
@@ -123,8 +122,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
         let vrid_cfg = PartitionerConfig {
             partition_fn: f,
             ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Vrid)
-        }
-        .with_fidelity(SimFidelity::Batched);
+        };
         let vp = FpgaPartitioner::new(vrid_cfg);
         let vrid_secs = vp.partition(rc).expect("vrid r").1.seconds()
             + vp.partition(sc).expect("vrid s").1.seconds();

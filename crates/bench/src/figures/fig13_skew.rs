@@ -73,14 +73,12 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
 
         // Does PAD mode survive this skew, with default padding?
         // Checked at the fill-preserving scaled fan-out so the
-        // threshold matches full-scale behaviour. Batched fidelity
-        // reports the same overflow partition as the ticked circuit.
+        // threshold matches full-scale behaviour.
         let pad = FpgaPartitioner::with_modes(
             PartitionFn::Murmur { bits: pad_bits },
             OutputMode::pad_default(),
             InputMode::Rid,
-        )
-        .with_sim_fidelity(SimFidelity::Batched);
+        );
         let pad_outcome = match pad.partition(&s) {
             Ok(_) => "ok".to_string(),
             Err(FpartError::PartitionOverflow { consumed, .. }) => {

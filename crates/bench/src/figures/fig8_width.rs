@@ -7,7 +7,7 @@
 use fpart::prelude::*;
 use fpart_costmodel::FpgaCostModel;
 use fpart_datagen::KeyDistribution;
-use fpart_fpga::{FpgaPartitioner, RunReport, SimFidelity};
+use fpart_fpga::{FpgaPartitioner, RunReport};
 
 use crate::figures::common::scale_note;
 use crate::par::{default_workers, par_map};
@@ -18,8 +18,7 @@ fn simulate_width<T: Tuple<K = u64>>(n: usize, bits: u32, seed: u64) -> RunRepor
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
-    }
-    .with_fidelity(SimFidelity::Batched);
+    };
     let keys = KeyDistribution::Random.generate_keys::<u64>(n, seed);
     let rel = Relation::<T>::from_keys(&keys);
     let (_, report) = FpgaPartitioner::new(config).partition(&rel).expect("sim");
@@ -58,8 +57,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
                 let config = PartitionerConfig {
                     partition_fn: PartitionFn::Murmur { bits },
                     ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
-                }
-                .with_fidelity(SimFidelity::Batched);
+                };
                 let keys = KeyDistribution::Random.generate_keys::<u32>(n, seed);
                 let rel = Relation::<Tuple8>::from_keys(&keys);
                 FpgaPartitioner::new(config).partition(&rel).expect("sim").1

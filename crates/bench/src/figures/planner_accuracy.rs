@@ -11,7 +11,6 @@
 
 use fpart::prelude::*;
 use fpart_costmodel::cpu::DistributionKind;
-use fpart_fpga::SimFidelity;
 
 use crate::figures::common::{relation, scale_note};
 use crate::table::{fnum, TextTable};
@@ -109,10 +108,8 @@ pub fn sweep(scale: &Scale) -> Vec<AccuracyPoint> {
             .plan(&rel, f);
         let explanation = plan.explanation.clone();
         // Ground truth for the FPGA side: simulate the planned output
-        // mode over the actual keys (batched fidelity — identical bytes,
-        // analytic cycle count).
-        let sim = FpgaPartitioner::with_modes(f, explanation.output, InputMode::Rid)
-            .with_sim_fidelity(SimFidelity::Batched);
+        // mode over the actual keys.
+        let sim = FpgaPartitioner::with_modes(f, explanation.output, InputMode::Rid);
         let (_, report) = chain.run(&sim, &rel).expect("HIST handles any skew");
         AccuracyPoint {
             n,

@@ -66,8 +66,7 @@ pub fn run(scale: &Scale) -> Vec<TextTable> {
                 fpart_fpga::OutputMode::pad_default(),
                 fpart_fpga::InputMode::Rid,
             )
-        }
-        .with_fidelity(fpart_fpga::SimFidelity::Batched);
+        };
         let qpi = QpiConfig::harp(BandwidthCurve::new(
             "what-if",
             vec![(0.0, gbps), (1.0, gbps)],

@@ -122,7 +122,7 @@ fn trace(a: TraceArgs) -> Outcome {
 
 /// Explain what the [`EnginePlanner`] would decide for a generated
 /// relation: back-end (cost-model comparison), output mode (key
-/// sample), fidelity and degradation chain. `--json` prints the
+/// sample) and degradation chain. `--json` prints the
 /// machine-readable [`PlanExplanation`] (stable schema, golden-tested).
 fn plan(a: PlanArgs) -> Outcome {
     let f = partition_fn(a.hash, a.bits);
@@ -353,9 +353,7 @@ fn partition_command(a: PartitionArgs) -> Outcome {
 
 /// Partition `rel` (described by `what`) on `backend` and print the
 /// run's report and balance. VRID mode reads `rel` as a column store, so
-/// its output carries row positions in place of payloads. The FPGA runs
-/// at batched fidelity, as the planner and the figures do; `fpart trace`
-/// and `fpart faults` are the cycle-accurate entry points.
+/// its output carries row positions in place of payloads.
 fn partition(
     rel: &Relation<Tuple8>,
     what: &str,
@@ -370,8 +368,7 @@ fn partition(
         f.fan_out(),
         f.label()
     );
-    let fpga =
-        FpgaPartitioner::with_modes(f, output, input).with_sim_fidelity(SimFidelity::Batched);
+    let fpga = FpgaPartitioner::with_modes(f, output, input);
     let engine = backend.engine::<Tuple8>(fpga, threads);
     let t0 = Instant::now();
     let (parts, stats) = if input == InputMode::Vrid {

@@ -66,7 +66,6 @@ fn plan_json_has_every_decision_field() {
         "partitions",
         "engine",
         "output",
-        "fidelity",
         "cpu_seconds",
         "fpga_seconds",
         "hybrid_seconds",

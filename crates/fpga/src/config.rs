@@ -135,36 +135,26 @@ impl InputMode {
 /// tuples with a software write-combining scatter and derives cycles
 /// analytically from the QPI token-bucket model,
 /// instead of ticking every module once per simulated clock. Differential
-/// tests (`crates/fpga/tests/fastpath_equivalence.rs`) pin the two
-/// fidelities to identical partition contents and closely bounded cycle
-/// counts.
+/// tests (`crates/fpga/tests/fastpath_equivalence.rs` and
+/// `tests/fault_equivalence.rs`) pin the two fidelities to
+/// identical partition contents, closely bounded cycle counts and the
+/// same outcome of every fault plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimFidelity {
-    /// Tick every pipeline stage once per simulated FPGA clock. Exact
-    /// per-cycle observables (port counters, lane-FIFO occupancy, the
-    /// `scatter/interval` utilisation trace); required for fault
-    /// injection. Throughput: roughly one simulated cache line per
-    /// microsecond of host time.
-    #[default]
+    /// Tick every pipeline stage once per simulated FPGA clock: the
+    /// reference model, for where per-cycle behaviour is the output —
+    /// exact port counters, lane-FIFO occupancy and the
+    /// `scatter/interval` utilisation trace (`fpart trace`). Throughput:
+    /// roughly one simulated cache line per microsecond of host time.
     CycleAccurate,
     /// Execute the datapath functionally from per-(lane, partition)
     /// counts and fast-forward the QPI clock analytically
     /// ([`fpart_hwsim::QpiConfig::link_cycles`]). Orders of magnitude
     /// faster; identical partition multisets; cycle counts within the
-    /// warm-up/drain slack of cycle-accurate. Runs with an armed fault
-    /// plan silently fall back to [`SimFidelity::CycleAccurate`] — the
-    /// whole point of a fault plan is its cycle-level interleaving.
+    /// warm-up/drain slack of cycle-accurate. An armed fault plan runs
+    /// here too, with the ticked engine's outcome.
+    #[default]
     Batched,
-}
-
-impl SimFidelity {
-    /// Short label for reports ("cycle" / "batched").
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::CycleAccurate => "cycle",
-            Self::Batched => "batched",
-        }
-    }
 }
 
 /// Depth of the first-stage FIFOs after the hash modules; their free
@@ -195,9 +185,9 @@ pub struct PartitionerConfig {
     pub output: OutputMode,
     /// RID or VRID input.
     pub input: InputMode,
-    /// Cycle-accurate or batched simulation (a harness knob, not a
-    /// property of the modelled hardware — both fidelities describe the
-    /// same circuit).
+    /// Batched (the default) or cycle-accurate simulation (a harness
+    /// knob, not a property of the modelled hardware — both fidelities
+    /// describe the same circuit).
     pub fidelity: SimFidelity,
     /// Observability level. At [`ObsLevel::Off`] (the default) the run
     /// still publishes exact end-of-run totals into its snapshot, but no
@@ -221,7 +211,8 @@ impl PartitionerConfig {
     }
 
     /// This configuration with the given simulation fidelity (builder
-    /// style — the figure harness switches whole sweeps to batched).
+    /// style): `SimFidelity::CycleAccurate` is the one way into the tick
+    /// loop.
     pub fn with_fidelity(mut self, fidelity: SimFidelity) -> Self {
         self.fidelity = fidelity;
         self

@@ -42,23 +42,40 @@
 //! tuples, which is exactly what the equivalence tests assert. The stall
 //! counts and the port classification are synthesized from the analytic
 //! model and are approximations; no lane-FIFO occupancy or trace events
-//! are recorded. Fault injection always forces the cycle-accurate engine
-//! (see [`FpgaPartitioner::with_faults`]).
+//! are recorded.
+//!
+//! ## Fault plans
+//!
+//! A plan armed with [`FpgaPartitioner::with_faults`] runs here with the
+//! ticked engine's outcome. [`QpiEndpoint::fast_forward`] charges the
+//! link transients below each pass's line operations, and
+//! [`PageTable::translate_lines`] the translation transients. A histogram
+//! flip fails its pass at the end. Both engines check fill-rate flips and
+//! injected PAD overflows as the tuples leave the hash pipes, in input
+//! order ([`TupleAborts`]); a HIST scatter walks its tuples one by one
+//! only when the plan injects such an abort. Two orders are estimates: a
+//! fatal link burst against another abort (by operation index), and a
+//! natural PAD overflow, which the ticked write-back meets some lines
+//! late, against an injected abort just after it.
 //!
 //! [`FpgaPartitioner::with_faults`]: crate::FpgaPartitioner::with_faults
+//! [`TupleAborts`]: crate::partitioner::TupleAborts
+//! [`PageTable::translate_lines`]: fpart_hwsim::PageTable::translate_lines
 
 use std::ops::Range;
 
 use fpart_cpu::swwcb::OutputBuilder;
 use fpart_hash::PartitionFn;
-use fpart_hwsim::{QpiConfig, QpiEndpoint};
+use fpart_hwsim::{FaultInjector, PassId, QpiConfig, QpiEndpoint};
 use fpart_obs::{Ctr, Recorder};
 use fpart_types::line::MAX_LANES;
 use fpart_types::{FpartError, Input, PartitionLayout, PartitionedRelation, Result, Tuple};
 
 use crate::config::{OutputMode, PartitionerConfig};
-use crate::partitioner::{build_pagetable, PassTotals, RunReport, RunTotals};
-use crate::writeback::PartitionExtents;
+use crate::partitioner::{
+    build_pagetable, endpoint, histogram_flip, PassTotals, RunReport, RunTotals, TupleAborts,
+};
+use crate::writeback::{overflow, PartitionExtents};
 use crate::writecomb::CombinerStats;
 
 /// Fixed circuit warm-up folded into the analytic cycle count: QPI read
@@ -217,11 +234,17 @@ fn for_each_line<T: Tuple>(
 /// Functional histogram pass: stream every input tuple once, count its
 /// partition's tuples and its combiner cell's fill, and the forwarding
 /// hits, and derive the pass duration analytically.
+///
+/// # Errors
+/// Under a fault plan: [`FpartError::LinkRetryExhausted`] for a link
+/// burst beyond the replay limit, else [`FpartError::BramSoftError`] for
+/// a histogram-BRAM flip.
 pub(crate) fn histogram_pass<T: Tuple>(
     cfg: &PartitionerConfig,
     qpi_cfg: &QpiConfig,
     input: &Input<'_, T>,
-) -> BatchedHistogram {
+    faults: Option<&FaultInjector>,
+) -> Result<BatchedHistogram> {
     let parts = cfg.partitions();
     let input_lines = input.input_lines();
     let total_lines = input_lines as u64;
@@ -257,21 +280,22 @@ pub(crate) fn histogram_pass<T: Tuple>(
         }
     }
 
-    let mut ep = QpiEndpoint::new(qpi_cfg.clone());
-    let link = ep.fast_forward(total_lines, 0);
+    let mut ep = endpoint(qpi_cfg, faults, PassId::Histogram);
+    let link = ep.fast_forward(total_lines, 0)?;
+    histogram_flip(faults, parts)?;
     let circuit = circuit_bound(qpi_cfg, tuple_lines, 0);
-    let cycles = link.max(circuit);
     let mut qpi = ep.stats();
     // A read-only pass spends every link-bound cycle beyond the circuit
-    // bound waiting on read credit.
-    qpi.read_stall_cycles = cycles.saturating_sub(circuit);
+    // bound waiting on read credit; link replays stall it further.
+    qpi.read_stall_cycles = link.saturating_sub(circuit);
+    let cycles = link.max(circuit) + qpi.replay_stall_cycles;
 
-    BatchedHistogram {
+    Ok(BatchedHistogram {
         totals,
         fills,
         forward_hits: fwd.hits,
         pass: PassTotals { cycles, qpi },
-    }
+    })
 }
 
 /// The circuit-side duration of a pass that delivers `tuple_lines` tuple
@@ -281,33 +305,30 @@ fn circuit_bound(qpi_cfg: &QpiConfig, tuple_lines: u64, flush_scan: u64) -> u64 
     qpi_cfg.read_latency as u64 + tuple_lines + flush_scan + PIPELINE_SLACK
 }
 
-/// The PAD abort of a partition of `capacity` slots.
-fn overflow(partition: usize, capacity: usize, consumed: u64) -> FpartError {
-    FpartError::PartitionOverflow {
-        partition,
-        capacity,
-        consumed: consumed as usize,
-    }
+/// The scatter's abort `err` after `reads` input and `writes` output line
+/// operations, unless a fatal link fault among them ended the pass first.
+fn first_abort(ep: &mut QpiEndpoint, err: FpartError, reads: u64, writes: u64) -> FpartError {
+    ep.fast_forward(reads, writes).err().unwrap_or(err)
 }
 
 /// Run a full partitioning job on the batched fast path. Functionally
 /// equivalent to [`FpgaPartitioner`]'s cycle-accurate engine (same
 /// per-partition contents, counts, capacities, padding and overflow
-/// behaviour), with analytically derived cycle counts.
+/// behaviour, and the same outcome of an armed fault plan), with
+/// analytically derived cycle counts.
 ///
 /// [`FpgaPartitioner`]: crate::FpgaPartitioner
 pub(crate) fn run_batched<T: Tuple>(
     cfg: &PartitionerConfig,
     qpi_cfg: &QpiConfig,
     input: &Input<'_, T>,
+    faults: Option<&FaultInjector>,
 ) -> Result<(PartitionedRelation<T>, RunReport)> {
     let parts = cfg.partitions();
     let lanes = T::LANES;
     let n = input.len();
     let total_lines = input.input_lines() as u64;
     let f = cfg.partition_fn;
-
-    let mut pagetable = build_pagetable::<T>(input, parts, n, &cfg.output)?;
 
     // After the scatter `counts[p]` holds partition `p`'s full lines and
     // `fills[lane * parts + p]` each combiner cell's partial-line fill.
@@ -317,7 +338,7 @@ pub(crate) fn run_batched<T: Tuple>(
     // Extents: HIST sizes them from the histogram pass, PAD fixes them.
     let (extents, layout, mut hist) = match cfg.output {
         OutputMode::Hist => {
-            let mut pass = histogram_pass(cfg, qpi_cfg, input);
+            let mut pass = histogram_pass(cfg, qpi_cfg, input, faults)?;
             // Every line count follows from the histogram: a partition's
             // tuples fill (total − Σ fills) / LANES full lines, and each
             // non-empty combiner cell flushes one more.
@@ -336,12 +357,19 @@ pub(crate) fn run_batched<T: Tuple>(
             (extents, PartitionLayout::Exact, Some(pass))
         }
         OutputMode::Pad { padding } => {
-            let cap_lines = padding.capacity(n, parts, lanes).div_ceil(lanes) as u64;
-            let capacity = cap_lines as usize * lanes;
-            let extents = PartitionExtents::fixed(parts, cap_lines);
+            let extents = PartitionExtents::padded(padding, n, parts, lanes);
+            let capacity = extents.capacity_lines[0] as usize * lanes;
             (extents, PartitionLayout::Padded { capacity }, None)
         }
     };
+    let mut pagetable = build_pagetable(input.input_lines(), &extents, faults)?;
+
+    let mut ep = endpoint(qpi_cfg, faults, PassId::Scatter);
+    let pad_capacity = hist
+        .is_none()
+        .then(|| extents.capacity_lines[0] as usize * lanes);
+    let aborts = faults.and_then(|inj| TupleAborts::new(inj, parts, pad_capacity));
+
     let extent_slots: Vec<usize> = (extents.capacity_lines.iter())
         .map(|&l| l as usize * lanes)
         .collect();
@@ -359,7 +387,7 @@ pub(crate) fn run_batched<T: Tuple>(
     // Scatter through the SWWCB.
     let mut wc = output.writers().next().expect("one writer");
     let mut forward_hits = hist.as_ref().map_or((0, 0), |h| h.forward_hits);
-    let tuple_lines = if hist.is_some() {
+    let tuple_lines = if hist.is_some() && aborts.is_none() {
         for_each_line(input, 0..input.input_lines(), f, |line, ids| {
             for (&t, &p) in line.iter().zip(ids) {
                 if !t.is_dummy() {
@@ -368,24 +396,37 @@ pub(crate) fn run_batched<T: Tuple>(
             }
         })
     } else {
-        let cap_lines = extents.capacity_lines[0];
-        let cap = cap_lines as usize * lanes;
+        // PAD, and HIST under injected aborts, recount the lines tuple by
+        // tuple. The first full line past a partition's capacity aborts
+        // the run, and so does an injected abort. The input is walked in
+        // blocks so that an aborted run stops reading within one block of
+        // the abort, as the circuit does.
+        if hist.is_some() {
+            counts.fill(0);
+            fills.fill(0);
+            tuples_consumed = 0;
+        }
+        // Only PAD's fixed capacity can overflow; HIST's extents are exact.
+        let cap = pad_capacity.unwrap_or(usize::MAX);
+        let cap_lines = (cap / lanes) as u64;
         let mut fwd = Forwarding::new();
-        // The first full line past a partition's capacity aborts the run.
-        // The input is walked in blocks so that an aborted run stops
-        // reading within one block of the overflow, as the circuit does.
-        let (mut aborted, mut tuple_lines) = (None, 0);
+        let (mut aborted, mut tuple_lines) = (None, 0u64);
         let input_lines = input.input_lines();
         for first in (0..input_lines).step_by(ABORT_BLOCK_LINES) {
             let block = first..(first + ABORT_BLOCK_LINES).min(input_lines);
-            tuple_lines += for_each_line(input, block, f, |line, ids| {
+            for_each_line(input, block, f, |line, ids| {
                 if aborted.is_some() {
                     return;
                 }
+                tuple_lines += 1;
                 fwd.line(line, ids);
                 for (lane, (&t, &p)) in line.iter().zip(ids).enumerate() {
                     if t.is_dummy() {
                         continue;
+                    }
+                    if let Some(e) = aborts.as_ref().and_then(|a| a.at(tuples_consumed, p)) {
+                        aborted = Some(e);
+                        return;
                     }
                     tuples_consumed += 1;
                     let cell = lane * parts + p;
@@ -407,7 +448,8 @@ pub(crate) fn run_batched<T: Tuple>(
                 }
             });
             if let Some(e) = aborted {
-                return Err(e);
+                let reads = tuple_lines.div_ceil(input.expansion() as u64);
+                return Err(first_abort(&mut ep, e, reads, counts.iter().sum()));
             }
             fwd.fold();
         }
@@ -426,13 +468,19 @@ pub(crate) fn run_batched<T: Tuple>(
                 continue;
             }
             if counts[p] == extents.capacity_lines[p] {
-                return Err(overflow(p, extent_slots[p], tuples_consumed));
+                let e = overflow(p, extent_slots[p], tuples_consumed);
+                return Err(first_abort(&mut ep, e, total_lines, counts.iter().sum()));
             }
             counts[p] += 1;
             flush_dummies += (lanes - fill) as u64;
             flush_lines += 1;
         }
     }
+    // Analytic scatter duration: the slower of the circuit and the link,
+    // plus the link's replay stalls.
+    let lines_written: u64 = counts.iter().sum();
+    let link = ep.fast_forward(total_lines, lines_written)?;
+
     // Each partition's valid tuples are the first slots of its extent;
     // the builder writes dummies over the rest, the flush lines' padding
     // included.
@@ -441,7 +489,6 @@ pub(crate) fn run_batched<T: Tuple>(
         let valid = out.partition_valid(p);
         out.set_partition_fill(p, lines as usize * lanes, valid);
     }
-    let lines_written: u64 = counts.iter().sum();
 
     // Address translations: one per input line read and one per output
     // line written (the ticked engine re-translates reads denied by the
@@ -452,23 +499,21 @@ pub(crate) fn run_batched<T: Tuple>(
         pagetable.translate_lines(total_lines + base, count)?;
     }
 
-    // Analytic scatter duration: the slower of the circuit and the link.
-    let mut ep = QpiEndpoint::new(qpi_cfg.clone());
-    let link = ep.fast_forward(total_lines, lines_written);
     let flush_scan = (parts * lanes) as u64;
     let circuit = circuit_bound(qpi_cfg, tuple_lines, flush_scan);
-    let mut scatter = PassTotals {
-        cycles: link.max(circuit),
-        qpi: ep.stats(),
-    };
+    let mut qpi = ep.stats();
     // Synthesized stalls: every link-bound cycle beyond the circuit bound
     // is a denied grant, split by traffic share.
-    let stall = scatter.cycles.saturating_sub(circuit);
+    let stall = link.saturating_sub(circuit);
     let rd_stall = (stall * total_lines)
         .checked_div(total_lines + lines_written)
         .unwrap_or(0);
-    scatter.qpi.read_stall_cycles = rd_stall;
-    scatter.qpi.write_stall_cycles = stall - rd_stall;
+    qpi.read_stall_cycles = rd_stall;
+    qpi.write_stall_cycles = stall - rd_stall;
+    let scatter = PassTotals {
+        cycles: link.max(circuit) + qpi.replay_stall_cycles,
+        qpi,
+    };
 
     // The write-back and BRAM tallies of the model: one fill-rate
     // read+write per combined tuple, one extra write per flushed partial
@@ -557,7 +602,7 @@ mod tests {
             ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::of(&input))
         };
         let qpi = QpiConfig::unlimited(200e6);
-        let pass = histogram_pass(&cfg, &qpi, &input);
+        let pass = histogram_pass(&cfg, &qpi, &input, None).unwrap();
         let (counts, hits) = reference(&input, f);
         let parts = f.fan_out();
         assert_eq!(pass.totals.len(), parts, "{label}");

@@ -33,7 +33,7 @@ use crate::config::{
     InputMode, OutputMode, PartitionerConfig, SimFidelity, FIFO_CAPACITY, OUT_FIFO_CAPACITY,
 };
 use crate::hashmod::HashPipeline;
-use crate::writeback::{AddressedLine, PartitionExtents, WriteBack};
+use crate::writeback::{overflow, AddressedLine, PartitionExtents, WriteBack};
 use crate::writecomb::{CombinedLine, CombinerStats, WriteCombiner};
 
 /// The simulated FPGA partitioner.
@@ -264,23 +264,12 @@ impl FpgaPartitioner {
 
     /// A partitioner with the paper-default configuration for the given
     /// partition function and (output, input) modes — the common case
-    /// when callers do not need to tweak the padded capacity or
-    /// fidelity.
+    /// when callers do not need to tweak the padded capacity.
     pub fn with_modes(partition_fn: PartitionFn, output: OutputMode, input: InputMode) -> Self {
         Self::new(PartitionerConfig {
             partition_fn,
             ..PartitionerConfig::paper_default(output, input)
         })
-    }
-
-    /// Builder: run subsequent simulations at `fidelity`. Batched
-    /// fidelity produces the same partitioned bytes (and the same
-    /// overflow partition, if any) orders of magnitude faster; use it
-    /// when only the functional outcome and the analytic cycle count
-    /// matter.
-    pub fn with_sim_fidelity(mut self, fidelity: SimFidelity) -> Self {
-        self.config = self.config.clone().with_fidelity(fidelity);
-        self
     }
 
     /// A partitioner with an explicit QPI model — e.g. the raw 25.6 GB/s
@@ -295,7 +284,8 @@ impl FpgaPartitioner {
     }
 
     /// Arm a fault plan (builder style): every subsequent run injects the
-    /// plan's faults at their scheduled points. An empty plan disarms.
+    /// plan's faults at their scheduled points, at either fidelity. An
+    /// empty plan disarms.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = (!plan.is_empty()).then(|| FaultInjector::new(plan));
         self
@@ -356,55 +346,33 @@ impl FpgaPartitioner {
         self.config.validate()?;
         let input = input.into();
         let parts = self.config.partitions();
-        if self.fast_path_active() {
-            let pass = crate::fastpath::histogram_pass(&self.config, &self.qpi, &input);
+        let faults = self.faults.as_ref();
+        if self.config.fidelity == SimFidelity::Batched {
+            let pass = crate::fastpath::histogram_pass(&self.config, &self.qpi, &input, faults)?;
             return Ok((pass.totals, pass.pass.cycles));
         }
         let mut rec = Recorder::new(self.config.obs);
-        let pass = HistogramPass::run::<T>(
-            &self.config,
-            self.qpi.clone(),
-            &input,
-            self.faults.as_ref(),
-            &mut rec,
-        )?;
+        let pass = HistogramPass::run::<T>(&self.config, &self.qpi, &input, faults, &mut rec)?;
         let hist = (0..parts)
             .map(|p| pass.lane_hists.iter().map(|h| h[p]).sum())
             .collect();
         Ok((hist, pass.totals.cycles))
     }
 
-    /// Whether this run takes the batched fast path: the configuration
-    /// asks for it AND no fault plan is armed (fault interleavings are
-    /// inherently cycle-level, so armed plans force cycle accuracy).
-    fn fast_path_active(&self) -> bool {
-        self.config.fidelity == SimFidelity::Batched && self.faults.is_none()
-    }
-
     fn run<T: Tuple>(&self, input: &Input<'_, T>) -> Result<(PartitionedRelation<T>, RunReport)> {
-        if self.fast_path_active() {
-            return crate::fastpath::run_batched(&self.config, &self.qpi, input);
+        let faults = self.faults.as_ref();
+        if self.config.fidelity == SimFidelity::Batched {
+            return crate::fastpath::run_batched(&self.config, &self.qpi, input, faults);
         }
         let parts = self.config.partitions();
         let n = input.len();
         let mut rec = Recorder::new(self.config.obs);
 
-        // Page table covering input + output virtual regions.
-        let mut pagetable = build_pagetable::<T>(input, parts, n, &self.config.output)?;
-        if let Some(inj) = &self.faults {
-            pagetable.inject_transients(inj.pagetable_schedule());
-        }
-
         // Phase 1 (HIST only): build per-lane histograms.
         let (extents, hist, valid_hint) = match self.config.output {
             OutputMode::Hist => {
-                let pass = HistogramPass::run::<T>(
-                    &self.config,
-                    self.qpi.clone(),
-                    input,
-                    self.faults.as_ref(),
-                    &mut rec,
-                )?;
+                let pass =
+                    HistogramPass::run::<T>(&self.config, &self.qpi, input, faults, &mut rec)?;
                 let valid: Vec<usize> = (0..parts)
                     .map(|p| pass.lane_hists.iter().map(|h| h[p] as usize).sum())
                     .collect();
@@ -422,12 +390,11 @@ impl FpgaPartitioner {
                 )
             }
             OutputMode::Pad { padding } => {
-                let cap_tuples = padding.capacity(n, parts, T::LANES);
-                let cap_lines = cap_tuples.div_ceil(T::LANES) as u64;
-                let extents = PartitionExtents::fixed(parts, cap_lines);
+                let extents = PartitionExtents::padded(padding, n, parts, T::LANES);
                 (extents, PassTotals::default(), None)
             }
         };
+        let mut pagetable = build_pagetable(input.input_lines(), &extents, faults)?;
 
         // Allocate the output region.
         let mut out = match (&valid_hint, &self.config.output) {
@@ -447,10 +414,10 @@ impl FpgaPartitioner {
         // Phase 2: scatter.
         let mut engine = ScatterEngine::<T>::new(
             &self.config,
-            QpiEndpoint::new(self.qpi.clone()),
+            endpoint(&self.qpi, faults, PassId::Scatter),
             extents,
             input,
-            self.faults.as_ref(),
+            faults,
         );
         let totals = RunTotals {
             hist,
@@ -462,28 +429,92 @@ impl FpgaPartitioner {
     }
 }
 
-/// Construct the page table mapping the input and (upper-bound) output
-/// virtual regions.
-pub(crate) fn build_pagetable<T: Tuple>(
-    input: &Input<'_, T>,
-    parts: usize,
-    n: usize,
-    output: &OutputMode,
+/// Construct the page table mapping the virtual regions the run
+/// touches: `input_lines` input lines, then the output's `extents` line
+/// for line, with the plan's translation transients armed.
+pub(crate) fn build_pagetable(
+    input_lines: usize,
+    extents: &PartitionExtents,
+    faults: Option<&FaultInjector>,
 ) -> Result<PageTable> {
-    let input_bytes = input.input_lines() as u64 * CACHE_LINE_BYTES as u64;
-    // Upper bound on output: every partition padded to whole lines per
-    // lane, plus PAD padding.
-    let out_tuples = match output {
-        OutputMode::Hist => n + parts * T::LANES * T::LANES,
-        OutputMode::Pad { padding } => parts * padding.capacity(n, parts, T::LANES),
-    };
-    let out_bytes = (out_tuples * T::WIDTH) as u64 + CACHE_LINE_BYTES as u64;
-    let pages = PageTable::pages_for(input_bytes) + PageTable::pages_for(out_bytes) + 1;
+    let lines = input_lines as u64 + extents.total_lines();
+    let pages = PageTable::pages_for(lines * CACHE_LINE_BYTES as u64);
     let mut alloc = PageAllocator::new((pages as u64 + 2) * fpart_hwsim::PAGE_BYTES);
     let frames = alloc.allocate(pages)?;
     let mut pt = PageTable::new(pages);
     pt.populate(&frames)?;
+    if let Some(inj) = faults {
+        pt.inject_transients(inj.pagetable_schedule());
+    }
     Ok(pt)
+}
+
+/// The scatter aborts a fault plan injects as the tuples leave the hash
+/// pipes, where the lanes run in lockstep, so that both fidelities meet
+/// them in input order. The write combiners read their fill-rate entry
+/// for every tuple, so a flipped entry trips the parity checker at its
+/// partition's first tuple; an injected PAD overflow forces the counter
+/// of the partition of the tuple after the chosen number over capacity.
+pub(crate) struct TupleAborts {
+    /// The partitions whose fill-rate entry is flipped.
+    flips: Vec<usize>,
+    /// The injected overflow's point and the PAD capacity it reports.
+    overflow: Option<(u64, usize)>,
+}
+
+impl TupleAborts {
+    /// The aborts `inj` injects over `parts` partitions, if any;
+    /// `pad_capacity` is the PAD extent in tuples, `None` in HIST mode.
+    pub(crate) fn new(
+        inj: &FaultInjector,
+        parts: usize,
+        pad_capacity: Option<usize>,
+    ) -> Option<Self> {
+        let flips = inj.bram_flips(BramKind::FillRate).into_iter();
+        let flips: Vec<usize> = flips.map(|addr| addr % parts).collect();
+        let overflow = inj.pad_overflow_at().zip(pad_capacity);
+        (!flips.is_empty() || overflow.is_some()).then_some(Self { flips, overflow })
+    }
+
+    /// The abort at the real tuple `index` (in input order), of partition
+    /// `p`, if any.
+    pub(crate) fn at(&self, index: u64, p: usize) -> Option<FpartError> {
+        if self.flips.contains(&p) {
+            return Some(FpartError::BramSoftError {
+                bram: "fill-rate",
+                addr: p,
+            });
+        }
+        let (at, capacity) = self.overflow?;
+        (at == index).then(|| overflow(p, capacity, at))
+    }
+}
+
+/// A pass's endpoint, armed with the plan's link transients for `pass`.
+pub(crate) fn endpoint(
+    qpi_cfg: &QpiConfig,
+    faults: Option<&FaultInjector>,
+    pass: PassId,
+) -> QpiEndpoint {
+    let mut ep = QpiEndpoint::new(qpi_cfg.clone());
+    if let Some(inj) = faults {
+        ep.inject_faults(inj.qpi_schedule(pass));
+    }
+    ep
+}
+
+/// The histogram BRAM's soft error, if the plan schedules one: the pass
+/// reads the BRAM back out at its end (to compute the prefix sums), and
+/// the first flipped address, modulo the BRAM size, trips the parity
+/// checker there.
+pub(crate) fn histogram_flip(faults: Option<&FaultInjector>, parts: usize) -> Result<()> {
+    match faults.and_then(|inj| inj.bram_flips(BramKind::Histogram).first().copied()) {
+        Some(addr) => Err(FpartError::BramSoftError {
+            bram: "histogram",
+            addr: addr % parts.max(1),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Result of the histogram pass.
@@ -505,16 +536,13 @@ impl HistogramPass {
     /// detected as the pass reads the counts back out.
     fn run<T: Tuple>(
         cfg: &PartitionerConfig,
-        qpi_cfg: QpiConfig,
+        qpi_cfg: &QpiConfig,
         input: &Input<'_, T>,
         injector: Option<&FaultInjector>,
         rec: &mut Recorder,
     ) -> Result<Self> {
         let parts = cfg.partitions();
-        let mut qpi = QpiEndpoint::new(qpi_cfg);
-        if let Some(inj) = injector {
-            qpi.inject_faults(inj.qpi_schedule(PassId::Histogram));
-        }
+        let mut qpi = endpoint(qpi_cfg, injector, PassId::Histogram);
         let mut pipes: Vec<HashPipeline<T>> = (0..T::LANES)
             .map(|_| HashPipeline::new(cfg.partition_fn))
             .collect();
@@ -578,17 +606,7 @@ impl HistogramPass {
             }
         }
 
-        // The histogram BRAM is read back out at the end of the pass (to
-        // compute the prefix sums); a scheduled soft error surfaces as a
-        // parity hit here. Addresses are taken modulo the BRAM size.
-        if let Some(inj) = injector {
-            if let Some(&addr) = inj.bram_flips(BramKind::Histogram).first() {
-                return Err(FpartError::BramSoftError {
-                    bram: "histogram",
-                    addr: addr % parts.max(1),
-                });
-            }
-        }
+        histogram_flip(injector, parts)?;
 
         let qpi = qpi.stats();
         rec.event(cycles, "hist", "pass_end", qpi.lines_read);
@@ -615,30 +633,20 @@ struct ScatterEngine<'a, T: Tuple> {
     /// The QPI endpoint's 128 KB two-way cache (Section 2.1), checked on
     /// every read the engine issues.
     endpoint_cache: fpart_hwsim::SetAssociativeCache,
+    /// The aborts an armed fault plan injects.
+    aborts: Option<TupleAborts>,
 }
 
 impl<'a, T: Tuple> ScatterEngine<'a, T> {
     fn new(
         cfg: &PartitionerConfig,
-        mut qpi: QpiEndpoint,
+        qpi: QpiEndpoint,
         extents: PartitionExtents,
         input: &'a Input<'a, T>,
         injector: Option<&FaultInjector>,
     ) -> Self {
         let pad_mode = matches!(cfg.output, OutputMode::Pad { .. });
-        let parts = cfg.partitions();
-        let mut writeback = WriteBack::new(extents, T::LANES, pad_mode);
-        if let Some(inj) = injector {
-            qpi.inject_faults(inj.qpi_schedule(PassId::Scatter));
-            for addr in inj.bram_flips(BramKind::FillRate) {
-                writeback.inject_parity_error(addr % parts.max(1));
-            }
-            if pad_mode {
-                if let Some(at) = inj.pad_overflow_at() {
-                    writeback.force_overflow_at(at);
-                }
-            }
-        }
+        let pad_capacity = pad_mode.then(|| extents.capacity_lines[0] as usize * T::LANES);
         Self {
             qpi,
             pipes: (0..T::LANES)
@@ -651,11 +659,12 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
             out_fifos: (0..T::LANES)
                 .map(|_| Fifo::new(OUT_FIFO_CAPACITY))
                 .collect(),
-            writeback,
+            writeback: WriteBack::new(extents, T::LANES, pad_mode),
             wb_fifo: Fifo::new(8),
             out_base_line: input.input_lines() as u64,
             input,
             endpoint_cache: fpart_hwsim::SetAssociativeCache::harp_endpoint_cache(),
+            aborts: injector.and_then(|inj| TupleAborts::new(inj, cfg.partitions(), pad_capacity)),
         }
     }
 
@@ -676,6 +685,9 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
         let mut lines_written: Vec<u64> = vec![0; out.num_partitions()];
         let mut valid_written: Vec<u64> = vec![0; out.num_partitions()];
         let mut tuple_lines = 0u64;
+        // Tuples out of the hash pipes, which run in lockstep: lane by
+        // lane, they leave in input order.
+        let mut hashed = 0u64;
 
         loop {
             cycles += 1;
@@ -759,12 +771,17 @@ impl<'a, T: Tuple> ScatterEngine<'a, T> {
                 }
             }
 
-            // (4) Hash pipelines consume one tuple line.
+            // (4) Hash pipelines consume one tuple line; its tuples leave
+            // toward the combiners, where the injected aborts happen.
             let line = pending.pop_front();
             tuple_lines += u64::from(line.is_some());
             for (lane, pipe) in self.pipes.iter_mut().enumerate() {
                 let tuple = line.as_ref().map(|l| l.lane(lane));
                 if let Some(out_t) = pipe.clock(tuple.filter(|t| !t.is_dummy())) {
+                    if let Some(e) = self.aborts.as_ref().and_then(|a| a.at(hashed, out_t.hash)) {
+                        return Err(e);
+                    }
+                    hashed += 1;
                     self.lane_fifos[lane]
                         .push(out_t)
                         .unwrap_or_else(|_| unreachable!("read throttling bounds occupancy"));
@@ -1135,130 +1152,171 @@ mod tests {
         assert_correct_partitioning(r.tuples(), &out, f);
     }
 
+    /// Fault plans run on both fidelities, with the same outcome.
+    const FIDELITIES: [SimFidelity; 2] = [SimFidelity::CycleAccurate, SimFidelity::Batched];
+
     #[test]
     fn qpi_transients_slow_but_do_not_corrupt() {
         use fpart_hwsim::{Fault, FaultPlan};
         let r = rel(4096);
-        let cfg = config(4, OutputMode::Hist, InputMode::Rid);
-        let f = cfg.partition_fn;
-        let clean = FpgaPartitioner::with_qpi(cfg.clone(), QpiConfig::unlimited(200e6));
-        let (out_clean, rep_clean) = clean.partition(&r).unwrap();
+        for fidelity in FIDELITIES {
+            let cfg = config(4, OutputMode::Hist, InputMode::Rid).with_fidelity(fidelity);
+            let f = cfg.partition_fn;
+            let clean = FpgaPartitioner::with_qpi(cfg.clone(), QpiConfig::unlimited(200e6));
+            let (out_clean, rep_clean) = clean.partition(&r).unwrap();
 
-        let plan = FaultPlan::new()
-            .with(Fault::QpiTransient {
-                pass: fpart_hwsim::PassId::Histogram,
-                op_index: 10,
-                burst: 3,
-            })
-            .with(Fault::QpiTransient {
-                pass: fpart_hwsim::PassId::Scatter,
-                op_index: 100,
-                burst: 2,
-            })
-            .with(Fault::PageTableTransient {
-                translation_index: 5,
-                retries: 2,
-            });
-        let faulty = FpgaPartitioner::with_qpi(cfg, QpiConfig::unlimited(200e6)).with_faults(plan);
-        let (out_faulty, rep_faulty) = faulty.partition(&r).unwrap();
+            let plan = FaultPlan::new()
+                .with(Fault::QpiTransient {
+                    pass: fpart_hwsim::PassId::Histogram,
+                    op_index: 10,
+                    burst: 3,
+                })
+                .with(Fault::QpiTransient {
+                    pass: fpart_hwsim::PassId::Scatter,
+                    op_index: 100,
+                    burst: 2,
+                })
+                .with(Fault::PageTableTransient {
+                    translation_index: 5,
+                    retries: 2,
+                });
+            let faulty =
+                FpgaPartitioner::with_qpi(cfg, QpiConfig::unlimited(200e6)).with_faults(plan);
+            let (out_faulty, rep_faulty) = faulty.partition(&r).unwrap();
 
-        assert_correct_partitioning(r.tuples(), &out_faulty, f);
-        assert_eq!(
-            content_checksum(out_clean.all_tuples()),
-            content_checksum(out_faulty.all_tuples()),
-            "replayed transients never corrupt data"
-        );
-        assert_eq!(rep_faulty.qpi.link_errors, 2);
-        assert_eq!(rep_faulty.qpi.link_replays, 5);
-        assert!(rep_faulty.qpi.replay_stall_cycles > 0);
-        assert!(
-            rep_faulty.total_cycles() > rep_clean.total_cycles(),
-            "replays cost cycles"
-        );
-        assert_eq!(rep_faulty.obs.get(Ctr::PtRetriesTotal), 2);
-        assert_eq!(rep_clean.obs.get(Ctr::PtRetriesTotal), 0);
+            assert_correct_partitioning(r.tuples(), &out_faulty, f);
+            assert_eq!(
+                content_checksum(out_clean.all_tuples()),
+                content_checksum(out_faulty.all_tuples()),
+                "{fidelity:?}: replayed transients never corrupt data"
+            );
+            assert_eq!(rep_faulty.qpi.link_errors, 2, "{fidelity:?}");
+            assert_eq!(rep_faulty.qpi.link_replays, 5, "{fidelity:?}");
+            assert!(rep_faulty.qpi.replay_stall_cycles > 0, "{fidelity:?}");
+            assert!(
+                rep_faulty.total_cycles() > rep_clean.total_cycles(),
+                "{fidelity:?}: replays cost cycles"
+            );
+            assert_eq!(rep_faulty.obs.get(Ctr::PtRetriesTotal), 2, "{fidelity:?}");
+            assert_eq!(rep_clean.obs.get(Ctr::PtRetriesTotal), 0, "{fidelity:?}");
+        }
     }
 
     #[test]
     fn fatal_qpi_burst_surfaces_link_retry_exhausted() {
         use fpart_hwsim::{Fault, FaultPlan};
         let r = rel(2048);
-        let cfg = config(4, OutputMode::pad_default(), InputMode::Rid);
-        let plan = FaultPlan::new().with(Fault::QpiTransient {
-            pass: fpart_hwsim::PassId::Scatter,
-            op_index: 50,
-            burst: 1000,
-        });
-        let p = FpgaPartitioner::new(cfg).with_faults(plan);
-        let err = p.partition(&r).unwrap_err();
-        assert!(
-            matches!(err, FpartError::LinkRetryExhausted { .. }),
-            "{err:?}"
-        );
+        for fidelity in FIDELITIES {
+            let cfg = config(4, OutputMode::pad_default(), InputMode::Rid).with_fidelity(fidelity);
+            let plan = FaultPlan::new().with(Fault::QpiTransient {
+                pass: fpart_hwsim::PassId::Scatter,
+                op_index: 50,
+                burst: 1000,
+            });
+            let p = FpgaPartitioner::new(cfg).with_faults(plan);
+            let err = p.partition(&r).unwrap_err();
+            assert!(
+                matches!(err, FpartError::LinkRetryExhausted { .. }),
+                "{fidelity:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn bram_soft_errors_surface_per_pass() {
         use fpart_hwsim::{BramKind, Fault, FaultPlan};
         let r = rel(2048);
-        // Histogram BRAM flip aborts the HIST first pass.
-        let cfg = config(4, OutputMode::Hist, InputMode::Rid);
-        let plan = FaultPlan::new().with(Fault::BramFlip {
-            bram: BramKind::Histogram,
-            addr: 3,
-        });
-        let err = FpgaPartitioner::new(cfg)
-            .with_faults(plan)
-            .partition(&r)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FpartError::BramSoftError {
-                bram: "histogram",
-                addr: 3
-            }
-        );
+        for fidelity in FIDELITIES {
+            // Histogram BRAM flip aborts the HIST first pass.
+            let cfg = config(4, OutputMode::Hist, InputMode::Rid).with_fidelity(fidelity);
+            let plan = FaultPlan::new().with(Fault::BramFlip {
+                bram: BramKind::Histogram,
+                addr: 3,
+            });
+            let err = FpgaPartitioner::new(cfg)
+                .with_faults(plan)
+                .partition(&r)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                FpartError::BramSoftError {
+                    bram: "histogram",
+                    addr: 3
+                },
+                "{fidelity:?}"
+            );
 
-        // Fill-rate BRAM flip aborts the scatter pass.
-        let cfg = config(4, OutputMode::pad_default(), InputMode::Rid);
-        let plan = FaultPlan::new().with(Fault::BramFlip {
-            bram: BramKind::FillRate,
-            addr: 19, // modulo 16 partitions → address 3
-        });
-        let err = FpgaPartitioner::new(cfg)
-            .with_faults(plan)
-            .partition(&r)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FpartError::BramSoftError {
-                bram: "fill-rate",
-                addr: 3
-            }
-        );
+            // Fill-rate BRAM flip aborts the scatter pass.
+            let cfg = config(4, OutputMode::pad_default(), InputMode::Rid).with_fidelity(fidelity);
+            let plan = FaultPlan::new().with(Fault::BramFlip {
+                bram: BramKind::FillRate,
+                addr: 19, // modulo 16 partitions → address 3
+            });
+            let err = FpgaPartitioner::new(cfg)
+                .with_faults(plan)
+                .partition(&r)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                FpartError::BramSoftError {
+                    bram: "fill-rate",
+                    addr: 3
+                },
+                "{fidelity:?}"
+            );
+        }
     }
 
     #[test]
     fn injected_pad_overflow_reports_chosen_point() {
         use fpart_hwsim::{Fault, FaultPlan};
         let r = rel(4096);
-        let cfg = config(4, OutputMode::pad_default(), InputMode::Rid);
-        let plan = FaultPlan::new().with(Fault::PadOverflow { consumed: 2048 });
-        let p = FpgaPartitioner::new(cfg.clone()).with_faults(plan.clone());
-        let err = p.partition(&r).unwrap_err();
-        match err.clone() {
-            FpartError::PartitionOverflow { consumed, .. } => {
-                assert!(
-                    consumed >= 2048,
-                    "fires at the chosen point, got {consumed}"
-                );
-                assert!(consumed < 2048 + 64, "not much later either");
+        for fidelity in FIDELITIES {
+            let cfg = config(4, OutputMode::pad_default(), InputMode::Rid).with_fidelity(fidelity);
+            let plan = FaultPlan::new().with(Fault::PadOverflow { consumed: 2048 });
+            let p = FpgaPartitioner::new(cfg.clone()).with_faults(plan.clone());
+            let err = p.partition(&r).unwrap_err();
+            match err.clone() {
+                FpartError::PartitionOverflow { consumed, .. } => {
+                    assert!(
+                        consumed >= 2048,
+                        "{fidelity:?}: fires at the chosen point, got {consumed}"
+                    );
+                    assert!(consumed < 2048 + 64, "{fidelity:?}: not much later either");
+                }
+                other => panic!("{fidelity:?}: unexpected error {other:?}"),
             }
-            other => panic!("unexpected error {other:?}"),
+            // Same plan, same input → identical abort, cycle for cycle.
+            let again = FpgaPartitioner::new(cfg).with_faults(plan);
+            assert_eq!(again.partition(&r).unwrap_err(), err, "{fidelity:?}");
         }
-        // Same plan, same input → identical abort, cycle for cycle.
-        let again = FpgaPartitioner::new(cfg).with_faults(plan);
-        assert_eq!(again.partition(&r).unwrap_err(), err);
+    }
+
+    #[test]
+    fn pad_page_table_covers_line_rounded_extents() {
+        // 2^18 partitions with a capacity of 153 tuples, each laid out as
+        // 20 whole lines of 8: the page table must map the 7 slots a
+        // partition that the rounding adds, 14 MB in all.
+        let n = 2_000_000;
+        let keys: Vec<u32> = KeyDistribution::Random.generate_keys(n, 42);
+        let f = PartitionFn::Murmur { bits: 18 };
+        let pad = |input| FpgaPartitioner::with_modes(f, OutputMode::pad_default(), input);
+        let (out, _) = pad(InputMode::Rid)
+            .partition(&Relation::<Tuple8>::from_keys(&keys))
+            .unwrap();
+        assert_eq!(out.partition_capacity(0), 160);
+        assert_correct_partitioning(Relation::<Tuple8>::from_keys(&keys).tuples(), &out, f);
+        drop(out);
+        let (out, _) = pad(InputMode::Vrid)
+            .partition(&ColumnRelation::<Tuple8>::from_keys(&keys))
+            .unwrap();
+        assert_eq!(out.total_valid(), n);
+        for p in 0..out.num_partitions() {
+            for t in out.partition_tuples(p) {
+                assert_eq!(keys[t.payload as usize], t.key);
+                assert_eq!(f.partition_of(t.key), p);
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use fpart_hwsim::Bram;
 use fpart_types::{FpartError, Line, Result, Tuple};
 
+use crate::config::PaddingSpec;
 use crate::writecomb::CombinedLine;
 
 /// An output transaction: partition id, destination line index (in the
@@ -50,7 +51,16 @@ impl PartitionExtents {
         }
     }
 
-    /// PAD-mode extents: every partition owns the same fixed number of
+    /// PAD-mode extents for `n` tuples of `lanes` per line: every
+    /// partition owns `padding`'s capacity, rounded up to whole lines.
+    pub fn padded(padding: PaddingSpec, n: usize, parts: usize, lanes: usize) -> Self {
+        Self::fixed(
+            parts,
+            padding.capacity(n, parts, lanes).div_ceil(lanes) as u64,
+        )
+    }
+
+    /// Extents in which every partition owns the same fixed number of
     /// lines.
     pub fn fixed(parts: usize, lines_per_partition: u64) -> Self {
         Self {
@@ -91,11 +101,16 @@ pub struct WriteBack<T: Tuple> {
     /// Tuples consumed so far (for overflow reports).
     tuples_consumed: u64,
     lines_emitted: u64,
-    /// Fault injection: force a PAD overflow once `tuples_consumed`
-    /// reaches this threshold (simulates skew the capacity planner
-    /// missed, at a *chosen* detection point — Section 5.4 observes the
-    /// real detection time is random).
-    force_overflow_at: Option<u64>,
+}
+
+/// The PAD abort of `partition`, whose capacity is `capacity` tuples,
+/// after `consumed` input tuples.
+pub(crate) fn overflow(partition: usize, capacity: usize, consumed: u64) -> FpartError {
+    FpartError::PartitionOverflow {
+        partition,
+        capacity,
+        consumed: consumed as usize,
+    }
 }
 
 impl<T: Tuple> WriteBack<T> {
@@ -117,25 +132,7 @@ impl<T: Tuple> WriteBack<T> {
             pad_mode,
             tuples_consumed: 0,
             lines_emitted: 0,
-            force_overflow_at: None,
         }
-    }
-
-    /// Arm a forced PAD overflow: the first line resolved after
-    /// `consumed` input tuples have been noted aborts with
-    /// [`FpartError::PartitionOverflow`]. Only meaningful in PAD mode.
-    pub fn force_overflow_at(&mut self, consumed: u64) {
-        self.force_overflow_at = Some(consumed);
-    }
-
-    /// Corrupt the fill-rate (count) BRAM at `addr`: the next count read
-    /// of that partition trips the parity checker and the pass aborts
-    /// with [`FpartError::BramSoftError`].
-    ///
-    /// # Panics
-    /// Panics if `addr` is not a valid partition index.
-    pub fn inject_parity_error(&mut self, addr: usize) {
-        self.counts.inject_parity_error(addr);
     }
 
     /// Which combiner FIFO to pop this cycle; the caller advances RR by
@@ -186,12 +183,6 @@ impl<T: Tuple> WriteBack<T> {
                 .data_out()
                 .expect("a staged line always has a count read arriving");
             debug_assert_eq!(read.0, hash);
-            if let Some(addr) = self.counts.parity_error() {
-                return Err(FpartError::BramSoftError {
-                    bram: "fill-rate",
-                    addr,
-                });
-            }
             // Forwarding: a back-to-back line to the same partition beat
             // the BRAM write.
             let count = if self.fwd.valid && self.fwd.hash == hash {
@@ -199,17 +190,10 @@ impl<T: Tuple> WriteBack<T> {
             } else {
                 read.1
             };
-            let forced = self.pad_mode
-                && self
-                    .force_overflow_at
-                    .is_some_and(|at| self.tuples_consumed >= at);
-            if forced || count >= self.extents.capacity_lines[hash] {
+            if count >= self.extents.capacity_lines[hash] {
                 if self.pad_mode {
-                    return Err(FpartError::PartitionOverflow {
-                        partition: hash,
-                        capacity: (self.extents.capacity_lines[hash] as usize) * T::LANES,
-                        consumed: self.tuples_consumed as usize,
-                    });
+                    let capacity = self.extents.capacity_lines[hash] as usize * T::LANES;
+                    return Err(overflow(hash, capacity, self.tuples_consumed));
                 }
                 unreachable!(
                     "HIST extents are exact; overflow in partition {hash} is a circuit bug"
@@ -326,42 +310,6 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn forced_overflow_fires_at_threshold() {
-        let mut wb = WriteBack::<Tuple8>::new(PartitionExtents::fixed(2, 100), 8, true);
-        wb.force_overflow_at(16);
-        // Below the threshold: lines flow normally.
-        wb.note_consumed(8);
-        let out = drive(&mut wb, vec![(0, full_line(0))]).unwrap();
-        assert_eq!(out.len(), 1);
-        // At the threshold: the next resolved line aborts even though the
-        // partition is nowhere near its real capacity.
-        wb.note_consumed(8);
-        let err = drive(&mut wb, vec![(1, full_line(8))]).unwrap_err();
-        match err {
-            FpartError::PartitionOverflow { consumed, .. } => assert_eq!(consumed, 16),
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fill_rate_parity_error_aborts() {
-        let mut wb = WriteBack::<Tuple8>::new(PartitionExtents::fixed(4, 10), 8, false);
-        wb.inject_parity_error(2);
-        // Partition 1 reads are clean.
-        let out = drive(&mut wb, vec![(1, full_line(0))]).unwrap();
-        assert_eq!(out.len(), 1);
-        // A count read of the poisoned partition trips the checker.
-        let err = drive(&mut wb, vec![(2, full_line(8))]).unwrap_err();
-        assert_eq!(
-            err,
-            FpartError::BramSoftError {
-                bram: "fill-rate",
-                addr: 2
-            }
-        );
     }
 
     #[test]

@@ -22,11 +22,14 @@ use fpart_types::{
     Tuple8,
 };
 
+/// A cycle-accurate configuration: each test switches its batched twin
+/// with `with_fidelity(SimFidelity::Batched)`.
 fn config(bits: u32, output: OutputMode, input: InputMode) -> PartitionerConfig {
     PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         ..PartitionerConfig::paper_default(output, input)
     }
+    .with_fidelity(SimFidelity::CycleAccurate)
 }
 
 /// Relative + absolute cycle tolerance between the analytic model and the
@@ -322,11 +325,11 @@ fn histogram_only_matches() {
 }
 
 #[test]
-fn armed_fault_plan_forces_cycle_accuracy() {
-    use fpart_hwsim::{Fault, FaultPlan, PassId};
-    // Batched fidelity + armed plan must silently fall back to the ticked
-    // engine: the scheduled transient is observed (link_errors > 0),
-    // which the analytic path cannot produce.
+fn armed_fault_plan_runs_batched() {
+    use fpart_hwsim::{Fault, FaultPlan, PassId, DEFAULT_REPLAY_PENALTY};
+    // Batched fidelity + armed plan stays on the fast path: the scheduled
+    // transient is charged, and its replay stalls lengthen the analytic
+    // run by exactly burst × penalty cycles.
     let keys: Vec<u32> = KeyDistribution::Random.generate_keys(4096, 3);
     let rel = Relation::<Tuple8>::from_keys(&keys);
     let cfg = config(4, OutputMode::Hist, InputMode::Rid).with_fidelity(SimFidelity::Batched);
@@ -335,12 +338,16 @@ fn armed_fault_plan_forces_cycle_accuracy() {
         op_index: 100,
         burst: 2,
     });
+    let (_, clean) = FpgaPartitioner::new(cfg.clone()).partition(&rel).unwrap();
     let (_, report) = FpgaPartitioner::new(cfg)
         .with_faults(plan)
         .partition(&rel)
         .unwrap();
     assert_eq!(report.qpi.link_errors, 1, "the fault plan executed");
     assert_eq!(report.qpi.link_replays, 2);
+    let stall = 2 * u64::from(DEFAULT_REPLAY_PENALTY);
+    assert_eq!(report.qpi.replay_stall_cycles, stall);
+    assert_eq!(report.total_cycles(), clean.total_cycles() + stall);
 }
 
 #[test]

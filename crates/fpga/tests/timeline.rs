@@ -2,17 +2,21 @@
 
 use fpart_datagen::KeyDistribution;
 use fpart_fpga::partitioner::TIMELINE_INTERVAL;
-use fpart_fpga::{FpgaPartitioner, InputMode, ObsLevel, OutputMode, PartitionerConfig, RunReport};
+use fpart_fpga::{
+    FpgaPartitioner, InputMode, ObsLevel, OutputMode, PartitionerConfig, RunReport, SimFidelity,
+};
 use fpart_hash::PartitionFn;
 use fpart_hwsim::QpiConfig;
 use fpart_obs::Ctr;
 use fpart_types::{Relation, Tuple8};
 
+/// A cycle-accurate PAD/RID run: the timeline is per-cycle behaviour.
 fn run(n: usize, unlimited: bool, obs: ObsLevel) -> RunReport {
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits: 6 },
         ..PartitionerConfig::paper_default(OutputMode::pad_default(), InputMode::Rid)
     }
+    .with_fidelity(SimFidelity::CycleAccurate)
     .with_obs(obs);
     let p = if unlimited {
         FpgaPartitioner::with_qpi(config, QpiConfig::unlimited(200e6))

@@ -15,9 +15,9 @@
 //! * **BRAM soft errors** — a stored bit flips in the histogram or
 //!   fill-rate BRAM and the parity checker on the read port reports it
 //!   ([`FpartError::BramSoftError`](fpart_types::FpartError));
-//! * **injected PAD overflows** — a partition counter is forced over its
-//!   preassigned capacity once a chosen number of input tuples has been
-//!   consumed, which exercises the PAD → HIST → CPU escalation chain at
+//! * **injected PAD overflows** — the counter of the partition of the
+//!   tuple after a chosen number of input tuples is forced over its
+//!   preassigned capacity, which exercises the PAD → HIST → CPU escalation chain at
 //!   a *controlled* abort point ("the detection time … is random",
 //!   Section 5.4 — here it is whatever the experiment needs).
 //!
@@ -44,7 +44,9 @@ pub enum PassId {
 pub enum BramKind {
     /// The histogram BRAM of the first pass (Section 4.5).
     Histogram,
-    /// The fill-rate/count BRAM of the write back module (Section 4.3).
+    /// The write combiners' fill-rate BRAM (Section 4.2), read for every
+    /// tuple: a flipped address is detected at the first tuple of its
+    /// partition.
     FillRate,
 }
 
@@ -79,8 +81,9 @@ pub enum Fault {
         /// The corrupted address (taken modulo the BRAM size).
         addr: usize,
     },
-    /// Force a PAD-mode partition counter over capacity once `consumed`
-    /// input tuples have entered the circuit.
+    /// Once `consumed` input tuples have entered the circuit, force the
+    /// PAD-mode counter of the next tuple's partition over capacity: the
+    /// run aborts there, reporting that partition and `consumed`.
     PadOverflow {
         /// Consumed-tuple threshold at which the overflow fires.
         consumed: u64,
@@ -239,11 +242,6 @@ impl FaultInjector {
     /// An injector over a plan.
     pub fn new(plan: FaultPlan) -> Self {
         Self { plan }
-    }
-
-    /// The plan this injector serves.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// QPI schedule for one pass (empty schedule if no transients target

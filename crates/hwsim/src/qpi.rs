@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 use fpart_memmodel::{BandwidthCurve, RwMix};
-use fpart_types::{FpartError, CACHE_LINE_BYTES};
+use fpart_types::{FpartError, Result, CACHE_LINE_BYTES};
 
 use crate::fault::QpiFaultSchedule;
 
@@ -329,33 +329,48 @@ impl QpiEndpoint {
         self.stats
     }
 
-    /// Fast-forward the endpoint over a whole phase: account
-    /// `lines_read + lines_written` granted line operations in bulk and
-    /// advance the clock by the steady-state cycle count from
-    /// [`QpiConfig::link_cycles`]. Returns the cycles consumed.
+    /// Fast-forward the endpoint over a whole phase: grant `lines_read +
+    /// lines_written` line operations in bulk, firing every scheduled
+    /// transient among them as the ticked endpoint would (one link error,
+    /// `burst` replays and `burst × replay_penalty` replay-stall cycles
+    /// each), and advance the clock by [`QpiConfig::link_cycles`] plus the
+    /// stalls. Returns the steady-state cycles alone, for the caller to
+    /// weigh against the circuit bound before it adds the stalls.
     ///
     /// This is the batched-fidelity replacement for ticking
-    /// [`QpiEndpoint::tick`] once per cycle: the counters and the clock
-    /// end up where a steady-state cycle-accurate run would leave them,
-    /// without the per-cycle token arithmetic. Per-cycle observables
-    /// (stall counters, in-flight reads) are not modelled — the batched
-    /// caller derives stalls analytically from the circuit/link bound gap.
+    /// [`QpiEndpoint::tick`] once per cycle. Per-cycle observables (stall
+    /// counters, in-flight reads) are not modelled — the batched caller
+    /// derives stalls analytically from the circuit/link bound gap.
     ///
-    /// # Panics
-    /// Panics if a fault schedule is armed: fast-forwarding would skip the
-    /// scheduled transients, so fault runs must stay cycle-accurate.
-    pub fn fast_forward(&mut self, lines_read: u64, lines_written: u64) -> u64 {
-        assert!(
-            self.faults.is_none(),
-            "fast-forward over an armed fault schedule would skip its transients"
-        );
+    /// # Errors
+    /// [`FpartError::LinkRetryExhausted`] for the first burst beyond the
+    /// replay limit, abandoned at the cycle the steady rate reaches it.
+    pub fn fast_forward(&mut self, lines_read: u64, lines_written: u64) -> Result<u64> {
+        let ops = lines_read + lines_written;
         let cycles = self.config.link_cycles(lines_read, lines_written);
-        self.cycle += cycles;
+        let (start, mut stall) = (self.ops_granted, 0);
+        if let Some(sched) = &mut self.faults {
+            while let Some(&(op, burst)) = sched.faults.front().filter(|f| f.0 < start + ops) {
+                sched.faults.pop_front();
+                self.stats.link_errors += 1;
+                if burst > sched.replay_limit {
+                    let reached = (op.saturating_sub(start) * cycles).checked_div(ops);
+                    return Err(FpartError::LinkRetryExhausted {
+                        retries: sched.replay_limit,
+                        cycle: self.cycle + stall + reached.unwrap_or(0),
+                    });
+                }
+                self.stats.link_replays += burst as u64;
+                stall += burst as u64 * sched.replay_penalty as u64;
+            }
+        }
+        self.stats.replay_stall_cycles += stall;
+        self.cycle += cycles + stall;
         self.stats.lines_read += lines_read;
         self.stats.lines_written += lines_written;
-        self.ops_granted += lines_read + lines_written;
+        self.ops_granted += ops;
         self.credit = 0.0;
-        cycles
+        Ok(cycles)
     }
 
     /// Re-derive the credit rate from the read/write mix achieved since
@@ -580,7 +595,7 @@ mod tests {
     fn fast_forward_accounts_stats_and_clock() {
         let cfg = QpiConfig::harp(fixed_curve(6.4));
         let mut qpi = QpiEndpoint::new(cfg.clone());
-        let cycles = qpi.fast_forward(1000, 500);
+        let cycles = qpi.fast_forward(1000, 500).unwrap();
         assert_eq!(cycles, cfg.link_cycles(1000, 500));
         assert_eq!(qpi.now(), cycles);
         assert_eq!(qpi.stats().lines_read, 1000);
@@ -594,11 +609,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault schedule")]
-    fn fast_forward_refuses_armed_faults() {
+    fn fast_forward_charges_armed_faults() {
+        // Ops 3 and 7 fault within the phase's 10 operations; op 12 lies
+        // beyond it and never fires, as on the ticked endpoint.
+        let mut sched = crate::fault::QpiFaultSchedule::new(vec![(7, 3), (3, 2), (12, 1)]);
+        sched.replay_penalty = 5;
         let mut qpi = QpiEndpoint::new(QpiConfig::unlimited(200e6));
-        qpi.inject_faults(crate::fault::QpiFaultSchedule::new(vec![(0, 1)]));
-        qpi.fast_forward(1, 0);
+        qpi.inject_faults(sched);
+        let cycles = qpi.fast_forward(6, 4).unwrap();
+        let stats = qpi.stats();
+        assert_eq!(stats.link_errors, 2);
+        assert_eq!(stats.link_replays, 5);
+        assert_eq!(stats.replay_stall_cycles, 5 * 5);
+        assert_eq!(qpi.now(), cycles + 25, "the clock pays the stalls");
+
+        // A burst beyond the replay limit abandons the phase at its op.
+        let cfg = QpiConfig::harp(fixed_curve(6.4));
+        let mut qpi = QpiEndpoint::new(cfg.clone());
+        let mut sched = crate::fault::QpiFaultSchedule::new(vec![(500, 99)]);
+        sched.replay_limit = 8;
+        qpi.inject_faults(sched);
+        let err = qpi.fast_forward(1000, 0).unwrap_err();
+        let half = cfg.link_cycles(1000, 0) / 2;
+        assert_eq!(
+            err,
+            FpartError::LinkRetryExhausted {
+                retries: 8,
+                cycle: half
+            }
+        );
+        assert_eq!(qpi.stats().link_errors, 1);
     }
 
     #[test]

@@ -18,16 +18,14 @@
 //! degradation (the [`EscalationChain`] becomes part of the returned
 //! [`Plan`] instead of a caller-side loop). Every decision is recorded
 //! in a machine-readable [`PlanExplanation`]. The planner's fields are
-//! the ones callers set (threads, fidelity, key distribution, whether
-//! to consider the split); the sample size, the PAD margin and the
+//! the ones callers set (threads, key distribution, whether to consider
+//! the split); the sample size, the PAD margin and the
 //! split's gain bar are constants of this module, and the chain is
 //! [`EscalationChain::new`].
 
 use fpart_costmodel::cpu::DistributionKind;
 use fpart_costmodel::{CpuCostModel, FpgaCostModel};
-use fpart_fpga::{
-    FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
-};
+use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PaddingSpec, PartitionerConfig};
 use fpart_hash::PartitionFn;
 use fpart_obs::json;
 use fpart_types::{Input, PartitionedRelation, Result, Tuple};
@@ -128,9 +126,6 @@ pub struct EnginePlanner {
     /// Threads for CPU runs (the CPU engine, the hybrid CPU share and
     /// the chain's CPU fallback).
     pub cpu_threads: usize,
-    /// Simulation fidelity for FPGA engines (default batched — same
-    /// bytes and cycle counts, orders of magnitude faster).
-    pub fidelity: SimFidelity,
     /// Key-distribution assumption for the CPU cost model (hash
     /// partitioning ignores it; default [`DistributionKind::Random`]).
     pub dist: DistributionKind,
@@ -140,21 +135,14 @@ pub struct EnginePlanner {
 }
 
 impl EnginePlanner {
-    /// Planner with the default policy: batched fidelity, random-keys
-    /// cost assumption, full degradation chain, no hybrid split.
+    /// Planner with the default policy: random-keys cost assumption,
+    /// full degradation chain, no hybrid split.
     pub fn new(cpu_threads: usize) -> Self {
         Self {
             cpu_threads,
-            fidelity: SimFidelity::Batched,
             dist: DistributionKind::Random,
             allow_hybrid: false,
         }
-    }
-
-    /// Override the FPGA simulation fidelity.
-    pub fn with_fidelity(mut self, fidelity: SimFidelity) -> Self {
-        self.fidelity = fidelity;
-        self
     }
 
     /// Override the CPU cost model's key-distribution assumption.
@@ -170,7 +158,7 @@ impl EnginePlanner {
     }
 
     /// Plan everything for partitioning a row store or a column store
-    /// with `f`: output mode, back-end, fidelity and degradation chain,
+    /// with `f`: output mode, back-end and degradation chain,
     /// with the full reasoning in [`Plan::explanation`]. A column store
     /// is priced and run in VRID mode.
     pub fn plan<'a, T: Tuple>(&self, input: impl Into<Input<'a, T>>, f: PartitionFn) -> Plan<T> {
@@ -186,8 +174,7 @@ impl EnginePlanner {
         let config = PartitionerConfig {
             partition_fn: f,
             ..PartitionerConfig::paper_default(output, input_mode)
-        }
-        .with_fidelity(self.fidelity);
+        };
         let fpga = FpgaPartitioner::new(config);
 
         let mut t_hybrid = None;
@@ -217,7 +204,6 @@ impl EnginePlanner {
             partitions: f.fan_out(),
             engine: choice,
             output,
-            fidelity: self.fidelity,
             cpu_seconds: t_cpu,
             fpga_seconds: t_fpga,
             hybrid_seconds: t_hybrid,
@@ -236,7 +222,7 @@ impl EnginePlanner {
 }
 
 /// Everything the planner decided for one input: the engine to run
-/// (with the sampled output mode and the fidelity baked in), the
+/// (with the sampled output mode baked in), the
 /// degradation chain that wraps it, and the reasoning.
 #[derive(Debug)]
 pub struct Plan<T: Tuple> {
@@ -279,8 +265,6 @@ pub struct PlanExplanation {
     pub engine: EngineChoice,
     /// The sampled output mode.
     pub output: OutputMode,
-    /// The FPGA simulation fidelity.
-    pub fidelity: SimFidelity,
     /// Modeled CPU seconds (§4.6, calibrated platform).
     pub cpu_seconds: f64,
     /// Modeled FPGA seconds for the sampled mode.
@@ -309,7 +293,6 @@ impl PlanExplanation {
             .field("partitions", &self.partitions)
             .field("engine", self.engine.label())
             .field("output", self.output.label())
-            .field("fidelity", self.fidelity.label())
             .field("cpu_seconds", &self.cpu_seconds)
             .field("fpga_seconds", &self.fpga_seconds)
             .field("hybrid_seconds", &self.hybrid_seconds)
@@ -344,7 +327,6 @@ impl PlanExplanation {
             self.estimated_max_fill,
             self.pad_capacity
         ));
-        s.push_str(&format!("  fidelity {}\n", self.fidelity.label()));
         s.push_str(&format!(
             "  chain    hist_retry={} cpu_fallback={}\n",
             self.hist_retry, self.cpu_fallback
@@ -502,7 +484,6 @@ mod tests {
             "tuples",
             "engine",
             "output",
-            "fidelity",
             "cpu_seconds",
             "fpga_seconds",
             "hybrid_seconds",

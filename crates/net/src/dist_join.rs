@@ -7,7 +7,7 @@
 //! exactly like a two-pass radix join (Barthels et al.'s structure).
 
 use fpart_cpu::CpuPartitioner;
-use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig, SimFidelity};
+use fpart_fpga::{FpgaPartitioner, InputMode, OutputMode, PartitionerConfig};
 use fpart_hash::PartitionFn;
 use fpart_join::buildprobe::build_probe_all;
 use fpart_join::radix::JoinResult;
@@ -91,10 +91,6 @@ pub struct DistributedJoin {
     pub network: NetworkModel,
     /// Threads for local joins (per node, on this host).
     pub threads: usize,
-    /// Simulation fidelity for FPGA node partitioners. Both fidelities
-    /// produce identical partitioned bytes; batched computes the cycle
-    /// count analytically instead of ticking the circuit.
-    pub fidelity: SimFidelity,
 }
 
 impl DistributedJoin {
@@ -108,15 +104,7 @@ impl DistributedJoin {
             engine: Some(EngineChoice::Fpga),
             network: NetworkModel::fdr_infiniband(),
             threads: 1,
-            fidelity: SimFidelity::default(),
         }
-    }
-
-    /// Select the FPGA simulation fidelity for node partitioners.
-    #[must_use]
-    pub fn with_fidelity(mut self, fidelity: SimFidelity) -> Self {
-        self.fidelity = fidelity;
-        self
     }
 
     /// Hash bits selecting the node.
@@ -154,16 +142,12 @@ impl DistributedJoin {
     ) -> Result<(PartitionedRelation<T>, f64)> {
         let f = self.node_fn();
         let (parts, report) = match self.engine {
-            None => EnginePlanner::new(self.threads)
-                .with_fidelity(self.fidelity)
-                .plan(share, f)
-                .run(share)?,
+            None => EnginePlanner::new(self.threads).plan(share, f).run(share)?,
             Some(choice) => {
                 let config = PartitionerConfig {
                     partition_fn: f,
                     ..PartitionerConfig::paper_default(OutputMode::Hist, InputMode::Rid)
-                }
-                .with_fidelity(self.fidelity);
+                };
                 let engine = choice.engine(FpgaPartitioner::new(config), self.threads);
                 EscalationChain::new(self.threads).run(engine.as_ref(), share)?
             }

@@ -104,8 +104,7 @@ fn main() {
             },
             InputMode::Vrid,
         )
-    }
-    .with_fidelity(SimFidelity::Batched);
+    };
     let chain = EscalationChain::new(2);
     let (vrid, report) =
         radix_join(&FpgaPartitioner::new(zero_pad), &chain, &rc, &sc).expect("VRID join");

@@ -6,7 +6,7 @@
 //! reproduce the identical degradation report twice.
 
 use fpart::fpga::{
-    FpgaPartitioner, InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig, SimFidelity,
+    FpgaPartitioner, InputMode, ObsLevel, OutputMode, PaddingSpec, PartitionerConfig,
 };
 use fpart::hwsim::{Fault, FaultPlan, FaultSpec};
 use fpart::join::fallback::{AttemptRecord, DegradationReport, EscalationChain};
@@ -15,14 +15,12 @@ use fpart::types::SplitMix64;
 use fpart_datagen::dist::{foreign_keys, zipf_foreign_keys, KeyDistribution};
 
 fn pad_cfg(bits: u32, pad: usize) -> PartitionerConfig {
+    let output = OutputMode::Pad {
+        padding: PaddingSpec::Tuples(pad),
+    };
     PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
-        output: OutputMode::Pad {
-            padding: PaddingSpec::Tuples(pad),
-        },
-        input: InputMode::Rid,
-        fidelity: SimFidelity::CycleAccurate,
-        obs: ObsLevel::Off,
+        ..PartitionerConfig::paper_default(output, InputMode::Rid)
     }
 }
 

@@ -26,7 +26,8 @@ fn run((output, input): (OutputMode, InputMode), raw: bool, bits: u32) -> f64 {
     let config = PartitionerConfig {
         partition_fn: PartitionFn::Murmur { bits },
         ..PartitionerConfig::paper_default(output, input)
-    };
+    }
+    .with_fidelity(SimFidelity::CycleAccurate);
     let partitioner = if raw {
         FpgaPartitioner::with_qpi(
             config.clone(),

@@ -62,7 +62,7 @@ fn run_and_check(
             .partition(&ColumnRelation::<Tuple8>::from_keys(&keys))
             .unwrap(),
     };
-    let label = format!("{mode}/{}/{dist}/obs={}", fidelity.label(), obs.label());
+    let label = format!("{mode}/{fidelity:?}/{dist}/obs={}", obs.label());
 
     assert_conserved(&report.obs);
     assert_partition_counts(parts.histogram(), n);
@@ -261,18 +261,20 @@ fn conservation_holds_under_surviving_fault_plan() {
             translation_index: 7,
             retries: 3,
         });
-    for output in [OutputMode::Hist, OutputMode::pad_default()] {
-        for obs in [ObsLevel::Off, ObsLevel::Counters] {
-            let config = cfg(output, InputMode::Rid, SimFidelity::CycleAccurate).with_obs(obs);
-            let fpga = FpgaPartitioner::new(config).with_faults(plan.clone());
-            let (parts, report) = fpga.partition(&rel).unwrap();
-            assert_conserved(&report.obs);
-            assert_partition_counts(parts.histogram(), 3000);
-            assert!(
-                report.obs.get(Ctr::QpiLinkReplays) > 0,
-                "{}: replays must surface in counters",
-                output.label()
-            );
+    for fidelity in [SimFidelity::CycleAccurate, SimFidelity::Batched] {
+        for output in [OutputMode::Hist, OutputMode::pad_default()] {
+            for obs in [ObsLevel::Off, ObsLevel::Counters] {
+                let config = cfg(output, InputMode::Rid, fidelity).with_obs(obs);
+                let fpga = FpgaPartitioner::new(config).with_faults(plan.clone());
+                let (parts, report) = fpga.partition(&rel).unwrap();
+                assert_conserved(&report.obs);
+                assert_partition_counts(parts.histogram(), 3000);
+                assert!(
+                    report.obs.get(Ctr::QpiLinkReplays) > 0,
+                    "{} {fidelity:?}: replays must surface in counters",
+                    output.label()
+                );
+            }
         }
     }
 }
